@@ -16,7 +16,7 @@ import numpy as np
 from .errors import HypersymError
 from .jsonutil import complex_pair
 from .matrices import as_array
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, _eig_sorted, residual_norms
 
 MATCH_TOL = 1e-8
 
@@ -44,30 +44,17 @@ class SpectrumReport:
         return doc
 
 
-def _sorted_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eig(A)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order], vecs[:, order]
-
-
 def dense_spectrum(M) -> SpectrumReport:
     """Full spectrum by direct dense eigensolve, sorted by (real, imag)."""
     A = as_array(M)
     if not np.all(np.isfinite(A)):
         raise HypersymError("matrix has non-finite entries")
-    vals, vecs = _sorted_eig(A)
+    vals, vecs = _eig_sorted(A)
     scale = max(1.0, float(np.abs(A).sum(axis=1).max())) if A.size else 1.0
-    residuals = np.array(
-        [
-            np.linalg.norm(A @ vecs[:, i] - vals[i] * vecs[:, i])
-            / max(1.0, np.linalg.norm(vecs[:, i]))
-            for i in range(len(vals))
-        ]
-    )
+    residuals = residual_norms(A @ vecs, vecs, vals)
     failures = tuple(
         f"dense eigenpair {i} residual {residuals[i]:.3e}"
-        for i in range(len(vals))
-        if residuals[i] > MATCH_TOL * scale
+        for i in np.flatnonzero(residuals > MATCH_TOL * scale)
     )
     return SpectrumReport(
         eigenvalues=vals, residuals=residuals, verdict=not failures, failures=failures
@@ -83,23 +70,26 @@ def match_multisets(a, b, tol: float):
     """
     a = sorted((complex(z) for z in a), key=lambda z: (z.real, z.imag))
     b = sorted((complex(z) for z in b), key=lambda z: (z.real, z.imag))
-    used = [False] * len(b)
+    if not a or not b:
+        return [], a, b
+    # err[i, j] = |a_i - b_j| (hypot, as abs of a Python complex); a column is
+    # set to inf once b_j is used, and NaN never matches
+    diff = np.array(a)[:, None] - np.array(b)[None, :]
+    err = np.hypot(diff.real, diff.imag)
+    err[np.isnan(err)] = np.inf
+    used = np.zeros(len(b), dtype=bool)
     pairs: list[tuple[complex, complex, float]] = []
     unmatched_a: list[complex] = []
-    for x in a:
-        best, best_err = -1, np.inf
-        for j, y in enumerate(b):
-            if used[j]:
-                continue
-            err = abs(x - y)
-            if err < best_err:
-                best, best_err = j, err
-        if best >= 0 and best_err <= tol:
-            used[best] = True
-            pairs.append((x, b[best], float(best_err)))
+    for i, x in enumerate(a):
+        j = int(np.argmin(err[i]))  # the first of equally near elements
+        best_err = float(err[i, j])
+        if best_err < np.inf and best_err <= tol:
+            used[j] = True
+            err[:, j] = np.inf
+            pairs.append((x, b[j], best_err))
         else:
             unmatched_a.append(x)
-    unmatched_b = [y for j, y in enumerate(b) if not used[j]]
+    unmatched_b = [y for y, u in zip(b, used) if not u]
     return pairs, unmatched_a, unmatched_b
 
 

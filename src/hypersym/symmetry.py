@@ -236,24 +236,50 @@ def _cells_of(partition) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cell) for cell in partition)
 
 
+def _cell_layout(cells) -> tuple[np.ndarray, np.ndarray]:
+    """The indices in cell order and the offset at which each cell starts."""
+    sizes = np.fromiter((len(cell) for cell in cells), dtype=np.intp, count=len(cells))
+    order = np.fromiter((v for cell in cells for v in cell), dtype=np.intp, count=int(sizes.sum()))
+    starts = np.zeros(len(cells), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return order, starts
+
+
+def _cell_sums(A: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """R[u, j] = sum of A[u, w] over w in cell j, in one grouped pass over
+    the columns in cell order (a _cell_layout with no empty cell)."""
+    return np.add.reduceat(A[:, order], starts, axis=1)
+
+
+def _equitable(A: np.ndarray, cells, tol: float):
+    """The quotient at the cell representatives (first members) and the
+    equitable witness (None when equitable), from one set of cell sums."""
+    order, starts = _cell_layout(cells)
+    if len(order) != A.shape[0] or not np.array_equal(np.sort(order), np.arange(A.shape[0])):
+        raise HypersymError("partition does not cover the index set exactly once")
+    if any(len(cell) == 0 for cell in cells):
+        raise HypersymError("partition has an empty cell")
+    R = _cell_sums(A, order, starts)
+    rep_of = np.empty(A.shape[0], dtype=np.intp)
+    rep_of[order] = np.repeat(order[starts], np.diff(starts, append=len(order)))
+    D = np.abs(R - R[rep_of])
+    # worst[i, j]: largest deviation, over the rows of cell i, of the sum into
+    # cell j from that of the cell's first member
+    worst = np.maximum.reduceat(D[order], starts, axis=0)
+    bad = np.flatnonzero(worst > tol)
+    witness = None
+    if bad.size:
+        i, j = divmod(int(bad[0]), len(cells))  # first offending pair, row-major
+        cell = cells[i]
+        k = int(np.argmax(D[list(cell), j]))
+        witness = (i, cell[0], cell[k], j, complex(R[cell[0], j]), complex(R[cell[k], j]))
+    return R[order[starts]], witness
+
+
 def equitable_witness(M, partition, tol: float = EQUITABLE_TOL):
     """None if the partition is equitable for M, else the offending pair:
     (cell_i, u, u2, cell_j, sum_u, sum_u2)."""
-    A = as_array(M)
-    cells = _cells_of(partition)
-    covered = sorted(v for cell in cells for v in cell)
-    if covered != list(range(A.shape[0])):
-        raise HypersymError("partition does not cover the index set exactly once")
-    for i, cell in enumerate(cells):
-        if len(cell) == 1:
-            continue
-        for j, other in enumerate(cells):
-            sums = A[np.ix_(cell, other)].sum(axis=1)
-            dev = np.abs(sums - sums[0])
-            k = int(np.argmax(dev))
-            if dev[k] > tol:
-                return (i, cell[0], cell[k], j, complex(sums[0]), complex(sums[k]))
-    return None
+    return _equitable(as_array(M), _cells_of(partition), tol)[1]
 
 
 def is_equitable(M, partition, tol: float = EQUITABLE_TOL) -> bool:
@@ -264,21 +290,13 @@ def is_equitable(M, partition, tol: float = EQUITABLE_TOL) -> bool:
 def orbit_quotient(M, orbs, tol: float = EQUITABLE_TOL) -> np.ndarray:
     """Quotient matrix b[i,j] = sum over cell j of m[u,w], u representing
     cell i. The partition must be equitable for M (checked)."""
-    A = as_array(M)
-    cells = _cells_of(orbs)
-    witness = equitable_witness(A, cells, tol)
+    Q, witness = _equitable(as_array(M), _cells_of(orbs), tol)
     if witness is not None:
         i, u, u2, j, s1, s2 = witness
         raise NotEquitableError(
             f"partition is not equitable: rows {u} and {u2} of cell {i} sum to "
             f"{s1} and {s2} over cell {j}"
         )
-    q = len(cells)
-    Q = np.zeros((q, q), dtype=np.complex128)
-    for i, cell in enumerate(cells):
-        rep = cell[0]
-        for j, other in enumerate(cells):
-            Q[i, j] = A[rep, list(other)].sum()
     return Q
 
 

@@ -33,8 +33,21 @@ from .errors import (
 from .hypergraph import Hypergraph, UnitPartition, compute_units, edge_unit_covers
 from .jsonutil import describe_value
 from .matrices import as_array
-from .spectral import LiftedPair, RotationBlock, SpectralDecomposition, decompose_automorphism
-from .symmetry import COMPAT_TOL, Automorphism, Permutation, validate_automorphism
+from .spectral import (
+    LiftedPair,
+    RotationBlock,
+    SpectralDecomposition,
+    decompose_automorphism,
+    residual_norms,
+)
+from .symmetry import (
+    COMPAT_TOL,
+    Automorphism,
+    Permutation,
+    _cell_layout,
+    _cell_sums,
+    validate_automorphism,
+)
 
 MERGE_TOL = 1e-9
 
@@ -65,53 +78,82 @@ def profile_unit_compatibility(M, units: UnitPartition, tol: float = COMPAT_TOL)
     Raises NotUnitCompatibleError naming the violated unit and condition.
     """
     A = as_array(M)
-    if A.shape[0] != units.n:
-        raise HypersymError(f"matrix order {A.shape[0]} does not match {units.n} vertices")
-    d: list[complex] = []
-    r: list[complex | None] = []
-    rows = np.zeros((len(units.units), units.n), dtype=np.complex128)
-    for i, unit in enumerate(units.units):
-        mem = list(unit.member_indices)
-        key = unit.key
-        rows[i] = A[mem[0]]
+    n = units.n
+    if A.shape[0] != n:
+        raise HypersymError(f"matrix order {A.shape[0]} does not match {n} vertices")
+    members = [unit.member_indices for unit in units.units]
+    reps = np.array([mem[0] for mem in members], dtype=np.intp)
+    seconds = np.array([mem[1] if len(mem) > 1 else mem[0] for mem in members], dtype=np.intp)
+    unit_of = np.array(units.unit_of, dtype=np.intp)
+    rep_of = reps[unit_of]
+    same = unit_of[:, None] == unit_of
+    diag = A.diagonal()
+    buf = np.empty_like(A)
+    absbuf = np.empty(A.shape)
+
+    def worst(reference, excluded, axis):
+        """Largest |A - reference| per vertex along axis, skipping the
+        excluded entries; reference may be buf itself."""
+        np.subtract(A, reference, out=buf)
+        np.abs(buf, out=absbuf)
+        absbuf[excluded] = 0.0
+        return absbuf.max(axis=axis, initial=0.0)
+
+    # worst deviation at each vertex for each condition, in the order the
+    # conditions are reported: diagonal, off-diagonal within the unit, row
+    # toward outside vertices, column from outside vertices
+    dev = np.stack(
+        [
+            np.abs(diag - diag[rep_of]),
+            worst(A[reps, seconds][unit_of][:, None], ~same | np.eye(n, dtype=bool), 1),
+            worst(np.take(A, rep_of, axis=0, out=buf), same, 1),
+            worst(np.take(A, rep_of, axis=1, out=buf), same, 0),
+        ]
+    )
+    order, starts = _cell_layout(members)
+    failed = np.maximum.reduceat(dev[:, order], starts, axis=1) > tol
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=0)))
+        raise NotUnitCompatibleError(_unit_violation(A, units, i, int(np.argmax(failed[:, i]))))
+    r = tuple(
+        complex(A[rep, second]) if len(mem) > 1 else None
+        for rep, second, mem in zip(reps, seconds, members)
+    )
+    return UnitCompatibleProfile(
+        units=units, d=tuple(complex(z) for z in diag[reps]), r=r, rows=A[reps]
+    )
+
+
+def _unit_violation(A: np.ndarray, units: UnitPartition, i: int, condition: int) -> str:
+    """The message naming where unit i breaks the given condition (numbered
+    as in profile_unit_compatibility)."""
+    unit = units.units[i]
+    mem = list(unit.member_indices)
+    key = unit.key
+    if condition == 0:
         diag = A[mem, mem]
-        if np.abs(diag - diag[0]).max() > tol:
-            k = int(np.argmax(np.abs(diag - diag[0])))
-            raise NotUnitCompatibleError(
-                f"unit {key!r}: diagonal entries differ: {diag[0]} at {mem[0]} "
-                f"vs {diag[k]} at {mem[k]}"
-            )
-        d.append(complex(diag[0]))
-        if len(mem) == 1:
-            r.append(None)
-        else:
-            sub = A[np.ix_(mem, mem)]
-            off = sub[~np.eye(len(mem), dtype=bool)]
-            if np.abs(off - off[0]).max() > tol:
-                raise NotUnitCompatibleError(
-                    f"unit {key!r}: off-diagonal entries within the unit are not "
-                    f"constant: {off[0]} vs {off[np.argmax(np.abs(off - off[0]))]}"
-                )
-            r.append(complex(off[0]))
-            outside = [w for w in range(units.n) if w not in unit.member_indices]
-            if outside:
-                block = A[np.ix_(mem, outside)]
-                dev = np.abs(block - block[0]).max(axis=0)
-                if dev.max() > tol:
-                    w = outside[int(np.argmax(dev))]
-                    raise NotUnitCompatibleError(
-                        f"unit {key!r}: rows toward outside vertex {w} differ "
-                        f"(max deviation {dev.max():.3e})"
-                    )
-                blockT = A[np.ix_(outside, mem)]
-                devc = np.abs(blockT - blockT[:, :1]).max(axis=1)
-                if devc.max() > tol:
-                    w = outside[int(np.argmax(devc))]
-                    raise NotUnitCompatibleError(
-                        f"unit {key!r}: columns from outside vertex {w} differ "
-                        f"(max deviation {devc.max():.3e})"
-                    )
-    return UnitCompatibleProfile(units=units, d=tuple(d), r=tuple(r), rows=rows)
+        k = int(np.argmax(np.abs(diag - diag[0])))
+        return (
+            f"unit {key!r}: diagonal entries differ: {diag[0]} at {mem[0]} "
+            f"vs {diag[k]} at {mem[k]}"
+        )
+    if condition == 1:
+        off = A[np.ix_(mem, mem)][~np.eye(len(mem), dtype=bool)]
+        return (
+            f"unit {key!r}: off-diagonal entries within the unit are not "
+            f"constant: {off[0]} vs {off[np.argmax(np.abs(off - off[0]))]}"
+        )
+    outside = [w for w in range(units.n) if w not in unit.member_indices]
+    if condition == 2:
+        block = A[np.ix_(mem, outside)]
+        dev = np.abs(block - block[0]).max(axis=0)
+        what = "rows toward"
+    else:
+        block = A[np.ix_(outside, mem)]
+        dev = np.abs(block - block[:, :1]).max(axis=1)
+        what = "columns from"
+    w = outside[int(np.argmax(dev))]
+    return f"unit {key!r}: {what} outside vertex {w} differ (max deviation {dev.max():.3e})"
 
 
 @dataclass(frozen=True)
@@ -140,27 +182,22 @@ def unit_eigenvalues(M, units: UnitPartition, tol: float = COMPAT_TOL, merge_tol
     """
     A = as_array(M)
     profile = profile_unit_compatibility(A, units, tol)
+    vectors, _, _ = _difference_vectors(units)
     structures: list[UnitEigenStructure] = []
+    start = 0
     for i, unit in enumerate(units.units):
         if unit.size < 2:
             continue
-        value = profile.unit_eigenvalue(i)
-        mem = unit.member_indices
-        vectors = []
-        for v in mem[1:]:
-            vec = np.zeros(units.n, dtype=np.complex128)
-            vec[v] = 1.0
-            vec[mem[0]] = -1.0
-            vectors.append(vec)
         structures.append(
             UnitEigenStructure(
                 unit_index=i,
                 unit_key=unit.key,
-                value=value,
+                value=profile.unit_eigenvalue(i),
                 multiplicity=unit.size - 1,
-                vectors=tuple(vectors),
+                vectors=tuple(vectors[start : start + unit.size - 1]),
             )
         )
+        start += unit.size - 1
     merged: list[tuple[complex, int, tuple[str, ...]]] = []
     for s in sorted(structures, key=lambda s: (s.value.real, s.value.imag)):
         if merged and abs(s.value - merged[-1][0]) <= merge_tol:
@@ -171,26 +208,35 @@ def unit_eigenvalues(M, units: UnitPartition, tol: float = COMPAT_TOL, merge_tol
     return UnitEigenReport(structures=tuple(structures), merged=tuple(merged))
 
 
+def _difference_vectors(units: UnitPartition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows chi_v - chi_v0 for every member v of every unit but its smallest
+    member v0, in unit order, with the v and v0 of each row."""
+    v = np.array([w for unit in units.units for w in unit.member_indices[1:]], dtype=np.intp)
+    v0 = np.array(
+        [unit.member_indices[0] for unit in units.units for _ in unit.member_indices[1:]],
+        dtype=np.intp,
+    )
+    vectors = np.zeros((len(v), units.n), dtype=np.complex128)
+    rows = np.arange(len(v))
+    vectors[rows, v] = 1.0
+    vectors[rows, v0] = -1.0
+    return vectors, v, v0
+
+
 def unit_quotient(M, units: UnitPartition, tol: float = COMPAT_TOL) -> np.ndarray:
     """Quotient over units: row sums of a representative row into each unit.
 
     Diagonal entries come out as d + (|W| - 1) r. M must be unit-compatible
     (checked)."""
-    A = as_array(M)
-    profile_unit_compatibility(A, units, tol)
-    q = len(units.units)
-    N = np.zeros((q, q), dtype=np.complex128)
-    for i, unit in enumerate(units.units):
-        rep = unit.member_indices[0]
-        for j, other in enumerate(units.units):
-            N[i, j] = A[rep, list(other.member_indices)].sum()
-    return N
+    profile = profile_unit_compatibility(M, units, tol)
+    return _cell_sums(profile.rows, *_cell_layout([u.member_indices for u in units.units]))
 
 
 def blow_up(y, units: UnitPartition) -> np.ndarray:
-    """Extend a vector on units to the vertices, constant on each unit."""
+    """Extend a vector on units to the vertices, constant on each unit.
+    A (units, k) matrix extends column by column."""
     y = np.asarray(y, dtype=np.complex128)
-    if y.shape != (len(units.units),):
+    if y.ndim not in (1, 2) or y.shape[0] != len(units.units):
         raise HypersymError(f"vector length {y.shape} does not match {len(units.units)} units")
     return y[np.array(units.unit_of)]
 
@@ -323,7 +369,10 @@ def lift_cardinality_preserving(ua: UnitAutomorphism) -> Automorphism:
 def unit_compatibility_witness(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL) -> dict | None:
     """None when the unit quotient is compatible with the unit permutation,
     else a witness naming the offending quotient entries."""
-    N = unit_quotient(M, ua.units, tol)
+    return _quotient_witness(unit_quotient(M, ua.units, tol), ua, tol)
+
+
+def _quotient_witness(N: np.ndarray, ua: UnitAutomorphism, tol: float) -> dict | None:
     idx = np.array(ua.perm.mapping)
     D = np.abs(N - N[np.ix_(idx, idx)])
     bad = np.argwhere(D > tol)
@@ -358,7 +407,8 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
     units = ua.units
     if A.shape[0] != units.n:
         raise HypersymError(f"matrix order {A.shape[0]} does not match {units.n} vertices")
-    witness = unit_compatibility_witness(A, ua, tol)
+    N = unit_quotient(A, units, tol)  # the one unit-compatibility check
+    witness = _quotient_witness(N, ua, tol)
     if witness is not None:
         raise IncompatibleMatrixError(
             "unit quotient is not compatible with the unit map: entry "
@@ -367,32 +417,31 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
             f"(W[{witness['image_units'][0]}], W[{witness['image_units'][1]}]) = "
             f"{describe_value(witness['image_value'])}"
         )
-    profile = profile_unit_compatibility(A, units, tol)
-    N = unit_quotient(A, units, tol)
 
     blocks: list[RotationBlock] = []
-    lifted: list[LiftedPair] = []
-    for i, unit in enumerate(units.units):
+    for unit in units.units:
         if unit.size < 2:
             continue
-        value = profile.unit_eigenvalue(i)
-        source = {"kind": "unit", "unit": unit.key}
+        rep, second = unit.member_indices[:2]
         blocks.append(
             RotationBlock(
-                source=source,
+                source={"kind": "unit", "unit": unit.key},
                 order=unit.size - 1,
-                eigenvalues=np.full(unit.size - 1, value, dtype=np.complex128),
+                # d - r, read off the representative row of a checked matrix
+                eigenvalues=np.full(unit.size - 1, A[rep, rep] - A[rep, second], dtype=np.complex128),
                 eigenvectors=None,
                 matrix=None,
             )
         )
-        mem = unit.member_indices
-        for v in mem[1:]:
-            vec = np.zeros(units.n, dtype=np.complex128)
-            vec[v] = 1.0
-            vec[mem[0]] = -1.0
-            res = float(np.linalg.norm(A @ vec - value * vec) / max(1.0, np.linalg.norm(vec)))
-            lifted.append(LiftedPair(value=value, vector=vec, source=source, residual=res))
+    # A (chi_v - chi_v0) = A[:, v] - A[:, v0]: each residual is O(n)
+    vectors, v, v0 = _difference_vectors(units)
+    values = np.concatenate([b.eigenvalues for b in blocks]) if blocks else np.zeros(0, complex)
+    residuals = residual_norms(A[:, v] - A[:, v0], vectors.T, values)
+    sources = [b.source for b in blocks for _ in range(b.order)]
+    lifted = [
+        LiftedPair(value=complex(lam), vector=vec, source=source, residual=float(res))
+        for lam, vec, source, res in zip(values, vectors, sources, residuals)
+    ]
 
     sub = decompose_automorphism(N, ua.perm, tol=tol, workers=workers)
     for block in sub.blocks:
@@ -405,18 +454,18 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
                 matrix=block.matrix,
             )
         )
-    for pair in sub.lifted:
-        full = blow_up(pair.vector, units)
-        res = float(
-            np.linalg.norm(A @ full - pair.value * full) / max(1.0, np.linalg.norm(full))
-        )
-        lifted.append(
+    if sub.lifted:
+        full = blow_up(np.stack([pair.vector for pair in sub.lifted], axis=1), units)
+        values = np.array([pair.value for pair in sub.lifted])
+        residuals = residual_norms(A @ full, full, values)
+        lifted.extend(
             LiftedPair(
                 value=pair.value,
-                vector=full,
+                vector=vec,
                 source={**pair.source, "level": "units"},
-                residual=res,
+                residual=float(res),
             )
+            for pair, vec, res in zip(sub.lifted, np.ascontiguousarray(full.T), residuals)
         )
     skipped = tuple({**entry, "level": "units"} for entry in sub.skipped)
     total = sum(b.order for b in blocks)

@@ -1,0 +1,132 @@
+"""Loop reference versions of the vectorised quotient, check and matching code.
+
+These are the original per-cell-pair, per-unit and per-element loops the
+library replaced with whole-array numpy passes. They are kept here, outside
+the package, so test_loop_equivalence.py can require the library to give
+the same witnesses, messages, quotients and matchings.
+"""
+
+import numpy as np
+
+from hypersym import HypersymError, NotEquitableError, NotUnitCompatibleError
+from hypersym.matrices import as_array
+
+
+def equitable_witness(M, cells, tol):
+    A = as_array(M)
+    covered = sorted(v for cell in cells for v in cell)
+    if covered != list(range(A.shape[0])):
+        raise HypersymError("partition does not cover the index set exactly once")
+    for i, cell in enumerate(cells):
+        if len(cell) == 1:
+            continue
+        for j, other in enumerate(cells):
+            sums = A[np.ix_(cell, other)].sum(axis=1)
+            dev = np.abs(sums - sums[0])
+            k = int(np.argmax(dev))
+            if dev[k] > tol:
+                return (i, cell[0], cell[k], j, complex(sums[0]), complex(sums[k]))
+    return None
+
+
+def orbit_quotient(M, cells, tol):
+    A = as_array(M)
+    witness = equitable_witness(A, cells, tol)
+    if witness is not None:
+        i, u, u2, j, s1, s2 = witness
+        raise NotEquitableError(
+            f"partition is not equitable: rows {u} and {u2} of cell {i} sum to "
+            f"{s1} and {s2} over cell {j}"
+        )
+    q = len(cells)
+    Q = np.zeros((q, q), dtype=np.complex128)
+    for i, cell in enumerate(cells):
+        rep = cell[0]
+        for j, other in enumerate(cells):
+            Q[i, j] = A[rep, list(other)].sum()
+    return Q
+
+
+def profile_unit_compatibility(M, units, tol):
+    """(d, r, rows) of a unit-compatible matrix, or NotUnitCompatibleError."""
+    A = as_array(M)
+    d = []
+    r = []
+    rows = np.zeros((len(units.units), units.n), dtype=np.complex128)
+    for i, unit in enumerate(units.units):
+        mem = list(unit.member_indices)
+        key = unit.key
+        rows[i] = A[mem[0]]
+        diag = A[mem, mem]
+        if np.abs(diag - diag[0]).max() > tol:
+            k = int(np.argmax(np.abs(diag - diag[0])))
+            raise NotUnitCompatibleError(
+                f"unit {key!r}: diagonal entries differ: {diag[0]} at {mem[0]} "
+                f"vs {diag[k]} at {mem[k]}"
+            )
+        d.append(complex(diag[0]))
+        if len(mem) == 1:
+            r.append(None)
+        else:
+            sub = A[np.ix_(mem, mem)]
+            off = sub[~np.eye(len(mem), dtype=bool)]
+            if np.abs(off - off[0]).max() > tol:
+                raise NotUnitCompatibleError(
+                    f"unit {key!r}: off-diagonal entries within the unit are not "
+                    f"constant: {off[0]} vs {off[np.argmax(np.abs(off - off[0]))]}"
+                )
+            r.append(complex(off[0]))
+            outside = [w for w in range(units.n) if w not in unit.member_indices]
+            if outside:
+                block = A[np.ix_(mem, outside)]
+                dev = np.abs(block - block[0]).max(axis=0)
+                if dev.max() > tol:
+                    w = outside[int(np.argmax(dev))]
+                    raise NotUnitCompatibleError(
+                        f"unit {key!r}: rows toward outside vertex {w} differ "
+                        f"(max deviation {dev.max():.3e})"
+                    )
+                blockT = A[np.ix_(outside, mem)]
+                devc = np.abs(blockT - blockT[:, :1]).max(axis=1)
+                if devc.max() > tol:
+                    w = outside[int(np.argmax(devc))]
+                    raise NotUnitCompatibleError(
+                        f"unit {key!r}: columns from outside vertex {w} differ "
+                        f"(max deviation {devc.max():.3e})"
+                    )
+    return tuple(d), tuple(r), rows
+
+
+def unit_quotient(M, units, tol):
+    A = as_array(M)
+    profile_unit_compatibility(A, units, tol)
+    q = len(units.units)
+    N = np.zeros((q, q), dtype=np.complex128)
+    for i, unit in enumerate(units.units):
+        rep = unit.member_indices[0]
+        for j, other in enumerate(units.units):
+            N[i, j] = A[rep, list(other.member_indices)].sum()
+    return N
+
+
+def match_multisets(a, b, tol):
+    a = sorted((complex(z) for z in a), key=lambda z: (z.real, z.imag))
+    b = sorted((complex(z) for z in b), key=lambda z: (z.real, z.imag))
+    used = [False] * len(b)
+    pairs = []
+    unmatched_a = []
+    for x in a:
+        best, best_err = -1, np.inf
+        for j, y in enumerate(b):
+            if used[j]:
+                continue
+            err = abs(x - y)
+            if err < best_err:
+                best, best_err = j, err
+        if best >= 0 and best_err <= tol:
+            used[best] = True
+            pairs.append((x, b[best], float(best_err)))
+        else:
+            unmatched_a.append(x)
+    unmatched_b = [y for j, y in enumerate(b) if not used[j]]
+    return pairs, unmatched_a, unmatched_b

@@ -1,0 +1,201 @@
+"""The vectorised quotients, checks and matching against their loop references.
+
+Witness tuples, error messages and matchings must be identical to those of
+loop_reference.py. Quotients must be bitwise equal on integer-valued
+matrices and within 1e-12 * max(1, ||M||_inf) otherwise. Each suite draws
+positive inputs (equitable or unit-compatible matrices) and perturbed
+negative controls.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import loop_reference as ref
+from hypersym import (
+    Hypergraph,
+    NotEquitableError,
+    NotUnitCompatibleError,
+    Permutation,
+    compute_units,
+    equitable_witness,
+    match_multisets,
+    orbit_quotient,
+    profile_unit_compatibility,
+    unit_quotient,
+)
+from hypersym.symmetry import EQUITABLE_TOL
+from hypersym.unit_symmetry import COMPAT_TOL
+
+QUOTIENT_RTOL = 1e-12
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _values(rng, shape, integer):
+    if integer:
+        return (rng.integers(-3, 4, size=shape) + 1j * rng.integers(-3, 4, size=shape)).astype(
+            np.complex128
+        )
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _norm_inf(A):
+    return max(1.0, float(np.abs(A).sum(axis=1).max()))
+
+
+def _assert_quotients_equal(got, want, A, integer):
+    if integer:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max(initial=0.0) <= QUOTIENT_RTOL * _norm_inf(A)
+
+
+def _orbit_summed(rng, cells, integer):
+    """A matrix compatible with the permutation cycling each cell in the
+    given order, so the cells form an equitable partition: the sum of a
+    random draw over each position orbit (u, v) -> (f(u), f(v))."""
+    n = sum(len(c) for c in cells)
+    mapping = [0] * n
+    for cell in cells:
+        for t, v in enumerate(cell):
+            mapping[v] = cell[(t + 1) % len(cell)]
+    perm = Permutation(tuple(mapping))
+    idx = np.arange(n)
+    R = _values(rng, (n, n), integer)
+    M = np.zeros((n, n), dtype=np.complex128)
+    for _ in range(perm.order):
+        M += R[np.ix_(idx, idx)]
+        idx = np.array([mapping[v] for v in idx])
+    return M
+
+
+@st.composite
+def partitioned_matrices(draw):
+    """(A, cells, integer): random cells in random order, some singletons,
+    and a random, equitable or perturbed-equitable matrix."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=n))
+    rng = np.random.default_rng(draw(seeds))
+    labels = rng.integers(0, k, size=n)
+    cells = [[int(v) for v in rng.permutation(np.flatnonzero(labels == c))] for c in range(k)]
+    cells = [tuple(c) for c in cells if c]
+    cells = [cells[i] for i in rng.permutation(len(cells))]
+    integer = draw(st.booleans())
+    shape = draw(st.sampled_from(["random", "equitable", "perturbed"]))
+    if shape == "random":
+        A = _values(rng, (n, n), integer)
+    else:
+        A = _orbit_summed(rng, cells, integer)
+        if shape == "perturbed":
+            u, v = (int(x) for x in rng.integers(0, n, size=2))
+            A[u, v] += 1.0 if integer else rng.uniform(1e-3, 1.0)
+    return A, cells, integer
+
+
+def _assert_witnesses_equal(got, want, A, cells, integer):
+    """Integer matrices: identical tuples. Otherwise the cell sums may differ
+    in the last bits (another summation order), so the sums agree within
+    the quotient tolerance, and the second row may be any row of the cell
+    whose deviation ties with the largest one within that tolerance."""
+    if want is None or integer:
+        assert got == want
+        return
+    assert got is not None
+    i, u, u2, j, s1, s2 = got
+    assert (i, u, j) == (want[0], want[1], want[3])
+    tol = QUOTIENT_RTOL * _norm_inf(A)
+    assert abs(s1 - want[4]) <= tol and abs(s2 - A[u2, list(cells[j])].sum()) <= tol
+    sums = A[np.ix_(cells[i], cells[j])].sum(axis=1)
+    dev = np.abs(sums - sums[0])
+    assert dev[list(cells[i]).index(u2)] >= dev.max() - 2 * tol
+
+
+@given(partitioned_matrices())
+@settings(max_examples=300, deadline=None)
+def test_equitable_witness_matches_loops(case):
+    A, cells, integer = case
+    want = ref.equitable_witness(A, cells, EQUITABLE_TOL)
+    _assert_witnesses_equal(equitable_witness(A, cells), want, A, cells, integer)
+
+
+@given(partitioned_matrices())
+@settings(max_examples=300, deadline=None)
+def test_orbit_quotient_matches_loops(case):
+    A, cells, integer = case
+    try:
+        want = ref.orbit_quotient(A, cells, EQUITABLE_TOL)
+    except NotEquitableError as exc:
+        with pytest.raises(NotEquitableError) as got:
+            orbit_quotient(A, cells)
+        if integer:
+            assert str(got.value) == str(exc)
+        return
+    _assert_quotients_equal(orbit_quotient(A, cells), want, A, integer)
+
+
+@st.composite
+def unit_matrices(draw):
+    """(A, units, integer): a hypergraph whose base vertices are copied 1-3
+    times (copies share a star, so they form one unit), with 0-3 isolated
+    vertices (one unit), and a unit-compatible matrix, perturbed at up to
+    two entries."""
+    rng = np.random.default_rng(draw(seeds))
+    base = int(rng.integers(1, 6))
+    copies = [int(c) for c in rng.integers(1, 4, size=base)]
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    labels = [f"{b}.{c}" for b in range(base) for c in range(copies[b])]
+    labels += [f"x{i}" for i in range(isolated)]
+    edges = []
+    for j in range(int(rng.integers(1, 5))):
+        members = [b for b in range(base) if rng.random() < 0.5] or [0]
+        edges.append((f"e{j}", [f"{b}.{c}" for b in members for c in range(copies[b])]))
+    seen, unique = set(), []
+    for eid, members in edges:
+        if frozenset(members) not in seen:
+            seen.add(frozenset(members))
+            unique.append((eid, members))
+    units = compute_units(Hypergraph(labels, unique))
+    n, q = units.n, len(units.units)
+    integer = draw(st.booleans())
+    d, r, s = _values(rng, q, integer), _values(rng, q, integer), _values(rng, (q, q), integer)
+    unit_of = np.array(units.unit_of)
+    A = np.where(unit_of[:, None] == unit_of, r[unit_of][:, None], s[np.ix_(unit_of, unit_of)])
+    np.fill_diagonal(A, d[unit_of])
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        u, v = (int(x) for x in rng.integers(0, n, size=2))
+        A[u, v] += 1.0 if integer else rng.uniform(1e-3, 1.0)
+    return A, units, integer
+
+
+@given(unit_matrices())
+@settings(max_examples=300, deadline=None)
+def test_unit_profile_and_quotient_match_loops(case):
+    A, units, integer = case
+    try:
+        d, r, rows = ref.profile_unit_compatibility(A, units, COMPAT_TOL)
+    except NotUnitCompatibleError as exc:
+        for fn in (profile_unit_compatibility, unit_quotient):
+            with pytest.raises(NotUnitCompatibleError) as got:
+                fn(A, units)
+            assert str(got.value) == str(exc)
+        return
+    profile = profile_unit_compatibility(A, units)
+    assert (profile.d, profile.r) == (d, r)
+    assert np.array_equal(profile.rows, rows)
+    _assert_quotients_equal(unit_quotient(A, units), ref.unit_quotient(A, units, COMPAT_TOL), A, integer)
+
+
+# small integer grids make exact ties and equal distances common
+grid = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+values = grid | st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.lists(values, max_size=10),
+    st.lists(values, max_size=10),
+    st.sampled_from([0.0, 1e-9, 0.5, 1.0, 1.5, 2.0, np.inf]),
+)
+@settings(max_examples=400, deadline=None)
+def test_match_multisets_matches_loops(a, b, tol):
+    assert match_multisets(a, b, tol) == ref.match_multisets(a, b, tol)

@@ -8,8 +8,10 @@ from hypersym import (
     IncompatibleMatrixError,
     Permutation,
     as_rotation,
+    blow_up,
     build_matrix,
     compatible_matrix,
+    compute_units,
     decompose_automorphism,
     decompose_rotation,
     dense_spectrum,
@@ -128,6 +130,28 @@ def test_orbit_lift_constant_on_orbits(rot10, rot10_aut):
     full = lift_orbit_vector(y, orbs)
     for i, cell in enumerate(orbs.cells):
         assert all(full[v] == y[i] for v in cell)
+
+
+def test_lifts_accept_column_matrices(rot10, rot10_aut, units18):
+    # a (m, k) matrix lifts to the (n, k) matrix of its lifted columns
+    rng = np.random.default_rng(0)
+    rot = as_rotation(rot10_aut.perm)
+    X = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    full = lift_rotation_vector(X, rot, roots_of_unity(3)[2], 10)
+    for k in range(4):
+        assert np.array_equal(full[:, k], lift_rotation_vector(X[:, k], rot, roots_of_unity(3)[2], 10))
+    orbs = orbits(rot10_aut)
+    Y = rng.normal(size=(4, 2)).astype(complex)
+    full = lift_orbit_vector(Y, orbs)
+    for k in range(2):
+        assert np.array_equal(full[:, k], lift_orbit_vector(Y[:, k], orbs))
+    units = compute_units(units18)
+    Z = rng.normal(size=(8, 3)).astype(complex)
+    full = blow_up(Z, units)
+    for k in range(3):
+        assert np.array_equal(full[:, k], blow_up(Z[:, k], units))
+    with pytest.raises(HypersymError, match="does not match"):
+        lift_orbit_vector(np.zeros((3, 2)), orbs)
 
 
 def test_decompose_rotation_complete(rot10, rot10_aut):

@@ -136,6 +136,37 @@ def test_not_unit_compatible_witness(units18):
         profile_unit_compatibility(A, units)
 
 
+def test_not_unit_compatible_off_diagonal(units18):
+    A = build_matrix(units18, "adjacency_r").entries.copy()
+    A[4, 5] += 1.0  # vertices 5 -> 6, inside unit 5,6,15
+    with pytest.raises(
+        NotUnitCompatibleError,
+        match=r"unit '5,6,15': off-diagonal entries within the unit are not constant: "
+        r"\(2\+0j\) vs \(1\+0j\)",
+    ):
+        profile_unit_compatibility(A, compute_units(units18))
+
+
+def test_not_unit_compatible_columns(units18):
+    A = build_matrix(units18, "adjacency_r").entries.copy()
+    A[4, 0] += 1.0  # column of vertex 1 seen from outside vertex 5 (index 4)
+    with pytest.raises(
+        NotUnitCompatibleError,
+        match=r"unit '1,2': columns from outside vertex 4 differ \(max deviation 1.000e\+00\)",
+    ):
+        profile_unit_compatibility(A, compute_units(units18))
+
+
+def test_not_unit_compatible_names_the_earlier_unit(units18):
+    # unit 3,4 breaks only its last condition (columns), the later unit
+    # 11,12,16 its first (diagonal): the earlier unit is named
+    A = build_matrix(units18, "adjacency_r").entries.copy()
+    A[16, 2] += 1.0  # column of vertex 3 seen from vertex 17 (unit 17,18, last)
+    A[10, 10] = 7.0
+    with pytest.raises(NotUnitCompatibleError, match=r"unit '3,4': columns from outside vertex 16"):
+        profile_unit_compatibility(A, compute_units(units18))
+
+
 def test_validate_unit_map(units18, units18_ua):
     assert units18_ua.order == 6
     assert units18_ua.unit_key_map() == UNITS18_UNIT_MAP
