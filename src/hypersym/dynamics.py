@@ -2,9 +2,13 @@
 
 When M is compatible with an automorphism, the subspace of vectors
 constant on every orbit is invariant: states that start synchronized
-across an orbit stay synchronized. The check scales its tolerance with
-the observed state norm, since deviations grow with ||M||^k like the
-state itself.
+across an orbit stay synchronized. In floating point the computed
+states leave the orbits by rounding errors, and those errors grow with
+||M||, not with the state: when the blocks of M other than the orbit
+quotient have the larger spectral radius, the errors outgrow the
+synchronized state. The check therefore scales its tolerance with
+s_k = max(||x_k||, ||M|| s_{k-1}), a bound on how far the rounding
+errors of the earlier steps can have grown by step k.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ class Trajectory:
     normalized: bool
     orbit_cells: tuple[tuple[int, ...], ...] | None
     sync_log: np.ndarray | None  # (steps + 1, n_cells) max in-cell deviation
+    error_scale: np.ndarray  # (steps + 1,) s_k, see the module docstring
 
     @property
     def final_state(self) -> np.ndarray:
@@ -58,7 +63,8 @@ def iterate(M, x0, steps: int, orbs: OrbitPartition | None = None, normalize: bo
 
     With orbs given, sync_log records the max in-orbit deviation from the
     orbit mean at every step. normalize rescales each state to unit
-    sup-norm (useful when ||M|| > 1 over long runs).
+    sup-norm (useful when ||M|| > 1 over long runs); s_k is rescaled with
+    the state.
     """
     A = as_array(M)
     x = np.asarray(x0, dtype=np.complex128)
@@ -73,16 +79,22 @@ def iterate(M, x0, steps: int, orbs: OrbitPartition | None = None, normalize: bo
     cells = orbs.cells if orbs is not None else None
     states = np.zeros((steps + 1, A.shape[0]), dtype=np.complex128)
     states[0] = x
+    norm = float(np.abs(A).sum(axis=1).max(initial=0.0))
+    scale = np.zeros(steps + 1)
+    scale[0] = float(np.abs(x).max(initial=0.0))
     log = np.zeros((steps + 1, len(cells))) if cells is not None else None
     if log is not None:
         log[0] = _cell_deviations(x, cells)
     for k in range(1, steps + 1):
         x = A @ x
+        grown = norm * scale[k - 1]
         if normalize:
             peak = float(np.abs(x).max())
             if peak > 0:
                 x = x / peak
+                grown /= peak
         states[k] = x
+        scale[k] = max(float(np.abs(x).max(initial=0.0)), grown)
         if log is not None:
             log[k] = _cell_deviations(x, cells)
     return Trajectory(
@@ -91,6 +103,7 @@ def iterate(M, x0, steps: int, orbs: OrbitPartition | None = None, normalize: bo
         normalized=normalize,
         orbit_cells=cells,
         sync_log=log,
+        error_scale=scale,
     )
 
 
@@ -105,9 +118,11 @@ class SyncReport:
 def check_orbit_synchronization(traj: Trajectory, orbs: OrbitPartition | None = None, tol: float = SYNC_TOL) -> SyncReport:
     """Decide whether every state is constant on every orbit.
 
-    The per-step threshold is tol * max(1, ||x_k||_inf), so growth under
-    ||M|| > 1 does not produce false alarms. Reports the first violating
-    step (0 means the initial state was already desynchronized).
+    The per-step threshold is tol * max(1, s_k), where s_k (from iterate)
+    bounds the growth of the rounding errors of every earlier step, so
+    neither growth under ||M|| > 1 nor errors amplified in the blocks other
+    than the orbit quotient produce false alarms. Reports the first
+    violating step (0 means the initial state was already desynchronized).
     """
     if orbs is not None:
         cells = orbs.cells
@@ -119,7 +134,7 @@ def check_orbit_synchronization(traj: Trajectory, orbs: OrbitPartition | None = 
     first: int | None = None
     max_scaled = 0.0
     for k in range(log.shape[0]):
-        scale = max(1.0, float(np.abs(traj.states[k]).max()))
+        scale = max(1.0, float(traj.error_scale[k]))
         dev = float(log[k].max()) if log.shape[1] else 0.0
         max_scaled = max(max_scaled, dev / scale)
         if dev > tol * scale and first is None:

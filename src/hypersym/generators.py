@@ -7,14 +7,12 @@ orbit-averaged: every position orbit {(f^t u, f^t v)} gets one shared
 value, which makes m[u,v] = m[f(u),f(v)] hold exactly (commutation
 deviation is exactly zero, not merely small).
 
-Mixed cycle types use pairwise coprime lengths only; per-factor
-compatibility, which the flat block decomposition requires, is automatic
-there. Pure (single-length) types are unrestricted.
+Mixed cycle types draw two or three distinct lengths from 2..7, coprime or
+not; the block decomposition handles every cycle type alike.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 
 import numpy as np
@@ -29,13 +27,12 @@ _MIXED_LENGTHS = [
     lengths
     for size in (2, 3)
     for lengths in combinations((2, 3, 4, 5, 6, 7), size)
-    if all(math.gcd(a, b) == 1 for a, b in combinations(lengths, 2))
 ]
 
 
 def mixed_cycle_types(n: int) -> list[tuple[int, ...]]:
-    """Cycle types with at least two distinct (pairwise coprime) lengths
-    fitting into n vertices, smallest-first, with some repeated lengths."""
+    """Cycle types with at least two distinct lengths fitting into n
+    vertices, smallest-first, with some repeated lengths."""
     types: list[tuple[int, ...]] = []
     for lengths in _MIXED_LENGTHS:
         base = tuple(sorted(lengths))

@@ -1,40 +1,47 @@
-"""Block decomposition of compatible matrices along rotations.
+"""Block decomposition of compatible matrices along the characters of an
+automorphism.
 
-For a rotation f of order n with components U_0, ..., U_{n-1} and an n-th
-root of unity w, the rotation matrix on U_0 is
+Let M be f-compatible, m[u, v] = m[f(u), f(v)]. For a root of unity w, the
+vectors with y(f(v)) = w y(v) for every v form an M-invariant subspace. Such
+a y vanishes on every cycle c with w^len(c) != 1 and is fixed on the others
+by its values at the cycle representatives (smallest members), so in that
+basis M acts as the w-block
 
-    r[u, v] = sum_{i=0}^{n-1} w^i m[u, f^i(v)]    u, v in U_0.
+    B_w[c, c'] = sum_{i < len(c')} w^i m[rep(c), f^i(rep(c'))]
 
-Eigenvectors of the w != 1 blocks lift to eigenvectors of M supported on
-the active domain (x_w(v) = w^i x(f^{-i}(v)) on U_i, zero on the invariant
-set); the orbit quotient supplies the rest, lifted constant on orbits.
-Together the blocks carry the complete spectrum of M with multiplicity.
+over the cycles with w^len(c) = 1, and a block eigenvector x lifts to
+x(f^i(rep(c))) = w^i x[c], zero on the other cycles. A cycle of length l
+lies in exactly the blocks of the l-th roots of unity, so the block orders
+sum to n for every cycle type and the blocks carry the complete spectrum of
+M with multiplicity: the block diagonalisation by the characters of the
+cyclic group generated by f (Fassler & Stiefel, Group Theoretical Methods
+and Their Applications, 1992). The w = 1 block is the orbit quotient.
 
-For a general automorphism the same block structure applies factor by
-factor of the rotation decomposition, plus a single global orbit quotient.
-This requires M to be compatible with each factor rotation separately
-(automatic when the factor orders are pairwise coprime, since each factor
-is then a power of f); decompose_automorphism checks exactly that and
-refuses otherwise, because the flat block union is wrong without it.
+Only the w that occur get a block. For each cycle length l ascending and
+j = 1..l-1, w = exp(2 pi i j / l) is built unless an earlier (l, j) gave the
+same w; the block is labelled with that first (l, j) and with the index of l
+among the nontrivial cycle lengths (its factor in rotation_decomposition).
+The quotient comes last. The cycles of one length n form a rotation of
+order n, and a w-block holds whole rotations, its rows grouped by rotation:
+each rotation's rotation matrix on U_0,
+
+    r[u, v] = sum_{i=0}^{n-1} w^i m[u, f^i(v)]    u, v in U_0,
+
+sits on the diagonal and the couplings between rotations sit off it. For a
+single cycle length the w-blocks are exactly the rotation matrices.
 
 Cost model: the block eigensolves cost sum b_i^3 over the block orders b_i.
 Checking the lifted eigenpairs takes one matrix product A V per block
 (n^2 b_i multiply-adds, in BLAS-3). Everything else (the compatibility
-check, the cell sums behind the quotient and its equitable check, the
-rotation matrices, the lifts) is vectorised O(n^2) numpy work, with no
-Python loop over cell pairs or eigenpairs.
-
-Per-block eigensolves may run concurrently; HSPEC_THREADS (or the workers
-argument) caps the thread count, and assembly order is deterministic
-either way.
+check, the cell sums behind the quotient and its equitable check, the other
+blocks, the lifts) is vectorised O(n^2) numpy work, with no Python loop over
+cell pairs or eigenpairs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +52,7 @@ from .matrices import as_array
 from .symmetry import (
     COMPAT_TOL,
     OrbitPartition,
+    Permutation,
     Rotation,
     _perm_of,
     compatibility_deviation,
@@ -68,6 +76,11 @@ class RootOfUnity:
         return _root_value(self.n, (self.k * i) % self.n)
 
 
+# the rotation factors an omega-block holds, each with omega as a root of
+# that factor's order
+_Parts = list[tuple[Rotation, RootOfUnity]]
+
+
 def _root_value(n: int, k: int) -> complex:
     return cmath.exp(2j * math.pi * (k % n) / n)
 
@@ -77,6 +90,15 @@ def roots_of_unity(n: int) -> tuple[RootOfUnity, ...]:
     if n < 1:
         raise HypersymError(f"root order must be at least 1, got {n}")
     return tuple(RootOfUnity(n=n, k=k, value=_root_value(n, k)) for k in range(n))
+
+
+def _rotation_columns(A: np.ndarray, rows: Rotation, cols: Rotation, omega: RootOfUnity) -> np.ndarray:
+    """r[u, v] = sum_{i < cols.order_n} omega^i A[u, f^i(v)] for u in rows.u0
+    and v in cols.u0; omega must be a root of cols' order."""
+    R = np.zeros((rows.n_cycles, cols.n_cycles), dtype=np.complex128)
+    for i, comp in enumerate(cols.components):
+        R += omega.pow(i) * A[np.ix_(rows.u0, comp)]
+    return R
 
 
 def rotation_matrix(M, rot: Rotation, omega: RootOfUnity, tol: float | None = COMPAT_TOL) -> np.ndarray:
@@ -98,11 +120,7 @@ def rotation_matrix(M, rot: Rotation, omega: RootOfUnity, tol: float | None = CO
             raise IncompatibleMatrixError(
                 f"matrix is not rotation-compatible: entry ({u},{v}) deviates by {dev:.3e}"
             )
-    u0 = list(rot.u0)
-    R = np.zeros((len(u0), len(u0)), dtype=np.complex128)
-    for i in range(rot.order_n):
-        R += omega.pow(i) * A[np.ix_(u0, list(rot.components[i]))]
-    return R
+    return _rotation_columns(A, rot, rot, omega)
 
 
 def lift_rotation_vector(x, rot: Rotation, omega: RootOfUnity, n_full: int) -> np.ndarray:
@@ -201,35 +219,6 @@ def _eig_sorted(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs[:, order]
 
 
-def resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get("HSPEC_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise HypersymError(f"HSPEC_THREADS must be an integer, got {raw!r}") from None
-    return max(1, workers)
-
-
-def _solve_blocks(tasks: list[tuple[dict, np.ndarray]], workers: int | None) -> list[RotationBlock]:
-    count = min(resolve_workers(workers), max(1, len(tasks)))
-    if count > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            solved = list(pool.map(lambda t: _eig_sorted(t[1]), tasks))
-    else:
-        solved = [_eig_sorted(mat) for _, mat in tasks]
-    return [
-        RotationBlock(
-            source=source,
-            order=mat.shape[0],
-            eigenvalues=vals,
-            eigenvectors=vecs,
-            matrix=mat,
-        )
-        for (source, mat), (vals, vecs) in zip(tasks, solved)
-    ]
-
-
 def residual_norms(AV: np.ndarray, V: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Columnwise ||AV[:, j] - values[j] V[:, j]|| / max(1, ||V[:, j]||),
     the residual of each eigenpair given the product AV."""
@@ -238,137 +227,115 @@ def residual_norms(AV: np.ndarray, V: np.ndarray, values: np.ndarray) -> np.ndar
     return np.linalg.norm(R, axis=0) / np.maximum(1.0, np.linalg.norm(V, axis=0))
 
 
-def _lift_blocks(
-    A: np.ndarray,
-    blocks: list[RotationBlock],
-    rotations: dict[int, Rotation],
-    orbs: OrbitPartition,
-    roots: dict[tuple[int, int], RootOfUnity],
-) -> tuple[list[LiftedPair], list[dict]]:
-    """Lift every block eigenpair to full dimension, skipping (and
-    reporting) pairs whose block residual betrays a defective solve."""
+def _characters(factors: tuple[Rotation, ...]) -> list[tuple[dict, _Parts]]:
+    """(source, parts) of every block, in block order: each omega != 1,
+    labelled by its first (l, j), then the quotient, with no parts."""
+    found: list[tuple[dict, _Parts]] = []
+    seen: set[tuple[int, int]] = set()
+    for fi, rot in enumerate(factors):
+        ell = rot.order_n
+        for j in range(1, ell):
+            g = math.gcd(j, ell)
+            if (j // g, ell // g) in seen:  # the reduced angle names omega
+                continue
+            seen.add((j // g, ell // g))
+            parts = []
+            for other in factors:
+                k, rem = divmod(j * other.order_n, ell)
+                if rem == 0:  # omega^order = 1: omega is the k-th root of that order
+                    parts.append((other, RootOfUnity(n=other.order_n, k=k, value=_root_value(other.order_n, k))))
+            source = {"kind": "rotation", "factor": fi, "omega_k": j, "order_n": ell}
+            found.append((source, parts))
+    found.append(({"kind": "quotient"}, []))
+    return found
+
+
+def _block_matrix(A: np.ndarray, parts: _Parts, orbs: OrbitPartition) -> np.ndarray:
+    """The omega-block over the given factors, each factor's rotation matrix
+    on the diagonal and the couplings between factors off it; without
+    factors, the orbit quotient (with its equitable check)."""
+    if not parts:
+        return orbit_quotient(A, orbs)
+    return np.block([
+        [rotation_matrix(A, col, w, tol=None) if col is row else _rotation_columns(A, row, col, w) for col, w in parts]
+        for row, _ in parts
+    ])
+
+
+def _lift_block(X: np.ndarray, parts: _Parts, orbs: OrbitPartition, n: int) -> np.ndarray:
+    """Lift the block eigenvectors in the columns of X: factor by factor,
+    on disjoint supports; without factors, constant on the orbits."""
+    if not parts:
+        return lift_orbit_vector(X, orbs)
+    rows = np.split(X, np.cumsum([rot.n_cycles for rot, _ in parts])[:-1])
+    lifts = [lift_rotation_vector(Xr, rot, w, n) for Xr, (rot, w) in zip(rows, parts)]
+    return sum(lifts[1:], lifts[0])
+
+
+def _decompose(A: np.ndarray, perm: Permutation) -> SpectralDecomposition:
+    """Build, solve and lift every block of A along perm, which A must
+    already be compatible with. Block pairs whose residual betrays a
+    defective solve are skipped (and reported) instead of lifted."""
     n = A.shape[0]
+    orbs = orbits(perm)
+    characters = _characters(rotation_decomposition(perm).factors)
+    # every block is built and solved before any is lifted, so the lifts'
+    # products with A run back to back (interleaving them measured about 5%
+    # slower on 26 cycles of length 12)
+    matrices = [_block_matrix(A, parts, orbs) for _, parts in characters]
+    blocks = [
+        RotationBlock(source=source, order=matrix.shape[0], eigenvalues=vals, eigenvectors=vecs, matrix=matrix)
+        for (source, _), matrix, (vals, vecs) in zip(characters, matrices, map(_eig_sorted, matrices))
+    ]
     lifted: list[LiftedPair] = []
     skipped: list[dict] = []
-    for block in blocks:
-        if block.order == 0:
-            continue
-        vals, vecs = block.eigenvalues, block.eigenvectors
-        block_res = residual_norms(block.matrix @ vecs, vecs, vals)
-        defective = block_res > LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(block.matrix).max()))
+    for block, (source, parts) in zip(blocks, characters):
+        vals, vecs, matrix = block.eigenvalues, block.eigenvectors, block.matrix
+        block_res = residual_norms(matrix @ vecs, vecs, vals)
+        defective = block_res > LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(matrix).max()))
         for idx in np.flatnonzero(defective):
             skipped.append(
                 {
-                    "source": block.source,
+                    "source": source,
                     "lambda": complex_pair(complex(vals[idx])),
                     "block_residual": float(block_res[idx]),
                     "reason": "defective block eigenpair",
                 }
             )
         keep = np.flatnonzero(~defective)
-        if block.source["kind"] == "rotation":
-            rot = rotations[block.source["factor"]]
-            omega = roots[(block.source["factor"], block.source["omega_k"])]
-            full = lift_rotation_vector(vecs[:, keep], rot, omega, n)
-        else:
-            full = lift_orbit_vector(vecs[:, keep], orbs)
+        full = _lift_block(vecs[:, keep], parts, orbs, n)
         residuals = residual_norms(A @ full, full, vals[keep])
         lifted.extend(
-            LiftedPair(value=complex(lam), vector=vec, source=block.source, residual=float(res))
+            LiftedPair(value=complex(lam), vector=vec, source=source, residual=float(res))
             for lam, vec, res in zip(vals[keep], np.ascontiguousarray(full.T), residuals)
         )
-    return lifted, skipped
-
-
-def decompose_rotation(M, rot: Rotation, tol: float = COMPAT_TOL, workers: int | None = None) -> SpectralDecomposition:
-    """Spectrum of M from its omega-rotation blocks plus the orbit quotient.
-
-    M must be compatible with the rotation within tol. When the invariant
-    set is empty the quotient block coincides with the omega = 1 rotation
-    matrix.
-    """
-    A = as_array(M)
-    dev, (u, v) = compatibility_deviation(A, rot.underlying)
-    if dev > tol:
-        raise IncompatibleMatrixError(
-            f"matrix is not compatible with the rotation: entry ({u},{v}) "
-            f"deviates by {dev:.3e} (tol {tol:.1e})"
-        )
-    roots = roots_of_unity(rot.order_n)
-    tasks: list[tuple[dict, np.ndarray]] = []
-    root_table: dict[tuple[int, int], RootOfUnity] = {}
-    for k in range(1, rot.order_n):
-        source = {"kind": "rotation", "factor": 0, "omega_k": k, "order_n": rot.order_n}
-        tasks.append((source, rotation_matrix(A, rot, roots[k], tol=None)))
-        root_table[(0, k)] = roots[k]
-    orbs = OrbitPartition.from_permutation(rot.underlying)
-    tasks.append(({"kind": "quotient"}, orbit_quotient(A, orbs)))
-    blocks = _solve_blocks(tasks, workers)
-    lifted, skipped = _lift_blocks(A, blocks, {0: rot}, orbs, root_table)
     total = sum(b.order for b in blocks)
-    if total != A.shape[0]:
-        raise AssertionError(f"block orders sum to {total}, expected {A.shape[0]}")
-    return SpectralDecomposition(
-        n=A.shape[0], blocks=tuple(blocks), lifted=tuple(lifted), skipped=tuple(skipped)
-    )
+    if total != n:
+        raise AssertionError(f"block orders sum to {total}, expected {n}")
+    return SpectralDecomposition(n=n, blocks=tuple(blocks), lifted=tuple(lifted), skipped=tuple(skipped))
 
 
-def decompose_automorphism(M, f, tol: float = COMPAT_TOL, workers: int | None = None) -> SpectralDecomposition:
-    """Flat decomposition along the rotation factors of f plus the global
-    orbit quotient.
+def decompose_automorphism(M, f, tol: float = COMPAT_TOL) -> SpectralDecomposition:
+    """Spectrum of M from its blocks along f, with lifted eigenpairs.
 
-    Raises IncompatibleMatrixError if M is incompatible with f, or with any
-    single factor rotation; the latter occurs only for non-coprime factor
-    orders, where the flat per-factor block union does not carry the
-    spectrum.
+    Raises IncompatibleMatrixError if M is not f-compatible within tol, and
+    NotEquitableError if the orbit quotient's equitable check fails.
     """
     A = as_array(M)
     perm = _perm_of(f)
-    if A.shape[0] != perm.n:
-        raise HypersymError(f"matrix order {A.shape[0]} does not match permutation size {perm.n}")
     dev, (u, v) = compatibility_deviation(A, perm)
     if dev > tol:
         raise IncompatibleMatrixError(
             f"matrix is not compatible with the automorphism: entry ({u},{v}) "
             f"deviates by {dev:.3e} (tol {tol:.1e})"
         )
-    dec = rotation_decomposition(perm)
-    for fi, rot in enumerate(dec.factors):
-        fdev, (fu, fv) = compatibility_deviation(A, rot.underlying)
-        if fdev > tol:
-            raise IncompatibleMatrixError(
-                f"matrix is not compatible with factor {fi} (order {rot.order_n}): "
-                f"entry ({fu},{fv}) deviates by {fdev:.3e}; the per-factor block "
-                "decomposition applies only when every factor is compatible "
-                "(guaranteed for pairwise coprime factor orders)"
-            )
-    tasks: list[tuple[dict, np.ndarray]] = []
-    rotations: dict[int, Rotation] = {}
-    root_table: dict[tuple[int, int], RootOfUnity] = {}
-    for fi, rot in enumerate(dec.factors):
-        rotations[fi] = rot
-        roots = roots_of_unity(rot.order_n)
-        for k in range(1, rot.order_n):
-            source = {
-                "kind": "rotation",
-                "factor": fi,
-                "omega_k": k,
-                "order_n": rot.order_n,
-            }
-            tasks.append((source, rotation_matrix(A, rot, roots[k], tol=None)))
-            root_table[(fi, k)] = roots[k]
-    orbs = orbits(perm)
-    tasks.append(({"kind": "quotient"}, orbit_quotient(A, orbs)))
-    expected = sum((rot.order_n - 1) * rot.n_cycles for rot in dec.factors) + len(orbs.cells)
-    if expected != A.shape[0]:
-        raise AssertionError(
-            f"count identity violated: {expected} block eigenvalues for order {A.shape[0]}"
-        )
-    blocks = _solve_blocks(tasks, workers)
-    lifted, skipped = _lift_blocks(A, blocks, rotations, orbs, root_table)
-    return SpectralDecomposition(
-        n=A.shape[0], blocks=tuple(blocks), lifted=tuple(lifted), skipped=tuple(skipped)
-    )
+    return _decompose(A, perm)
+
+
+def decompose_rotation(M, rot: Rotation, tol: float = COMPAT_TOL) -> SpectralDecomposition:
+    """Spectrum of M from its omega-rotation blocks plus the orbit quotient:
+    decompose_automorphism along the rotation's permutation."""
+    return decompose_automorphism(M, rot.underlying, tol)
 
 
 def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, float]:

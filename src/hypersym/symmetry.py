@@ -195,10 +195,11 @@ def is_compatible(M, f, tol: float = COMPAT_TOL) -> bool:
 
 
 def check_commutation(M, f) -> float:
-    """Max-entry deviation of M P_f - P_f M (0 iff compatible, exactly)."""
-    A = as_array(M)
-    P = permutation_array(f)
-    return float(np.abs(A @ P - P @ A).max())
+    """Max-entry deviation of M P_f - P_f M (0 iff compatible, exactly).
+
+    (M P_f - P_f M)[u, f(v)] = m[u, v] - m[f(u), f(v)], so for finite M this
+    is the compatibility deviation, without forming P_f."""
+    return compatibility_deviation(M, f)[0]
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ A unit-automorphism permutes units so that edge covers map to edge
 covers. It always induces an edge bijection; it lifts to a vertex
 automorphism exactly when it preserves unit cardinalities. M follows the
 symmetry when N is compatible with the unit permutation, in which case the
-full spectrum decomposes into unit eigenvalues plus the rotation-block
-decomposition of N.
+full spectrum decomposes into unit eigenvalues plus the block
+decomposition of N along the unit permutation.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .spectral import (
     LiftedPair,
     RotationBlock,
     SpectralDecomposition,
-    decompose_automorphism,
+    _decompose,
     residual_norms,
 )
 from .symmetry import (
@@ -396,9 +396,9 @@ def is_unit_automorphism_compatible(M, ua: UnitAutomorphism, tol: float = COMPAT
     return unit_compatibility_witness(M, ua, tol) is None
 
 
-def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL, workers: int | None = None) -> SpectralDecomposition:
-    """Unit eigenvalues plus the rotation-block decomposition of the unit
-    quotient, blown back up to the vertices.
+def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL) -> SpectralDecomposition:
+    """Unit eigenvalues plus the block decomposition of the unit quotient
+    along the unit permutation, blown back up to the vertices.
 
     Block eigenvalue counts add up to the matrix order: sum(|W| - 1) from
     units plus one eigenvalue per unit from the quotient decomposition.
@@ -443,7 +443,7 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
         for lam, vec, source, res in zip(values, vectors, sources, residuals)
     ]
 
-    sub = decompose_automorphism(N, ua.perm, tol=tol, workers=workers)
+    sub = _decompose(N, ua.perm)  # N was checked against the unit map above
     for block in sub.blocks:
         blocks.append(
             RotationBlock(

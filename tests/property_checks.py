@@ -20,7 +20,6 @@ from hypersym import (
     match_multisets,
     orbits,
     random_instance,
-    rotation_decomposition,
     spectral_radius_via_quotient,
     verify_decomposition,
 )
@@ -54,19 +53,19 @@ def spectrum_trial(rng) -> list[str]:
     S = compatible_matrix(rng, aut.perm, symmetric=True)
     dec = decompose_automorphism(S, aut)
     tol = PAIRING_TOL * max(1.0, float(np.abs(S).max()))
-    for fi, rot in enumerate(rotation_decomposition(aut.perm).factors):
-        n = rot.order_n
-        for j in range(1, n):
-            k = n - j
-            if k <= j:
-                break
-            a = dec.block(kind="rotation", factor=fi, omega_k=j).eigenvalues
-            b = dec.block(kind="rotation", factor=fi, omega_k=k).eigenvalues
-            pairs, ua, ub = match_multisets(a, b, tol)
-            if ua or ub:
-                failures.append(
-                    f"{tag}: factor {fi} omega_{j}/omega_{k} spectra differ"
-                )
+    for block in dec.blocks:
+        src = block.source
+        if src["kind"] != "rotation" or 2 * src["omega_k"] >= src["order_n"]:
+            continue
+        j, k = src["omega_k"], src["order_n"] - src["omega_k"]
+        # the conjugate root has the same order, so the same smallest cycle
+        # length labels its block
+        b = dec.block(kind="rotation", factor=src["factor"], omega_k=k).eigenvalues
+        pairs, ua, ub = match_multisets(block.eigenvalues, b, tol)
+        if ua or ub:
+            failures.append(
+                f"{tag}: factor {src['factor']} omega_{j}/omega_{k} spectra differ"
+            )
     return failures
 
 

@@ -116,3 +116,38 @@ def test_sync_check_needs_log_or_partition(rot10):
     traj = iterate(A, np.ones(10, dtype=complex), steps=2)
     with pytest.raises(HypersymError, match="no sync log"):
         check_orbit_synchronization(traj)
+
+
+def _dominated_circulant():
+    # a 6-cycle circulant with eigenvalue 0.5 on the constant vector and 3 on
+    # the alternating one: the orbit quotient has the smaller spectral radius
+    n = 6
+    w = np.exp(2j * np.pi / n)
+    F = w ** np.outer(np.arange(n), np.arange(n))
+    lam = np.full(n, 0.1 + 0j)
+    lam[0], lam[3] = 0.5, 3.0
+    c = np.linalg.solve(F, lam)
+    C = np.array([[c[(b - a) % n] for b in range(n)] for a in range(n)])
+    from hypersym import Permutation
+
+    return C, orbits(Permutation(tuple((i + 1) % n for i in range(n))))
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_rounding_growth_outside_the_quotient_is_not_a_violation(normalize):
+    # rounding errors grow like 3^k and the state shrinks like 0.5^k: after
+    # 25 steps the computed in-orbit deviation is ~4e-6 against a state of
+    # ~3e-8, yet the exact trajectory is synchronized
+    C, orbs = _dominated_circulant()
+    traj = iterate(C, np.full(6, 1 + 0.5j), steps=25, orbs=orbs, normalize=normalize)
+    report = check_orbit_synchronization(traj, orbs)
+    assert report.synchronized, report
+
+
+def test_incompatible_matrix_flagged_at_step_one():
+    C, orbs = _dominated_circulant()
+    C[0, 1] += 1e-3
+    traj = iterate(C, np.full(6, 1 + 0.5j), steps=25, orbs=orbs)
+    report = check_orbit_synchronization(traj, orbs)
+    assert not report.synchronized
+    assert report.first_violation_step == 1

@@ -8,12 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersym import (
+    MATCH_TOL,
     Hypergraph,
     Permutation,
     canonical_json,
+    compatible_matrix,
     compute_units,
+    decompose_automorphism,
     match_multisets,
     parse_json,
+    permutation_with_type,
+    verify_decomposition,
 )
 
 from property_checks import run_spectrum_trials, run_synchronization_trials
@@ -73,6 +78,27 @@ def test_permutation_group_laws(p):
     assert p.power(p.order).is_identity
     sizes = sorted(len(c) for c in p.cycles())
     assert sum(sizes) == p.n
+
+
+@given(
+    st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_every_cycle_type_decomposes_completely(lengths, fixed, symmetric, seed):
+    # non-coprime mixed types and fixed points included
+    rng = np.random.default_rng(seed)
+    p = permutation_with_type(rng, sum(lengths) + fixed, tuple(lengths))
+    M = compatible_matrix(rng, p, symmetric=symmetric)
+    dec = decompose_automorphism(M, p)
+    assert sum(b.order for b in dec.blocks) == p.n
+    assert len(dec.eigenvalues()) == p.n
+    report = verify_decomposition(M, dec)
+    assert report.verdict, report.failures
+    threshold = MATCH_TOL * max(1.0, float(np.abs(M).sum(axis=1).max()))
+    assert all(pair.residual <= threshold for pair in dec.lifted)
 
 
 @st.composite

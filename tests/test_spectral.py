@@ -20,7 +20,7 @@ from hypersym import (
     match_multisets,
     orbit_quotient,
     orbits,
-    resolve_workers,
+    permutation_with_type,
     roots_of_unity,
     rotation_matrix,
     spectral_radius_via_quotient,
@@ -223,15 +223,46 @@ def test_mixed_coprime_orders_decompose():
     assert verify_decomposition(M, dec).verdict
 
 
-def test_non_coprime_orders_refused():
-    # 2-cycle and 4-cycle: the 2-cycle factor is not a power of the whole
-    # permutation, so averaging over the group does not give per-factor
-    # compatibility and the flat block union would be wrong
+def test_non_coprime_orders_decompose():
+    # 2-cycle and 4-cycle: omega = -1 covers both cycles, omega = +-i only the
+    # 4-cycle; the blocks carry the whole spectrum although M is not
+    # compatible with the 2-cycle factor on its own
     rng = np.random.default_rng(6)
     p = Permutation((1, 0, 3, 4, 5, 2))
     M = compatible_matrix(rng, p)
-    with pytest.raises(IncompatibleMatrixError, match="factor"):
-        decompose_automorphism(M, p)
+    dec = decompose_automorphism(M, p)
+    assert [(b.source, b.order) for b in dec.blocks] == [
+        ({"kind": "rotation", "factor": 0, "omega_k": 1, "order_n": 2}, 2),
+        ({"kind": "rotation", "factor": 1, "omega_k": 1, "order_n": 4}, 1),
+        ({"kind": "rotation", "factor": 1, "omega_k": 3, "order_n": 4}, 1),
+        ({"kind": "quotient"}, 2),
+    ]
+    dense = dense_spectrum(M).eigenvalues
+    pairs, extra, missing = match_multisets(dec.eigenvalues(), dense, tol=1e-9)
+    assert len(pairs) == 6 and not extra and not missing
+    assert verify_decomposition(M, dec).verdict
+
+
+@pytest.mark.parametrize(
+    "lengths, n, seed",
+    [((2, 4, 4), 14, 31), ((4, 6), 12, 32), ((2, 3, 6), 13, 33), ((2, 2, 4, 8), 20, 34)],
+    ids=["2-4-4", "4-6", "2-3-6", "2-2-4-8"],
+)
+def test_non_coprime_cycle_types_verify(lengths, n, seed):
+    rng = np.random.default_rng(seed)
+    p = permutation_with_type(rng, n, lengths)
+    for M in (compatible_matrix(rng, p), compatible_matrix(rng, p, symmetric=True)):
+        dec = decompose_automorphism(M, p)
+        assert sum(b.order for b in dec.blocks) == n
+        assert len(dec.lifted) + len(dec.skipped) == n
+        report = verify_decomposition(M, dec)
+        assert report.verdict, report.failures
+    # negative control: one broken entry on a moved vertex is refused
+    u = next(c[0] for c in p.cycles() if len(c) > 1)
+    bad = M.copy()
+    bad[u, p(u)] += 1e-3
+    with pytest.raises(IncompatibleMatrixError, match="deviates"):
+        decompose_automorphism(bad, p)
 
 
 def test_empty_invariant_set_quotient_equals_trivial_block():
@@ -281,23 +312,3 @@ def test_verify_rejects_corrupted_decomposition(rot10, rot10_aut):
     report = verify_decomposition(A, bad)
     assert not report.verdict
     assert any("unmatched" in f for f in report.failures)
-
-
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("HSPEC_THREADS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(4) == 4
-    assert resolve_workers(0) == 1
-    monkeypatch.setenv("HSPEC_THREADS", "3")
-    assert resolve_workers(None) == 3
-    monkeypatch.setenv("HSPEC_THREADS", "lots")
-    with pytest.raises(HypersymError, match="HSPEC_THREADS"):
-        resolve_workers(None)
-
-
-def test_threaded_solve_is_deterministic(rot10, rot10_aut):
-    A = build_matrix(rot10, "adjacency_r")
-    one = decompose_automorphism(A, rot10_aut, workers=1)
-    four = decompose_automorphism(A, rot10_aut, workers=4)
-    assert np.array_equal(one.eigenvalues(), four.eigenvalues())
-    assert [b.source for b in one.blocks] == [b.source for b in four.blocks]

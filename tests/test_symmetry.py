@@ -83,6 +83,24 @@ def test_built_matrices_are_compatible(kind, rot10, rot10_aut):
     assert check_commutation(M, rot10_aut) <= 1e-12
 
 
+def test_check_commutation_equals_dense_commutator(rot10, rot10_aut):
+    # max|M P_f - P_f M| without P_f: the commutator holds m[u,v] - m[f(u),f(v)]
+    # at (u, f(v)), so both forms agree exactly on compatible and broken inputs
+    rng = np.random.default_rng(3)
+    p = Permutation((1, 0, 3, 4, 5, 2))
+    M = compatible_matrix(rng, p)
+    broken = M.copy()
+    broken[0, 3] += 0.25
+    A = build_matrix(rot10, "adjacency_r").entries.copy()
+    A[2, 5] -= 1.5
+    for matrix, f in ((M, p), (broken, p), (A, rot10_aut)):
+        P = permutation_array(f)
+        dense = float(np.abs(matrix @ P - P @ matrix).max())
+        assert check_commutation(matrix, f) == dense == compatibility_deviation(matrix, f)[0]
+    assert check_commutation(M, p) == 0.0
+    assert check_commutation(broken, p) == pytest.approx(0.25)
+
+
 def test_compatibility_witness_locates_break(rot10, rot10_aut):
     A = build_matrix(rot10, "adjacency_r").entries.copy()
     A[0, 1] += 0.5
