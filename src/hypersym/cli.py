@@ -25,6 +25,7 @@ from .matrices import MATRIX_KINDS, WeightFunctions, build_matrix, row_sum_check
 from .oracle import MATCH_TOL, verify_decomposition
 from .spectral import (
     COMPAT_TOL,
+    SpectralDecomposition,
     decompose_automorphism,
     spectral_radius_via_quotient,
 )
@@ -202,51 +203,37 @@ def cmd_validate_symmetry(args) -> int:
     return 0
 
 
-def _decompose(args) -> tuple[dict, "SpectralDecomposition", np.ndarray, int]:
-    h = _load_hypergraph(args.hypergraph)
-    mode, table = _load_symmetry(args.symmetry, args.mode)
-    M = _load_matrix(h, args)
-    if mode == "automorphism":
-        aut = validate_automorphism(h, table)
-        dec = decompose_automorphism(M, aut, tol=args.tol)
-    else:
-        ua = validate_unit_automorphism(h, table)
-        dec = decompose_unit_automorphism(M, ua, tol=args.tol)
-    head = {"mode": mode, "kind": args.kind, "order": h.n}
-    return head, dec, M.entries, h.n
+def _decomposition_report(args, match_tol: float, body) -> int:
+    """Decompose, check against the dense oracle and emit the report head,
+    body(dec) and the verification; a refused decomposition emits a fail
+    verdict with the refusal."""
+    try:
+        h = _load_hypergraph(args.hypergraph)
+        mode, table = _load_symmetry(args.symmetry, args.mode)
+        M = _load_matrix(h, args)
+        if mode == "automorphism":
+            dec = decompose_automorphism(M, validate_automorphism(h, table), tol=args.tol)
+        else:
+            dec = decompose_unit_automorphism(M, validate_unit_automorphism(h, table), tol=args.tol)
+    except HypersymError as exc:
+        if isinstance(exc, DocumentError):
+            raise
+        _emit({"verdict": "fail", "error": str(exc)}, args.out)
+        return CHECK_FAILED
+    report = verify_decomposition(M.entries, dec, tol=match_tol)
+    doc = {"mode": mode, "kind": args.kind, "order": h.n, **body(dec), "verification": report.to_document()}
+    _emit(doc, args.out)
+    return 0 if report.verdict else CHECK_FAILED
 
 
 def cmd_decompose(args) -> int:
-    try:
-        head, dec, entries, _ = _decompose(args)
-    except HypersymError as exc:
-        if isinstance(exc, DocumentError):
-            raise
-        _emit({"verdict": "fail", "error": str(exc)}, args.out)
-        return CHECK_FAILED
-    report = verify_decomposition(entries, dec, tol=MATCH_TOL)
-    doc = {**head, **dec.to_document(), "verification": report.to_document()}
-    _emit(doc, args.out)
-    return 0 if report.verdict else CHECK_FAILED
+    return _decomposition_report(args, MATCH_TOL, SpectralDecomposition.to_document)
 
 
 def cmd_verify(args) -> int:
-    try:
-        head, dec, entries, n = _decompose(args)
-    except HypersymError as exc:
-        if isinstance(exc, DocumentError):
-            raise
-        _emit({"verdict": "fail", "error": str(exc)}, args.out)
-        return CHECK_FAILED
-    report = verify_decomposition(entries, dec, tol=args.tol_match)
-    doc = {
-        **head,
-        "claimed": len(dec.eigenvalues()),
-        "skipped": list(dec.skipped),
-        "verification": report.to_document(),
-    }
-    _emit(doc, args.out)
-    return 0 if report.verdict else CHECK_FAILED
+    return _decomposition_report(
+        args, args.tol_match, lambda dec: {"claimed": len(dec.eigenvalues()), "skipped": list(dec.skipped)}
+    )
 
 
 def cmd_dynamics(args) -> int:
@@ -259,7 +246,7 @@ def cmd_dynamics(args) -> int:
     x0 = _load_state(args.x0, h)
     orbs = orbits(aut)
     traj = iterate(M.entries, x0, steps=args.steps, orbs=orbs, normalize=args.normalize)
-    report = check_orbit_synchronization(traj, orbs, tol=args.tol)
+    report = check_orbit_synchronization(traj, tol=args.tol)
     doc = {
         "kind": args.kind,
         "orbits": orbs.label_cells(h.labels),

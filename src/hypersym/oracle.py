@@ -117,14 +117,8 @@ def verify_decomposition(M, decomposition: SpectralDecomposition, tol: float = M
         claimed, dense.eigenvalues, threshold
     )
     for z in unmatched_claimed:
-        source = next(
-            (
-                b.source
-                for b in decomposition.blocks
-                if any(abs(z - w) < 1e-12 for w in b.eigenvalues)
-            ),
-            None,
-        )
+        # the claimed values are the block values themselves
+        source = next((b.source for b in decomposition.blocks if np.any(b.eigenvalues == z)), None)
         failures.append(f"decomposition value {z} unmatched (block {source})")
     for z in unmatched_dense:
         failures.append(f"dense value {z} missing from the decomposition")

@@ -30,6 +30,10 @@ each rotation's rotation matrix on U_0,
 sits on the diagonal and the couplings between rotations sit off it. For a
 single cycle length the w-blocks are exactly the rotation matrices.
 
+A unit-automorphism uses the same blocks, built from the unit quotient N
+along the unit permutation; their eigenvectors blow up to the vertices, and
+their residuals are taken against M itself.
+
 Cost model: the block eigensolves cost sum b_i^3 over the block orders b_i.
 Checking the lifted eigenpairs takes one matrix product A V per block
 (n^2 b_i multiply-adds, in BLAS-3). Everything else (the compatibility
@@ -115,12 +119,19 @@ def rotation_matrix(M, rot: Rotation, omega: RootOfUnity, tol: float | None = CO
             f"root of unity has order {omega.n}, rotation has order {rot.order_n}"
         )
     if tol is not None:
-        dev, (u, v) = compatibility_deviation(A, rot.underlying)
-        if dev > tol:
-            raise IncompatibleMatrixError(
-                f"matrix is not rotation-compatible: entry ({u},{v}) deviates by {dev:.3e}"
-            )
+        _require_compatible(A, rot.underlying, tol)
     return _rotation_columns(A, rot, rot, omega)
+
+
+def _require_compatible(A: np.ndarray, perm: Permutation, tol: float) -> None:
+    """Raise IncompatibleMatrixError naming the worst entry unless A is
+    perm-compatible within tol."""
+    dev, (u, v) = compatibility_deviation(A, perm)
+    if dev > tol:
+        raise IncompatibleMatrixError(
+            f"matrix is not compatible with the automorphism: entry ({u},{v}) "
+            f"deviates by {dev:.3e} (tol {tol:.1e})"
+        )
 
 
 def lift_rotation_vector(x, rot: Rotation, omega: RootOfUnity, n_full: int) -> np.ndarray:
@@ -153,8 +164,6 @@ class RotationBlock:
     source: dict
     order: int
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
-    matrix: np.ndarray | None
 
     def to_document(self) -> dict:
         return {
@@ -227,6 +236,16 @@ def residual_norms(AV: np.ndarray, V: np.ndarray, values: np.ndarray) -> np.ndar
     return np.linalg.norm(R, axis=0) / np.maximum(1.0, np.linalg.norm(V, axis=0))
 
 
+def _lifted_pairs(AV: np.ndarray, V: np.ndarray, values: np.ndarray, sources) -> list[LiftedPair]:
+    """One LiftedPair per column of V, with its residual from the product AV
+    and its source from the matching entry of sources."""
+    residuals = residual_norms(AV, V, values)
+    return [
+        LiftedPair(value=complex(lam), vector=vec, source=source, residual=float(res))
+        for lam, vec, source, res in zip(values, np.ascontiguousarray(V.T), sources, residuals)
+    ]
+
+
 def _characters(factors: tuple[Rotation, ...]) -> list[tuple[dict, _Parts]]:
     """(source, parts) of every block, in block order: each omega != 1,
     labelled by its first (l, j), then the quotient, with no parts."""
@@ -272,25 +291,30 @@ def _lift_block(X: np.ndarray, parts: _Parts, orbs: OrbitPartition, n: int) -> n
     return sum(lifts[1:], lifts[0])
 
 
-def _decompose(A: np.ndarray, perm: Permutation) -> SpectralDecomposition:
-    """Build, solve and lift every block of A along perm, which A must
-    already be compatible with. Block pairs whose residual betrays a
-    defective solve are skipped (and reported) instead of lifted."""
-    n = A.shape[0]
+def _decompose(
+    A: np.ndarray, perm: Permutation, built_from: np.ndarray | None = None, lift=None, tag: dict | None = None
+) -> SpectralDecomposition:
+    """Build, solve and lift every block of built_from (default A) along
+    perm, which it must already be compatible with. lift carries columns on
+    its index set into A's (none when it is A); every lifted residual is
+    taken against A. tag is merged into the block and lifted sources, and
+    into each skipped entry beside its source. Block pairs whose residual
+    betrays a defective solve are skipped (and reported) instead of lifted.
+    """
+    B = A if built_from is None else built_from
+    tag = tag or {}
     orbs = orbits(perm)
     characters = _characters(rotation_decomposition(perm).factors)
     # every block is built and solved before any is lifted, so the lifts'
     # products with A run back to back (interleaving them measured about 5%
     # slower on 26 cycles of length 12)
-    matrices = [_block_matrix(A, parts, orbs) for _, parts in characters]
-    blocks = [
-        RotationBlock(source=source, order=matrix.shape[0], eigenvalues=vals, eigenvectors=vecs, matrix=matrix)
-        for (source, _), matrix, (vals, vecs) in zip(characters, matrices, map(_eig_sorted, matrices))
-    ]
+    matrices = [_block_matrix(B, parts, orbs) for _, parts in characters]
+    solved = [_eig_sorted(matrix) for matrix in matrices]
+    blocks: list[RotationBlock] = []
     lifted: list[LiftedPair] = []
     skipped: list[dict] = []
-    for block, (source, parts) in zip(blocks, characters):
-        vals, vecs, matrix = block.eigenvalues, block.eigenvectors, block.matrix
+    for (source, parts), matrix, (vals, vecs) in zip(characters, matrices, solved):
+        blocks.append(RotationBlock(source={**source, **tag}, order=matrix.shape[0], eigenvalues=vals))
         block_res = residual_norms(matrix @ vecs, vecs, vals)
         defective = block_res > LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(matrix).max()))
         for idx in np.flatnonzero(defective):
@@ -300,19 +324,18 @@ def _decompose(A: np.ndarray, perm: Permutation) -> SpectralDecomposition:
                     "lambda": complex_pair(complex(vals[idx])),
                     "block_residual": float(block_res[idx]),
                     "reason": "defective block eigenpair",
+                    **tag,
                 }
             )
         keep = np.flatnonzero(~defective)
-        full = _lift_block(vecs[:, keep], parts, orbs, n)
-        residuals = residual_norms(A @ full, full, vals[keep])
-        lifted.extend(
-            LiftedPair(value=complex(lam), vector=vec, source=source, residual=float(res))
-            for lam, vec, res in zip(vals[keep], np.ascontiguousarray(full.T), residuals)
-        )
+        full = _lift_block(vecs[:, keep], parts, orbs, B.shape[0])
+        if lift is not None:
+            full = lift(full)
+        lifted += _lifted_pairs(A @ full, full, vals[keep], [blocks[-1].source] * len(keep))
     total = sum(b.order for b in blocks)
-    if total != n:
-        raise AssertionError(f"block orders sum to {total}, expected {n}")
-    return SpectralDecomposition(n=n, blocks=tuple(blocks), lifted=tuple(lifted), skipped=tuple(skipped))
+    if total != B.shape[0]:
+        raise AssertionError(f"block orders sum to {total}, expected {B.shape[0]}")
+    return SpectralDecomposition(n=A.shape[0], blocks=tuple(blocks), lifted=tuple(lifted), skipped=tuple(skipped))
 
 
 def decompose_automorphism(M, f, tol: float = COMPAT_TOL) -> SpectralDecomposition:
@@ -323,12 +346,7 @@ def decompose_automorphism(M, f, tol: float = COMPAT_TOL) -> SpectralDecompositi
     """
     A = as_array(M)
     perm = _perm_of(f)
-    dev, (u, v) = compatibility_deviation(A, perm)
-    if dev > tol:
-        raise IncompatibleMatrixError(
-            f"matrix is not compatible with the automorphism: entry ({u},{v}) "
-            f"deviates by {dev:.3e} (tol {tol:.1e})"
-        )
+    _require_compatible(A, perm, tol)
     return _decompose(A, perm)
 
 
@@ -346,12 +364,7 @@ def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, 
     """
     A = as_array(M)
     perm = _perm_of(f)
-    dev, (u, v) = compatibility_deviation(A, perm)
-    if dev > tol:
-        raise IncompatibleMatrixError(
-            f"matrix is not compatible with the automorphism: entry ({u},{v}) "
-            f"deviates by {dev:.3e}"
-        )
+    _require_compatible(A, perm, tol)
     Q = orbit_quotient(A, orbits(perm))
     rho_full = float(np.abs(np.linalg.eigvals(A)).max()) if A.size else 0.0
     rho_quot = float(np.abs(np.linalg.eigvals(Q)).max()) if Q.size else 0.0

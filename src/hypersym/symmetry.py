@@ -385,12 +385,11 @@ def as_rotation(f) -> Rotation:
     return dec.factors[0]
 
 
-def simple_eigenvalue_bound(rot: Rotation, symmetric: bool = True) -> int:
+def simple_eigenvalue_bound(rot: Rotation) -> int:
     """Upper bound on the number of simple eigenvalues of any symmetric
     rot-compatible matrix: |U_0| + |X| for odd order, 2|U_0| + |X| for even.
 
-    The symmetric flag records the caller's assertion about the matrix; the
-    bound is meaningless without it.
+    Holds for symmetric matrices only; the bound is meaningless otherwise.
     """
     m0 = len(rot.u0)
     x = len(rot.invariant_set)

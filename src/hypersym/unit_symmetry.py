@@ -33,13 +33,7 @@ from .errors import (
 from .hypergraph import Hypergraph, UnitPartition, compute_units, edge_unit_covers
 from .jsonutil import describe_value
 from .matrices import as_array
-from .spectral import (
-    LiftedPair,
-    RotationBlock,
-    SpectralDecomposition,
-    _decompose,
-    residual_norms,
-)
+from .spectral import RotationBlock, SpectralDecomposition, _decompose, _lifted_pairs
 from .symmetry import (
     COMPAT_TOL,
     Automorphism,
@@ -429,48 +423,15 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
                 order=unit.size - 1,
                 # d - r, read off the representative row of a checked matrix
                 eigenvalues=np.full(unit.size - 1, A[rep, rep] - A[rep, second], dtype=np.complex128),
-                eigenvectors=None,
-                matrix=None,
             )
         )
     # A (chi_v - chi_v0) = A[:, v] - A[:, v0]: each residual is O(n)
     vectors, v, v0 = _difference_vectors(units)
     values = np.concatenate([b.eigenvalues for b in blocks]) if blocks else np.zeros(0, complex)
-    residuals = residual_norms(A[:, v] - A[:, v0], vectors.T, values)
     sources = [b.source for b in blocks for _ in range(b.order)]
-    lifted = [
-        LiftedPair(value=complex(lam), vector=vec, source=source, residual=float(res))
-        for lam, vec, source, res in zip(values, vectors, sources, residuals)
-    ]
-
-    sub = _decompose(N, ua.perm)  # N was checked against the unit map above
-    for block in sub.blocks:
-        blocks.append(
-            RotationBlock(
-                source={**block.source, "level": "units"},
-                order=block.order,
-                eigenvalues=block.eigenvalues,
-                eigenvectors=block.eigenvectors,
-                matrix=block.matrix,
-            )
-        )
-    if sub.lifted:
-        full = blow_up(np.stack([pair.vector for pair in sub.lifted], axis=1), units)
-        values = np.array([pair.value for pair in sub.lifted])
-        residuals = residual_norms(A @ full, full, values)
-        lifted.extend(
-            LiftedPair(
-                value=pair.value,
-                vector=vec,
-                source={**pair.source, "level": "units"},
-                residual=float(res),
-            )
-            for pair, vec, res in zip(sub.lifted, np.ascontiguousarray(full.T), residuals)
-        )
-    skipped = tuple({**entry, "level": "units"} for entry in sub.skipped)
-    total = sum(b.order for b in blocks)
-    if total != units.n:
-        raise AssertionError(f"block orders sum to {total}, expected {units.n}")
+    lifted = _lifted_pairs(A[:, v] - A[:, v0], vectors.T, values, sources)
+    # N was checked against the unit map above
+    core = _decompose(A, ua.perm, built_from=N, lift=lambda Y: blow_up(Y, units), tag={"level": "units"})
     return SpectralDecomposition(
-        n=units.n, blocks=tuple(blocks), lifted=tuple(lifted), skipped=skipped
+        n=units.n, blocks=(*blocks, *core.blocks), lifted=(*lifted, *core.lifted), skipped=core.skipped
     )

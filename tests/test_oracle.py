@@ -5,7 +5,9 @@ import pytest
 
 from hypersym import (
     HypersymError,
+    Permutation,
     build_matrix,
+    compatible_matrix,
     decompose_automorphism,
     dense_spectrum,
     match_multisets,
@@ -81,3 +83,23 @@ def test_match_multisets_greedy_is_order_free():
     b = [1.0 + 5e-11, 1.0 - 1e-10, 0.0]
     pairs, ua, ub = match_multisets(a, b, tol=1e-8)
     assert len(pairs) == 3 and not ua and not ub
+
+
+def test_unmatched_value_names_its_own_block():
+    # at scale 1e-13 every block value lies within 1e-12 of the first
+    # block's, so only an exact lookup names the quotient
+    rng = np.random.default_rng(6)
+    p = Permutation((1, 0, 3, 4, 5, 2))
+    M = compatible_matrix(rng, p) * 1e-13
+    dec = decompose_automorphism(M, p)
+    blocks = tuple(
+        type(b)(source=b.source, order=b.order, eigenvalues=b.eigenvalues + 5e-13)
+        if b.source["kind"] == "quotient"
+        else b
+        for b in dec.blocks
+    )
+    bad = type(dec)(n=dec.n, blocks=blocks, lifted=dec.lifted, skipped=dec.skipped)
+    report = verify_decomposition(M, bad, tol=1e-14)
+    unmatched = [f for f in report.failures if f.startswith("decomposition value")]
+    assert len(unmatched) == 2
+    assert all(f.endswith("(block {'kind': 'quotient'})") for f in unmatched)

@@ -304,8 +304,6 @@ def test_verify_rejects_corrupted_decomposition(rot10, rot10_aut):
         source=b0.source,
         order=b0.order,
         eigenvalues=b0.eigenvalues + 0.5,
-        eigenvectors=b0.eigenvectors,
-        matrix=b0.matrix,
     )
     bad_blocks[0] = shifted
     bad = type(dec)(n=dec.n, blocks=tuple(bad_blocks), lifted=dec.lifted, skipped=dec.skipped)

@@ -227,6 +227,19 @@ def test_unit_normalized_follows_the_unit_map(units18, units18_ua):
     assert kinds.count("unit") == 8
     assert "rotation" in kinds and "quotient" in kinds
     assert all(b.source.get("level") == "units" for b in dec.blocks if b.source["kind"] != "unit")
+    # the quotient pairs are blown up to the vertices and checked against U
+    # itself; recomputing a residual may differ by rounding, n eps ||U||
+    A = U.entries
+    rounding = 18 * np.finfo(float).eps * max(1.0, float(np.abs(A).sum(axis=1).max()))
+    reps = [unit.member_indices[0] for unit in units18_ua.units.units]
+    quotient_pairs = [p for p in dec.lifted if p.source["kind"] != "unit"]
+    assert len(quotient_pairs) == 8
+    for pair in quotient_pairs:
+        assert pair.source.get("level") == "units"
+        v = pair.vector
+        assert np.array_equal(v, blow_up(v[reps], units18_ua.units))
+        expected = np.linalg.norm(A @ v - pair.value * v) / max(1.0, np.linalg.norm(v))
+        assert abs(pair.residual - expected) <= rounding
 
 
 def test_cardinality_preserving_map_lifts_and_decomposes(units18):
