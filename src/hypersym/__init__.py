@@ -110,96 +110,3 @@ from .unit_symmetry import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Automorphism",
-    "COMPAT_TOL",
-    "ContractionResult",
-    "DocumentError",
-    "EQUITABLE_TOL",
-    "Hyperedge",
-    "Hypergraph",
-    "HypergraphMatrix",
-    "HypersymError",
-    "IncompatibleMatrixError",
-    "LIFT_RESIDUAL_TOL",
-    "LiftedPair",
-    "MATCH_TOL",
-    "MATRIX_KINDS",
-    "MERGE_TOL",
-    "NotAutomorphismError",
-    "NotEquitableError",
-    "NotUnitAutomorphismError",
-    "NotUnitCompatibleError",
-    "OrbitPartition",
-    "Permutation",
-    "RootOfUnity",
-    "Rotation",
-    "RotationBlock",
-    "RotationDecomposition",
-    "RowSumReport",
-    "SpectralDecomposition",
-    "SpectrumReport",
-    "SYNC_TOL",
-    "SyncReport",
-    "Trajectory",
-    "Unit",
-    "UnitAutomorphism",
-    "UnitEigenReport",
-    "UnitPartition",
-    "WeightFunctions",
-    "as_array",
-    "as_rotation",
-    "blow_up",
-    "build_matrix",
-    "canonical_json",
-    "check_commutation",
-    "check_orbit_synchronization",
-    "compatibility_deviation",
-    "compatible_matrix",
-    "complex_pair",
-    "compute_units",
-    "cycle_types",
-    "decompose_automorphism",
-    "decompose_rotation",
-    "decompose_unit_automorphism",
-    "dense_spectrum",
-    "edge_unit_covers",
-    "equitable_witness",
-    "induced_unit_automorphism",
-    "invariant_hypergraph",
-    "invariant_weights",
-    "is_compatible",
-    "is_equitable",
-    "is_unit_automorphism_compatible",
-    "iterate",
-    "lift_cardinality_preserving",
-    "lift_orbit_vector",
-    "lift_rotation_vector",
-    "match_multisets",
-    "orbit_quotient",
-    "orbits",
-    "parse_hypergraph",
-    "parse_json",
-    "permutation_matrix",
-    "permutation_with_type",
-    "profile_unit_compatibility",
-    "random_instance",
-    "roots_of_unity",
-    "rotation_decomposition",
-    "rotation_matrix",
-    "row_sum_check",
-    "serialize_hypergraph",
-    "simple_eigenvalue_bound",
-    "sort_labels",
-    "spectral_radius_via_quotient",
-    "star",
-    "unit_compatibility_witness",
-    "unit_contraction",
-    "unit_eigenvalues",
-    "unit_key",
-    "unit_quotient",
-    "validate_automorphism",
-    "validate_unit_automorphism",
-    "verify_decomposition",
-]

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .dynamics import SYNC_TOL, check_orbit_synchronization, iterate
-from .errors import DocumentError, HypersymError
+from .errors import DocumentError, HypersymError, NotUnitAutomorphismError
 from .generators import compatible_matrix, invariant_weights, random_instance
 from .hypergraph import Hypergraph, parse_hypergraph, unit_contraction
 from .jsonutil import canonical_json, complex_pair, parse_json, require_key, require_object
@@ -190,15 +190,10 @@ def cmd_validate_symmetry(args) -> int:
             unit_map=ua.unit_key_map(),
             cardinality_preserving=ua.cardinality_preserving,
         )
-        if ua.cardinality_preserving:
-            lift = lift_cardinality_preserving(ua)
-            doc["lift"] = lift.perm.to_label_map(h.labels)
-        else:
-            try:
-                lift_cardinality_preserving(ua)
-            except HypersymError as exc:
-                doc["lift"] = None
-                doc["lift_error"] = str(exc)
+        try:
+            doc["lift"] = lift_cardinality_preserving(ua).perm.to_label_map(h.labels)
+        except NotUnitAutomorphismError as exc:
+            doc.update(lift=None, lift_error=str(exc))
     _emit(doc, args.out)
     return 0
 

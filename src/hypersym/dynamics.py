@@ -20,7 +20,7 @@ import numpy as np
 from .errors import HypersymError
 from .jsonutil import complex_pair
 from .matrices import as_array
-from .symmetry import OrbitPartition
+from .symmetry import OrbitPartition, _cell_layout
 
 SYNC_TOL = 1e-10
 
@@ -30,7 +30,6 @@ class Trajectory:
     states: np.ndarray  # (steps + 1, n), states[0] = x0
     steps: int
     normalized: bool
-    orbit_cells: tuple[tuple[int, ...], ...] | None
     sync_log: np.ndarray | None  # (steps + 1, n_cells) max in-cell deviation
     error_scale: np.ndarray  # (steps + 1,) s_k, see the module docstring
 
@@ -49,13 +48,17 @@ class Trajectory:
         }
 
 
-def _cell_deviations(x: np.ndarray, cells) -> np.ndarray:
-    out = np.zeros(len(cells))
-    for i, cell in enumerate(cells):
-        if len(cell) > 1:
-            vals = x[list(cell)]
-            out[i] = float(np.abs(vals - vals.mean()).max())
-    return out
+def _sync_log(states: np.ndarray, orbs: OrbitPartition) -> np.ndarray:
+    """log[k, i] = max over cell i of |x_k - mean of x_k over cell i|, for
+    every state at once, from one grouped pass over the columns in cell
+    order; singleton cells log 0."""
+    order, starts = _cell_layout(orbs.cells)
+    sizes = np.diff(starts, append=len(order))
+    X = states[:, order]
+    means = np.add.reduceat(X, starts, axis=1) / sizes
+    log = np.maximum.reduceat(np.abs(X - np.repeat(means, sizes, axis=1)), starts, axis=1)
+    log[:, sizes == 1] = 0.0  # also when the state has overflowed to inf or nan
+    return log
 
 
 def iterate(M, x0, steps: int, orbs: OrbitPartition | None = None, normalize: bool = False) -> Trajectory:
@@ -76,15 +79,15 @@ def iterate(M, x0, steps: int, orbs: OrbitPartition | None = None, normalize: bo
         raise HypersymError("initial state has non-finite entries")
     if steps < 0:
         raise HypersymError(f"steps must be non-negative, got {steps}")
-    cells = orbs.cells if orbs is not None else None
+    if orbs is not None and orbs.n != A.shape[0]:
+        raise HypersymError(
+            f"orbit partition covers {orbs.n} indices, matrix order is {A.shape[0]}"
+        )
     states = np.zeros((steps + 1, A.shape[0]), dtype=np.complex128)
     states[0] = x
     norm = float(np.abs(A).sum(axis=1).max(initial=0.0))
     scale = np.zeros(steps + 1)
     scale[0] = float(np.abs(x).max(initial=0.0))
-    log = np.zeros((steps + 1, len(cells))) if cells is not None else None
-    if log is not None:
-        log[0] = _cell_deviations(x, cells)
     for k in range(1, steps + 1):
         x = A @ x
         grown = norm * scale[k - 1]
@@ -95,14 +98,11 @@ def iterate(M, x0, steps: int, orbs: OrbitPartition | None = None, normalize: bo
                 grown /= peak
         states[k] = x
         scale[k] = max(float(np.abs(x).max(initial=0.0)), grown)
-        if log is not None:
-            log[k] = _cell_deviations(x, cells)
     return Trajectory(
         states=states,
         steps=steps,
         normalized=normalize,
-        orbit_cells=cells,
-        sync_log=log,
+        sync_log=None if orbs is None else _sync_log(states, orbs),
         error_scale=scale,
     )
 
@@ -115,8 +115,9 @@ class SyncReport:
     tol: float
 
 
-def check_orbit_synchronization(traj: Trajectory, orbs: OrbitPartition | None = None, tol: float = SYNC_TOL) -> SyncReport:
-    """Decide whether every state is constant on every orbit.
+def check_orbit_synchronization(traj: Trajectory, tol: float = SYNC_TOL) -> SyncReport:
+    """Decide from the trajectory's sync log whether every state is
+    constant on every orbit.
 
     The per-step threshold is tol * max(1, s_k), where s_k (from iterate)
     bounds the growth of the rounding errors of every earlier step, so
@@ -124,24 +125,15 @@ def check_orbit_synchronization(traj: Trajectory, orbs: OrbitPartition | None = 
     than the orbit quotient produce false alarms. Reports the first
     violating step (0 means the initial state was already desynchronized).
     """
-    if orbs is not None:
-        cells = orbs.cells
-        log = np.stack([_cell_deviations(x, cells) for x in traj.states])
-    elif traj.sync_log is not None:
-        log = traj.sync_log
-    else:
-        raise HypersymError("trajectory has no sync log; pass the orbit partition")
-    first: int | None = None
-    max_scaled = 0.0
-    for k in range(log.shape[0]):
-        scale = max(1.0, float(traj.error_scale[k]))
-        dev = float(log[k].max()) if log.shape[1] else 0.0
-        max_scaled = max(max_scaled, dev / scale)
-        if dev > tol * scale and first is None:
-            first = k
+    if traj.sync_log is None:
+        raise HypersymError("trajectory has no sync log; iterate with the orbit partition")
+    scale = np.maximum(1.0, traj.error_scale)
+    dev = traj.sync_log.max(axis=1, initial=0.0)
+    violations = np.flatnonzero(dev > tol * scale)
     return SyncReport(
-        synchronized=first is None,
-        first_violation_step=first,
-        max_scaled_deviation=max_scaled,
+        synchronized=violations.size == 0,
+        first_violation_step=int(violations[0]) if violations.size else None,
+        # fmax skips the nan of an overflowed state
+        max_scaled_deviation=float(np.fmax.reduce(dev / scale, initial=0.0)),
         tol=tol,
     )

@@ -30,13 +30,7 @@ import numpy as np
 
 from .errors import DocumentError, HypersymError
 from .hypergraph import Hypergraph, compute_units
-from .jsonutil import (
-    canonical_json,
-    complex_pair,
-    parse_json,
-    require_key,
-    require_object,
-)
+from .jsonutil import complex_pair, parse_json, require_key, require_object
 
 MATRIX_KINDS = (
     "adjacency_r",
@@ -85,9 +79,6 @@ class HypergraphMatrix:
             "index": list(self.labels),
             "entries": [complex_pair(z) for z in self.entries.reshape(-1)],
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_document())
 
     @classmethod
     def from_document(cls, doc: dict, kind: str = "loaded") -> "HypergraphMatrix":
@@ -211,7 +202,6 @@ def build_matrix(
     B = _incidence(h)
     sizes = np.array([len(e) for e in h.edges], dtype=float)
     star_sizes = B.sum(axis=1)
-    off = ~np.eye(h.n, dtype=bool)
 
     if kind == "adjacency_r":
         M = B @ B.T
@@ -255,10 +245,7 @@ def build_matrix(
         M = C / nsize[None, :]
         np.fill_diagonal(M, star_sizes / nsize)
 
-    entries = np.zeros((h.n, h.n), dtype=np.complex128)
-    entries[off] = M[off]
-    entries[~off] = np.diag(M)
-    return HypergraphMatrix(kind=kind, labels=h.labels, entries=entries)
+    return HypergraphMatrix(kind=kind, labels=h.labels, entries=M.astype(np.complex128))
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,13 @@ MATCH_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Dense spectrum with residuals; verification adds matches and verdict."""
+    """Dense spectrum with residuals; verification adds the largest match
+    error and its verdict."""
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
     verdict: bool
     failures: tuple[str, ...] = ()
-    matches: tuple[tuple[complex, complex, float], ...] | None = None
     max_match_error: float | None = None
 
     def to_document(self) -> dict:
@@ -134,6 +134,5 @@ def verify_decomposition(M, decomposition: SpectralDecomposition, tol: float = M
         residuals=dense.residuals,
         verdict=not failures,
         failures=tuple(failures),
-        matches=tuple(pairs),
         max_match_error=max_err,
     )

@@ -105,12 +105,9 @@ def _rotation_columns(A: np.ndarray, rows: Rotation, cols: Rotation, omega: Root
     return R
 
 
-def rotation_matrix(M, rot: Rotation, omega: RootOfUnity, tol: float | None = COMPAT_TOL) -> np.ndarray:
-    """The omega-rotation matrix of M on rot's U_0.
-
-    Pass tol=None to skip the compatibility precheck (when the caller has
-    already verified it).
-    """
+def rotation_matrix(M, rot: Rotation, omega: RootOfUnity, tol: float = COMPAT_TOL) -> np.ndarray:
+    """The omega-rotation matrix of M on rot's U_0; M must be compatible
+    with the rotation within tol (checked)."""
     A = as_array(M)
     if not isinstance(omega, RootOfUnity):
         raise HypersymError("omega must be a RootOfUnity")
@@ -118,8 +115,7 @@ def rotation_matrix(M, rot: Rotation, omega: RootOfUnity, tol: float | None = CO
         raise HypersymError(
             f"root of unity has order {omega.n}, rotation has order {rot.order_n}"
         )
-    if tol is not None:
-        _require_compatible(A, rot.underlying, tol)
+    _require_compatible(A, rot.underlying, tol)
     return _rotation_columns(A, rot, rot, omega)
 
 
@@ -269,16 +265,13 @@ def _characters(factors: tuple[Rotation, ...]) -> list[tuple[dict, _Parts]]:
     return found
 
 
-def _block_matrix(A: np.ndarray, parts: _Parts, orbs: OrbitPartition) -> np.ndarray:
+def _block_matrix(A: np.ndarray, parts: _Parts, orbs: OrbitPartition, tol: float) -> np.ndarray:
     """The omega-block over the given factors, each factor's rotation matrix
     on the diagonal and the couplings between factors off it; without
-    factors, the orbit quotient (with its equitable check)."""
+    factors, the orbit quotient (with its equitable check within tol)."""
     if not parts:
-        return orbit_quotient(A, orbs)
-    return np.block([
-        [rotation_matrix(A, col, w, tol=None) if col is row else _rotation_columns(A, row, col, w) for col, w in parts]
-        for row, _ in parts
-    ])
+        return orbit_quotient(A, orbs, tol)
+    return np.block([[_rotation_columns(A, row, col, w) for col, w in parts] for row, _ in parts])
 
 
 def _lift_block(X: np.ndarray, parts: _Parts, orbs: OrbitPartition, n: int) -> np.ndarray:
@@ -292,10 +285,11 @@ def _lift_block(X: np.ndarray, parts: _Parts, orbs: OrbitPartition, n: int) -> n
 
 
 def _decompose(
-    A: np.ndarray, perm: Permutation, built_from: np.ndarray | None = None, lift=None, tag: dict | None = None
+    A: np.ndarray, perm: Permutation, tol: float, built_from: np.ndarray | None = None, lift=None, tag: dict | None = None
 ) -> SpectralDecomposition:
     """Build, solve and lift every block of built_from (default A) along
-    perm, which it must already be compatible with. lift carries columns on
+    perm, which it must already be compatible with within tol, the
+    tolerance of the quotient's equitable check. lift carries columns on
     its index set into A's (none when it is A); every lifted residual is
     taken against A. tag is merged into the block and lifted sources, and
     into each skipped entry beside its source. Block pairs whose residual
@@ -308,7 +302,7 @@ def _decompose(
     # every block is built and solved before any is lifted, so the lifts'
     # products with A run back to back (interleaving them measured about 5%
     # slower on 26 cycles of length 12)
-    matrices = [_block_matrix(B, parts, orbs) for _, parts in characters]
+    matrices = [_block_matrix(B, parts, orbs, tol) for _, parts in characters]
     solved = [_eig_sorted(matrix) for matrix in matrices]
     blocks: list[RotationBlock] = []
     lifted: list[LiftedPair] = []
@@ -342,12 +336,13 @@ def decompose_automorphism(M, f, tol: float = COMPAT_TOL) -> SpectralDecompositi
     """Spectrum of M from its blocks along f, with lifted eigenpairs.
 
     Raises IncompatibleMatrixError if M is not f-compatible within tol, and
-    NotEquitableError if the orbit quotient's equitable check fails.
+    NotEquitableError if the orbit quotient's equitable check fails at the
+    same tol.
     """
     A = as_array(M)
     perm = _perm_of(f)
     _require_compatible(A, perm, tol)
-    return _decompose(A, perm)
+    return _decompose(A, perm, tol)
 
 
 def decompose_rotation(M, rot: Rotation, tol: float = COMPAT_TOL) -> SpectralDecomposition:
@@ -365,7 +360,7 @@ def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, 
     A = as_array(M)
     perm = _perm_of(f)
     _require_compatible(A, perm, tol)
-    Q = orbit_quotient(A, orbits(perm))
+    Q = orbit_quotient(A, orbits(perm), tol)
     rho_full = float(np.abs(np.linalg.eigvals(A)).max()) if A.size else 0.0
     rho_quot = float(np.abs(np.linalg.eigvals(Q)).max()) if Q.size else 0.0
     return rho_full, rho_quot

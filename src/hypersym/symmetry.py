@@ -323,10 +323,6 @@ class Rotation:
     def n_cycles(self) -> int:
         return len(self.components[0])
 
-    @property
-    def active(self) -> frozenset[int]:
-        return frozenset(v for comp in self.components for v in comp)
-
 
 @dataclass(frozen=True)
 class RotationDecomposition:

@@ -431,7 +431,7 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
     sources = [b.source for b in blocks for _ in range(b.order)]
     lifted = _lifted_pairs(A[:, v] - A[:, v0], vectors.T, values, sources)
     # N was checked against the unit map above
-    core = _decompose(A, ua.perm, built_from=N, lift=lambda Y: blow_up(Y, units), tag={"level": "units"})
+    core = _decompose(A, ua.perm, tol, built_from=N, lift=lambda Y: blow_up(Y, units), tag={"level": "units"})
     return SpectralDecomposition(
         n=units.n, blocks=(*blocks, *core.blocks), lifted=(*lifted, *core.lifted), skipped=core.skipped
     )

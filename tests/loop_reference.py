@@ -1,9 +1,11 @@
-"""Loop reference versions of the vectorised quotient, check and matching code.
+"""Loop reference versions of the vectorised quotient, check, matching and
+synchronization code.
 
-These are the original per-cell-pair, per-unit and per-element loops the
-library replaced with whole-array numpy passes. They are kept here, outside
-the package, so test_loop_equivalence.py can require the library to give
-the same witnesses, messages, quotients and matchings.
+These are the original per-cell-pair, per-unit, per-element and per-step
+loops the library replaced with whole-array numpy passes. They are kept
+here, outside the package, so test_loop_equivalence.py can require the
+library to give the same witnesses, messages, quotients, matchings and
+synchronization verdicts.
 """
 
 import numpy as np
@@ -130,3 +132,28 @@ def match_multisets(a, b, tol):
             unmatched_a.append(x)
     unmatched_b = [y for j, y in enumerate(b) if not used[j]]
     return pairs, unmatched_a, unmatched_b
+
+
+def cell_deviations(x, cells):
+    """Max in-cell deviation from the cell mean of one state, per cell."""
+    out = np.zeros(len(cells))
+    for i, cell in enumerate(cells):
+        if len(cell) > 1:
+            vals = x[list(cell)]
+            out[i] = float(np.abs(vals - vals.mean()).max())
+    return out
+
+
+def check_orbit_synchronization(states, error_scale, cells, tol):
+    """(synchronized, first_violation_step, max_scaled_deviation), deciding
+    step by step against tol * max(1, s_k)."""
+    first = None
+    max_scaled = 0.0
+    for k, x in enumerate(states):
+        scale = max(1.0, float(error_scale[k]))
+        log = cell_deviations(x, cells)
+        dev = float(log.max()) if len(log) else 0.0
+        max_scaled = max(max_scaled, dev / scale)
+        if dev > tol * scale and first is None:
+            first = k
+    return first is None, first, max_scaled

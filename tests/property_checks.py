@@ -91,7 +91,7 @@ def synchronization_trial(rng, steps: int = 25) -> list[str]:
     for cell in orbs.cells:
         x0[list(cell)] = rng.normal() + 1j * rng.normal()
     traj = iterate(M, x0, steps=steps, orbs=orbs)
-    report = check_orbit_synchronization(traj, orbs)
+    report = check_orbit_synchronization(traj)
     if not report.synchronized:
         failures.append(
             f"{tag}: lost synchronization at step {report.first_violation_step}"
@@ -101,7 +101,7 @@ def synchronization_trial(rng, steps: int = 25) -> list[str]:
     bad = x0.copy()
     bad[moved[0]] += 0.5 + max(1.0, float(np.abs(x0).max()))
     traj = iterate(M, bad, steps=steps, orbs=orbs)
-    report = check_orbit_synchronization(traj, orbs)
+    report = check_orbit_synchronization(traj)
     if report.synchronized or report.first_violation_step != 0:
         failures.append(
             f"{tag}: desynchronized start reported at step "

@@ -1,12 +1,15 @@
 """Command line behaviour: documents in, canonical JSON out, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypersym
 from hypersym.cli import main
 
 from conftest import ROT10_ADJACENCY_R, ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_UNIT_MAP
@@ -226,9 +229,11 @@ def test_weights_flag(capsys, rot10_path, rot10_map_path, write_doc):
 
 
 def test_console_script_installed(rot10_path):
+    # the package's parent directory, so an uninstalled checkout runs too
+    src = str(Path(hypersym.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "hypersym.cli", "matrix", rot10_path, "--kind", "adjacency_r"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 10

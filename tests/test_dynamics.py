@@ -5,6 +5,7 @@ import pytest
 
 from hypersym import (
     HypersymError,
+    Permutation,
     build_matrix,
     check_orbit_synchronization,
     compatible_matrix,
@@ -36,7 +37,7 @@ def test_synchronized_start_stays_synchronized(rot10, rot10_aut):
     orbs = orbits(rot10_aut)
     x0 = synchronized_state(orbs, rng)
     traj = iterate(A, x0, steps=25, orbs=orbs)
-    report = check_orbit_synchronization(traj, orbs)
+    report = check_orbit_synchronization(traj)
     assert report.synchronized
     assert report.first_violation_step is None
 
@@ -51,7 +52,7 @@ def test_growth_scaled_tolerance():
     M = 10.0 * np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=complex)
     x0 = np.array([1.0, 1.0, -1.0], dtype=complex)
     traj = iterate(M, x0, steps=25, orbs=orbs)
-    report = check_orbit_synchronization(traj, orbs)
+    report = check_orbit_synchronization(traj)
     assert report.synchronized
     assert traj.sync_log is not None and orbs.cells == p_cells
 
@@ -63,7 +64,7 @@ def test_desynchronized_start_flagged_at_step_zero(rot10, rot10_aut):
     x0 = synchronized_state(orbs, rng)
     x0[orbs.cells[1][0]] += 0.1
     traj = iterate(A, x0, steps=10, orbs=orbs)
-    report = check_orbit_synchronization(traj, orbs)
+    report = check_orbit_synchronization(traj)
     assert not report.synchronized
     assert report.first_violation_step == 0
 
@@ -78,7 +79,7 @@ def test_random_compatible_matrices_preserve_sync():
         M = compatible_matrix(rng, p)
         x0 = synchronized_state(orbs, rng)
         traj = iterate(M, x0, steps=25, orbs=orbs, normalize=True)
-        report = check_orbit_synchronization(traj, orbs)
+        report = check_orbit_synchronization(traj)
         assert report.synchronized, report
 
 
@@ -109,6 +110,8 @@ def test_iterate_validates_input(rot10):
         iterate(A, np.ones(10), steps=-1)
     with pytest.raises(HypersymError, match="non-finite"):
         iterate(A, np.full(10, np.nan), steps=1)
+    with pytest.raises(HypersymError, match="orbit partition covers 12"):
+        iterate(A, np.ones(10), steps=1, orbs=orbits(Permutation(tuple(range(12)))))
 
 
 def test_sync_check_needs_log_or_partition(rot10):
@@ -140,7 +143,7 @@ def test_rounding_growth_outside_the_quotient_is_not_a_violation(normalize):
     # ~3e-8, yet the exact trajectory is synchronized
     C, orbs = _dominated_circulant()
     traj = iterate(C, np.full(6, 1 + 0.5j), steps=25, orbs=orbs, normalize=normalize)
-    report = check_orbit_synchronization(traj, orbs)
+    report = check_orbit_synchronization(traj)
     assert report.synchronized, report
 
 
@@ -148,6 +151,6 @@ def test_incompatible_matrix_flagged_at_step_one():
     C, orbs = _dominated_circulant()
     C[0, 1] += 1e-3
     traj = iterate(C, np.full(6, 1 + 0.5j), steps=25, orbs=orbs)
-    report = check_orbit_synchronization(traj, orbs)
+    report = check_orbit_synchronization(traj)
     assert not report.synchronized
     assert report.first_violation_step == 1

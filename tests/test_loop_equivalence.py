@@ -1,10 +1,13 @@
-"""The vectorised quotients, checks and matching against their loop references.
+"""The vectorised quotients, checks, matching and synchronization log against
+their loop references.
 
-Witness tuples, error messages and matchings must be identical to those of
-loop_reference.py. Quotients must be bitwise equal on integer-valued
-matrices and within 1e-12 * max(1, ||M||_inf) otherwise. Each suite draws
-positive inputs (equitable or unit-compatible matrices) and perturbed
-negative controls.
+Witness tuples, error messages, matchings and synchronization verdicts must
+be identical to those of loop_reference.py. Quotients must be bitwise equal
+on integer-valued matrices and within 1e-12 * max(1, ||M||_inf) otherwise;
+the synchronization log, whose cell means are summed in another order, within
+1e-13 * max(1, max |x_k|). Each suite draws positive inputs (equitable or
+unit-compatible matrices, synchronized starts) and negative controls
+(perturbed matrices, desynchronized starts).
 """
 
 import numpy as np
@@ -14,21 +17,29 @@ from hypothesis import strategies as st
 
 import loop_reference as ref
 from hypersym import (
+    SYNC_TOL,
     Hypergraph,
     NotEquitableError,
     NotUnitCompatibleError,
     Permutation,
+    check_orbit_synchronization,
+    compatible_matrix,
     compute_units,
     equitable_witness,
+    iterate,
     match_multisets,
     orbit_quotient,
+    orbits,
     profile_unit_compatibility,
+    random_instance,
     unit_quotient,
 )
-from hypersym.symmetry import EQUITABLE_TOL
+from hypersym.dynamics import _sync_log
+from hypersym.symmetry import EQUITABLE_TOL, OrbitPartition
 from hypersym.unit_symmetry import COMPAT_TOL
 
 QUOTIENT_RTOL = 1e-12
+SYNC_RTOL = 1e-13
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -199,3 +210,58 @@ values = grid | st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infin
 @settings(max_examples=400, deadline=None)
 def test_match_multisets_matches_loops(a, b, tol):
     assert match_multisets(a, b, tol) == ref.match_multisets(a, b, tol)
+
+
+@st.composite
+def partitioned_states(draw):
+    """(states, cells): cells of random members, singletons and cells of 9
+    or more members (where numpy's pairwise summation starts) among them,
+    and a few states, each at its own scale from 1e-8 to 1e8."""
+    sizes = draw(st.lists(st.sampled_from([1, 1, 2, 3, 5, 8, 9, 12, 17]), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(seeds))
+    members = rng.permutation(sum(sizes))
+    cells = tuple(tuple(int(v) for v in c) for c in np.split(members, np.cumsum(sizes)[:-1]))
+    steps = draw(st.integers(min_value=0, max_value=4))
+    scales = 10.0 ** rng.uniform(-8, 8, size=(steps + 1, 1))
+    return _values(rng, (steps + 1, len(members)), False) * scales, cells
+
+
+@given(partitioned_states())
+@settings(max_examples=300, deadline=None)
+def test_sync_log_matches_loops(case):
+    states, cells = case
+    orbs = OrbitPartition(cells=cells, cell_index=(), n=states.shape[1])
+    got = _sync_log(states, orbs)
+    want = np.stack([ref.cell_deviations(x, cells) for x in states])
+    assert got.shape == want.shape
+    bound = SYNC_RTOL * np.maximum(1.0, np.abs(states).max(axis=1))
+    assert np.all(np.abs(got - want).max(axis=1) <= bound)
+
+
+@given(seeds, st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_sync_verdict_matches_loops(seed, normalize, perturbed):
+    """Synchronized starts get the reference's verdict (kept on compatible
+    matrices, lost at the reference's step on perturbed ones); the negative
+    control, a desynchronized start, is flagged at step 0 by both."""
+    rng = np.random.default_rng(seed)
+    h, aut = random_instance(rng, n_max=14)
+    orbs = orbits(aut)
+    M = compatible_matrix(rng, aut.perm)
+    if perturbed:
+        M[0, int(rng.integers(1, h.n))] += 1e-3
+    x0 = _values(rng, len(orbs.cells), False)[list(orbs.cell_index)]
+    moved = x0.copy()
+    moved[next(c for c in orbs.cells if len(c) > 1)[0]] += 1.0
+    for start, synchronized_start in ((x0, True), (moved, False)):
+        traj = iterate(M, start, steps=25, orbs=orbs, normalize=normalize)
+        report = check_orbit_synchronization(traj)
+        synced, first, max_scaled = ref.check_orbit_synchronization(
+            traj.states, traj.error_scale, orbs.cells, SYNC_TOL
+        )
+        assert (report.synchronized, report.first_violation_step) == (synced, first)
+        assert abs(report.max_scaled_deviation - max_scaled) <= SYNC_RTOL
+        if not synchronized_start:
+            assert first == 0
+        elif not perturbed:
+            assert synced

@@ -209,6 +209,20 @@ def test_incompatible_matrix_refused(rot10, rot10_aut):
         decompose_automorphism(A, rot10_aut)
 
 
+def test_decompose_tolerance_reaches_the_quotient_check(rot10, rot10_aut):
+    # a matrix accepted as compatible within tol is not refused by the
+    # quotient's equitable check at a tighter tolerance
+    A = build_matrix(rot10, "adjacency_r").entries.copy()
+    A[1, 0] += 1e-6
+    dec = decompose_automorphism(A, rot10_aut, tol=1e-3)
+    assert verify_decomposition(A, dec, tol=1e-5).verdict
+    rho, rho_quotient = spectral_radius_via_quotient(A, rot10_aut, tol=1e-3)
+    assert abs(rho - rho_quotient) <= 1e-5
+    A[1, 0] += 1e-2
+    with pytest.raises(IncompatibleMatrixError, match="deviates"):
+        decompose_automorphism(A, rot10_aut, tol=1e-3)
+
+
 def test_mixed_coprime_orders_decompose():
     # 2-cycle and 3-cycle: factor orders are coprime, every factor is a
     # power of the whole permutation, so per-factor blocks are sound
