@@ -52,11 +52,10 @@ def _sync_log(states: np.ndarray, orbs: OrbitPartition) -> np.ndarray:
     """log[k, i] = max over cell i of |x_k - mean of x_k over cell i|, for
     every state at once, from one grouped pass over the columns in cell
     order; singleton cells log 0."""
-    order, starts = _cell_layout(orbs.cells)
-    sizes = np.diff(starts, append=len(order))
-    X = states[:, order]
-    means = np.add.reduceat(X, starts, axis=1) / sizes
-    log = np.maximum.reduceat(np.abs(X - np.repeat(means, sizes, axis=1)), starts, axis=1)
+    order, starts, sizes = _cell_layout(orbs.cells)
+    X = states[:, order]  # a copy, so the means are subtracted in place
+    X -= np.repeat(np.add.reduceat(X, starts, axis=1) / sizes, sizes, axis=1)
+    log = np.maximum.reduceat(np.abs(X), starts, axis=1)
     log[:, sizes == 1] = 0.0  # also when the state has overflowed to inf or nan
     return log
 

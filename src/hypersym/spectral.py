@@ -105,9 +105,12 @@ def _rotation_columns(A: np.ndarray, rows: Rotation, cols: Rotation, omega: Root
     return R
 
 
-def rotation_matrix(M, rot: Rotation, omega: RootOfUnity, tol: float = COMPAT_TOL) -> np.ndarray:
-    """The omega-rotation matrix of M on rot's U_0; M must be compatible
-    with the rotation within tol (checked)."""
+def rotation_matrix(M, rot: Rotation, omega: RootOfUnity, tol: float | None = COMPAT_TOL) -> np.ndarray:
+    """The omega-rotation matrix of M on rot's U_0.
+
+    Pass tol=None to skip the compatibility precheck (when the caller has
+    already verified it).
+    """
     A = as_array(M)
     if not isinstance(omega, RootOfUnity):
         raise HypersymError("omega must be a RootOfUnity")
@@ -115,7 +118,8 @@ def rotation_matrix(M, rot: Rotation, omega: RootOfUnity, tol: float = COMPAT_TO
         raise HypersymError(
             f"root of unity has order {omega.n}, rotation has order {rot.order_n}"
         )
-    _require_compatible(A, rot.underlying, tol)
+    if tol is not None:
+        _require_compatible(A, rot.underlying, tol)
     return _rotation_columns(A, rot, rot, omega)
 
 
@@ -265,13 +269,25 @@ def _characters(factors: tuple[Rotation, ...]) -> list[tuple[dict, _Parts]]:
     return found
 
 
+def _quotient_tol(orbs: OrbitPartition, tol: float) -> float:
+    """The tolerance of the equitable check that every matrix compatible
+    with the orbits' permutation within tol meets: one step along a cycle
+    moves a row's sum into cell j by at most |cell j| * tol, and every row
+    of a cell is at most half its cycle away from the cell's first member."""
+    longest = max((len(cell) for cell in orbs.cells), default=1)
+    return tol * longest * max(1, longest // 2)
+
+
 def _block_matrix(A: np.ndarray, parts: _Parts, orbs: OrbitPartition, tol: float) -> np.ndarray:
     """The omega-block over the given factors, each factor's rotation matrix
     on the diagonal and the couplings between factors off it; without
     factors, the orbit quotient (with its equitable check within tol)."""
     if not parts:
         return orbit_quotient(A, orbs, tol)
-    return np.block([[_rotation_columns(A, row, col, w) for col, w in parts] for row, _ in parts])
+    return np.block([
+        [rotation_matrix(A, col, w, tol=None) if col is row else _rotation_columns(A, row, col, w) for col, w in parts]
+        for row, _ in parts
+    ])
 
 
 def _lift_block(X: np.ndarray, parts: _Parts, orbs: OrbitPartition, n: int) -> np.ndarray:
@@ -288,10 +304,10 @@ def _decompose(
     A: np.ndarray, perm: Permutation, tol: float, built_from: np.ndarray | None = None, lift=None, tag: dict | None = None
 ) -> SpectralDecomposition:
     """Build, solve and lift every block of built_from (default A) along
-    perm, which it must already be compatible with within tol, the
-    tolerance of the quotient's equitable check. lift carries columns on
-    its index set into A's (none when it is A); every lifted residual is
-    taken against A. tag is merged into the block and lifted sources, and
+    perm, which it must already be compatible with within tol (the
+    quotient's equitable check allows what that implies). lift carries
+    columns on its index set into A's (none when it is A); every lifted
+    residual is taken against A. tag is merged into the block and lifted sources, and
     into each skipped entry beside its source. Block pairs whose residual
     betrays a defective solve are skipped (and reported) instead of lifted.
     """
@@ -302,7 +318,8 @@ def _decompose(
     # every block is built and solved before any is lifted, so the lifts'
     # products with A run back to back (interleaving them measured about 5%
     # slower on 26 cycles of length 12)
-    matrices = [_block_matrix(B, parts, orbs, tol) for _, parts in characters]
+    quotient_tol = _quotient_tol(orbs, tol)
+    matrices = [_block_matrix(B, parts, orbs, quotient_tol) for _, parts in characters]
     solved = [_eig_sorted(matrix) for matrix in matrices]
     blocks: list[RotationBlock] = []
     lifted: list[LiftedPair] = []
@@ -336,8 +353,8 @@ def decompose_automorphism(M, f, tol: float = COMPAT_TOL) -> SpectralDecompositi
     """Spectrum of M from its blocks along f, with lifted eigenpairs.
 
     Raises IncompatibleMatrixError if M is not f-compatible within tol, and
-    NotEquitableError if the orbit quotient's equitable check fails at the
-    same tol.
+    NotEquitableError if the orbit quotient fails the equitable check that
+    compatibility within tol implies.
     """
     A = as_array(M)
     perm = _perm_of(f)
@@ -360,7 +377,8 @@ def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, 
     A = as_array(M)
     perm = _perm_of(f)
     _require_compatible(A, perm, tol)
-    Q = orbit_quotient(A, orbits(perm), tol)
+    orbs = orbits(perm)
+    Q = orbit_quotient(A, orbs, _quotient_tol(orbs, tol))
     rho_full = float(np.abs(np.linalg.eigvals(A)).max()) if A.size else 0.0
     rho_quot = float(np.abs(np.linalg.eigvals(Q)).max()) if Q.size else 0.0
     return rho_full, rho_quot

@@ -237,13 +237,14 @@ def _cells_of(partition) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cell) for cell in partition)
 
 
-def _cell_layout(cells) -> tuple[np.ndarray, np.ndarray]:
-    """The indices in cell order and the offset at which each cell starts."""
+def _cell_layout(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The indices in cell order, the offset at which each cell starts and
+    each cell's size."""
     sizes = np.fromiter((len(cell) for cell in cells), dtype=np.intp, count=len(cells))
     order = np.fromiter((v for cell in cells for v in cell), dtype=np.intp, count=int(sizes.sum()))
     starts = np.zeros(len(cells), dtype=np.intp)
     np.cumsum(sizes[:-1], out=starts[1:])
-    return order, starts
+    return order, starts, sizes
 
 
 def _cell_sums(A: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -255,14 +256,14 @@ def _cell_sums(A: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarr
 def _equitable(A: np.ndarray, cells, tol: float):
     """The quotient at the cell representatives (first members) and the
     equitable witness (None when equitable), from one set of cell sums."""
-    order, starts = _cell_layout(cells)
+    order, starts, sizes = _cell_layout(cells)
     if len(order) != A.shape[0] or not np.array_equal(np.sort(order), np.arange(A.shape[0])):
         raise HypersymError("partition does not cover the index set exactly once")
-    if any(len(cell) == 0 for cell in cells):
+    if not sizes.all():
         raise HypersymError("partition has an empty cell")
     R = _cell_sums(A, order, starts)
     rep_of = np.empty(A.shape[0], dtype=np.intp)
-    rep_of[order] = np.repeat(order[starts], np.diff(starts, append=len(order)))
+    rep_of[order] = np.repeat(order[starts], sizes)
     D = np.abs(R - R[rep_of])
     # worst[i, j]: largest deviation, over the rows of cell i, of the sum into
     # cell j from that of the cell's first member

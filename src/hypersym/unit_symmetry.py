@@ -104,7 +104,7 @@ def profile_unit_compatibility(M, units: UnitPartition, tol: float = COMPAT_TOL)
             worst(np.take(A, rep_of, axis=1, out=buf), same, 0),
         ]
     )
-    order, starts = _cell_layout(members)
+    order, starts, _ = _cell_layout(members)
     failed = np.maximum.reduceat(dev[:, order], starts, axis=1) > tol
     if failed.any():
         i = int(np.argmax(failed.any(axis=0)))
@@ -223,7 +223,8 @@ def unit_quotient(M, units: UnitPartition, tol: float = COMPAT_TOL) -> np.ndarra
     Diagonal entries come out as d + (|W| - 1) r. M must be unit-compatible
     (checked)."""
     profile = profile_unit_compatibility(M, units, tol)
-    return _cell_sums(profile.rows, *_cell_layout([u.member_indices for u in units.units]))
+    order, starts, _ = _cell_layout([u.member_indices for u in units.units])
+    return _cell_sums(profile.rows, order, starts)
 
 
 def blow_up(y, units: UnitPartition) -> np.ndarray:

@@ -211,16 +211,35 @@ def test_incompatible_matrix_refused(rot10, rot10_aut):
 
 def test_decompose_tolerance_reaches_the_quotient_check(rot10, rot10_aut):
     # a matrix accepted as compatible within tol is not refused by the
-    # quotient's equitable check at a tighter tolerance
-    A = build_matrix(rot10, "adjacency_r").entries.copy()
-    A[1, 0] += 1e-6
-    dec = decompose_automorphism(A, rot10_aut, tol=1e-3)
-    assert verify_decomposition(A, dec, tol=1e-5).verdict
-    rho, rho_quotient = spectral_radius_via_quotient(A, rot10_aut, tol=1e-3)
-    assert abs(rho - rho_quotient) <= 1e-5
+    # quotient's equitable check: with columns 2 and 5 (one orbit) each
+    # entry deviates by 0.6 tol, but row 1 sums 1.2 tol more into that
+    # orbit than rows 4 and 7 do
+    base = build_matrix(rot10, "adjacency_r").entries
+    for cols in ([0], [2, 5]):
+        A = base.copy()
+        A[1, cols] += 0.6e-6
+        dec = decompose_automorphism(A, rot10_aut, tol=1e-6)
+        assert verify_decomposition(A, dec, tol=1e-5).verdict
+        rho, rho_quotient = spectral_radius_via_quotient(A, rot10_aut, tol=1e-6)
+        assert abs(rho - rho_quotient) <= 1e-5
     A[1, 0] += 1e-2
     with pytest.raises(IncompatibleMatrixError, match="deviates"):
-        decompose_automorphism(A, rot10_aut, tol=1e-3)
+        decompose_automorphism(A, rot10_aut, tol=1e-6)
+
+
+def test_quotient_tolerance_spans_half_a_cycle():
+    # every row of the 4-cycle's one orbit drifts by a multiple of d from
+    # its predecessor's: entries deviate by d <= tol from their images, but
+    # row 2 is two steps from row 0 and sums 8 d more over the 4 columns
+    rng = np.random.default_rng(7)
+    p = Permutation((1, 2, 3, 0))
+    d = 0.9e-6
+    A = compatible_matrix(rng, p) + d * np.array([0, 1, 2, 1])[:, None]
+    dec = decompose_automorphism(A, p, tol=1e-6)
+    assert verify_decomposition(A, dec, tol=1e-5).verdict
+    A[2, 0] += 1e-2
+    with pytest.raises(IncompatibleMatrixError, match="deviates"):
+        decompose_automorphism(A, p, tol=1e-6)
 
 
 def test_mixed_coprime_orders_decompose():

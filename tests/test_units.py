@@ -256,15 +256,19 @@ def test_cardinality_preserving_map_lifts_and_decomposes(units18):
 
 def test_unit_decompose_tolerance_reaches_the_quotient_check(rot10, rot10_aut):
     # both members of unit '2,3' move together, so the matrix stays
-    # unit-compatible and only its unit quotient is compatible within tol
+    # unit-compatible and only its unit quotient is compatible within tol;
+    # columns 3 and 6 are the units '4' and '7' of one orbit, into which
+    # the quotient's row '2,3' then sums 1.2 tol more than '5,6' and '8,9'
     ua = induced_unit_automorphism(rot10_aut)
-    A = build_matrix(rot10, "adjacency_r").entries.copy()
-    A[[1, 2], 0] += 1e-6
-    dec = decompose_unit_automorphism(A, ua, tol=1e-3)
-    assert verify_decomposition(A, dec, tol=1e-5).verdict
+    base = build_matrix(rot10, "adjacency_r").entries
+    for cols in ([0], [3, 6]):
+        A = base.copy()
+        A[np.ix_([1, 2], cols)] += 0.6e-6
+        dec = decompose_unit_automorphism(A, ua, tol=1e-6)
+        assert verify_decomposition(A, dec, tol=1e-5).verdict
     A[[1, 2], 0] += 1e-2
     with pytest.raises(IncompatibleMatrixError, match="not compatible with the unit map"):
-        decompose_unit_automorphism(A, ua, tol=1e-3)
+        decompose_unit_automorphism(A, ua, tol=1e-6)
 
 
 def test_induced_unit_automorphism(rot10, rot10_aut):
