@@ -221,11 +221,28 @@ class SpectralDecomposition:
         }
 
 
+def _real_if_exact(A: np.ndarray) -> np.ndarray:
+    """A's real part, contiguous, when no entry of A has a nonzero imaginary
+    part; otherwise A itself."""
+    if np.iscomplexobj(A) and not A.imag.any():
+        return np.ascontiguousarray(A.real)
+    return A
+
+
+def _real_symmetric(A: np.ndarray) -> bool:
+    return np.isrealobj(A) and np.array_equal(A, A.T)
+
+
 def _eig_sorted(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and column eigenvectors ordered by (real, imag)."""
-    vals, vecs = np.linalg.eig(A)
+    """Eigenvalues and column eigenvectors ordered by (real, imag), both
+    complex128. The LAPACK driver follows A's dtype: a real A equal to its
+    transpose goes to eigh (dsyevd, real eigenvalues with an exact zero
+    imaginary part), any other real A to eig (dgeev), a complex A to eig
+    (zgeev)."""
+    vals, vecs = np.linalg.eigh(A) if _real_symmetric(A) else np.linalg.eig(A)
+    vals = vals.astype(np.complex128, copy=False)
     order = np.lexsort((vals.imag, vals.real))
-    return vals[order], vecs[:, order]
+    return vals[order], vecs[:, order].astype(np.complex128, copy=False)
 
 
 def residual_norms(AV: np.ndarray, V: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -379,6 +396,8 @@ def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, 
     _require_compatible(A, perm, tol)
     orbs = orbits(perm)
     Q = orbit_quotient(A, orbs, _quotient_tol(orbs, tol))
-    rho_full = float(np.abs(np.linalg.eigvals(A)).max()) if A.size else 0.0
+    R = _real_if_exact(A)
+    full = np.linalg.eigvalsh(R) if _real_symmetric(R) else np.linalg.eigvals(R)
+    rho_full = float(np.abs(full).max()) if A.size else 0.0
     rho_quot = float(np.abs(np.linalg.eigvals(Q)).max()) if Q.size else 0.0
     return rho_full, rho_quot

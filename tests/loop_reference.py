@@ -1,17 +1,21 @@
 """Loop reference versions of the vectorised quotient, check, matching and
-synchronization code.
+synchronization code, and the complex-only dense oracle.
 
 These are the original per-cell-pair, per-unit, per-element and per-step
 loops the library replaced with whole-array numpy passes. They are kept
 here, outside the package, so test_loop_equivalence.py can require the
 library to give the same witnesses, messages, quotients, matchings and
-synchronization verdicts.
+synchronization verdicts. dense_spectrum is the oracle that solved every
+matrix as complex128 (LAPACK zgeev); test_oracle.py requires the real
+drivers to give the same verdicts and failures.
 """
 
 import numpy as np
 
 from hypersym import HypersymError, NotEquitableError, NotUnitCompatibleError
 from hypersym.matrices import as_array
+from hypersym.oracle import MATCH_TOL, SpectrumReport
+from hypersym.spectral import residual_norms
 
 
 def equitable_witness(M, cells, tol):
@@ -157,3 +161,23 @@ def check_orbit_synchronization(states, error_scale, cells, tol):
         if dev > tol * scale and first is None:
             first = k
     return first is None, first, max_scaled
+
+
+def dense_spectrum(M):
+    """Full spectrum by complex eig of the complex128 matrix, whatever its
+    entries, sorted by (real, imag), with complex residuals."""
+    A = as_array(M)
+    if not np.all(np.isfinite(A)):
+        raise HypersymError("matrix has non-finite entries")
+    vals, vecs = np.linalg.eig(A)
+    order = np.lexsort((vals.imag, vals.real))
+    vals, vecs = vals[order], vecs[:, order]
+    scale = max(1.0, float(np.abs(A).sum(axis=1).max())) if A.size else 1.0
+    residuals = residual_norms(A @ vecs, vecs, vals)
+    failures = tuple(
+        f"dense eigenpair {i} residual {residuals[i]:.3e}"
+        for i in np.flatnonzero(residuals > MATCH_TOL * scale)
+    )
+    return SpectrumReport(
+        eigenvalues=vals, residuals=residuals, verdict=not failures, failures=failures
+    )
