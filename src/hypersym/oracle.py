@@ -28,12 +28,13 @@ MATCH_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Dense spectrum with residuals; verification adds the largest match
-    error and its verdict."""
+    """Dense spectrum with residuals and the scale max(1, ||M||_inf) of its
+    thresholds; verification adds the largest match error and its verdict."""
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
     verdict: bool
+    scale: float
     failures: tuple[str, ...] = ()
     max_match_error: float | None = None
 
@@ -65,16 +66,13 @@ def _product(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (A @ np.ascontiguousarray(V).view(np.float64)).view(np.complex128)
 
 
-def dense_spectrum(M, scale: float | None = None) -> SpectrumReport:
-    """Full spectrum by direct dense eigensolve, sorted by (real, imag).
-
-    scale is max(1, ||M||_inf), computed here unless the caller has it."""
+def dense_spectrum(M) -> SpectrumReport:
+    """Full spectrum by direct dense eigensolve, sorted by (real, imag)."""
     A = as_array(M)
     if not np.all(np.isfinite(A)):
         raise HypersymError("matrix has non-finite entries")
     A = _real_if_exact(A)
-    if scale is None:
-        scale = _scale(A)
+    scale = _scale(A)
     vals, vecs = _eig_sorted(A)
     residuals = residual_norms(_product(A, vecs), vecs, vals)
     failures = tuple(
@@ -82,7 +80,7 @@ def dense_spectrum(M, scale: float | None = None) -> SpectrumReport:
         for i in np.flatnonzero(residuals > MATCH_TOL * scale)
     )
     return SpectrumReport(
-        eigenvalues=vals, residuals=residuals, verdict=not failures, failures=failures
+        eigenvalues=vals, residuals=residuals, verdict=not failures, scale=scale, failures=failures
     )
 
 
@@ -128,10 +126,9 @@ def verify_decomposition(M, decomposition: SpectralDecomposition, tol: float = M
     and the offending residuals.
     """
     A = as_array(M)
-    scale = _scale(A)
-    dense = dense_spectrum(A, scale=scale)
+    dense = dense_spectrum(A)
     claimed = decomposition.eigenvalues()
-    threshold = tol * scale
+    threshold = tol * dense.scale
     failures: list[str] = list(dense.failures)
 
     if len(claimed) != A.shape[0]:
@@ -158,6 +155,7 @@ def verify_decomposition(M, decomposition: SpectralDecomposition, tol: float = M
         eigenvalues=dense.eigenvalues,
         residuals=dense.residuals,
         verdict=not failures,
+        scale=dense.scale,
         failures=tuple(failures),
         max_match_error=max_err,
     )

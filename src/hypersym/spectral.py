@@ -238,11 +238,19 @@ def _eig_sorted(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     complex128. The LAPACK driver follows A's dtype: a real A equal to its
     transpose goes to eigh (dsyevd, real eigenvalues with an exact zero
     imaginary part), any other real A to eig (dgeev), a complex A to eig
-    (zgeev)."""
+    (zgeev). _dense_eigvals makes the same choice for values only."""
     vals, vecs = np.linalg.eigh(A) if _real_symmetric(A) else np.linalg.eig(A)
     vals = vals.astype(np.complex128, copy=False)
     order = np.lexsort((vals.imag, vals.real))
     return vals[order], vecs[:, order].astype(np.complex128, copy=False)
+
+
+def _dense_eigvals(A: np.ndarray) -> np.ndarray:
+    """Unsorted eigenvalues of A, solved as the dense oracle solves it: the
+    real part when A has no nonzero imaginary entry, then eigvalsh for a
+    real symmetric matrix, eigvals otherwise (_eig_sorted's choice)."""
+    A = _real_if_exact(A)
+    return np.linalg.eigvalsh(A) if _real_symmetric(A) else np.linalg.eigvals(A)
 
 
 def residual_norms(AV: np.ndarray, V: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -396,8 +404,6 @@ def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, 
     _require_compatible(A, perm, tol)
     orbs = orbits(perm)
     Q = orbit_quotient(A, orbs, _quotient_tol(orbs, tol))
-    R = _real_if_exact(A)
-    full = np.linalg.eigvalsh(R) if _real_symmetric(R) else np.linalg.eigvals(R)
-    rho_full = float(np.abs(full).max()) if A.size else 0.0
+    rho_full = float(np.abs(_dense_eigvals(A)).max()) if A.size else 0.0
     rho_quot = float(np.abs(np.linalg.eigvals(Q)).max()) if Q.size else 0.0
     return rho_full, rho_quot

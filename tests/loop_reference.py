@@ -179,5 +179,5 @@ def dense_spectrum(M):
         for i in np.flatnonzero(residuals > MATCH_TOL * scale)
     )
     return SpectrumReport(
-        eigenvalues=vals, residuals=residuals, verdict=not failures, failures=failures
+        eigenvalues=vals, residuals=residuals, verdict=not failures, scale=scale, failures=failures
     )
