@@ -12,6 +12,7 @@ or usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -150,7 +151,7 @@ def cmd_matrix(args) -> int:
     doc["kind"] = M.kind
     doc["row_sums"] = {
         "expected": report.expected,
-        "sums": [complex_pair(s) for s in report.sums],
+        "sums": complex_pair(report.sums),
         "violations": [
             {"row": i, "label": h.labels[i], "sum": complex_pair(s)}
             for i, s in report.violations
@@ -285,6 +286,22 @@ def cmd_selftest(args) -> int:
     return CHECK_FAILED if failures else 0
 
 
+def _number(convert, low: int):
+    """argparse type of a numeric flag: convert(text), finite and at least low."""
+    what = "a finite number" if convert is float else "an integer"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected {what} >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypersym",
@@ -321,28 +338,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="block decomposition with lifted eigenpairs")
     add_common(p)
-    p.add_argument("--tol", type=float, default=COMPAT_TOL, help="compatibility tolerance")
+    p.add_argument("--tol", type=_number(float, 0), default=COMPAT_TOL, help="compatibility tolerance")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="decompose and check against the dense spectrum")
     add_common(p)
-    p.add_argument("--tol", type=float, default=COMPAT_TOL, help="compatibility tolerance")
+    p.add_argument("--tol", type=_number(float, 0), default=COMPAT_TOL, help="compatibility tolerance")
     p.add_argument(
-        "--tol-match", type=float, default=MATCH_TOL, help="eigenvalue match tolerance"
+        "--tol-match", type=_number(float, 0), default=MATCH_TOL, help="eigenvalue match tolerance"
     )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dynamics", help="iterate x -> Mx and track orbit synchronization")
     add_common(p)
     p.add_argument("--x0", required=True, help="initial state JSON document")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_number(int, 0), required=True)
     p.add_argument("--normalize", action="store_true", help="sup-normalize each state")
-    p.add_argument("--tol", type=float, default=SYNC_TOL, help="synchronization tolerance")
+    p.add_argument("--tol", type=_number(float, 0), default=SYNC_TOL, help="synchronization tolerance")
     p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("selftest", help="random instances through the full pipeline")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=25)
+    p.add_argument("--count", type=_number(int, 1), default=25)
     p.set_defaults(func=cmd_selftest)
 
     return parser

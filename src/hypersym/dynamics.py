@@ -8,11 +8,13 @@ states leave the orbits by rounding errors, and those errors grow with
 quotient have the larger spectral radius, the errors outgrow the
 synchronized state. The check therefore scales its tolerance with
 s_k = max(||x_k||, ||M|| s_{k-1}), a bound on how far the rounding
-errors of the earlier steps can have grown by step k.
+errors of the earlier steps can have grown by step k. On normalised runs
+the growth term is capped at the largest float, so s_k stays finite.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +25,17 @@ from .matrices import as_array
 from .symmetry import OrbitPartition, _cell_layout
 
 SYNC_TOL = 1e-10
+# the cap of s_k's growth term on normalised runs, where tol * s_k exceeds
+# every deviation of a state of sup-norm 1 long before it, so the cap changes
+# no verdict; a plain run's state may itself approach the largest float, and
+# a capped s_k would then understate the bound, so there s_k may reach inf
+_LARGEST = sys.float_info.max
 
 
 @dataclass(frozen=True)
 class Trajectory:
     states: np.ndarray  # (steps + 1, n), states[0] = x0
     steps: int
-    normalized: bool
     sync_log: np.ndarray | None  # (steps + 1, n_cells) max in-cell deviation
     error_scale: np.ndarray  # (steps + 1,) s_k, see the module docstring
 
@@ -38,13 +44,10 @@ class Trajectory:
         return self.states[-1]
 
     def to_document(self) -> dict:
-        log = [] if self.sync_log is None else [
-            [float(d) for d in row] for row in self.sync_log
-        ]
         return {
             "steps": self.steps,
-            "sync_log": log,
-            "final_state": [complex_pair(z) for z in self.final_state],
+            "sync_log": [] if self.sync_log is None else self.sync_log.tolist(),
+            "final_state": complex_pair(self.final_state),
         }
 
 
@@ -86,21 +89,21 @@ def iterate(M, x0, steps: int, orbs: OrbitPartition | None = None, normalize: bo
     states[0] = x
     norm = float(np.abs(A).sum(axis=1).max(initial=0.0))
     scale = np.zeros(steps + 1)
-    scale[0] = float(np.abs(x).max(initial=0.0))
+    s = scale[0] = float(np.abs(x).max(initial=0.0))
     for k in range(1, steps + 1):
         x = A @ x
-        grown = norm * scale[k - 1]
+        grown = norm * s  # Python floats: an overflow gives inf, with no warning
         if normalize:
             peak = float(np.abs(x).max())
             if peak > 0:
                 x = x / peak
                 grown /= peak
+            grown = min(grown, _LARGEST)
         states[k] = x
-        scale[k] = max(float(np.abs(x).max(initial=0.0)), grown)
+        s = scale[k] = max(float(np.abs(x).max(initial=0.0)), grown)
     return Trajectory(
         states=states,
         steps=steps,
-        normalized=normalize,
         sync_log=None if orbs is None else _sync_log(states, orbs),
         error_scale=scale,
     )

@@ -1,8 +1,9 @@
 """Deterministic JSON emission and strict loading for document I/O.
 
-Numbers are printed with 17 significant digits so every float round-trips
-exactly; keys are sorted and separators fixed, making output byte-identical
-for identical inputs.
+Floats are printed with "%.17g", 17 significant digits, so every float
+round-trips exactly (-0.0 prints as 0); keys are sorted and separators
+fixed, making output byte-identical for identical inputs. Arrays are turned
+into lists in one call each (complex_pair, ndarray.tolist) before encoding.
 """
 
 from __future__ import annotations
@@ -11,63 +12,58 @@ import json
 import math
 from typing import Any
 
+import numpy as np
+
 from .errors import DocumentError
-
-
-def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise DocumentError(f"non-finite number {x!r} cannot be serialized")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
 
 
 def canonical_json(obj: Any) -> str:
     """Serialize obj to a canonical JSON string (no trailing newline)."""
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
+    return _encode(obj)
 
 
-def _emit(obj: Any, out: list[str]) -> None:
+def _encode(obj: Any) -> str:
+    # no container is also a scalar, so only bool before int needs an order
+    if type(obj) is float:  # most nodes of a report
+        return _float(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([_encode(item) for item in obj]) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join([_member(key, obj[key]) for key in sorted(obj)]) + "}"
     if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, complex):
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _float(obj)
+    if isinstance(obj, complex):
         raise DocumentError("complex values must be encoded as [re, im] pairs")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise DocumentError(f"object key {key!r} is not a string")
-            if i:
-                out.append(", ")
-            out.append(json.dumps(key))
-            out.append(": ")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(item, out)
-        out.append("]")
-    else:
-        raise DocumentError(f"cannot serialize value of type {type(obj).__name__}")
+    raise DocumentError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _float(x: float) -> str:
+    if not math.isfinite(x):
+        raise DocumentError(f"non-finite number {x!r} cannot be serialized")
+    return "%.17g" % (x + 0.0)  # + 0.0 turns -0.0 into 0.0
+
+
+def _member(key: Any, value: Any) -> str:
+    if not isinstance(key, str):
+        raise DocumentError(f"object key {key!r} is not a string")
+    return json.dumps(key) + ": " + _encode(value)
+
+
+def complex_pair(z) -> list:
+    """[re, im] of a complex scalar; for an array, the same pair for every
+    entry, nested as the array is."""
+    z = np.asarray(z, dtype=np.complex128)
+    return np.stack((z.real, z.imag), axis=-1).tolist()
 
 
 def describe_value(z: complex) -> str:

@@ -77,7 +77,7 @@ class HypergraphMatrix:
         return {
             "order": self.order,
             "index": list(self.labels),
-            "entries": [complex_pair(z) for z in self.entries.reshape(-1)],
+            "entries": complex_pair(self.entries.reshape(-1)),
         }
 
     @classmethod

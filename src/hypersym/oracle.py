@@ -40,8 +40,8 @@ class SpectrumReport:
 
     def to_document(self) -> dict:
         doc = {
-            "eigenvalues": [complex_pair(z) for z in self.eigenvalues],
-            "residuals": [float(r) for r in self.residuals],
+            "eigenvalues": complex_pair(self.eigenvalues),
+            "residuals": self.residuals.tolist(),
             "verdict": "pass" if self.verdict else "fail",
             "failures": list(self.failures),
         }

@@ -127,7 +127,7 @@ def _require_compatible(A: np.ndarray, perm: Permutation, tol: float) -> None:
     """Raise IncompatibleMatrixError naming the worst entry unless A is
     perm-compatible within tol."""
     dev, (u, v) = compatibility_deviation(A, perm)
-    if dev > tol:
+    if not dev <= tol:  # also refuses a NaN deviation or tolerance
         raise IncompatibleMatrixError(
             f"matrix is not compatible with the automorphism: entry ({u},{v}) "
             f"deviates by {dev:.3e} (tol {tol:.1e})"
@@ -169,7 +169,7 @@ class RotationBlock:
         return {
             "source": self.source,
             "order": self.order,
-            "eigenvalues": [complex_pair(z) for z in self.eigenvalues],
+            "eigenvalues": complex_pair(self.eigenvalues),
         }
 
 
@@ -183,7 +183,7 @@ class LiftedPair:
     def to_document(self) -> dict:
         return {
             "lambda": complex_pair(self.value),
-            "vector": [complex_pair(z) for z in self.vector],
+            "vector": complex_pair(self.vector),
             "source": self.source,
             "residual": float(self.residual),
         }
@@ -357,7 +357,7 @@ def _decompose(
             skipped.append(
                 {
                     "source": source,
-                    "lambda": complex_pair(complex(vals[idx])),
+                    "lambda": complex_pair(vals[idx]),
                     "block_residual": float(block_res[idx]),
                     "reason": "defective block eigenpair",
                     **tag,

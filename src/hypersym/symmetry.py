@@ -268,7 +268,7 @@ def _equitable(A: np.ndarray, cells, tol: float):
     # worst[i, j]: largest deviation, over the rows of cell i, of the sum into
     # cell j from that of the cell's first member
     worst = np.maximum.reduceat(D[order], starts, axis=0)
-    bad = np.flatnonzero(worst > tol)
+    bad = np.flatnonzero(~(worst <= tol))  # NaN never passes
     witness = None
     if bad.size:
         i, j = divmod(int(bad[0]), len(cells))  # first offending pair, row-major

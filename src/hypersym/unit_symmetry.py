@@ -105,7 +105,7 @@ def profile_unit_compatibility(M, units: UnitPartition, tol: float = COMPAT_TOL)
         ]
     )
     order, starts, _ = _cell_layout(members)
-    failed = np.maximum.reduceat(dev[:, order], starts, axis=1) > tol
+    failed = ~(np.maximum.reduceat(dev[:, order], starts, axis=1) <= tol)  # NaN never passes
     if failed.any():
         i = int(np.argmax(failed.any(axis=0)))
         raise NotUnitCompatibleError(_unit_violation(A, units, i, int(np.argmax(failed[:, i]))))
@@ -370,7 +370,7 @@ def unit_compatibility_witness(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL)
 def _quotient_witness(N: np.ndarray, ua: UnitAutomorphism, tol: float) -> dict | None:
     idx = np.array(ua.perm.mapping)
     D = np.abs(N - N[np.ix_(idx, idx)])
-    bad = np.argwhere(D > tol)
+    bad = np.argwhere(~(D <= tol))  # NaN never passes
     if bad.size == 0:
         return None
     i, j = (int(v) for v in bad[0])  # first violation in row-major order

@@ -1,5 +1,6 @@
 """Loop reference versions of the vectorised quotient, check, matching and
-synchronization code, and the complex-only dense oracle.
+synchronization code, the complex-only dense oracle and the out-list JSON
+emitter.
 
 These are the original per-cell-pair, per-unit, per-element and per-step
 loops the library replaced with whole-array numpy passes. They are kept
@@ -7,12 +8,19 @@ here, outside the package, so test_loop_equivalence.py can require the
 library to give the same witnesses, messages, quotients, matchings and
 synchronization verdicts. dense_spectrum is the oracle that solved every
 matrix as complex128 (LAPACK zgeev); test_oracle.py requires the real
-drivers to give the same verdicts and failures.
+drivers to give the same verdicts and failures. canonical_json is the
+emitter that appended every token to one out-list and formatted floats with
+format(x, ".17g"), and complex_pairs the per-entry [re, im] conversion;
+test_loop_equivalence.py requires the library's encoder and whole-array
+conversion to give the same bytes and the same errors.
 """
+
+import json
+import math
 
 import numpy as np
 
-from hypersym import HypersymError, NotEquitableError, NotUnitCompatibleError
+from hypersym import DocumentError, HypersymError, NotEquitableError, NotUnitCompatibleError
 from hypersym.matrices import as_array
 from hypersym.oracle import MATCH_TOL, SpectrumReport
 from hypersym.spectral import residual_norms
@@ -181,3 +189,61 @@ def dense_spectrum(M):
     return SpectrumReport(
         eigenvalues=vals, residuals=residuals, verdict=not failures, scale=scale, failures=failures
     )
+
+
+def format_float(x):
+    if math.isnan(x) or math.isinf(x):
+        raise DocumentError(f"non-finite number {x!r} cannot be serialized")
+    if x == 0.0:
+        x = 0.0  # normalize -0.0
+    return format(x, ".17g")
+
+
+def canonical_json(obj):
+    out = []
+    _emit(obj, out)
+    return "".join(out)
+
+
+def _emit(obj, out):
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(format_float(obj))
+    elif isinstance(obj, complex):
+        raise DocumentError("complex values must be encoded as [re, im] pairs")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise DocumentError(f"object key {key!r} is not a string")
+            if i:
+                out.append(", ")
+            out.append(json.dumps(key))
+            out.append(": ")
+            _emit(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(", ")
+            _emit(item, out)
+        out.append("]")
+    else:
+        raise DocumentError(f"cannot serialize value of type {type(obj).__name__}")
+
+
+def complex_pairs(z):
+    """[re, im] per entry of a 1-d array, or the pair of a 0-d one."""
+    if np.ndim(z) == 0:
+        return [float(z.real), float(z.imag)]
+    return [[float(w.real), float(w.imag)] for w in z]

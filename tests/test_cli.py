@@ -216,6 +216,43 @@ def test_selftest_command(capsys):
     assert "selftest: 5/5 trials clean (seed 1)" in out
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("decompose", ["--tol", "nan"]),
+        ("verify", ["--tol", "-1"]),
+        ("verify", ["--tol-match", "inf"]),
+        ("dynamics", ["--steps", "-1"]),
+        ("dynamics", ["--steps", "3", "--tol", "nan"]),
+        ("selftest", ["--count", "-3"]),
+        ("selftest", ["--count", "0"]),
+    ],
+)
+def test_bad_numeric_flags_are_usage_errors(capsys, rot10_path, rot10_map_path, write_doc, command, flags):
+    # a negative or NaN tolerance, negative steps or no trials: argparse
+    # refuses the flag and exits 2 before anything runs
+    argv = [command, *flags]
+    if command != "selftest":
+        argv[1:1] = [rot10_path, rot10_map_path, "--kind", "adjacency_r"]
+    if command == "dynamics":
+        argv += ["--x0", write_doc("x0.json", {"values": {lab: 1.0 for lab in ROT10_DOC["vertices"]}})]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flags[-2]}: expected" in capsys.readouterr().err
+
+
+def test_boundary_numeric_flags_are_accepted(capsys, rot10_path, rot10_map_path, write_doc):
+    code, out, _ = run(capsys, ["decompose", rot10_path, rot10_map_path, "--kind", "adjacency_r", "--tol", "0"])
+    assert code == 0 and json.loads(out)["verification"]["verdict"] == "pass"
+    x0 = write_doc("x0.json", {"values": {lab: 1.0 for lab in ROT10_DOC["vertices"]}})
+    code, out, _ = run(capsys, ["dynamics", rot10_path, rot10_map_path, "--kind", "adjacency_r",
+                                "--x0", x0, "--steps", "0", "--tol", "0"])
+    assert code == 0 and json.loads(out)["trajectory"]["steps"] == 0
+    code, out, _ = run(capsys, ["selftest", "--seed", "2", "--count", "1"])
+    assert code == 0 and "1/1 trials clean" in out
+
+
 def test_weights_flag(capsys, rot10_path, rot10_map_path, write_doc):
     weights = {
         "delta_V": {lab: 1.0 for lab in ROT10_DOC["vertices"]},

@@ -1,5 +1,8 @@
 """Iteration x -> Mx and orbit synchronization tracking."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,3 +157,24 @@ def test_incompatible_matrix_flagged_at_step_one():
     report = check_orbit_synchronization(traj)
     assert not report.synchronized
     assert report.first_violation_step == 1
+
+
+def test_error_scale_stays_finite_on_long_normalised_runs():
+    # 100 two-cycles with ||M||_inf far above the spectral radius: s_k grows
+    # by ||M||_inf / peak at every normalised step, past the largest float
+    # near step 275, where it used to overflow to inf with a RuntimeWarning
+    perm = Permutation(tuple(i ^ 1 for i in range(200)))
+    A = compatible_matrix(np.random.default_rng(0), perm) * 50
+    orbs = orbits(perm)
+    x0 = synchronized_state(orbs, np.random.default_rng(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = iterate(A, x0, steps=400, orbs=orbs, normalize=True)
+        B = A.copy()
+        B[0, 5] += 1e-3
+        perturbed = iterate(B, x0, steps=400, orbs=orbs, normalize=True)
+    assert np.isfinite(traj.error_scale).all()
+    assert traj.error_scale[-1] == sys.float_info.max
+    report = check_orbit_synchronization(traj)
+    assert report.synchronized and report.first_violation_step is None
+    assert check_orbit_synchronization(perturbed).first_violation_step == 1

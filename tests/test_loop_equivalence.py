@@ -1,5 +1,5 @@
-"""The vectorised quotients, checks, matching and synchronization log against
-their loop references.
+"""The vectorised quotients, checks, matching and synchronization log, and the
+report encoder, against their loop references.
 
 Witness tuples, error messages, matchings and synchronization verdicts must
 be identical to those of loop_reference.py. Quotients must be bitwise equal
@@ -7,17 +7,22 @@ on integer-valued matrices and within 1e-12 * max(1, ||M||_inf) otherwise;
 the synchronization log, whose cell means are summed in another order, within
 1e-13 * max(1, max |x_k|). Each suite draws positive inputs (equitable or
 unit-compatible matrices, synchronized starts) and negative controls
-(perturbed matrices, desynchronized starts).
+(perturbed matrices, desynchronized starts). The encoder must give the
+reference's bytes on every document and its error text on every value it
+refuses.
 """
+
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loop_reference as ref
 from hypersym import (
     SYNC_TOL,
+    DocumentError,
     Hypergraph,
     NotEquitableError,
     NotUnitCompatibleError,
@@ -34,6 +39,7 @@ from hypersym import (
     random_instance,
     unit_quotient,
 )
+from hypersym import jsonutil
 from hypersym.dynamics import _sync_log
 from hypersym.symmetry import EQUITABLE_TOL, OrbitPartition
 from hypersym.unit_symmetry import COMPAT_TOL
@@ -265,3 +271,94 @@ def test_sync_verdict_matches_loops(seed, normalize, perturbed):
             assert first == 0
         elif not perturbed:
             assert synced
+
+
+# floats over the whole double range, with the edges drawn often: signed
+# zeros, the smallest subnormal and normal, the largest double, integral
+# values (printed without a point) and values that need all 17 digits
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max,
+               -sys.float_info.max, 1.0, -3.0, 2.0**53, 2.0**53 + 2, 1e16, 1e22, 0.1, 1 / 3]
+doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-(2**60), 2**60).map(float),
+)
+strings = st.one_of(st.text(), st.text(alphabet=st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600')))
+leaves = st.one_of(
+    doubles, doubles.map(np.float64), st.integers(), st.integers(-5, 5), st.booleans(), st.none(), strings
+)
+documents = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(strings, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@given(documents)
+@example({"edges": EDGE_FLOATS, "pairs": [[x, -x] for x in EDGE_FLOATS], "t": (True, False, None, 7, "\u00e9")})
+@settings(max_examples=300, deadline=None)
+def test_encoder_matches_reference(doc):
+    assert jsonutil.canonical_json(doc) == ref.canonical_json(doc)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), -float("inf"), np.float64("nan"), 1 + 2j, np.complex128(1j),
+     np.int64(3), np.float32(1.5), np.bool_(True), {1, 2}, b"raw", object()],
+    ids=repr,
+)
+def test_encoder_refuses_as_the_reference(bad):
+    for doc in (bad, [1.0, {"a": [bad, "x"]}], {"a": 1, "b": (None, bad)}):
+        with pytest.raises(DocumentError) as want:
+            ref.canonical_json(doc)
+        with pytest.raises(DocumentError) as got:
+            jsonutil.canonical_json(doc)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{1: 2.0}, {None: "x"}, {(1, 2): 0}, {"a": {2.5: []}}, [float("nan"), {1, 2}], [set(), float("inf")],
+     {"a": float("inf"), "b": 1j}],
+    ids=repr,
+)
+def test_encoder_reports_the_first_refusal(doc):
+    # non-string keys, and of several bad values the first in document order
+    with pytest.raises(DocumentError) as want:
+        ref.canonical_json(doc)
+    with pytest.raises(DocumentError) as got:
+        jsonutil.canonical_json(doc)
+    assert str(got.value) == str(want.value)
+
+
+def test_encoder_recursion_stays_private(monkeypatch):
+    # a tracer that wraps the public name must see one call per document
+    calls = []
+    encode = jsonutil.canonical_json
+    monkeypatch.setattr(jsonutil, "canonical_json", lambda obj: calls.append(obj) or encode(obj))
+    jsonutil.canonical_json({"a": [[1.0, -0.0], (2, None)], "b": {"c": "d"}})
+    assert len(calls) == 1
+
+
+def _bits(value):
+    """Nested lists of floats as their hex forms, which tell -0.0 from 0.0."""
+    return [_bits(v) for v in value] if isinstance(value, list) else (type(value), float.hex(value))
+
+
+complex_values = st.complex_numbers(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [complex(a, b) for a in (0.0, -0.0, 5e-324, -sys.float_info.max) for b in (0.0, -0.0, 1.5)]
+)
+
+
+@given(st.lists(complex_values, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_complex_pair_matches_per_entry_conversion(values):
+    z = np.array(values, dtype=np.complex128)
+    assert _bits(jsonutil.complex_pair(z)) == _bits(ref.complex_pairs(z))
+    for w in z[:3]:
+        assert _bits(jsonutil.complex_pair(np.array(w))) == _bits(ref.complex_pairs(np.array(w)))
+        assert _bits(jsonutil.complex_pair(complex(w))) == _bits(ref.complex_pairs(w))

@@ -6,6 +6,7 @@ import pytest
 from hypersym import (
     HypersymError,
     IncompatibleMatrixError,
+    NotEquitableError,
     Permutation,
     as_rotation,
     blow_up,
@@ -207,6 +208,24 @@ def test_incompatible_matrix_refused(rot10, rot10_aut):
         decompose_rotation(A, as_rotation(rot10_aut.perm))
     with pytest.raises(IncompatibleMatrixError, match="deviates"):
         decompose_automorphism(A, rot10_aut)
+
+
+def test_nan_tolerance_and_nan_entry_are_refused(rot10, rot10_aut):
+    # every comparison with NaN is false, so each gate must be written to
+    # pass only when dev <= tol holds
+    base = build_matrix(rot10, "adjacency_r").entries
+    A = base.copy()
+    A[1, 0] += 0.5
+    with pytest.raises(IncompatibleMatrixError, match="deviates"):
+        decompose_automorphism(A, rot10_aut, tol=float("nan"))
+    with pytest.raises(NotEquitableError):
+        orbit_quotient(base, orbits(rot10_aut), tol=float("nan"))
+    A = base.copy()
+    A[1, 0] = np.nan
+    with pytest.raises(IncompatibleMatrixError, match="deviates by nan"):
+        decompose_automorphism(A, rot10_aut)
+    with pytest.raises(IncompatibleMatrixError, match="deviates by nan"):
+        spectral_radius_via_quotient(A, rot10_aut)
 
 
 def test_decompose_tolerance_reaches_the_quotient_check(rot10, rot10_aut):

@@ -25,6 +25,8 @@ from hypersym import (
     verify_decomposition,
 )
 
+from hypersym.unit_symmetry import COMPAT_TOL, _quotient_witness
+
 from conftest import ROT10_MAP, UNITS18_KEYS, UNITS18_SWAP_MAP, UNITS18_UNIT_MAP
 
 
@@ -269,6 +271,24 @@ def test_unit_decompose_tolerance_reaches_the_quotient_check(rot10, rot10_aut):
     A[[1, 2], 0] += 1e-2
     with pytest.raises(IncompatibleMatrixError, match="not compatible with the unit map"):
         decompose_unit_automorphism(A, ua, tol=1e-6)
+
+
+def test_nan_tolerance_and_nan_entry_are_refused_on_the_unit_route(rot10, rot10_aut):
+    ua = induced_unit_automorphism(rot10_aut)
+    base = build_matrix(rot10, "adjacency_r").entries
+    A = base.copy()
+    A[[1, 2], 0] += 0.5  # unit-compatible, but the quotient breaks the map
+    with pytest.raises(NotUnitCompatibleError):
+        decompose_unit_automorphism(A, ua, tol=float("nan"))
+    A = base.copy()
+    A[1, 0] = np.nan
+    with pytest.raises(NotUnitCompatibleError, match="deviation nan"):
+        decompose_unit_automorphism(A, ua)
+    # the quotient's own gate, reached by a NaN quotient entry
+    N = unit_quotient(base, ua.units)
+    N[0, 1] = np.nan
+    assert _quotient_witness(N, ua, COMPAT_TOL)["units"] == (ua.units.units[0].key, ua.units.units[1].key)
+    assert _quotient_witness(unit_quotient(base, ua.units), ua, float("nan")) is not None
 
 
 def test_induced_unit_automorphism(rot10, rot10_aut):
