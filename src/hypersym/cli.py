@@ -246,14 +246,21 @@ def cmd_dynamics(args) -> int:
     doc = {
         "kind": args.kind,
         "orbits": orbs.label_cells(h.labels),
-        "trajectory": traj.to_document(),
         "synchronized": report.synchronized,
         "first_violation_step": report.first_violation_step,
         "max_scaled_deviation": report.max_scaled_deviation,
         "tol": report.tol,
     }
+    overflowed = np.flatnonzero(~np.isfinite(traj.states).all(axis=1))
+    if overflowed.size:  # JSON has no inf or nan, so the trajectory is left out
+        doc["error"] = (
+            f"the state at step {overflowed[0]} is not finite: the run overflowed; "
+            "pass --normalize to rescale each state"
+        )
+    else:
+        doc["trajectory"] = traj.to_document()
     _emit(doc, args.out)
-    return 0 if report.synchronized else CHECK_FAILED
+    return 0 if report.synchronized and not overflowed.size else CHECK_FAILED
 
 
 def cmd_selftest(args) -> int:

@@ -30,6 +30,9 @@ SYNC_TOL = 1e-10
 # no verdict; a plain run's state may itself approach the largest float, and
 # a capped s_k would then understate the bound, so there s_k may reach inf
 _LARGEST = sys.float_info.max
+# states per chunk of the sync log: its temporaries then stay a few MiB at
+# any trajectory length; rows are independent, so the log is the same
+_SYNC_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -53,12 +56,15 @@ class Trajectory:
 
 def _sync_log(states: np.ndarray, orbs: OrbitPartition) -> np.ndarray:
     """log[k, i] = max over cell i of |x_k - mean of x_k over cell i|, for
-    every state at once, from one grouped pass over the columns in cell
-    order; singleton cells log 0."""
+    _SYNC_ROWS states at a time, from one grouped pass over the columns in
+    cell order; singleton cells log 0."""
     order, starts, sizes = _cell_layout(orbs.cells)
-    X = states[:, order]  # a copy, so the means are subtracted in place
-    X -= np.repeat(np.add.reduceat(X, starts, axis=1) / sizes, sizes, axis=1)
-    log = np.maximum.reduceat(np.abs(X), starts, axis=1)
+    log = np.empty((states.shape[0], len(starts)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed state logs nan
+        for lo in range(0, states.shape[0], _SYNC_ROWS):
+            X = states[lo:lo + _SYNC_ROWS, order]  # a copy, so the means are subtracted in place
+            X -= np.repeat(np.add.reduceat(X, starts, axis=1) / sizes, sizes, axis=1)
+            log[lo:lo + _SYNC_ROWS] = np.maximum.reduceat(np.abs(X), starts, axis=1)
     log[:, sizes == 1] = 0.0  # also when the state has overflowed to inf or nan
     return log
 
@@ -90,17 +96,20 @@ def iterate(M, x0, steps: int, orbs: OrbitPartition | None = None, normalize: bo
     norm = float(np.abs(A).sum(axis=1).max(initial=0.0))
     scale = np.zeros(steps + 1)
     s = scale[0] = float(np.abs(x).max(initial=0.0))
-    for k in range(1, steps + 1):
-        x = A @ x
-        grown = norm * s  # Python floats: an overflow gives inf, with no warning
-        if normalize:
-            peak = float(np.abs(x).max())
-            if peak > 0:
-                x = x / peak
-                grown /= peak
-            grown = min(grown, _LARGEST)
-        states[k] = x
-        s = scale[k] = max(float(np.abs(x).max(initial=0.0)), grown)
+    # a plain run may overflow: its states turn inf and nan, which the sync
+    # check counts as violations, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            x = A @ x
+            grown = norm * s  # Python floats: an overflow gives inf, with no warning
+            if normalize:
+                peak = float(np.abs(x).max())
+                if peak > 0:
+                    x = x / peak
+                    grown /= peak
+                grown = min(grown, _LARGEST)
+            states[k] = x
+            s = scale[k] = max(float(np.abs(x).max(initial=0.0)), grown)
     return Trajectory(
         states=states,
         steps=steps,
@@ -131,11 +140,12 @@ def check_orbit_synchronization(traj: Trajectory, tol: float = SYNC_TOL) -> Sync
         raise HypersymError("trajectory has no sync log; iterate with the orbit partition")
     scale = np.maximum(1.0, traj.error_scale)
     dev = traj.sync_log.max(axis=1, initial=0.0)
-    violations = np.flatnonzero(dev > tol * scale)
+    violations = np.flatnonzero(~(dev <= tol * scale))  # a nan deviation is a violation
+    with np.errstate(invalid="ignore"):
+        scaled = dev / scale  # nan where the state has overflowed
     return SyncReport(
         synchronized=violations.size == 0,
         first_violation_step=int(violations[0]) if violations.size else None,
-        # fmax skips the nan of an overflowed state
-        max_scaled_deviation=float(np.fmax.reduce(dev / scale, initial=0.0)),
+        max_scaled_deviation=float(np.fmax.reduce(scaled, initial=0.0)),  # fmax skips nan
         tol=tol,
     )

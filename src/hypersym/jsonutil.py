@@ -4,12 +4,23 @@ Floats are printed with "%.17g", 17 significant digits, so every float
 round-trips exactly (-0.0 prints as 0); keys are sorted and separators
 fixed, making output byte-identical for identical inputs. Arrays are turned
 into lists in one call each (complex_pair, ndarray.tolist) before encoding.
+
+Rows of floats take a bulk path: a list whose items are all exact floats,
+or a list of equal-length lists whose items are all exact floats, is
+printed by one "%" operation on a template of its shape, after one
+finiteness pass and one "+ 0.0" pass over its values. That covers every
+complex_pair result, the sync log, residuals and matrix entries, where a
+per-float walk would cost more than the formatting itself. Any other list
+(a tuple, an np.float64, an int or bool item, ragged rows, deeper nesting,
+a non-finite value) falls through to the recursion, which prints the same
+bytes or raises the same first DocumentError.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -24,8 +35,12 @@ def canonical_json(obj: Any) -> str:
 
 def _encode(obj: Any) -> str:
     # no container is also a scalar, so only bool before int needs an order
-    if type(obj) is float:  # most nodes of a report
+    if type(obj) is float:
         return _float(obj)
+    if type(obj) is list and obj:  # most lists of a report are rows of floats
+        text = _float_rows(obj)
+        if text is not None:
+            return text
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join([_encode(item) for item in obj]) + "]"
     if isinstance(obj, dict):
@@ -51,6 +66,25 @@ def _float(x: float) -> str:
     if not math.isfinite(x):
         raise DocumentError(f"non-finite number {x!r} cannot be serialized")
     return "%.17g" % (x + 0.0)  # + 0.0 turns -0.0 into 0.0
+
+
+def _float_rows(items: list) -> str | None:
+    """items printed by one % operation when it is a list of exact floats or
+    of equal-length lists of exact floats, all finite; None otherwise, for
+    the recursion to print or refuse."""
+    if type(items[0]) is list:
+        width = len(items[0])
+        if set(map(type, items)) != {list} or set(map(len, items)) != {width}:
+            return None
+        values = list(chain.from_iterable(items))
+        row = "[" + ", ".join(["%.17g"] * width) + "]"
+    else:
+        values = items
+        row = "%.17g"
+    if set(map(type, values)) != {float} or not all(map(math.isfinite, values)):
+        return None
+    template = "[" + ", ".join([row] * len(items)) + "]"
+    return template % tuple([x + 0.0 for x in values])  # + 0.0 turns -0.0 into 0.0
 
 
 def _member(key: Any, value: Any) -> str:

@@ -274,3 +274,21 @@ def test_console_script_installed(rot10_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 10
+
+
+@pytest.mark.filterwarnings("error")
+def test_dynamics_overflow_is_a_failed_check(capsys, rot10_path, rot10_map_path, write_doc):
+    # the plain all-ones run overflows at step 330: a JSON report with the
+    # step and the remedy, exit 1, and no numpy warning; it used to stop
+    # with "cannot be serialized" and exit 2, the code for malformed input
+    x0 = write_doc("x0.json", {"values": {lab: 1.0 for lab in ROT10_DOC["vertices"]}})
+    code, out, err = run(capsys, ["dynamics", rot10_path, rot10_map_path, "--kind", "adjacency_r",
+                                  "--x0", x0, "--steps", "900"])
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert "step 330 is not finite" in doc["error"] and "--normalize" in doc["error"]
+    assert "trajectory" not in doc
+    assert doc["synchronized"] is False and doc["first_violation_step"] == 330
+    code, out, _ = run(capsys, ["dynamics", rot10_path, rot10_map_path, "--kind", "adjacency_r",
+                                "--x0", x0, "--steps", "900", "--normalize"])
+    assert code == 0 and json.loads(out)["synchronized"] is True

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hypersym import dynamics
 from hypersym import (
     HypersymError,
     Permutation,
@@ -178,3 +179,35 @@ def test_error_scale_stays_finite_on_long_normalised_runs():
     report = check_orbit_synchronization(traj)
     assert report.synchronized and report.first_violation_step is None
     assert check_orbit_synchronization(perturbed).first_violation_step == 1
+
+
+def test_overflowed_plain_run_is_not_synchronized(rot10, rot10_aut):
+    # from the all-ones start the plain states of rot10's adjacency_r overflow
+    # at step 330; their nan deviations used to pass the check, because
+    # nan > threshold is False, and numpy warned at every stage
+    A = build_matrix(rot10, "adjacency_r")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = iterate(A, np.ones(10), steps=900, orbs=orbits(rot10_aut))
+        report = check_orbit_synchronization(traj)
+    first_nonfinite = int(np.flatnonzero(~np.isfinite(traj.states).all(axis=1))[0])
+    assert first_nonfinite == 330
+    assert not report.synchronized
+    assert report.first_violation_step == first_nonfinite
+    assert np.isfinite(report.max_scaled_deviation)
+
+
+@pytest.mark.parametrize("steps", [0, 8, 9, 10])
+def test_chunked_sync_log_equals_one_pass(monkeypatch, steps):
+    # 4 states per chunk: one row alone, chunks that end at and one short of
+    # a boundary, and a last chunk of one row; the log must not move a bit
+    rng = np.random.default_rng(steps)
+    perm = Permutation((1, 2, 0, 4, 3, 5, 7, 8, 9, 6))
+    orbs = orbits(perm)
+    A = compatible_matrix(rng, perm)
+    x0 = rng.normal(size=10) + 1j * rng.normal(size=10)
+    whole = iterate(A, x0, steps=steps, orbs=orbs).sync_log
+    monkeypatch.setattr(dynamics, "_SYNC_ROWS", 4)
+    chunked = iterate(A, x0, steps=steps, orbs=orbs).sync_log
+    assert whole.shape == chunked.shape == (steps + 1, len(orbs.cells))
+    assert np.array_equal(whole.view(np.uint64), chunked.view(np.uint64))

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loop_reference as ref
+from conftest import ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_UNIT_MAP
 from hypersym import (
     SYNC_TOL,
     DocumentError,
@@ -39,7 +40,7 @@ from hypersym import (
     random_instance,
     unit_quotient,
 )
-from hypersym import jsonutil
+from hypersym import cli, jsonutil
 from hypersym.dynamics import _sync_log
 from hypersym.symmetry import EQUITABLE_TOL, OrbitPartition
 from hypersym.unit_symmetry import COMPAT_TOL
@@ -333,6 +334,94 @@ def test_encoder_reports_the_first_refusal(doc):
     with pytest.raises(DocumentError) as got:
         jsonutil.canonical_json(doc)
     assert str(got.value) == str(want.value)
+
+
+# what a row-shaped list may hold in place of one float: values the bulk
+# path must leave to the recursion, which prints or refuses them
+_SWAPS = ["int", "big int", "bool", "np.float64", "None", "nan", "inf", "-inf", "tuple row", "ragged row"]
+
+
+@st.composite
+def float_rows(draw):
+    """A list of 1-50 floats or of 1-50 rows of one width 1-4, the shapes
+    of complex_pair results, sync logs, residuals and matrix entries; at
+    times one item swapped for one of _SWAPS; alone, in an object, or
+    stacked two deep."""
+    count = draw(st.integers(min_value=1, max_value=50))
+    width = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    if width is None:
+        rows = draw(st.lists(doubles, min_size=count, max_size=count))
+    else:
+        rows = [draw(st.lists(doubles, min_size=width, max_size=width)) for _ in range(count)]
+    swap = draw(st.one_of(st.none(), st.sampled_from(_SWAPS)))
+    if swap is not None:
+        i = draw(st.integers(min_value=0, max_value=count - 1))
+        value = {"int": 7, "big int": 2**60 + 1, "bool": True, "np.float64": np.float64(draw(doubles)),
+                 "None": None, "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf")}.get(swap)
+        if swap == "tuple row":
+            rows[i] = tuple(rows[i]) if width else (rows[i],)
+        elif swap == "ragged row":
+            rows[i] = rows[i] + [0.5] if width else [rows[i]]
+        elif width is None:
+            rows[i] = value
+        else:
+            rows[i][draw(st.integers(min_value=0, max_value=width - 1))] = value
+    return draw(st.sampled_from([rows, {"rows": rows, "n": count}, [rows, rows]]))
+
+
+@given(float_rows())
+@example([[-0.0, 5e-324], [sys.float_info.max, -sys.float_info.max], [2.0**53 + 2, 1 / 3]])
+@example([1.0, float("nan"), {1, 2}])
+@settings(max_examples=500, deadline=None)
+def test_encoder_prints_float_rows_as_the_reference(doc):
+    try:
+        want = ref.canonical_json(doc)
+    except DocumentError as exc:
+        with pytest.raises(DocumentError) as got:
+            jsonutil.canonical_json(doc)
+        assert str(got.value) == str(exc)
+    else:
+        assert jsonutil.canonical_json(doc) == want
+
+
+def test_bulk_path_takes_exact_floats_only(monkeypatch):
+    # an np.float64 prints as a float does, so only the path shows that a
+    # row holding one is left to the per-float recursion
+    formatted = []
+    encode_float = jsonutil._float
+    monkeypatch.setattr(jsonutil, "_float", lambda x: formatted.append(x) or encode_float(x))
+    assert jsonutil.canonical_json([[1.0, -0.0], [2.5, 3.0]]) == "[[1, 0], [2.5, 3]]"
+    assert formatted == []
+    assert jsonutil.canonical_json([[1.0, np.float64(-0.0)], [2.5, 3.0]]) == "[[1, 0], [2.5, 3]]"
+    assert [type(x) for x in formatted] == [float, np.float64]  # the row holding it
+
+
+def test_every_command_document_encodes_as_the_reference(monkeypatch, write_doc):
+    # the documents of all six report commands on the fixtures, among them
+    # matrix's n x n [re, im] entries and dynamics's 2-d sync log
+    docs = []
+    encode = cli.canonical_json
+    monkeypatch.setattr(cli, "canonical_json", lambda doc: docs.append(doc) or encode(doc))
+    rot10, units18 = write_doc("rot10.json", ROT10_DOC), write_doc("units18.json", UNITS18_DOC)
+    rot10_map = write_doc("rot10_map.json", {"map": ROT10_MAP})
+    unit_map = write_doc("unit_map.json", {"unit_map": UNITS18_UNIT_MAP})
+    values = {lab: [1.0, -0.5] for lab in ROT10_DOC["vertices"]}
+    x0 = write_doc("x0.json", {"values": values})
+    values = {**values, "5": 1.25}
+    x0_moved = write_doc("x0_moved.json", {"values": values})
+    runs = [["units", units18], ["matrix", rot10, "--kind", "adjacency_r"],
+            ["matrix", units18, "--kind", "transition"],
+            ["validate-symmetry", rot10, rot10_map], ["validate-symmetry", units18, unit_map]]
+    runs += [[command, h, symmetry, "--kind", kind] for command in ("decompose", "verify")
+             for h, symmetry in ((rot10, rot10_map), (units18, unit_map))
+             for kind in ("adjacency_r", "transition")]
+    runs += [["dynamics", rot10, rot10_map, "--kind", "adjacency_r", "--x0", x, "--steps", "25", *flag]
+             for x in (x0, x0_moved) for flag in ([], ["--normalize"])]
+    for argv in runs:
+        assert cli.main(argv + ["--out", write_doc("out.json", None)]) in (0, 1), argv
+    assert len(docs) == len(runs)
+    for doc in docs:
+        assert jsonutil.canonical_json(doc) == ref.canonical_json(doc)
 
 
 def test_encoder_recursion_stays_private(monkeypatch):
