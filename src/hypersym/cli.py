@@ -5,8 +5,8 @@ keys, 17 significant digits) so runs are byte-for-byte reproducible.
 
 Exit codes: 0 when the requested computation or verification succeeds,
 1 when a semantic check fails (invalid symmetry, incompatible matrix,
-failed verification, lost synchronization), 2 for malformed documents
-or usage errors.
+failed verification, lost synchronization, an overflowed trajectory), 2
+for malformed documents or usage errors.
 """
 
 from __future__ import annotations

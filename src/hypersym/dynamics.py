@@ -133,19 +133,22 @@ def check_orbit_synchronization(traj: Trajectory, tol: float = SYNC_TOL) -> Sync
     The per-step threshold is tol * max(1, s_k), where s_k (from iterate)
     bounds the growth of the rounding errors of every earlier step, so
     neither growth under ||M|| > 1 nor errors amplified in the blocks other
-    than the orbit quotient produce false alarms. Reports the first
-    violating step (0 means the initial state was already desynchronized).
+    than the orbit quotient produce false alarms. A state that has
+    overflowed to inf or nan, and a deviation that is not a number, are
+    violations. Reports the first violating step (0 means the initial state
+    was already desynchronized) and the largest finite scaled deviation.
     """
     if traj.sync_log is None:
         raise HypersymError("trajectory has no sync log; iterate with the orbit partition")
     scale = np.maximum(1.0, traj.error_scale)
     dev = traj.sync_log.max(axis=1, initial=0.0)
-    violations = np.flatnonzero(~(dev <= tol * scale))  # a nan deviation is a violation
+    finite = np.isfinite(traj.states).all(axis=1)
+    violations = np.flatnonzero(~(dev <= tol * scale) | ~finite)  # so a nan fails too
     with np.errstate(invalid="ignore"):
-        scaled = dev / scale  # nan where the state has overflowed
+        scaled = dev / scale
     return SyncReport(
         synchronized=violations.size == 0,
         first_violation_step=int(violations[0]) if violations.size else None,
-        max_scaled_deviation=float(np.fmax.reduce(scaled, initial=0.0)),  # fmax skips nan
+        max_scaled_deviation=float(scaled[np.isfinite(scaled)].max(initial=0.0)),
         tol=tol,
     )

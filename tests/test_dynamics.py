@@ -211,3 +211,24 @@ def test_chunked_sync_log_equals_one_pass(monkeypatch, steps):
     chunked = iterate(A, x0, steps=steps, orbs=orbs).sync_log
     assert whole.shape == chunked.shape == (steps + 1, len(orbs.cells))
     assert np.array_equal(whole.view(np.uint64), chunked.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[1e308, 1.5e308, 0], [np.inf, 1, 0], [complex(np.inf, np.inf), complex(np.inf, 1), 0],
+     [1, 1, np.nan], [1, 1, -np.inf]],
+    ids=["cell sum overflows", "inf", "inf deviation", "nan singleton", "inf singleton"],
+)
+def test_non_finite_deviation_is_a_violation(bad):
+    # a state after a synchronized one, in cells (0 1) and (2): whether its
+    # deviation comes out inf or nan, the step is flagged, and the reported
+    # largest scaled deviation stays finite, as a report needs
+    states = np.array([[2, 2, 5], bad], dtype=complex)
+    orbs = orbits(Permutation((1, 0, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = dynamics.Trajectory(states=states, steps=1, sync_log=dynamics._sync_log(states, orbs),
+                                   error_scale=np.abs(states).max(axis=1))
+        report = check_orbit_synchronization(traj)
+    assert (report.synchronized, report.first_violation_step) == (False, 1)
+    assert report.max_scaled_deviation == 0.0
