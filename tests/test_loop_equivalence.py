@@ -310,7 +310,8 @@ def test_encoder_matches_reference(doc):
     "bad",
     [float("nan"), float("inf"), -float("inf"), np.float64("nan"), 1 + 2j, np.complex128(1j),
      np.int64(3), np.float32(1.5), np.bool_(True), {1, 2}, b"raw", object()],
-    ids=repr,
+    # A bare object's repr holds its address, which changes from run to run.
+    ids=lambda bad: "object()" if type(bad) is object else repr(bad),
 )
 def test_encoder_refuses_as_the_reference(bad):
     for doc in (bad, [1.0, {"a": [bad, "x"]}], {"a": 1, "b": (None, bad)}):
