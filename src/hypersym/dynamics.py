@@ -54,18 +54,36 @@ class Trajectory:
         }
 
 
+def _deviations(X: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Max over each cell of |x - cell mean| for the rows of X, whose columns
+    are in cell order; X is overwritten."""
+    X -= np.repeat(np.add.reduceat(X, starts, axis=1) / sizes, sizes, axis=1)
+    return np.maximum.reduceat(np.abs(X), starts, axis=1)
+
+
 def _sync_log(states: np.ndarray, orbs: OrbitPartition) -> np.ndarray:
     """log[k, i] = max over cell i of |x_k - mean of x_k over cell i|, for
     _SYNC_ROWS states at a time, from one grouped pass over the columns in
-    cell order; singleton cells log 0."""
+    cell order; singleton cells log 0. A finite state whose cell sum or
+    deviation overflows has those entries redone on the state scaled down
+    by an exact power of two, so it logs a finite deviation (one beyond
+    the largest float logs as the largest float); a state that has itself
+    overflowed logs inf or nan."""
     order, starts, sizes = _cell_layout(orbs.cells)
     log = np.empty((states.shape[0], len(starts)))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed state logs nan
+    with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, states.shape[0], _SYNC_ROWS):
-            X = states[lo:lo + _SYNC_ROWS, order]  # a copy, so the means are subtracted in place
-            X -= np.repeat(np.add.reduceat(X, starts, axis=1) / sizes, sizes, axis=1)
-            log[lo:lo + _SYNC_ROWS] = np.maximum.reduceat(np.abs(X), starts, axis=1)
-    log[:, sizes == 1] = 0.0  # also when the state has overflowed to inf or nan
+            # a copy, so the means are subtracted in place
+            log[lo:lo + _SYNC_ROWS] = _deviations(states[lo:lo + _SYNC_ROWS, order], starts, sizes)
+        log[:, sizes == 1] = 0.0  # also when the state has overflowed to inf or nan
+        bad = ~np.isfinite(log)
+        redo = np.flatnonzero(bad.any(axis=1) & np.isfinite(states).all(axis=1))
+        if redo.size:
+            # the cell sums and deviations of the scaled rows stay below a
+            # quarter of the largest float; scaling by 2^-k and back is exact
+            scale = 2.0 ** (int(sizes.max()).bit_length() + 2)
+            dev = np.minimum(_deviations(states[redo][:, order] / scale, starts, sizes) * scale, _LARGEST)
+            log[redo] = np.where(bad[redo], dev, log[redo])
     return log
 
 

@@ -6,10 +6,12 @@ A matrix with no nonzero imaginary entry is solved as the real matrix it
 is: by eigh (LAPACK dsyevd) when it equals its transpose, by real eig
 (dgeev) otherwise; only a genuinely complex matrix goes to complex eig
 (zgeev). The residuals are one n^3 product of A with the eigenvectors,
-taken in real arithmetic for a real A. verify_decomposition compares a
-block decomposition against it by greedy nearest-neighbour multiset
-matching with a per-match tolerance scaled by max(1, ||M||_inf), computed
-once per verification, and checks every lifted eigenpair's residual.
+taken in real arithmetic for a real A by spectral._product, the product
+helper the decomposition's residual checks share. verify_decomposition
+compares a block decomposition against it by greedy nearest-neighbour
+multiset matching with a per-match tolerance scaled by max(1, ||M||_inf),
+computed once per verification, and checks every lifted eigenpair's
+residual.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import HypersymError
 from .jsonutil import complex_pair
 from .matrices import as_array
-from .spectral import SpectralDecomposition, _eig_sorted, _real_if_exact, residual_norms
+from .spectral import SpectralDecomposition, _eig_sorted, _product, _real_if_exact, residual_norms
 
 MATCH_TOL = 1e-8
 
@@ -53,17 +55,6 @@ class SpectrumReport:
 def _scale(A: np.ndarray) -> float:
     """max(1, ||A||_inf), the scale of every oracle threshold."""
     return max(1.0, float(np.abs(A).sum(axis=1).max())) if A.size else 1.0
-
-
-def _product(A: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """A @ V for complex V; for a real A, one real product with V's real
-    parts, or with its real and imaginary parts side by side."""
-    if np.iscomplexobj(A):
-        return A @ V
-    if not V.imag.any():
-        return A @ np.ascontiguousarray(V.real)
-    # the (n, k) complex V viewed as (n, 2k) reals, re and im interleaved
-    return (A @ np.ascontiguousarray(V).view(np.float64)).view(np.complex128)
 
 
 def dense_spectrum(M) -> SpectrumReport:

@@ -34,9 +34,31 @@ A unit-automorphism uses the same blocks, built from the unit quotient N
 along the unit permutation; their eigenvectors blow up to the vertices, and
 their residuals are taken against M itself.
 
-Cost model: the block eigensolves cost sum b_i^3 over the block orders b_i.
-Checking the lifted eigenpairs takes one matrix product A V per block
-(n^2 b_i multiply-adds, in BLAS-3). Everything else (the compatibility
+Each block is solved in the arithmetic it allows. The roots 1, i, -1 and -i
+are exact, and the root for n - k is the exact conjugate of the root for k.
+So for a real matrix the w = +-1 blocks (the quotient among them) are real,
+and the conj(w)-block equals conj of the w-block entry for entry. A block
+with no nonzero imaginary entry goes to a real driver: eigh (dsyevd) when it
+equals its transpose, real eig (dgeev) otherwise. Only a genuinely complex
+block goes to complex eig (zgeev). For a real matrix the conj(w)-block is
+not solved: it takes the w-block's eigenpairs conjugated and sorted again,
+so each conjugate pair costs one solve. A complex matrix solves every block.
+Every block residual is still taken against the block's own matrix, the
+conjugated ones included.
+
+Block eigenvectors follow zgeev's own convention: unit 2-norm, with the
+first entry of largest re^2 + im^2 real and positive. Entries within a few
+ulps of the largest count as largest, so a vector from zgeev is never
+touched; a real vector is at most negated. A lifted vector carries its block
+vector unchanged at the U_0 of its rotations (at every member of each orbit
+for the quotient).
+
+Cost model: the block eigensolves cost sum b_i^3 over the block orders b_i,
+one solve per conjugate pair for a real matrix, each in the arithmetic its
+block allows. Checking the lifted eigenpairs takes one matrix product A V
+per block (n^2 b_i multiply-adds, in BLAS-3), in real arithmetic for a real
+A: real V directly, complex V as interleaved real and imaginary parts
+(_product, shared with the oracle). Everything else (the compatibility
 check, the cell sums behind the quotient and its equitable check, the other
 blocks, the lifts) is vectorised O(n^2) numpy work, with no Python loop over
 cell pairs or eigenpairs.
@@ -85,8 +107,20 @@ class RootOfUnity:
 _Parts = list[tuple[Rotation, RootOfUnity]]
 
 
+# 1, i, -1, -i: the roots at the quarter turns, exact
+_QUARTER_TURNS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+
+
 def _root_value(n: int, k: int) -> complex:
-    return cmath.exp(2j * math.pi * (k % n) / n)
+    """exp(2 pi i k / n), exact at the quarter turns, and for 2k > n the
+    exact conjugate of the root for n - k: the w = +-1 blocks of a real
+    matrix are then real, and its conj(w)-block is conj of its w-block."""
+    k %= n
+    if 4 * k % n == 0:
+        return _QUARTER_TURNS[4 * k // n]
+    if 2 * k > n:
+        return _root_value(n, n - k).conjugate()
+    return cmath.exp(2j * math.pi * k / n)
 
 
 def roots_of_unity(n: int) -> tuple[RootOfUnity, ...]:
@@ -253,6 +287,42 @@ def _dense_eigvals(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(A) if _real_symmetric(A) else np.linalg.eigvals(A)
 
 
+def _product(A: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """A @ V for complex V; for a real A, one real product with V's real
+    parts, or with its real and imaginary parts side by side."""
+    if np.iscomplexobj(A):
+        return A @ V
+    if not V.imag.any():
+        return A @ np.ascontiguousarray(V.real)
+    # the (n, k) complex V viewed as (n, 2k) reals, re and im interleaved
+    return (A @ np.ascontiguousarray(V).view(np.float64)).view(np.complex128)
+
+
+# entries whose re^2 + im^2 lie this close (relatively) to the largest count
+# as largest: zgeev's rotation of a vector moves them by a few ulps
+_PIVOT_TIE = 64 * np.finfo(np.float64).eps
+
+
+def _phase_convention(V: np.ndarray) -> np.ndarray:
+    """V with each unit column scaled so that an entry of largest
+    re^2 + im^2 (within _PIVOT_TIE) is real and positive: the column is
+    multiplied by conj(p) / |p| for its first entry p of largest
+    re^2 + im^2, and that entry's imaginary part set to zero, as zgeev does.
+    A column that meets the rule already is left as it is, bit for bit, and
+    a real column is at most negated."""
+    mag = V.real**2 + V.imag**2
+    near = mag >= (1.0 - _PIVOT_TIE) * mag.max(axis=0)
+    fix = np.flatnonzero(~(near & (V.imag == 0) & (V.real > 0)).any(axis=0))
+    if not fix.size:
+        return V
+    rows = mag[:, fix].argmax(axis=0)
+    p = V[rows, fix]
+    V = V.copy()
+    V[:, fix] *= np.where(p.imag == 0, np.sign(p.real), p.conj() / np.abs(p))
+    V[rows, fix] = V[rows, fix].real
+    return V
+
+
 def residual_norms(AV: np.ndarray, V: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Columnwise ||AV[:, j] - values[j] V[:, j]|| / max(1, ||V[:, j]||),
     the residual of each eigenpair given the product AV."""
@@ -344,14 +414,29 @@ def _decompose(
     # products with A run back to back (interleaving them measured about 5%
     # slower on 26 cycles of length 12)
     quotient_tol = _quotient_tol(orbs, tol)
-    matrices = [_block_matrix(B, parts, orbs, quotient_tol) for _, parts in characters]
-    solved = [_eig_sorted(matrix) for matrix in matrices]
+    matrices = [_real_if_exact(_block_matrix(B, parts, orbs, quotient_tol)) for _, parts in characters]
+    # for a real B the conj(w)-block is conj of the w-block, which comes
+    # first: its eigenpairs are the conjugates of the w-block's, re-sorted
+    reuse = not (np.iscomplexobj(B) and B.imag.any())
+    first = {(source.get("factor"), source.get("omega_k")): i for i, (source, _) in enumerate(characters)}
+    solved: list[tuple[np.ndarray, np.ndarray]] = []
+    for (source, _), matrix in zip(characters, matrices):
+        j, ell = source.get("omega_k", 0), source.get("order_n", 0)
+        if reuse and 2 * j > ell:
+            vals, vecs = solved[first[source["factor"], ell - j]]
+            vals, vecs = vals.conj(), vecs.conj()
+            order = np.lexsort((vals.imag, vals.real))
+            solved.append((vals[order], vecs[:, order]))
+        else:
+            vals, vecs = _eig_sorted(matrix)
+            solved.append((vals, _phase_convention(vecs)))
+    A_product = _real_if_exact(A)
     blocks: list[RotationBlock] = []
     lifted: list[LiftedPair] = []
     skipped: list[dict] = []
     for (source, parts), matrix, (vals, vecs) in zip(characters, matrices, solved):
         blocks.append(RotationBlock(source={**source, **tag}, order=matrix.shape[0], eigenvalues=vals))
-        block_res = residual_norms(matrix @ vecs, vecs, vals)
+        block_res = residual_norms(_product(matrix, vecs), vecs, vals)
         defective = block_res > LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(matrix).max()))
         for idx in np.flatnonzero(defective):
             skipped.append(
@@ -367,7 +452,7 @@ def _decompose(
         full = _lift_block(vecs[:, keep], parts, orbs, B.shape[0])
         if lift is not None:
             full = lift(full)
-        lifted += _lifted_pairs(A @ full, full, vals[keep], [blocks[-1].source] * len(keep))
+        lifted += _lifted_pairs(_product(A_product, full), full, vals[keep], [blocks[-1].source] * len(keep))
     total = sum(b.order for b in blocks)
     if total != B.shape[0]:
         raise AssertionError(f"block orders sum to {total}, expected {B.shape[0]}")
@@ -405,5 +490,5 @@ def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, 
     orbs = orbits(perm)
     Q = orbit_quotient(A, orbs, _quotient_tol(orbs, tol))
     rho_full = float(np.abs(_dense_eigvals(A)).max()) if A.size else 0.0
-    rho_quot = float(np.abs(np.linalg.eigvals(Q)).max()) if Q.size else 0.0
+    rho_quot = float(np.abs(_dense_eigvals(Q)).max()) if Q.size else 0.0
     return rho_full, rho_quot

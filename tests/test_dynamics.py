@@ -214,15 +214,17 @@ def test_chunked_sync_log_equals_one_pass(monkeypatch, steps):
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [[1e308, 1.5e308, 0], [np.inf, 1, 0], [complex(np.inf, np.inf), complex(np.inf, 1), 0],
-     [1, 1, np.nan], [1, 1, -np.inf]],
+    "bad, largest",
+    [([1e308, 1.5e308, 0], 0.25 / 1.5), ([np.inf, 1, 0], 0.0),
+     ([complex(np.inf, np.inf), complex(np.inf, 1), 0], 0.0), ([1, 1, np.nan], 0.0), ([1, 1, -np.inf], 0.0)],
     ids=["cell sum overflows", "inf", "inf deviation", "nan singleton", "inf singleton"],
 )
-def test_non_finite_deviation_is_a_violation(bad):
+def test_non_finite_deviation_is_a_violation(bad, largest):
     # a state after a synchronized one, in cells (0 1) and (2): whether its
     # deviation comes out inf or nan, the step is flagged, and the reported
-    # largest scaled deviation stays finite, as a report needs
+    # largest scaled deviation stays finite, as a report needs; a finite
+    # state whose cell sum overflows logs its finite deviation, which is
+    # still far above the threshold
     states = np.array([[2, 2, 5], bad], dtype=complex)
     orbs = orbits(Permutation((1, 0, 2)))
     with warnings.catch_warnings():
@@ -231,4 +233,42 @@ def test_non_finite_deviation_is_a_violation(bad):
                                    error_scale=np.abs(states).max(axis=1))
         report = check_orbit_synchronization(traj)
     assert (report.synchronized, report.first_violation_step) == (False, 1)
-    assert report.max_scaled_deviation == 0.0
+    assert report.max_scaled_deviation == pytest.approx(largest, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_finite_state_logs_finite_deviation(rot10, rot10_aut):
+    # the synchronized start of the CLI test, 900 plain signless_q steps:
+    # state 409 is finite (peak 1.15e308) but its complex cell sums overflow,
+    # so it used to log nan and be flagged one step before the first
+    # non-finite state, the one the CLI names
+    orbs = orbits(rot10_aut)
+    x0 = np.zeros(10, dtype=complex)
+    for cell, value in zip(orbs.cells, (1.0, 0.5, -1j, 2.0)):
+        x0[list(cell)] = value
+    traj = iterate(build_matrix(rot10, "signless_q"), x0, steps=900, orbs=orbs)
+    finite = np.isfinite(traj.states).all(axis=1)
+    assert np.isfinite(traj.sync_log[finite]).all()
+    assert np.abs(traj.states[409]).max() > 1e308 / 8
+    report = check_orbit_synchronization(traj)
+    assert report.first_violation_step == int(np.flatnonzero(~finite)[0]) == 410
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(3))
+def test_rescaled_sync_log_keeps_finite_entries(seed):
+    # the first two cells scaled up towards the largest float, so that some
+    # of their cell sums overflow: their log is the deviation of the
+    # unscaled state scaled up, and the other cells keep their bits
+    rng = np.random.default_rng(seed)
+    orbs = orbits(Permutation((1, 2, 0, 4, 3, 6, 5, 8, 7, 9)))
+    small = rng.uniform(1.4, 1.9, size=(6, 10)) + 1j * rng.normal(size=(6, 10))
+    states = small.copy()
+    states[:, :5] *= 2.0**1022
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(states[:, :3].sum(axis=1)).all()
+    log = dynamics._sync_log(states, orbs)
+    plain = dynamics._sync_log(small, orbs)
+    assert np.isfinite(log).all()
+    assert np.array_equal(log[:, 2:].view(np.uint64), plain[:, 2:].view(np.uint64))
+    assert np.allclose(log[:, :2], plain[:, :2] * 2.0**1022, rtol=1e-15, atol=0)
