@@ -418,12 +418,12 @@ def _decompose(
     # for a real B the conj(w)-block is conj of the w-block, which comes
     # first: its eigenpairs are the conjugates of the w-block's, re-sorted
     reuse = not (np.iscomplexobj(B) and B.imag.any())
-    first = {(source.get("factor"), source.get("omega_k")): i for i, (source, _) in enumerate(characters)}
+    index_of = {(source.get("factor"), source.get("omega_k")): i for i, (source, _) in enumerate(characters)}
     solved: list[tuple[np.ndarray, np.ndarray]] = []
     for (source, _), matrix in zip(characters, matrices):
         j, ell = source.get("omega_k", 0), source.get("order_n", 0)
         if reuse and 2 * j > ell:
-            vals, vecs = solved[first[source["factor"], ell - j]]
+            vals, vecs = solved[index_of[source["factor"], ell - j]]
             vals, vecs = vals.conj(), vecs.conj()
             order = np.lexsort((vals.imag, vals.real))
             solved.append((vals[order], vecs[:, order]))
