@@ -77,10 +77,12 @@ def _sync_log(states: np.ndarray, orbs: OrbitPartition) -> np.ndarray:
             log[lo:lo + _SYNC_ROWS] = _deviations(states[lo:lo + _SYNC_ROWS, order], starts, sizes)
         log[:, sizes == 1] = 0.0  # also when the state has overflowed to inf or nan
         bad = ~np.isfinite(log)
-        redo = np.flatnonzero(bad.any(axis=1) & np.isfinite(states).all(axis=1))
+        rows = np.flatnonzero(bad.any(axis=1))
+        redo = rows[np.isfinite(states[rows]).all(axis=1)]
         if redo.size:
             # the cell sums and deviations of the scaled rows stay below a
-            # quarter of the largest float; scaling by 2^-k and back is exact
+            # quarter of the largest float; only the entries that were not
+            # finite take the scaled-back values
             scale = 2.0 ** (int(sizes.max()).bit_length() + 2)
             dev = np.minimum(_deviations(states[redo][:, order] / scale, starts, sizes) * scale, _LARGEST)
             log[redo] = np.where(bad[redo], dev, log[redo])

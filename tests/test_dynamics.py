@@ -233,7 +233,7 @@ def test_non_finite_deviation_is_a_violation(bad, largest):
                                    error_scale=np.abs(states).max(axis=1))
         report = check_orbit_synchronization(traj)
     assert (report.synchronized, report.first_violation_step) == (False, 1)
-    assert report.max_scaled_deviation == pytest.approx(largest, rel=1e-15)
+    assert report.max_scaled_deviation == pytest.approx(largest, rel=1e-15, abs=0)
 
 
 @pytest.mark.filterwarnings("error")
