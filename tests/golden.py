@@ -1,15 +1,17 @@
 """Rewrite the golden reports under tests/golden that the current code no
 longer matches.
 
-    python3 tests/golden.py
+    python3 tests/golden.py [--exact]
 
 Runs every case of test_golden.py and compares its report with the
 committed tests/golden/<hypergraph>-<symmetry>-<kind>-<command>.json under
 the test's own rule (exact keys, strings, integers and verdicts, floats
 within 1e-12 * max(1, ||M||_inf)). A report that fails the rule is written
 over the committed file; one that passes is left alone, so rounding-level
-drift does not churn the files. For each report whose bytes differ it
-prints
+drift does not churn the files. With --exact every report whose bytes
+differ is written, so the committed files reproduce byte for byte and the
+next change's effect on them shows as a diff. For each report whose bytes
+differ it prints
 
 - the largest eigenvalue move: each block's eigenvalues, the lifted values
   and the oracle's spectrum, each matched as a multiset against the
@@ -116,7 +118,7 @@ def largest_angle(old: dict, new: dict, tol: float) -> float:
     return worst
 
 
-def rewrite() -> None:
+def rewrite(exact: bool) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for hypergraph, symmetry, kind, code in CASES:
             h_path, s_path = Path(tmp) / "h.json", Path(tmp) / "s.json"
@@ -138,9 +140,10 @@ def rewrite() -> None:
                 old, new = json.loads(target.read_text()), json.loads(out.read_text())
                 try:
                     assert_matches(new, old, 1e-12 * max(1.0, float(np.abs(A).sum(axis=1).max())))
-                    verdict = "kept, within tolerance"
+                    verdict = "within tolerance, " + ("rewritten" if exact else "kept")
                 except AssertionError:
                     verdict = "rewritten"
+                if verdict.endswith("rewritten"):
                     target.write_bytes(out.read_bytes())
                 line = f"{name}: {verdict}; eigenvalue move {eigenvalue_move(old, new):.3e}"
                 if "lifted" in new:
@@ -153,4 +156,6 @@ def rewrite() -> None:
 
 
 if __name__ == "__main__":
-    rewrite()
+    if sys.argv[1:] not in ([], ["--exact"]):
+        sys.exit(__doc__)
+    rewrite(exact=sys.argv[1:] == ["--exact"])
