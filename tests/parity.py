@@ -1,6 +1,7 @@
-"""Write the byte-parity report set of a checkout.
+"""Write the byte-parity report set of a checkout, or compare two sets.
 
     python3 tests/parity.py DIR
+    python3 tests/parity.py --compare DIR_A DIR_B
 
 Runs the `decompose` and `verify` commands on
 
@@ -16,7 +17,15 @@ checkouts are at byte parity when `diff -r` finds no difference between
 their DIRs. The package is imported from the src/ beside this file, so a
 copy of the script placed in another checkout runs that checkout's code.
 BLAS runs on one thread, because float results can depend on the thread
-count. Not a test module: pytest does not collect it.
+count.
+
+--compare prints, for each report of two such DIRs, "byte-identical" or the
+largest float move outside the lifted vectors, divided by max(1, ||M||_inf)
+of the case's matrix, and, where lifted vectors differ, the largest
+principal angle between the old and new vectors of one eigenvalue cluster
+(tests/golden.py's measure). It exits 1 on any difference in an exit code,
+stderr, key, string, integer or verdict, or in the set of reports. Not a
+test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -35,7 +44,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
+from golden import largest_angle  # noqa: E402
 from conftest import ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_SWAP_MAP, UNITS18_UNIT_MAP  # noqa: E402
+import numpy as np  # noqa: E402
+
+from hypersym import MATCH_TOL, build_matrix, parse_hypergraph  # noqa: E402
 from hypersym.cli import main  # noqa: E402
 from hypersym.matrices import MATRIX_KINDS, WEIGHTED_KINDS  # noqa: E402
 from workloads import WORKLOADS, generate  # noqa: E402
@@ -82,7 +95,74 @@ def write_parity_set(out: Path) -> int:
     return len(lines)
 
 
+def _float_moves(a, b, path: str = "", moves=None) -> list:
+    """(path, |a - b|) of every float of b against a, the lifted vectors
+    apart; raises ValueError naming the first path at which a key, string,
+    integer or verdict differs."""
+    moves = [] if moves is None else moves
+    if isinstance(a, dict) and isinstance(b, dict) and sorted(a) == sorted(b):
+        for key in a:
+            if key != "vector":
+                _float_moves(a[key], b[key], f"{path}.{key}", moves)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            _float_moves(x, y, f"{path}[{i}]", moves)
+    elif all(type(x) in (int, float) for x in (a, b)) and float in (type(a), type(b)):
+        # a float that happens to be integral is printed as an integer
+        moves.append((path, abs(a - b)))
+    elif isinstance(a, (dict, list)) and type(a) is type(b):
+        what = f"keys {sorted(a)} vs {sorted(b)}" if isinstance(a, dict) else f"lengths {len(a)} vs {len(b)}"
+        raise ValueError(f"{path or 'report'}: {what}")
+    elif type(a) is not type(b) or a != b:
+        raise ValueError(f"{path or 'report'}: {a!r} vs {b!r}")
+    return moves
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print how each report of b differs from a's; 1 on any difference a
+    float move cannot explain, else 0."""
+    status = 0
+    codes_a, codes_b = ((d / "exit_codes.txt").read_text().splitlines() for d in (a, b))
+    for line_a, line_b in zip(codes_a, codes_b):
+        if line_a != line_b:
+            print(f"exit code or stderr: {line_a!r} vs {line_b!r}")
+            status = 1
+    names_a, names_b = ({p.name for p in (d / "reports").iterdir()} for d in (a, b))
+    if len(codes_a) != len(codes_b) or names_a != names_b:
+        print(f"report sets differ: {sorted(names_a ^ names_b)}")
+        status = 1
+    scales = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, hpath, _, kind in cases(Path(tmp)):
+            M = build_matrix(parse_hypergraph(hpath.read_text()), kind).entries
+            scales[name] = max(1.0, float(np.abs(M).sum(axis=1).max()))
+    worst = 0.0
+    for name in sorted(names_a & names_b):
+        old, new = ((d / "reports" / name).read_bytes() for d in (a, b))
+        if old == new:
+            print(f"{name}: byte-identical")
+            continue
+        scale = scales[name.rsplit("-", 1)[0]]
+        old, new = json.loads(old), json.loads(new)
+        try:
+            moves = _float_moves(old, new)
+        except ValueError as exc:
+            print(f"{name}: DIFFERS at {exc}")
+            status = 1
+            continue
+        path, move = max(moves, key=lambda m: m[1], default=("", 0.0))
+        worst = max(worst, move / scale)
+        line = f"{name}: largest float move {move / scale:.3e} (scaled) at {path}"
+        if [p["vector"] for p in old.get("lifted", [])] != [p["vector"] for p in new.get("lifted", [])]:
+            line += f"; largest angle {largest_angle(old, new, MATCH_TOL * scale):.3e} rad"
+        print(line)
+    print(f"largest scaled float move {worst:.3e}; " + ("structural differences" if status else "no structural difference"))
+    return status
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(Path(sys.argv[2]), Path(sys.argv[3])))
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     print(f"{write_parity_set(Path(sys.argv[1]))} reports written")
