@@ -97,7 +97,7 @@ def iterate(M, x0, steps: int, orbs: OrbitPartition | None = None, normalize: bo
     sup-norm (useful when ||M|| > 1 over long runs); s_k is rescaled with
     the state.
     """
-    A = as_array(M)
+    A = as_array(M).astype(np.complex128, copy=False)  # complex dynamics, whatever M's dtype
     x = np.asarray(x0, dtype=np.complex128)
     if x.shape != (A.shape[0],):
         raise HypersymError(
@@ -144,6 +144,7 @@ class SyncReport:
     first_violation_step: int | None
     max_scaled_deviation: float
     tol: float
+    first_nonfinite_step: int | None  # the first state that overflowed
 
 
 def check_orbit_synchronization(traj: Trajectory, tol: float = SYNC_TOL) -> SyncReport:
@@ -156,7 +157,8 @@ def check_orbit_synchronization(traj: Trajectory, tol: float = SYNC_TOL) -> Sync
     than the orbit quotient produce false alarms. A state that has
     overflowed to inf or nan, and a deviation that is not a number, are
     violations. Reports the first violating step (0 means the initial state
-    was already desynchronized) and the largest finite scaled deviation.
+    was already desynchronized), the largest finite scaled deviation and the
+    first state that is not finite.
     """
     if traj.sync_log is None:
         raise HypersymError("trajectory has no sync log; iterate with the orbit partition")
@@ -171,4 +173,5 @@ def check_orbit_synchronization(traj: Trajectory, tol: float = SYNC_TOL) -> Sync
         first_violation_step=int(violations[0]) if violations.size else None,
         max_scaled_deviation=float(scaled[np.isfinite(scaled)].max(initial=0.0)),
         tol=tol,
+        first_nonfinite_step=None if finite.all() else int(np.argmin(finite)),
     )

@@ -95,9 +95,11 @@ def _member(key: Any, value: Any) -> str:
 
 def complex_pair(z) -> list:
     """[re, im] of a complex scalar; for an array, the same pair for every
-    entry, nested as the array is."""
-    z = np.asarray(z, dtype=np.complex128)
-    return np.stack((z.real, z.imag), axis=-1).tolist()
+    entry, nested as the array is. A real input is not copied to complex:
+    its pairs are [x, 0.0]."""
+    z = np.asarray(z)
+    parts = (z.real, z.imag) if np.iscomplexobj(z) else (z, np.zeros(z.shape))
+    return np.stack(parts, axis=-1).astype(np.float64, copy=False).tolist()
 
 
 def describe_value(z: complex) -> str:

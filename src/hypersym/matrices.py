@@ -1,8 +1,10 @@
 """Builders for the ten hypergraph matrix kinds, plus row-sum checking.
 
 All kinds are indexed by the hypergraph's canonical vertex order and stored
-complex, even though every kind here has a real definition. Off-diagonal
-entries are sums over the common star E_u ∩ E_v:
+complex, even though every kind here has a real definition; as_array keeps
+any other real input real (float64), and the decomposition and oracle
+routes take a matrix with no nonzero imaginary entry as its real part.
+Off-diagonal entries are sums over the common star E_u ∩ E_v:
 
     adjacency_r        |E_u ∩ E_v|,                       diagonal 0
     adjacency_b        sum 1/(|e|-1),                     diagonal 0
@@ -101,11 +103,19 @@ class HypergraphMatrix:
         return cls(kind=kind, labels=tuple(index), entries=arr)
 
 
+def _float_array(x) -> np.ndarray:
+    """x as complex128 when it is complex, else as float64 (ints and bools
+    included): a real input stays real."""
+    x = np.asarray(x)
+    return x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
+
+
 def as_array(M) -> np.ndarray:
-    """Accept a HypergraphMatrix or ndarray; return complex ndarray."""
+    """The entries of a HypergraphMatrix (complex128) or of any square
+    array-like, through _float_array, C-contiguous."""
     if isinstance(M, HypergraphMatrix):
         return M.entries
-    arr = np.asarray(M, dtype=np.complex128)
+    arr = np.ascontiguousarray(_float_array(M))
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise HypersymError(f"matrix must be square, got shape {arr.shape}")
     return arr

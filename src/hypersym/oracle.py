@@ -2,12 +2,13 @@
 
 The oracle route ignores all symmetry structure: it hands the full matrix
 to a dense solver, sorts the eigenvalues, and reports per-pair residuals.
-A matrix with no nonzero imaginary entry is solved as the real matrix it
-is: by eigh (LAPACK dsyevd) when it equals its transpose, by real eig
-(dgeev) otherwise; only a genuinely complex matrix goes to complex eig
-(zgeev). The residuals are one n^3 product of A with the eigenvectors,
-taken in real arithmetic for a real A by spectral._product, the product
-helper the decomposition's residual checks share. verify_decomposition
+dense_spectrum decides realness once: a matrix with no nonzero imaginary
+entry is solved as the float64 matrix it is, by eigh (LAPACK dsyevd) when
+it equals its transpose, by real eig (dgeev) otherwise, its real vectors
+staying real; only a genuinely complex matrix goes to complex eig (zgeev).
+The residuals are one n^3 product of A with the eigenvectors, in real
+arithmetic for a real A (spectral._product, which the decomposition's
+residual checks share). verify_decomposition
 compares a block decomposition against it by greedy nearest-neighbour
 multiset matching with a per-match tolerance scaled by max(1, ||M||_inf),
 computed once per verification, and checks every lifted eigenpair's

@@ -34,17 +34,17 @@ A unit-automorphism uses the same blocks, built from the unit quotient N
 along the unit permutation; their eigenvectors blow up to the vertices, and
 their residuals are taken against M itself.
 
-Each block is solved in the arithmetic it allows. The roots 1, i, -1 and -i
-are exact, and the root for n - k is the exact conjugate of the root for k.
-So for a real matrix the w = +-1 blocks (the quotient among them) are real,
-and the conj(w)-block equals conj of the w-block entry for entry. A block
-with no nonzero imaginary entry goes to a real driver: eigh (dsyevd) when it
-equals its transpose, real eig (dgeev) otherwise. Only a genuinely complex
-block goes to complex eig (zgeev). For a real matrix the conj(w)-block is
-not solved: it takes the w-block's eigenpairs conjugated and sorted again,
-so each conjugate pair costs one solve. A complex matrix solves every block.
-Every block residual is still taken against the block's own matrix, the
-conjugated ones included.
+Each route decides realness once, at its entry: a matrix with no nonzero
+imaginary entry is taken as its float64 real part. From there the dtype
+carries it. The roots 1, i, -1 and -i are exact, +-1 as floats, and the
+root for n - k is the exact conjugate of the root for k. So for a real
+matrix the w = +-1 blocks (the quotient among them), their eigenvectors and
+their lifts are float64, and the conj(w)-block is conj of the w-block entry
+for entry: complex arithmetic starts only where an entry or a root is
+genuinely complex. A block's dtype picks its driver (_eig_sorted). For a
+real matrix the conj(w)-block is not solved: it takes the w-block's
+eigenpairs conjugated and sorted again, so each conjugate pair costs one
+solve; its residual is still taken against its own matrix.
 
 Block eigenvectors follow zgeev's own convention: unit 2-norm, with the
 first entry of largest re^2 + im^2 real and positive. Entries within a few
@@ -54,14 +54,14 @@ vector unchanged at the U_0 of its rotations (at every member of each orbit
 for the quotient).
 
 Cost model: the block eigensolves cost sum b_i^3 over the block orders b_i,
-one solve per conjugate pair for a real matrix, each in the arithmetic its
-block allows. Checking the lifted eigenpairs takes one matrix product A V
-per block (n^2 b_i multiply-adds, in BLAS-3), in real arithmetic for a real
-A: real V directly, complex V as interleaved real and imaginary parts
-(_product, shared with the oracle). Everything else (the compatibility
-check, the cell sums behind the quotient and its equitable check, the other
-blocks, the lifts) is vectorised O(n^2) numpy work, with no Python loop over
-cell pairs or eigenpairs.
+one solve per conjugate pair for a real matrix. Checking the lifted
+eigenpairs takes one matrix product A V per block (n^2 b_i multiply-adds,
+in BLAS-3), in real arithmetic for a real A (_product, shared with the
+oracle). Everything else (the compatibility check, the cell sums behind the
+quotient and its equitable check, the other blocks, the lifts) is
+vectorised O(n^2) numpy work, with no Python loop over cell pairs. One
+Python loop remains per eigenpair: a LiftedPair object each, built from one
+tolist() of the block's values and one of its residuals.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import HypersymError, IncompatibleMatrixError
 from .jsonutil import complex_pair
-from .matrices import as_array
+from .matrices import _float_array, as_array
 from .symmetry import (
     COMPAT_TOL,
     OrbitPartition,
@@ -107,8 +107,8 @@ class RootOfUnity:
 _Parts = list[tuple[Rotation, RootOfUnity]]
 
 
-# 1, i, -1, -i: the roots at the quarter turns, exact
-_QUARTER_TURNS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+# 1, i, -1, -i: the roots at the quarter turns, exact, and +-1 as floats
+_QUARTER_TURNS = (1.0, complex(0, 1), -1.0, complex(0, -1))
 
 
 def _root_value(n: int, k: int) -> complex:
@@ -133,10 +133,8 @@ def roots_of_unity(n: int) -> tuple[RootOfUnity, ...]:
 def _rotation_columns(A: np.ndarray, rows: Rotation, cols: Rotation, omega: RootOfUnity) -> np.ndarray:
     """r[u, v] = sum_{i < cols.order_n} omega^i A[u, f^i(v)] for u in rows.u0
     and v in cols.u0; omega must be a root of cols' order."""
-    R = np.zeros((rows.n_cycles, cols.n_cycles), dtype=np.complex128)
-    for i, comp in enumerate(cols.components):
-        R += omega.pow(i) * A[np.ix_(rows.u0, comp)]
-    return R
+    terms = [omega.pow(i) * A[np.ix_(rows.u0, comp)] for i, comp in enumerate(cols.components)]
+    return sum(terms[1:], terms[0])
 
 
 def rotation_matrix(M, rot: Rotation, omega: RootOfUnity, tol: float | None = COMPAT_TOL) -> np.ndarray:
@@ -170,11 +168,12 @@ def _require_compatible(A: np.ndarray, perm: Permutation, tol: float) -> None:
 
 def lift_rotation_vector(x, rot: Rotation, omega: RootOfUnity, n_full: int) -> np.ndarray:
     """Lift x on U_0 to the full index set: w^i * x at position f^i(v),
-    zero on the invariant set. An (|U_0|, k) matrix lifts column by column."""
-    x = np.asarray(x, dtype=np.complex128)
+    zero on the invariant set, real for a real x and w = +-1. An (|U_0|, k)
+    matrix lifts column by column."""
+    x = _float_array(x)
     if x.ndim not in (1, 2) or x.shape[0] != len(rot.u0):
         raise HypersymError(f"vector length {x.shape} does not match |U_0| = {len(rot.u0)}")
-    full = np.zeros((n_full,) + x.shape[1:], dtype=np.complex128)
+    full = np.zeros((n_full,) + x.shape[1:], dtype=np.result_type(x, omega.value))
     for i, comp in enumerate(rot.components):
         full[list(comp)] = omega.pow(i) * x
     return full
@@ -182,8 +181,8 @@ def lift_rotation_vector(x, rot: Rotation, omega: RootOfUnity, n_full: int) -> n
 
 def lift_orbit_vector(y, orbs: OrbitPartition) -> np.ndarray:
     """Lift y on the orbits to the full index set, constant on each orbit.
-    A (cells, k) matrix lifts column by column."""
-    y = np.asarray(y, dtype=np.complex128)
+    A (cells, k) matrix lifts column by column, keeping y's dtype."""
+    y = _float_array(y)
     if y.ndim not in (1, 2) or y.shape[0] != len(orbs.cells):
         raise HypersymError(
             f"vector length {y.shape} does not match {len(orbs.cells)} orbits"
@@ -216,10 +215,10 @@ class LiftedPair:
 
     def to_document(self) -> dict:
         return {
-            "lambda": complex_pair(self.value),
+            "lambda": [self.value.real, self.value.imag],
             "vector": complex_pair(self.vector),
             "source": self.source,
-            "residual": float(self.residual),
+            "residual": self.residual,
         }
 
 
@@ -257,7 +256,7 @@ class SpectralDecomposition:
 
 def _real_if_exact(A: np.ndarray) -> np.ndarray:
     """A's real part, contiguous, when no entry of A has a nonzero imaginary
-    part; otherwise A itself."""
+    part; otherwise A itself. Each route calls it once, at its entry."""
     if np.iscomplexobj(A) and not A.imag.any():
         return np.ascontiguousarray(A.real)
     return A
@@ -268,34 +267,34 @@ def _real_symmetric(A: np.ndarray) -> bool:
 
 
 def _eig_sorted(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and column eigenvectors ordered by (real, imag), both
-    complex128. The LAPACK driver follows A's dtype: a real A equal to its
-    transpose goes to eigh (dsyevd, real eigenvalues with an exact zero
-    imaginary part), any other real A to eig (dgeev), a complex A to eig
-    (zgeev). _dense_eigvals makes the same choice for values only."""
+    """Eigenvalues (complex128) and column eigenvectors ordered by (real,
+    imag). The LAPACK driver follows A's dtype: a real A equal to its
+    transpose goes to eigh (dsyevd), any other real A to eig (dgeev), a
+    complex A to eig (zgeev). The vectors keep the driver's dtype, real
+    from eigh and from dgeev with all eigenvalues real. _dense_eigvals makes
+    the same choice for values only."""
     vals, vecs = np.linalg.eigh(A) if _real_symmetric(A) else np.linalg.eig(A)
     vals = vals.astype(np.complex128, copy=False)
     order = np.lexsort((vals.imag, vals.real))
-    return vals[order], vecs[:, order].astype(np.complex128, copy=False)
+    return vals[order], vecs[:, order]
 
 
 def _dense_eigvals(A: np.ndarray) -> np.ndarray:
-    """Unsorted eigenvalues of A, solved as the dense oracle solves it: the
-    real part when A has no nonzero imaginary entry, then eigvalsh for a
-    real symmetric matrix, eigvals otherwise (_eig_sorted's choice)."""
-    A = _real_if_exact(A)
+    """Unsorted eigenvalues of A, by eigvalsh for a real symmetric matrix,
+    eigvals otherwise (_eig_sorted's choice)."""
     return np.linalg.eigvalsh(A) if _real_symmetric(A) else np.linalg.eigvals(A)
 
 
 def _product(A: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """A @ V for complex V; for a real A, one real product with V's real
-    parts, or with its real and imaginary parts side by side."""
+    """A @ V, in real arithmetic for a real A: a real V directly, a complex
+    V as its real and imaginary parts side by side."""
     if np.iscomplexobj(A):
         return A @ V
-    if not V.imag.any():
-        return A @ np.ascontiguousarray(V.real)
-    # the (n, k) complex V viewed as (n, 2k) reals, re and im interleaved
-    return (A @ np.ascontiguousarray(V).view(np.float64)).view(np.complex128)
+    V = np.ascontiguousarray(V)
+    if np.iscomplexobj(V):
+        # the (n, k) complex V viewed as (n, 2k) reals, re and im interleaved
+        return (A @ V.view(np.float64)).view(np.complex128)
+    return A @ V
 
 
 # entries whose re^2 + im^2 lie this close (relatively) to the largest count
@@ -334,33 +333,34 @@ def residual_norms(AV: np.ndarray, V: np.ndarray, values: np.ndarray) -> np.ndar
 def _lifted_pairs(AV: np.ndarray, V: np.ndarray, values: np.ndarray, sources) -> list[LiftedPair]:
     """One LiftedPair per column of V, with its residual from the product AV
     and its source from the matching entry of sources."""
-    residuals = residual_norms(AV, V, values)
+    residuals = residual_norms(AV, V, values).tolist()
     return [
-        LiftedPair(value=complex(lam), vector=vec, source=source, residual=float(res))
-        for lam, vec, source, res in zip(values, np.ascontiguousarray(V.T), sources, residuals)
+        LiftedPair(value=lam, vector=vec, source=source, residual=res)
+        for lam, vec, source, res in zip(values.tolist(), np.ascontiguousarray(V.T), sources, residuals)
     ]
 
 
-def _characters(factors: tuple[Rotation, ...]) -> list[tuple[dict, _Parts]]:
-    """(source, parts) of every block, in block order: each omega != 1,
-    labelled by its first (l, j), then the quotient, with no parts."""
-    found: list[tuple[dict, _Parts]] = []
-    seen: set[tuple[int, int]] = set()
+def _characters(factors: tuple[Rotation, ...]) -> list[tuple[dict, _Parts, int | None]]:
+    """(source, parts, partner) of every block, in block order: each omega
+    != 1, labelled by its first (l, j), then the quotient, with no parts;
+    partner is the index of the block (l, l - j) of conj(omega) if 2j > l."""
+    found: list[tuple[dict, _Parts, int | None]] = []
+    index_of: dict[tuple[int, int], int] = {}  # the reduced angle names omega
     for fi, rot in enumerate(factors):
         ell = rot.order_n
         for j in range(1, ell):
             g = math.gcd(j, ell)
-            if (j // g, ell // g) in seen:  # the reduced angle names omega
+            if (j // g, ell // g) in index_of:
                 continue
-            seen.add((j // g, ell // g))
+            index_of[j // g, ell // g] = len(found)
             parts = []
             for other in factors:
                 k, rem = divmod(j * other.order_n, ell)
                 if rem == 0:  # omega^order = 1: omega is the k-th root of that order
                     parts.append((other, RootOfUnity(n=other.order_n, k=k, value=_root_value(other.order_n, k))))
             source = {"kind": "rotation", "factor": fi, "omega_k": j, "order_n": ell}
-            found.append((source, parts))
-    found.append(({"kind": "quotient"}, []))
+            found.append((source, parts, index_of[(ell - j) // g, ell // g] if 2 * j > ell else None))
+    found.append(({"kind": "quotient"}, [], None))
     return found
 
 
@@ -409,50 +409,35 @@ def _decompose(
     B = A if built_from is None else built_from
     tag = tag or {}
     orbs = orbits(perm)
-    characters = _characters(rotation_decomposition(perm).factors)
-    # every block is built and solved before any is lifted, so the lifts'
-    # products with A run back to back (interleaving them measured about 5%
-    # slower on 26 cycles of length 12)
     quotient_tol = _quotient_tol(orbs, tol)
-    matrices = [_real_if_exact(_block_matrix(B, parts, orbs, quotient_tol)) for _, parts in characters]
-    # for a real B the conj(w)-block is conj of the w-block, which comes
-    # first: its eigenpairs are the conjugates of the w-block's, re-sorted
-    reuse = not (np.iscomplexobj(B) and B.imag.any())
-    index_of = {(source.get("factor"), source.get("omega_k")): i for i, (source, _) in enumerate(characters)}
     solved: list[tuple[np.ndarray, np.ndarray]] = []
-    for (source, _), matrix in zip(characters, matrices):
-        j, ell = source.get("omega_k", 0), source.get("order_n", 0)
-        if reuse and 2 * j > ell:
-            vals, vecs = solved[index_of[source["factor"], ell - j]]
-            vals, vecs = vals.conj(), vecs.conj()
-            order = np.lexsort((vals.imag, vals.real))
-            solved.append((vals[order], vecs[:, order]))
-        else:
-            vals, vecs = _eig_sorted(matrix)
-            solved.append((vals, _phase_convention(vecs)))
-    A_product = _real_if_exact(A)
     blocks: list[RotationBlock] = []
     lifted: list[LiftedPair] = []
     skipped: list[dict] = []
-    for (source, parts), matrix, (vals, vecs) in zip(characters, matrices, solved):
+    for source, parts, partner in _characters(rotation_decomposition(perm).factors):
+        matrix = _block_matrix(B, parts, orbs, quotient_tol)
+        if partner is not None and not np.iscomplexobj(B):
+            # conj(w)-block = conj(w-block): the conjugate eigenpairs, re-sorted
+            vals, vecs = (x.conj() for x in solved[partner])
+            order = np.lexsort((vals.imag, vals.real))
+            vals, vecs = vals[order], vecs[:, order]
+        else:
+            vals, vecs = _eig_sorted(matrix)
+            vecs = _phase_convention(vecs)
+        solved.append((vals, vecs))
         blocks.append(RotationBlock(source={**source, **tag}, order=matrix.shape[0], eigenvalues=vals))
         block_res = residual_norms(_product(matrix, vecs), vecs, vals)
         defective = block_res > LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(matrix).max()))
-        for idx in np.flatnonzero(defective):
-            skipped.append(
-                {
-                    "source": source,
-                    "lambda": complex_pair(vals[idx]),
-                    "block_residual": float(block_res[idx]),
-                    "reason": "defective block eigenpair",
-                    **tag,
-                }
-            )
+        skipped += [
+            {"source": source, "lambda": complex_pair(vals[i]), "block_residual": float(block_res[i]),
+             "reason": "defective block eigenpair", **tag}
+            for i in np.flatnonzero(defective)
+        ]
         keep = np.flatnonzero(~defective)
         full = _lift_block(vecs[:, keep], parts, orbs, B.shape[0])
         if lift is not None:
             full = lift(full)
-        lifted += _lifted_pairs(_product(A_product, full), full, vals[keep], [blocks[-1].source] * len(keep))
+        lifted += _lifted_pairs(_product(A, full), full, vals[keep], [blocks[-1].source] * len(keep))
     total = sum(b.order for b in blocks)
     if total != B.shape[0]:
         raise AssertionError(f"block orders sum to {total}, expected {B.shape[0]}")
@@ -466,7 +451,7 @@ def decompose_automorphism(M, f, tol: float = COMPAT_TOL) -> SpectralDecompositi
     NotEquitableError if the orbit quotient fails the equitable check that
     compatibility within tol implies.
     """
-    A = as_array(M)
+    A = _real_if_exact(as_array(M))
     perm = _perm_of(f)
     _require_compatible(A, perm, tol)
     return _decompose(A, perm, tol)
@@ -484,7 +469,7 @@ def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, 
     The two agree for entrywise-nonnegative compatible M; the caller
     compares. M must be f-compatible within tol.
     """
-    A = as_array(M)
+    A = _real_if_exact(as_array(M))
     perm = _perm_of(f)
     _require_compatible(A, perm, tol)
     orbs = orbits(perm)

@@ -32,8 +32,8 @@ from .errors import (
 )
 from .hypergraph import Hypergraph, UnitPartition, compute_units, edge_unit_covers
 from .jsonutil import describe_value
-from .matrices import as_array
-from .spectral import RotationBlock, SpectralDecomposition, _decompose, _lifted_pairs
+from .matrices import _float_array, as_array
+from .spectral import RotationBlock, SpectralDecomposition, _decompose, _lifted_pairs, _real_if_exact
 from .symmetry import (
     COMPAT_TOL,
     Automorphism,
@@ -128,14 +128,14 @@ def _unit_violation(A: np.ndarray, units: UnitPartition, i: int, condition: int)
         diag = A[mem, mem]
         k = int(np.argmax(np.abs(diag - diag[0])))
         return (
-            f"unit {key!r}: diagonal entries differ: {diag[0]} at {mem[0]} "
-            f"vs {diag[k]} at {mem[k]}"
+            f"unit {key!r}: diagonal entries differ: {complex(diag[0])} at {mem[0]} "
+            f"vs {complex(diag[k])} at {mem[k]}"
         )
     if condition == 1:
         off = A[np.ix_(mem, mem)][~np.eye(len(mem), dtype=bool)]
         return (
             f"unit {key!r}: off-diagonal entries within the unit are not "
-            f"constant: {off[0]} vs {off[np.argmax(np.abs(off - off[0]))]}"
+            f"constant: {complex(off[0])} vs {complex(off[np.argmax(np.abs(off - off[0]))])}"
         )
     outside = [w for w in range(units.n) if w not in unit.member_indices]
     if condition == 2:
@@ -210,7 +210,7 @@ def _difference_vectors(units: UnitPartition) -> tuple[np.ndarray, np.ndarray, n
         [unit.member_indices[0] for unit in units.units for _ in unit.member_indices[1:]],
         dtype=np.intp,
     )
-    vectors = np.zeros((len(v), units.n), dtype=np.complex128)
+    vectors = np.zeros((len(v), units.n))
     rows = np.arange(len(v))
     vectors[rows, v] = 1.0
     vectors[rows, v0] = -1.0
@@ -229,8 +229,8 @@ def unit_quotient(M, units: UnitPartition, tol: float = COMPAT_TOL) -> np.ndarra
 
 def blow_up(y, units: UnitPartition) -> np.ndarray:
     """Extend a vector on units to the vertices, constant on each unit.
-    A (units, k) matrix extends column by column."""
-    y = np.asarray(y, dtype=np.complex128)
+    A (units, k) matrix extends column by column, keeping y's dtype."""
+    y = _float_array(y)
     if y.ndim not in (1, 2) or y.shape[0] != len(units.units):
         raise HypersymError(f"vector length {y.shape} does not match {len(units.units)} units")
     return y[np.array(units.unit_of)]
@@ -398,7 +398,7 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
     Block eigenvalue counts add up to the matrix order: sum(|W| - 1) from
     units plus one eigenvalue per unit from the quotient decomposition.
     """
-    A = as_array(M)
+    A = _real_if_exact(as_array(M))
     units = ua.units
     if A.shape[0] != units.n:
         raise HypersymError(f"matrix order {A.shape[0]} does not match {units.n} vertices")

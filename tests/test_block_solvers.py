@@ -151,9 +151,9 @@ def test_conjugate_blocks_of_a_real_matrix_are_conjugate(lengths, fixed):
         A = _matrix(rng, p, how).astype(complex)
         blocks = {
             (s.get("factor"), s.get("omega_k")): spectral._block_matrix(A, parts, orbs, 1e-6)
-            for s, parts in characters
+            for s, parts, _ in characters
         }
-        for s, _ in characters:
+        for s, _, _ in characters:
             if s["kind"] == "rotation" and 2 * s["omega_k"] > s["order_n"]:
                 partner = blocks[s["factor"], s["order_n"] - s["omega_k"]]
                 # equal entry for entry; only the sign of a zero may differ
