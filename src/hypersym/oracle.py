@@ -8,11 +8,10 @@ it equals its transpose, by real eig (dgeev) otherwise, its real vectors
 staying real; only a genuinely complex matrix goes to complex eig (zgeev).
 The residuals are one n^3 product of A with the eigenvectors, in real
 arithmetic for a real A (spectral._product, which the decomposition's
-residual checks share). verify_decomposition
-compares a block decomposition against it by greedy nearest-neighbour
-multiset matching with a per-match tolerance scaled by max(1, ||M||_inf),
-computed once per verification, and checks every lifted eigenpair's
-residual.
+residual checks share). verify_decomposition compares a block decomposition
+against it by greedy nearest-neighbour multiset matching with a per-match
+tolerance scaled by max(1, ||M||_inf), computed once per verification, and
+checks every lifted eigenpair's residual.
 """
 
 from __future__ import annotations

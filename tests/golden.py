@@ -1,17 +1,14 @@
-"""Rewrite the golden reports under tests/golden that the current code no
-longer matches.
+"""Rewrite the golden reports under tests/golden whose bytes the current
+code no longer reproduces.
 
-    python3 tests/golden.py [--exact]
+    python3 tests/golden.py
 
-Runs every case of test_golden.py and compares its report with the
-committed tests/golden/<hypergraph>-<symmetry>-<kind>-<command>.json under
-the test's own rule (exact keys, strings, integers and verdicts, floats
-within 1e-12 * max(1, ||M||_inf)). A report that fails the rule is written
-over the committed file; one that passes is left alone, so rounding-level
-drift does not churn the files. With --exact every report whose bytes
-differ is written, so the committed files reproduce byte for byte and the
-next change's effect on them shows as a diff. For each report whose bytes
-differ it prints
+Runs every case of test_golden.py and writes each report whose bytes differ
+from the committed tests/golden/<hypergraph>-<symmetry>-<kind>-<command>.json
+over it, so the committed files reproduce byte for byte and a change's
+effect on them, rounding included, shows as a diff. For each such report it
+prints whether it still passes the test's own rule (exact keys, strings,
+integers and verdicts, floats within 1e-12 * max(1, ||M||_inf)), and
 
 - the largest eigenvalue move: each block's eigenvalues, the lifted values
   and the oracle's spectrum, each matched as a multiset against the
@@ -118,7 +115,7 @@ def largest_angle(old: dict, new: dict, tol: float) -> float:
     return worst
 
 
-def rewrite(exact: bool) -> None:
+def rewrite() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for hypergraph, symmetry, kind, code in CASES:
             h_path, s_path = Path(tmp) / "h.json", Path(tmp) / "s.json"
@@ -140,11 +137,10 @@ def rewrite(exact: bool) -> None:
                 old, new = json.loads(target.read_text()), json.loads(out.read_text())
                 try:
                     assert_matches(new, old, 1e-12 * max(1.0, float(np.abs(A).sum(axis=1).max())))
-                    verdict = "within tolerance, " + ("rewritten" if exact else "kept")
+                    verdict = "rewritten, within tolerance"
                 except AssertionError:
-                    verdict = "rewritten"
-                if verdict.endswith("rewritten"):
-                    target.write_bytes(out.read_bytes())
+                    verdict = "rewritten, BEYOND tolerance"
+                target.write_bytes(out.read_bytes())
                 line = f"{name}: {verdict}; eigenvalue move {eigenvalue_move(old, new):.3e}"
                 if "lifted" in new:
                     residual = max((p["residual"] for p in new["lifted"]), default=0.0)
@@ -156,6 +152,4 @@ def rewrite(exact: bool) -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] not in ([], ["--exact"]):
-        sys.exit(__doc__)
-    rewrite(exact=sys.argv[1:] == ["--exact"])
+    rewrite()
