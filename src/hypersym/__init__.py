@@ -61,6 +61,7 @@ from .oracle import (
 from .spectral import (
     COMPAT_TOL,
     LIFT_RESIDUAL_TOL,
+    LiftedBlock,
     LiftedPair,
     RootOfUnity,
     RotationBlock,

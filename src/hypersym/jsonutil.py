@@ -14,18 +14,47 @@ per-float walk would cost more than the formatting itself. Any other list
 (a tuple, an np.float64, an int or bool item, ragged rows, deeper nesting,
 a non-finite value) falls through to the recursion, which prints the same
 bytes or raises the same first DocumentError.
+
+A _Rows node prints many documents of one shape, such as a block's lifted
+eigenpairs: its row is one such document with _HOLE at each float, and its
+values a 2-d float array with one line per document and one column per
+hole, in document order (keys sorted). The row is printed once through the
+recursion into a template, and the whole node by one "%" operation on that
+template repeated, after one finiteness pass and one "+ 0.0" pass over the
+array. A float that is always zero, such as the imaginary part of a real
+vector, is a literal 0.0 in the row and prints as 0. A node stands for its
+documents inside the list that holds it, spliced in among the other items
+(a node with no lines adds nothing); anywhere else it is refused. A row
+that cannot be printed is refused before any of its values. A list that
+holds one object n times, as a row holds the slot of a vector entry, prints
+that object once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from itertools import chain
 from typing import Any
 
 import numpy as np
 
 from .errors import DocumentError
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """Documents of one shape: row with _HOLE at each float slot, filled in
+    turn from the lines of the 2-d float array values."""
+
+    row: Any
+    values: np.ndarray
+
+
+# a float slot of a _Rows row; it prints as a NUL, which json.dumps never
+# leaves in a string or key, so the template can find it
+_HOLE = object()
 
 
 def canonical_json(obj: Any) -> str:
@@ -37,12 +66,16 @@ def _encode(obj: Any) -> str:
     # no container is also a scalar, so only bool before int needs an order
     if type(obj) is float:
         return _float(obj)
-    if type(obj) is list and obj:  # most lists of a report are rows of floats
-        text = _float_rows(obj)
-        if text is not None:
-            return text
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join([_encode(item) for item in obj]) + "]"
+        if len(obj) > 1 and obj[1] is obj[0] and len(set(map(id, obj))) == 1 and type(obj[0]) is not _Rows:
+            # one object n times, such as the slots of a _Rows row: print it once
+            return "[" + ", ".join([_encode(obj[0])] * len(obj)) + "]"
+        if type(obj) is list and obj:  # most lists of a report are rows of floats
+            text = _float_rows(obj)
+            if text is not None:
+                return text
+        items = [_rows(item) if type(item) is _Rows else _encode(item) for item in obj]
+        return "[" + ", ".join(filter(None, items)) + "]"  # only a node with no lines prints ""
     if isinstance(obj, dict):
         return "{" + ", ".join([_member(key, obj[key]) for key in sorted(obj)]) + "}"
     if obj is None:
@@ -57,6 +90,8 @@ def _encode(obj: Any) -> str:
         return str(obj)
     if isinstance(obj, float):
         return _float(obj)
+    if obj is _HOLE:
+        return "\0"
     if isinstance(obj, complex):
         raise DocumentError("complex values must be encoded as [re, im] pairs")
     raise DocumentError(f"cannot serialize value of type {type(obj).__name__}")
@@ -85,6 +120,20 @@ def _float_rows(items: list) -> str | None:
         return None
     template = "[" + ", ".join([row] * len(items)) + "]"
     return template % tuple([x + 0.0 for x in values])  # + 0.0 turns -0.0 into 0.0
+
+
+def _rows(node: _Rows) -> str:
+    """The documents of a node, joined by ", " without brackets; "" for a
+    node with no lines."""
+    values = node.values
+    if not len(values):
+        return ""
+    template = _encode(node.row).replace("%", "%%").replace("\0", "%.17g")
+    finite = np.isfinite(values)
+    if not finite.all():
+        _float(float(values[~finite][0]))  # the first in document order: raises
+    template = ", ".join([template] * len(values))
+    return template % tuple((values + 0.0).ravel().tolist())  # + 0.0 turns -0.0 into 0.0
 
 
 def _member(key: Any, value: Any) -> str:

@@ -64,8 +64,9 @@ def dense_spectrum(M) -> SpectrumReport:
         raise HypersymError("matrix has non-finite entries")
     A = _real_if_exact(A)
     scale = _scale(A)
-    vals, vecs = _eig_sorted(A)
+    vals, vecs = _eig_sorted(A)  # real values for a real A: real residuals
     residuals = residual_norms(_product(A, vecs), vecs, vals)
+    vals = vals.astype(np.complex128)
     failures = tuple(
         f"dense eigenpair {i} residual {residuals[i]:.3e}"
         for i in np.flatnonzero(residuals > MATCH_TOL * scale)
@@ -135,11 +136,11 @@ def verify_decomposition(M, decomposition: SpectralDecomposition, tol: float = M
         failures.append(f"decomposition value {z} unmatched (block {source})")
     for z in unmatched_dense:
         failures.append(f"dense value {z} missing from the decomposition")
-    for pair in decomposition.lifted:
-        if pair.residual > threshold:
+    for lift in decomposition.lifts:
+        for i in np.flatnonzero(lift.residuals > threshold):
             failures.append(
-                f"lifted pair at {pair.value} from {pair.source} has residual "
-                f"{pair.residual:.3e} > {threshold:.3e}"
+                f"lifted pair at {complex(lift.values[i])} from {lift.source} has residual "
+                f"{lift.residuals[i]:.3e} > {threshold:.3e}"
             )
     max_err = max((err for _, _, err in pairs), default=0.0)
     return SpectrumReport(

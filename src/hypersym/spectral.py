@@ -53,15 +53,21 @@ touched; a real vector is at most negated. A lifted vector carries its block
 vector unchanged at the U_0 of its rotations (at every member of each orbit
 for the quotient).
 
+A block's lifted eigenpairs are kept as one LiftedBlock: its eigenvalues
+in the driver's dtype (real for a real block, so the residuals of a real
+block are taken in real arithmetic), its lifted vectors as the columns of
+one array and its residuals as another. The report prints each LiftedBlock
+with one formatting operation (jsonutil._Rows); the per-pair LiftedPair
+objects of SpectralDecomposition.lifted are built only when a caller asks.
+
 Cost model: the block eigensolves cost sum b_i^3 over the block orders b_i,
 one solve per conjugate pair for a real matrix. Checking the lifted
 eigenpairs takes one matrix product A V per block (n^2 b_i multiply-adds,
 in BLAS-3), in real arithmetic for a real A (_product, shared with the
 oracle). Everything else (the compatibility check, the cell sums behind the
 quotient and its equitable check, the other blocks, the lifts) is
-vectorised O(n^2) numpy work, with no Python loop over cell pairs. One
-Python loop remains per eigenpair: a LiftedPair object each, built from one
-tolist() of the block's values and one of its residuals.
+vectorised O(n^2) numpy work, with no Python loop over cell pairs or
+eigenpairs.
 """
 
 from __future__ import annotations
@@ -69,11 +75,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import HypersymError, IncompatibleMatrixError
-from .jsonutil import complex_pair
+from .jsonutil import _HOLE, _Rows, complex_pair
 from .matrices import _float_array, as_array
 from .symmetry import (
     COMPAT_TOL,
@@ -213,24 +220,60 @@ class LiftedPair:
     source: dict
     residual: float
 
-    def to_document(self) -> dict:
-        return {
-            "lambda": [self.value.real, self.value.imag],
-            "vector": complex_pair(self.vector),
-            "source": self.source,
-            "residual": self.residual,
-        }
+
+@dataclass(frozen=True)
+class LiftedBlock:
+    """The lifted eigenpairs of one block (or of one unit): values in the
+    block driver's dtype, the lifted vectors as the columns of vectors
+    (n, k), and residuals the residual of each pair against the matrix."""
+
+    source: dict
+    values: np.ndarray
+    vectors: np.ndarray
+    residuals: np.ndarray
+
+    def document_rows(self) -> _Rows:
+        """The per-pair documents {"lambda": [re, im], "residual": r,
+        "source": source, "vector": [[re, im], ...]} as one encoder node,
+        for the list of lifted pairs; a real array's imaginary parts print
+        as 0."""
+
+        def floats(x: np.ndarray) -> tuple[list, np.ndarray]:
+            # the slot of one complex number, and the lines of the (k, m) x
+            # as floats, re and im interleaved for a complex x
+            slot = [_HOLE, _HOLE] if np.iscomplexobj(x) else [_HOLE, 0.0]
+            return slot, np.ascontiguousarray(x).view(np.float64)
+
+        (value, values), (entry, vectors) = floats(self.values[:, None]), floats(self.vectors.T)
+        row = {"lambda": value, "residual": _HOLE, "source": self.source, "vector": [entry] * len(self.vectors)}
+        # columns in the row's key order: lambda, residual, vector
+        return _Rows(row, np.concatenate([values, self.residuals[:, None], vectors], axis=1))
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Blocks plus lifted eigenpairs; block eigenvalues carry the full
-    spectrum of the decomposed matrix with multiplicity."""
+    """Blocks plus lifted eigenpairs, one LiftedBlock per block in block
+    order (per unit, then per block, on the unit route); block eigenvalues
+    carry the full spectrum of the decomposed matrix with multiplicity."""
 
     n: int
     blocks: tuple[RotationBlock, ...]
-    lifted: tuple[LiftedPair, ...]
+    lifts: tuple[LiftedBlock, ...]
     skipped: tuple[dict, ...]
+
+    @cached_property
+    def lifted(self) -> tuple[LiftedPair, ...]:
+        """Every lifted eigenpair as its own LiftedPair, in order, built on
+        first access: the value complex, the vector a contiguous copy."""
+        return tuple(
+            LiftedPair(value=value, vector=vector, source=lift.source, residual=residual)
+            for lift in self.lifts
+            for value, vector, residual in zip(
+                lift.values.astype(np.complex128).tolist(),
+                np.ascontiguousarray(lift.vectors.T),
+                lift.residuals.tolist(),
+            )
+        )
 
     def eigenvalues(self) -> np.ndarray:
         if not self.blocks:
@@ -249,7 +292,7 @@ class SpectralDecomposition:
     def to_document(self) -> dict:
         return {
             "blocks": [b.to_document() for b in self.blocks],
-            "lifted": [p.to_document() for p in self.lifted],
+            "lifted": [lift.document_rows() for lift in self.lifts],
             "skipped": list(self.skipped),
         }
 
@@ -267,14 +310,13 @@ def _real_symmetric(A: np.ndarray) -> bool:
 
 
 def _eig_sorted(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (complex128) and column eigenvectors ordered by (real,
-    imag). The LAPACK driver follows A's dtype: a real A equal to its
-    transpose goes to eigh (dsyevd), any other real A to eig (dgeev), a
-    complex A to eig (zgeev). The vectors keep the driver's dtype, real
-    from eigh and from dgeev with all eigenvalues real. _dense_eigvals makes
-    the same choice for values only."""
+    """Eigenvalues and column eigenvectors ordered by (real, imag). The
+    LAPACK driver follows A's dtype: a real A equal to its transpose goes to
+    eigh (dsyevd), any other real A to eig (dgeev), a complex A to eig
+    (zgeev). Values and vectors keep the driver's dtype, real from eigh and
+    from dgeev with all eigenvalues real. _dense_eigvals makes the same
+    choice for values only."""
     vals, vecs = np.linalg.eigh(A) if _real_symmetric(A) else np.linalg.eig(A)
-    vals = vals.astype(np.complex128, copy=False)
     order = np.lexsort((vals.imag, vals.real))
     return vals[order], vecs[:, order]
 
@@ -328,16 +370,6 @@ def residual_norms(AV: np.ndarray, V: np.ndarray, values: np.ndarray) -> np.ndar
     R = V * values
     np.subtract(AV, R, out=R)
     return np.linalg.norm(R, axis=0) / np.maximum(1.0, np.linalg.norm(V, axis=0))
-
-
-def _lifted_pairs(AV: np.ndarray, V: np.ndarray, values: np.ndarray, sources) -> list[LiftedPair]:
-    """One LiftedPair per column of V, with its residual from the product AV
-    and its source from the matching entry of sources."""
-    residuals = residual_norms(AV, V, values).tolist()
-    return [
-        LiftedPair(value=lam, vector=vec, source=source, residual=res)
-        for lam, vec, source, res in zip(values.tolist(), np.ascontiguousarray(V.T), sources, residuals)
-    ]
 
 
 def _characters(factors: tuple[Rotation, ...]) -> list[tuple[dict, _Parts, int | None]]:
@@ -412,7 +444,7 @@ def _decompose(
     quotient_tol = _quotient_tol(orbs, tol)
     solved: list[tuple[np.ndarray, np.ndarray]] = []
     blocks: list[RotationBlock] = []
-    lifted: list[LiftedPair] = []
+    lifts: list[LiftedBlock] = []
     skipped: list[dict] = []
     for source, parts, partner in _characters(rotation_decomposition(perm).factors):
         matrix = _block_matrix(B, parts, orbs, quotient_tol)
@@ -425,7 +457,9 @@ def _decompose(
             vals, vecs = _eig_sorted(matrix)
             vecs = _phase_convention(vecs)
         solved.append((vals, vecs))
-        blocks.append(RotationBlock(source={**source, **tag}, order=matrix.shape[0], eigenvalues=vals))
+        blocks.append(
+            RotationBlock(source={**source, **tag}, order=matrix.shape[0], eigenvalues=vals.astype(np.complex128))
+        )
         block_res = residual_norms(_product(matrix, vecs), vecs, vals)
         defective = block_res > LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(matrix).max()))
         skipped += [
@@ -437,11 +471,12 @@ def _decompose(
         full = _lift_block(vecs[:, keep], parts, orbs, B.shape[0])
         if lift is not None:
             full = lift(full)
-        lifted += _lifted_pairs(_product(A, full), full, vals[keep], [blocks[-1].source] * len(keep))
+        values = vals[keep]
+        lifts.append(LiftedBlock(blocks[-1].source, values, full, residual_norms(_product(A, full), full, values)))
     total = sum(b.order for b in blocks)
     if total != B.shape[0]:
         raise AssertionError(f"block orders sum to {total}, expected {B.shape[0]}")
-    return SpectralDecomposition(n=A.shape[0], blocks=tuple(blocks), lifted=tuple(lifted), skipped=tuple(skipped))
+    return SpectralDecomposition(n=A.shape[0], blocks=tuple(blocks), lifts=tuple(lifts), skipped=tuple(skipped))
 
 
 def decompose_automorphism(M, f, tol: float = COMPAT_TOL) -> SpectralDecomposition:

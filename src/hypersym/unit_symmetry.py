@@ -33,7 +33,7 @@ from .errors import (
 from .hypergraph import Hypergraph, UnitPartition, compute_units, edge_unit_covers
 from .jsonutil import describe_value
 from .matrices import _float_array, as_array
-from .spectral import RotationBlock, SpectralDecomposition, _decompose, _lifted_pairs, _real_if_exact
+from .spectral import LiftedBlock, RotationBlock, SpectralDecomposition, _decompose, _real_if_exact, residual_norms
 from .symmetry import (
     COMPAT_TOL,
     Automorphism,
@@ -414,25 +414,33 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
         )
 
     blocks: list[RotationBlock] = []
+    unit_values: list[np.ndarray] = []  # in A's dtype
     for unit in units.units:
         if unit.size < 2:
             continue
         rep, second = unit.member_indices[:2]
+        # d - r, read off the representative row of a checked matrix
+        unit_values.append(np.full(unit.size - 1, A[rep, rep] - A[rep, second]))
         blocks.append(
             RotationBlock(
                 source={"kind": "unit", "unit": unit.key},
                 order=unit.size - 1,
-                # d - r, read off the representative row of a checked matrix
-                eigenvalues=np.full(unit.size - 1, A[rep, rep] - A[rep, second], dtype=np.complex128),
+                eigenvalues=unit_values[-1].astype(np.complex128),
             )
         )
     # A (chi_v - chi_v0) = A[:, v] - A[:, v0]: each residual is O(n)
     vectors, v, v0 = _difference_vectors(units)
-    values = np.concatenate([b.eigenvalues for b in blocks]) if blocks else np.zeros(0, complex)
-    sources = [b.source for b in blocks for _ in range(b.order)]
-    lifted = _lifted_pairs(A[:, v] - A[:, v0], vectors.T, values, sources)
+    values = np.concatenate(unit_values) if unit_values else np.zeros(0, A.dtype)
+    residuals = residual_norms(A[:, v] - A[:, v0], vectors.T, values)
+    bounds = np.cumsum([b.order for b in blocks])[:-1]
+    lifts = [
+        LiftedBlock(b.source, vals, vecs, res)
+        for b, vals, vecs, res in zip(
+            blocks, unit_values, np.split(vectors.T, bounds, axis=1), np.split(residuals, bounds)
+        )
+    ]
     # N was checked against the unit map above
     core = _decompose(A, ua.perm, tol, built_from=N, lift=lambda Y: blow_up(Y, units), tag={"level": "units"})
     return SpectralDecomposition(
-        n=units.n, blocks=(*blocks, *core.blocks), lifted=(*lifted, *core.lifted), skipped=core.skipped
+        n=units.n, blocks=(*blocks, *core.blocks), lifts=(*lifts, *core.lifts), skipped=core.skipped
     )

@@ -12,7 +12,9 @@ drivers to give the same verdicts and failures. canonical_json is the
 emitter that appended every token to one out-list and formatted floats with
 format(x, ".17g"), and complex_pairs the per-entry [re, im] conversion;
 test_loop_equivalence.py requires the library's encoder and whole-array
-conversion to give the same bytes and the same errors.
+conversion to give the same bytes and the same errors. The emitter expands
+each row node (jsonutil._Rows) in a list into the documents it stands for,
+one per line of its values, and prints each of them float by float.
 """
 
 import json
@@ -21,6 +23,7 @@ import math
 import numpy as np
 
 from hypersym import DocumentError, HypersymError, NotEquitableError, NotUnitCompatibleError
+from hypersym.jsonutil import _HOLE, _Rows
 from hypersym.matrices import as_array
 from hypersym.oracle import MATCH_TOL, SpectrumReport
 from hypersym.spectral import residual_norms
@@ -233,13 +236,34 @@ def _emit(obj, out):
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
-        for i, item in enumerate(obj):
+        for i, item in enumerate(doc for item in obj for doc in (expand(item) if type(item) is _Rows else [item])):
             if i:
                 out.append(", ")
             _emit(item, out)
         out.append("]")
     else:
         raise DocumentError(f"cannot serialize value of type {type(obj).__name__}")
+
+
+def expand(node):
+    """The documents of a row node: its row with the holes, in document
+    order (keys sorted), filled from one line of its values each."""
+    docs = []
+    for line in node.values.tolist():
+        floats = iter(line)
+        docs.append(_fill(node.row, floats))
+        assert next(floats, None) is None, "more values than holes"
+    return docs
+
+
+def _fill(obj, floats):
+    if obj is _HOLE:
+        return next(floats)
+    if isinstance(obj, dict):
+        return {key: _fill(obj[key], floats) for key in sorted(obj)}
+    if isinstance(obj, list):
+        return [_fill(item, floats) for item in obj]
+    return obj
 
 
 def complex_pairs(z):

@@ -107,7 +107,7 @@ def test_every_structure_matches_the_oracle(lengths, fixed, how, seed):
     shifted = block.eigenvalues.copy()
     shifted[0] += 1e-3 * max(1.0, float(np.abs(M).sum(axis=1).max()))
     blocks = (*dec.blocks[:-1], type(block)(source=block.source, order=block.order, eigenvalues=shifted))
-    assert not verify_decomposition(M, type(dec)(n=dec.n, blocks=blocks, lifted=dec.lifted, skipped=())).verdict
+    assert not verify_decomposition(M, type(dec)(n=dec.n, blocks=blocks, lifts=dec.lifts, skipped=())).verdict
 
 
 UNITS18 = Hypergraph.from_dict(UNITS18_DOC)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hypersym
+from hypersym import spectral
 from hypersym.cli import main
 
 from conftest import ROT10_ADJACENCY_R, ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_UNIT_MAP
@@ -292,3 +293,17 @@ def test_dynamics_overflow_is_a_failed_check(capsys, rot10_path, rot10_map_path,
     code, out, _ = run(capsys, ["dynamics", rot10_path, rot10_map_path, "--kind", "adjacency_r",
                                 "--x0", x0, "--steps", "900", "--normalize"])
     assert code == 0 and json.loads(out)["synchronized"] is True
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_report_commands_build_no_lifted_pair(command, monkeypatch, rot10_path, rot10_map_path, tmp_path, rot10, rot10_aut):
+    # the reports print each block's lifted pairs from its arrays; the
+    # per-pair objects are built only for a library caller that asks
+    built = []
+    init = spectral.LiftedPair.__init__
+    monkeypatch.setattr(spectral.LiftedPair, "__init__", lambda self, **kw: built.append(kw) or init(self, **kw))
+    argv = [command, rot10_path, rot10_map_path, "--kind", "adjacency_r", "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    assert built == []
+    dec = hypersym.decompose_automorphism(hypersym.build_matrix(rot10, "adjacency_r"), rot10_aut)
+    assert len(dec.lifted) == len(built) == 10

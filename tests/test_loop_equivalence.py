@@ -40,7 +40,7 @@ from hypersym import (
     random_instance,
     unit_quotient,
 )
-from hypersym import cli, jsonutil
+from hypersym import LiftedBlock, cli, jsonutil
 from hypersym.dynamics import _sync_log
 from hypersym.symmetry import EQUITABLE_TOL, OrbitPartition
 from hypersym.unit_symmetry import COMPAT_TOL
@@ -300,6 +300,7 @@ documents = st.recursive(
 
 
 @given(documents)
+@example([True, True, 1, 1.0])  # one object twice, then equal ones that print otherwise
 @example({"edges": EDGE_FLOATS, "pairs": [[x, -x] for x in EDGE_FLOATS], "t": (True, False, None, 7, "\u00e9")})
 @settings(max_examples=300, deadline=None)
 def test_encoder_matches_reference(doc):
@@ -452,3 +453,93 @@ def test_complex_pair_matches_per_entry_conversion(values):
     for w in z[:3]:
         assert _bits(jsonutil.complex_pair(np.array(w))) == _bits(ref.complex_pairs(np.array(w)))
         assert _bits(jsonutil.complex_pair(complex(w))) == _bits(ref.complex_pairs(w))
+
+
+# sources a lifted record may carry: a unit key may hold "%" and escapes
+sources = st.one_of(
+    st.sampled_from([
+        {"kind": "quotient"},
+        {"kind": "rotation", "factor": 1, "omega_k": 2, "order_n": 5, "level": "units"},
+    ]),
+    st.one_of(strings, st.sampled_from(["%", "%s%%", "%.17g", "a%d\x00"])).map(lambda key: {"kind": "unit", "unit": key}),
+)
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+def _array(draw, shape, complex_):
+    """A float64 or complex128 array of the given shape, its parts drawn from
+    doubles one by one, so signed zeros and subnormals stay as drawn."""
+    size = int(np.prod(shape))
+    parts = [np.array(draw(st.lists(doubles, min_size=size, max_size=size)), dtype=np.float64).reshape(shape)
+             for _ in range(1 + complex_)]
+    if not complex_:
+        return parts[0]
+    z = np.empty(shape, dtype=np.complex128)
+    z.real, z.imag = parts
+    return z
+
+
+@st.composite
+def lifted_blocks(draw):
+    """A LiftedBlock of n = 1-6 entries and k = 0-4 pairs, its values and
+    its vectors each real or complex (real vectors under complex values as
+    on the unit route of a complex matrix), at times one or two of its
+    floats made non-finite."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    values = _array(draw, (k,), draw(st.booleans()))
+    vectors = _array(draw, (n, k), draw(st.booleans()))
+    residuals = np.abs(_array(draw, (k,), False))
+    parts = [a for x in (values, residuals, vectors) if x.size for a in ((x.real, x.imag) if np.iscomplexobj(x) else (x,))]
+    for bad in draw(st.lists(st.sampled_from(NON_FINITE), max_size=2 if parts else 0)):
+        part = draw(st.sampled_from(parts))
+        part.flat[draw(st.integers(0, part.size - 1))] = bad
+    return LiftedBlock(draw(sources), values, vectors, residuals)
+
+
+def _pair_documents(lift):
+    """The lifted pairs of a record as one document each, lambda from the
+    complex value and the vector by per-entry conversion."""
+    return [
+        {"lambda": [value.real, value.imag], "vector": ref.complex_pairs(vector), "source": lift.source,
+         "residual": residual}
+        for value, vector, residual in zip(lift.values.astype(complex).tolist(), lift.vectors.T, lift.residuals.tolist())
+    ]
+
+
+def _edge_lift(complex_values, complex_vectors, k=2):
+    """A record of the encoder's edge floats, n = 3, with k pairs."""
+    edges = np.array([-0.0, 5e-324, sys.float_info.max, -sys.float_info.max, -5e-324, 0.0])
+    values = edges[:k] + 1j * edges[::-1][:k] if complex_values else edges[:k]
+    vectors = np.resize(edges, (3, k)) * (1 - 1j if complex_vectors else 1)
+    return LiftedBlock({"kind": "unit", "unit": "%"}, values, vectors, np.abs(edges[1:k + 1]))
+
+
+@given(st.lists(lifted_blocks(), max_size=3))
+@example([_edge_lift(False, False), _edge_lift(True, True), _edge_lift(True, False, k=1), _edge_lift(False, False, k=0)])
+@settings(max_examples=500, deadline=None)
+def test_lifted_rows_print_as_the_per_pair_documents(lifts):
+    # one node per record, spliced among other items of the lifted list;
+    # a record with no pairs adds nothing
+    doc = {"lifted": ["head", *[lift.document_rows() for lift in lifts], ["tail", -0.0]], "skipped": []}
+    pairs = [pair for lift in lifts for pair in _pair_documents(lift)]
+    want_doc = {"lifted": ["head", *pairs, ["tail", -0.0]], "skipped": []}
+    try:
+        want = ref.canonical_json(want_doc)
+    except DocumentError as exc:
+        with pytest.raises(DocumentError) as got:
+            jsonutil.canonical_json(doc)
+        assert str(got.value) == str(exc)
+    else:
+        assert jsonutil.canonical_json(doc) == want
+        assert ref.canonical_json(doc) == want  # the expansion the other reference tests use
+
+
+def test_a_row_node_outside_a_list_is_refused():
+    node = _edge_lift(False, False).document_rows()
+    for doc in (node, {"lifted": node}):
+        with pytest.raises(DocumentError, match="cannot serialize value of type _Rows"):
+            jsonutil.canonical_json(doc)
+    # one node, or one empty node, twice in a list prints as its documents twice
+    empty = _edge_lift(False, False, k=0).document_rows()
+    for doc in ([node, node], [empty, empty], [empty, node, node, empty]):
+        assert jsonutil.canonical_json(doc) == ref.canonical_json(doc)

@@ -7,6 +7,7 @@ verdicts and failure texts, with eigenvalues within 1e-12 * max(1,
 ||M||_inf), on every route and on every negative control.
 """
 
+import dataclasses
 import re
 from collections import Counter
 from unittest.mock import patch
@@ -80,7 +81,7 @@ def test_verify_thresholds_scale_with_norm(rot10, rot10_aut):
 def test_verify_reports_count_mismatch(rot10, rot10_aut):
     A = build_matrix(rot10, "adjacency_r")
     dec = decompose_automorphism(A, rot10_aut)
-    short = type(dec)(n=dec.n, blocks=dec.blocks[:-1], lifted=dec.lifted, skipped=dec.skipped)
+    short = type(dec)(n=dec.n, blocks=dec.blocks[:-1], lifts=dec.lifts, skipped=dec.skipped)
     report = verify_decomposition(A, short)
     assert not report.verdict
     assert any("carries" in f for f in report.failures)
@@ -90,13 +91,31 @@ def test_verify_reports_count_mismatch(rot10, rot10_aut):
 def test_verify_reports_bad_lift(rot10, rot10_aut):
     A = build_matrix(rot10, "adjacency_r")
     dec = decompose_automorphism(A, rot10_aut)
-    pairs = list(dec.lifted)
-    p0 = pairs[0]
-    pairs[0] = type(p0)(value=p0.value, vector=p0.vector, source=p0.source, residual=1.0)
-    bad = type(dec)(n=dec.n, blocks=dec.blocks, lifted=tuple(pairs), skipped=dec.skipped)
+    bad = type(dec)(n=dec.n, blocks=dec.blocks, lifts=_bad_lift(dec.lifts, 1.0), skipped=dec.skipped)
     report = verify_decomposition(A, bad)
     assert not report.verdict
     assert any("residual" in f for f in report.failures)
+    # a real block's pair is named by its value in complex form, as its
+    # LiftedPair holds it
+    *rest, quotient = dec.lifts
+    assert quotient.values.dtype == np.float64
+    bad = type(dec)(n=dec.n, blocks=dec.blocks, lifts=(*rest, *_bad_lift([quotient], 1.0)), skipped=dec.skipped)
+    pair = dec.lifted[len(dec.lifted) - len(quotient.values)]
+    threshold = MATCH_TOL * verify_decomposition(A, dec).scale
+    assert [f for f in verify_decomposition(A, bad).failures if f.startswith("lifted")] == [
+        f"lifted pair at {pair.value} from {pair.source} has residual 1.000e+00 > {threshold:.3e}"
+    ]
+    assert str(pair.value).endswith("+0j)")
+
+
+def _bad_lift(lifts, residual):
+    """lifts with the first lifted pair's residual set to residual."""
+    lifts = list(lifts)
+    i = next(i for i, lift in enumerate(lifts) if len(lift.residuals))
+    residuals = lifts[i].residuals.copy()
+    residuals[0] = residual
+    lifts[i] = dataclasses.replace(lifts[i], residuals=residuals)
+    return tuple(lifts)
 
 
 def test_verify_document_shape(rot10, rot10_aut):
@@ -129,7 +148,7 @@ def test_unmatched_value_names_its_own_block():
         else b
         for b in dec.blocks
     )
-    bad = type(dec)(n=dec.n, blocks=blocks, lifted=dec.lifted, skipped=dec.skipped)
+    bad = type(dec)(n=dec.n, blocks=blocks, lifts=dec.lifts, skipped=dec.skipped)
     report = verify_decomposition(M, bad, tol=1e-14)
     unmatched = [f for f in report.failures if f.startswith("decomposition value")]
     assert len(unmatched) == 2
@@ -195,7 +214,7 @@ def _instance(rng, kind):
 def _corrupt(dec, how, threshold):
     """dec with one block value moved by 1e-6 * scale (100 thresholds), the
     last block dropped, or the first lifted pair's residual over threshold."""
-    blocks, lifted = list(dec.blocks), list(dec.lifted)
+    blocks, lifts = list(dec.blocks), dec.lifts
     if how == "shifted value":
         b = blocks[0]
         vals = b.eigenvalues.copy()
@@ -204,9 +223,8 @@ def _corrupt(dec, how, threshold):
     elif how == "dropped block":
         blocks.pop()
     elif how == "bad lift":
-        p = lifted[0]
-        lifted[0] = type(p)(value=p.value, vector=p.vector, source=p.source, residual=2 * threshold)
-    return type(dec)(n=dec.n, blocks=tuple(blocks), lifted=tuple(lifted), skipped=dec.skipped)
+        lifts = _bad_lift(lifts, 2 * threshold)
+    return type(dec)(n=dec.n, blocks=tuple(blocks), lifts=lifts, skipped=dec.skipped)
 
 
 def _assert_same_failures(got, want, tol):

@@ -15,6 +15,7 @@ from hypersym import (
     compute_units,
     decompose_automorphism,
     decompose_rotation,
+    decompose_unit_automorphism,
     dense_spectrum,
     lift_orbit_vector,
     lift_rotation_vector,
@@ -358,7 +359,31 @@ def test_verify_rejects_corrupted_decomposition(rot10, rot10_aut):
         eigenvalues=b0.eigenvalues + 0.5,
     )
     bad_blocks[0] = shifted
-    bad = type(dec)(n=dec.n, blocks=tuple(bad_blocks), lifted=dec.lifted, skipped=dec.skipped)
+    bad = type(dec)(n=dec.n, blocks=tuple(bad_blocks), lifts=dec.lifts, skipped=dec.skipped)
     report = verify_decomposition(A, bad)
     assert not report.verdict
     assert any("unmatched" in f for f in report.failures)
+
+
+@pytest.mark.parametrize("route", ["automorphism", "unit"])
+def test_lifted_pairs_are_the_columns_of_the_block_records(route, rot10, rot10_aut, units18, units18_ua):
+    if route == "automorphism":
+        dec = decompose_automorphism(build_matrix(rot10, "transition"), rot10_aut)
+    else:
+        dec = decompose_unit_automorphism(build_matrix(units18, "unit_normalized"), units18_ua)
+    pairs = iter(dec.lifted)
+    assert dec.lifted is dec.lifted  # built once
+    for lift in dec.lifts:
+        for j in range(len(lift.values)):
+            p = next(pairs)
+            assert type(p.value) is complex and p.value == lift.values[j]
+            assert type(p.residual) is float and p.residual == lift.residuals[j]
+            assert p.source is lift.source
+            assert p.vector.dtype == lift.vectors.dtype and p.vector.flags.c_contiguous
+            assert np.array_equal(p.vector, lift.vectors[:, j])
+    assert next(pairs, None) is None
+    assert sum(len(lift.values) for lift in dec.lifts) == dec.n
+    # a real block keeps real values in its record, complex in its block
+    real = [lift for lift in dec.lifts if not np.iscomplexobj(lift.values)]
+    assert real and all(lift.residuals.dtype == np.float64 for lift in dec.lifts)
+    assert all(b.eigenvalues.dtype == np.complex128 for b in dec.blocks)
