@@ -22,12 +22,12 @@ hole, in document order (keys sorted). The row is printed once through the
 recursion into a template, and the whole node by one "%" operation on that
 template repeated, after one finiteness pass and one "+ 0.0" pass over the
 array. A float that is always zero, such as the imaginary part of a real
-vector, is a literal 0.0 in the row and prints as 0. A node stands for its
+vector, is a literal 0.0 in the row and prints as 0. A list of one entry
+repeated, such as a vector's [re, im] slots, is _ENTRIES in the row: its
+entry is printed once and repeated count times. A node stands for its
 documents inside the list that holds it, spliced in among the other items
 (a node with no lines adds nothing); anywhere else it is refused. A row
-that cannot be printed is refused before any of its values. A list that
-holds one object n times, as a row holds the slot of a vector entry, prints
-that object once.
+that cannot be printed is refused before any of its values.
 """
 
 from __future__ import annotations
@@ -45,16 +45,21 @@ from .errors import DocumentError
 
 @dataclass(frozen=True)
 class _Rows:
-    """Documents of one shape: row with _HOLE at each float slot, filled in
-    turn from the lines of the 2-d float array values."""
+    """Documents of one shape: row with _HOLE at each float slot and
+    _ENTRIES for the list of count copies of entry, filled in turn from the
+    lines of the 2-d float array values."""
 
     row: Any
     values: np.ndarray
+    entry: Any = None
+    count: int = 0
 
 
-# a float slot of a _Rows row; it prints as a NUL, which json.dumps never
-# leaves in a string or key, so the template can find it
+# a float slot and a repeated list of a _Rows row; they print as a NUL and
+# a SOH, which json.dumps never leaves in a string or key, so the template
+# can find them
 _HOLE = object()
+_ENTRIES = object()
 
 
 def canonical_json(obj: Any) -> str:
@@ -67,9 +72,6 @@ def _encode(obj: Any) -> str:
     if type(obj) is float:
         return _float(obj)
     if isinstance(obj, (list, tuple)):
-        if len(obj) > 1 and obj[1] is obj[0] and len(set(map(id, obj))) == 1 and type(obj[0]) is not _Rows:
-            # one object n times, such as the slots of a _Rows row: print it once
-            return "[" + ", ".join([_encode(obj[0])] * len(obj)) + "]"
         if type(obj) is list and obj:  # most lists of a report are rows of floats
             text = _float_rows(obj)
             if text is not None:
@@ -92,6 +94,8 @@ def _encode(obj: Any) -> str:
         return _float(obj)
     if obj is _HOLE:
         return "\0"
+    if obj is _ENTRIES:
+        return "\1"
     if isinstance(obj, complex):
         raise DocumentError("complex values must be encoded as [re, im] pairs")
     raise DocumentError(f"cannot serialize value of type {type(obj).__name__}")
@@ -128,7 +132,8 @@ def _rows(node: _Rows) -> str:
     values = node.values
     if not len(values):
         return ""
-    template = _encode(node.row).replace("%", "%%").replace("\0", "%.17g")
+    entries = "[" + ", ".join([_encode(node.entry)] * node.count) + "]"
+    template = _encode(node.row).replace("\1", entries).replace("%", "%%").replace("\0", "%.17g")
     finite = np.isfinite(values)
     if not finite.all():
         _float(float(values[~finite][0]))  # the first in document order: raises

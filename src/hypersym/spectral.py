@@ -80,7 +80,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HypersymError, IncompatibleMatrixError
-from .jsonutil import _HOLE, _Rows, complex_pair
+from .jsonutil import _ENTRIES, _HOLE, _Rows, complex_pair
 from .matrices import _float_array, as_array
 from .symmetry import (
     COMPAT_TOL,
@@ -245,9 +245,10 @@ class LiftedBlock:
             return slot, np.ascontiguousarray(x).view(np.float64)
 
         (value, values), (entry, vectors) = floats(self.values[:, None]), floats(self.vectors.T)
-        row = {"lambda": value, "residual": _HOLE, "source": self.source, "vector": [entry] * len(self.vectors)}
+        row = {"lambda": value, "residual": _HOLE, "source": self.source, "vector": _ENTRIES}
         # columns in the row's key order: lambda, residual, vector
-        return _Rows(row, np.concatenate([values, self.residuals[:, None], vectors], axis=1))
+        columns = np.concatenate([values, self.residuals[:, None], vectors], axis=1)
+        return _Rows(row, columns, entry, len(self.vectors))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from hypersym import DocumentError, HypersymError, NotEquitableError, NotUnitCompatibleError
-from hypersym.jsonutil import _HOLE, _Rows
+from hypersym.jsonutil import _ENTRIES, _HOLE, _Rows
 from hypersym.matrices import as_array
 from hypersym.oracle import MATCH_TOL, SpectrumReport
 from hypersym.spectral import residual_norms
@@ -247,22 +247,25 @@ def _emit(obj, out):
 
 def expand(node):
     """The documents of a row node: its row with the holes, in document
-    order (keys sorted), filled from one line of its values each."""
+    order (keys sorted), filled from one line of its values each, and its
+    repeated list the entry count times."""
     docs = []
     for line in node.values.tolist():
         floats = iter(line)
-        docs.append(_fill(node.row, floats))
+        docs.append(_fill(node, node.row, floats))
         assert next(floats, None) is None, "more values than holes"
     return docs
 
 
-def _fill(obj, floats):
+def _fill(node, obj, floats):
     if obj is _HOLE:
         return next(floats)
+    if obj is _ENTRIES:
+        return [_fill(node, node.entry, floats) for _ in range(node.count)]
     if isinstance(obj, dict):
-        return {key: _fill(obj[key], floats) for key in sorted(obj)}
+        return {key: _fill(node, obj[key], floats) for key in sorted(obj)}
     if isinstance(obj, list):
-        return [_fill(item, floats) for item in obj]
+        return [_fill(node, item, floats) for item in obj]
     return obj
 
 
