@@ -35,9 +35,7 @@ from .hypergraph import (
     compute_units,
     edge_unit_covers,
     parse_hypergraph,
-    serialize_hypergraph,
     sort_labels,
-    star,
     unit_contraction,
     unit_key,
 )
@@ -67,7 +65,6 @@ from .spectral import (
     RotationBlock,
     SpectralDecomposition,
     decompose_automorphism,
-    decompose_rotation,
     lift_orbit_vector,
     lift_rotation_vector,
     roots_of_unity,
@@ -80,18 +77,14 @@ from .symmetry import (
     OrbitPartition,
     Permutation,
     Rotation,
-    RotationDecomposition,
     as_rotation,
     check_commutation,
     compatibility_deviation,
     equitable_witness,
-    is_compatible,
     is_equitable,
     orbit_quotient,
     orbits,
-    permutation_matrix,
     rotation_decomposition,
-    simple_eigenvalue_bound,
     validate_automorphism,
 )
 from .unit_symmetry import (
@@ -100,8 +93,6 @@ from .unit_symmetry import (
     UnitEigenReport,
     blow_up,
     decompose_unit_automorphism,
-    induced_unit_automorphism,
-    is_unit_automorphism_compatible,
     lift_cardinality_preserving,
     profile_unit_compatibility,
     unit_compatibility_witness,

@@ -30,13 +30,7 @@ from .spectral import (
     decompose_automorphism,
     spectral_radius_via_quotient,
 )
-from .symmetry import (
-    Permutation,
-    check_commutation,
-    is_equitable,
-    orbits,
-    validate_automorphism,
-)
+from .symmetry import check_commutation, is_equitable, orbits, validate_automorphism
 from .unit_symmetry import (
     decompose_unit_automorphism,
     lift_cardinality_preserving,
@@ -109,17 +103,13 @@ def _load_state(path: str, h: Hypergraph) -> np.ndarray:
 
 
 def _as_complex(value, what: str) -> complex:
-    if isinstance(value, bool):
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
         raise DocumentError(f"{what} must be a number or [re, im] pair")
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value)
-    ):
-        return complex(value[0], value[1])
-    raise DocumentError(f"{what} must be a number or [re, im] pair")
+    try:
+        return complex(*parts)
+    except OverflowError:  # an integer beyond the float range
+        raise DocumentError(f"{what} is too large for a float") from None
 
 
 def cmd_units(args) -> int:

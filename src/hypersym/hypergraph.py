@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DocumentError
-from .jsonutil import canonical_json, parse_json, require_key, require_object
+from .jsonutil import parse_json, require_key, require_object
 
 _INT_LABEL = re.compile(r"^-?\d+$")
 
@@ -165,15 +165,6 @@ def parse_hypergraph(text: str) -> Hypergraph:
     return Hypergraph.from_dict(parse_json(text, "hypergraph document"))
 
 
-def serialize_hypergraph(h: Hypergraph) -> str:
-    """Canonical JSON for a hypergraph; parse(serialize(h)) == h."""
-    return canonical_json(h.to_dict())
-
-
-def star(h: Hypergraph, label: str) -> frozenset[str]:
-    return h.star(label)
-
-
 @dataclass(frozen=True)
 class Unit:
     """Maximal set of vertices sharing one star (the generating set)."""
@@ -260,8 +251,6 @@ class ContractionResult:
     contracted: Hypergraph
     units: UnitPartition
     vertex_map: dict[str, str]  # original label -> unit key
-    edge_map: dict[str, str]  # original edge id -> contracted edge id
-    covers: tuple[tuple[int, ...], ...]
 
 
 def unit_contraction(h: Hypergraph) -> ContractionResult:
@@ -278,11 +267,4 @@ def unit_contraction(h: Hypergraph) -> ContractionResult:
     ]
     contracted = Hypergraph(keys, edges)
     vertex_map = {lab: keys[units.unit_of[h.index[lab]]] for lab in h.labels}
-    edge_map = {eid: eid for eid in h.edge_ids}
-    return ContractionResult(
-        contracted=contracted,
-        units=units,
-        vertex_map=vertex_map,
-        edge_map=edge_map,
-        covers=covers,
-    )
+    return ContractionResult(contracted=contracted, units=units, vertex_map=vertex_map)

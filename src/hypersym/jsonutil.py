@@ -170,6 +170,8 @@ def parse_json(text: str, what: str = "document") -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{what} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # an integer too long to convert, nesting too deep
+        raise DocumentError(f"{what} cannot be read: {exc}") from None
 
 
 def require_object(doc: Any, what: str) -> dict:

@@ -82,26 +82,6 @@ class HypergraphMatrix:
             "entries": complex_pair(self.entries.reshape(-1)),
         }
 
-    @classmethod
-    def from_document(cls, doc: dict, kind: str = "loaded") -> "HypergraphMatrix":
-        doc = require_object(doc, "matrix document")
-        order = require_key(doc, "order", "matrix document")
-        index = require_key(doc, "index", "matrix document")
-        entries = require_key(doc, "entries", "matrix document")
-        if not isinstance(order, int) or order < 1:
-            raise DocumentError("matrix 'order' must be a positive integer")
-        if not isinstance(index, list) or len(index) != order:
-            raise DocumentError("matrix 'index' must list exactly 'order' labels")
-        if not isinstance(entries, list) or len(entries) != order * order:
-            raise DocumentError("matrix 'entries' must hold order^2 [re, im] pairs")
-        flat = []
-        for pair in entries:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise DocumentError("matrix entries must be [re, im] pairs")
-            flat.append(complex(pair[0], pair[1]))
-        arr = np.array(flat, dtype=np.complex128).reshape(order, order)
-        return cls(kind=kind, labels=tuple(index), entries=arr)
-
 
 def _float_array(x) -> np.ndarray:
     """x as complex128 when it is complex, else as float64 (ints and bools
@@ -133,14 +113,7 @@ class WeightFunctions:
         doc = require_object(doc, "weights document")
         dv = require_object(require_key(doc, "delta_V", "weights document"), "delta_V")
         de = require_object(require_key(doc, "delta_E", "weights document"), "delta_E")
-        for name, table in (("delta_V", dv), ("delta_E", de)):
-            for key, value in table.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise DocumentError(f"{name}[{key!r}] must be a number")
-        return cls(
-            delta_V={k: float(v) for k, v in dv.items()},
-            delta_E={k: float(v) for k, v in de.items()},
-        )
+        return cls(delta_V=_weights("delta_V", dv), delta_E=_weights("delta_E", de))
 
     @classmethod
     def parse(cls, text: str) -> "WeightFunctions":
@@ -165,6 +138,20 @@ class WeightFunctions:
         for eid, w in self.delta_E.items():
             if not np.isfinite(w) or w <= 0:
                 raise DocumentError(f"delta_E[{eid!r}] must be positive, got {w}")
+
+
+def _weights(name: str, table: dict) -> dict[str, float]:
+    """The numbers of a weight table as floats; a bool, a non-number or an
+    integer beyond the float range is refused."""
+    weights = {}
+    for key, value in table.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DocumentError(f"{name}[{key!r}] must be a number")
+        try:
+            weights[key] = float(value)
+        except OverflowError:
+            raise DocumentError(f"{name}[{key!r}] is too large for a float") from None
+    return weights
 
 
 def _incidence(h: Hypergraph) -> np.ndarray:
@@ -267,10 +254,6 @@ class RowSumReport:
     sums: tuple[complex, ...]
     violations: tuple[tuple[int, complex], ...]
     tol: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def row_sum_check(M: HypergraphMatrix, tol: float = ROW_SUM_TOL) -> RowSumReport:

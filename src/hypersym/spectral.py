@@ -175,8 +175,8 @@ def _require_compatible(A: np.ndarray, perm: Permutation, tol: float) -> None:
 
 def lift_rotation_vector(x, rot: Rotation, omega: RootOfUnity, n_full: int) -> np.ndarray:
     """Lift x on U_0 to the full index set: w^i * x at position f^i(v),
-    zero on the invariant set, real for a real x and w = +-1. An (|U_0|, k)
-    matrix lifts column by column."""
+    zero off the rotation's cycles, real for a real x and w = +-1. An
+    (|U_0|, k) matrix lifts column by column."""
     x = _float_array(x)
     if x.ndim not in (1, 2) or x.shape[0] != len(rot.u0):
         raise HypersymError(f"vector length {x.shape} does not match |U_0| = {len(rot.u0)}")
@@ -447,7 +447,7 @@ def _decompose(
     blocks: list[RotationBlock] = []
     lifts: list[LiftedBlock] = []
     skipped: list[dict] = []
-    for source, parts, partner in _characters(rotation_decomposition(perm).factors):
+    for source, parts, partner in _characters(rotation_decomposition(perm)):
         matrix = _block_matrix(B, parts, orbs, quotient_tol)
         if partner is not None and not np.iscomplexobj(B):
             # conj(w)-block = conj(w-block): the conjugate eigenpairs, re-sorted
@@ -491,12 +491,6 @@ def decompose_automorphism(M, f, tol: float = COMPAT_TOL) -> SpectralDecompositi
     perm = _perm_of(f)
     _require_compatible(A, perm, tol)
     return _decompose(A, perm, tol)
-
-
-def decompose_rotation(M, rot: Rotation, tol: float = COMPAT_TOL) -> SpectralDecomposition:
-    """Spectrum of M from its omega-rotation blocks plus the orbit quotient:
-    decompose_automorphism along the rotation's permutation."""
-    return decompose_automorphism(M, rot.underlying, tol)
 
 
 def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, float]:

@@ -7,8 +7,8 @@ M P_f = P_f M for the permutation matrix with (P_f x)(u) = x(f(u)).
 
 Any permutation splits into cycles; grouping the nontrivial cycles by
 common length yields the rotation decomposition: one rotation per cycle
-length, all with disjoint active domains, plus globally fixed vertices.
-A rotation of order n carries components U_0, ..., U_{n-1} cycled
+length, all with disjoint active domains; the fixed vertices belong to
+none. A rotation of order n carries components U_0, ..., U_{n-1} cycled
 positionally, with U_0 holding one representative per cycle (the smallest
 index, sorted ascending).
 """
@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DocumentError, HypersymError, NotAutomorphismError, NotEquitableError
 from .hypergraph import Hypergraph
-from .matrices import HypergraphMatrix, as_array
+from .matrices import as_array
 
 COMPAT_TOL = 1e-9
 EQUITABLE_TOL = 1e-9
@@ -39,10 +39,6 @@ class Permutation:
         n = len(self.mapping)
         if sorted(self.mapping) != list(range(n)):
             raise HypersymError("permutation mapping is not a bijection on 0..n-1")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
 
     @classmethod
     def from_label_map(cls, h: Hypergraph, label_map: dict[str, str]) -> "Permutation":
@@ -67,31 +63,8 @@ class Permutation:
     def n(self) -> int:
         return len(self.mapping)
 
-    @property
-    def is_identity(self) -> bool:
-        return all(v == u for u, v in enumerate(self.mapping))
-
     def __call__(self, u: int) -> int:
         return self.mapping[u]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for u, v in enumerate(self.mapping):
-            inv[v] = u
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: result(u) = self(other(u))."""
-        if other.n != self.n:
-            raise HypersymError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self.mapping[other.mapping[u]] for u in range(self.n)))
-
-    def power(self, k: int) -> "Permutation":
-        k %= self.order
-        result = Permutation.identity(self.n)
-        for _ in range(k):
-            result = self.compose(result)
-        return result
 
     def cycles(self) -> list[tuple[int, ...]]:
         """All cycles (fixed points included), each starting at its smallest
@@ -159,23 +132,6 @@ def validate_automorphism(h: Hypergraph, f: Permutation | dict[str, str]) -> Aut
     return Automorphism(hypergraph=h, perm=perm, edge_map=edge_map, order=perm.order)
 
 
-def permutation_array(f) -> np.ndarray:
-    """Dense P_f with p[u, f(u)] = 1, so (P_f x)(u) = x(f(u))."""
-    perm = _perm_of(f)
-    P = np.zeros((perm.n, perm.n), dtype=np.complex128)
-    for u, v in enumerate(perm.mapping):
-        P[u, v] = 1.0
-    return P
-
-
-def permutation_matrix(f: Automorphism) -> HypergraphMatrix:
-    return HypergraphMatrix(
-        kind="permutation",
-        labels=f.hypergraph.labels,
-        entries=permutation_array(f.perm),
-    )
-
-
 def compatibility_deviation(M, f) -> tuple[float, tuple[int, int]]:
     """Max |m[u,v] - m[f(u),f(v)]| and the entry attaining it."""
     A = as_array(M)
@@ -186,12 +142,6 @@ def compatibility_deviation(M, f) -> tuple[float, tuple[int, int]]:
     D = np.abs(A - A[np.ix_(idx, idx)])
     u, v = np.unravel_index(int(np.argmax(D)), D.shape)
     return float(D[u, v]), (int(u), int(v))
-
-
-def is_compatible(M, f, tol: float = COMPAT_TOL) -> bool:
-    """True when m[u,v] = m[f(u),f(v)] for all u, v within tol."""
-    dev, _ = compatibility_deviation(M, f)
-    return dev <= tol
 
 
 def check_commutation(M, f) -> float:
@@ -313,7 +263,6 @@ class Rotation:
 
     order_n: int
     components: tuple[tuple[int, ...], ...]
-    invariant_set: frozenset[int]
     underlying: Permutation
 
     @property
@@ -325,35 +274,21 @@ class Rotation:
         return len(self.components[0])
 
 
-@dataclass(frozen=True)
-class RotationDecomposition:
-    factors: tuple[Rotation, ...]
-    global_fixed: tuple[int, ...]
-    perm: Permutation
-
-
-def rotation_decomposition(f) -> RotationDecomposition:
+def rotation_decomposition(f) -> tuple[Rotation, ...]:
     """Split f into one rotation per nontrivial cycle length.
 
     Factors have pairwise disjoint active domains and pairwise distinct
     orders, sorted ascending by order; composing them (in any order)
-    reproduces f on its support.
+    reproduces f.
     """
     perm = _perm_of(f)
     by_length: dict[int, list[tuple[int, ...]]] = {}
-    fixed: list[int] = []
     for cyc in perm.cycles():
-        if len(cyc) == 1:
-            fixed.append(cyc[0])
-        else:
+        if len(cyc) > 1:
             by_length.setdefault(len(cyc), []).append(cyc)
     factors = []
     for length in sorted(by_length):
         cycs = sorted(by_length[length], key=lambda c: c[0])
-        components = [tuple(c[0] for c in cycs)]
-        for i in range(1, length):
-            components.append(tuple(c[i] for c in cycs))
-        active = {v for c in cycs for v in c}
         mapping = list(range(perm.n))
         for c in cycs:
             for t, v in enumerate(c):
@@ -361,43 +296,19 @@ def rotation_decomposition(f) -> RotationDecomposition:
         factors.append(
             Rotation(
                 order_n=length,
-                components=tuple(components),
-                invariant_set=frozenset(range(perm.n)) - active,
+                components=tuple(tuple(c[i] for c in cycs) for i in range(length)),
                 underlying=Permutation(tuple(mapping)),
             )
         )
-    return RotationDecomposition(
-        factors=tuple(factors), global_fixed=tuple(sorted(fixed)), perm=perm
-    )
+    return tuple(factors)
 
 
 def as_rotation(f) -> Rotation:
     """View f as a single rotation; error if its nontrivial cycles have
     mixed lengths or f is the identity."""
-    dec = rotation_decomposition(f)
-    if len(dec.factors) != 1:
+    factors = rotation_decomposition(f)
+    if len(factors) != 1:
         raise HypersymError(
-            f"expected a single rotation, found {len(dec.factors)} cycle-length classes"
+            f"expected a single rotation, found {len(factors)} cycle-length classes"
         )
-    return dec.factors[0]
-
-
-def simple_eigenvalue_bound(rot: Rotation) -> int:
-    """Upper bound on the number of simple eigenvalues of any symmetric
-    rot-compatible matrix: |U_0| + |X| for odd order, 2|U_0| + |X| for even.
-
-    Holds for symmetric matrices only; the bound is meaningless otherwise.
-    """
-    m0 = len(rot.u0)
-    x = len(rot.invariant_set)
-    if rot.order_n % 2 == 1:
-        return m0 + x
-    return 2 * m0 + x
-
-
-def compose_factors(dec: RotationDecomposition) -> Permutation:
-    """Recompose the decomposition; equals the original permutation."""
-    result = Permutation.identity(dec.perm.n)
-    for rot in dec.factors:
-        result = rot.underlying.compose(result)
-    return result
+    return factors[0]

@@ -60,11 +60,6 @@ class UnitCompatibleProfile:
     r: tuple[complex | None, ...]
     rows: np.ndarray
 
-    def unit_eigenvalue(self, i: int) -> complex:
-        if self.r[i] is None:
-            raise HypersymError(f"unit {self.units.units[i].key!r} is a singleton")
-        return self.d[i] - self.r[i]
-
 
 def profile_unit_compatibility(M, units: UnitPartition, tol: float = COMPAT_TOL) -> UnitCompatibleProfile:
     """Verify the unit-compatibility conditions and extract (d, r, s).
@@ -175,23 +170,17 @@ def unit_eigenvalues(M, units: UnitPartition, tol: float = COMPAT_TOL, merge_tol
     merge is cosmetic; per-unit structures are kept).
     """
     A = as_array(M)
-    profile = profile_unit_compatibility(A, units, tol)
-    vectors, _, _ = _difference_vectors(units)
-    structures: list[UnitEigenStructure] = []
-    start = 0
-    for i, unit in enumerate(units.units):
-        if unit.size < 2:
-            continue
-        structures.append(
-            UnitEigenStructure(
-                unit_index=i,
-                unit_key=unit.key,
-                value=profile.unit_eigenvalue(i),
-                multiplicity=unit.size - 1,
-                vectors=tuple(vectors[start : start + unit.size - 1]),
-            )
+    profile_unit_compatibility(A, units, tol)  # the unit-compatibility check
+    structures = [
+        UnitEigenStructure(
+            unit_index=i,
+            unit_key=lift.source["unit"],
+            value=complex(lift.values[0]),
+            multiplicity=len(lift.values),
+            vectors=tuple(lift.vectors.T),
         )
-        start += unit.size - 1
+        for i, lift in _unit_lifts(A, units)
+    ]
     merged: list[tuple[complex, int, tuple[str, ...]]] = []
     for s in sorted(structures, key=lambda s: (s.value.real, s.value.imag)):
         if merged and abs(s.value - merged[-1][0]) <= merge_tol:
@@ -202,19 +191,31 @@ def unit_eigenvalues(M, units: UnitPartition, tol: float = COMPAT_TOL, merge_tol
     return UnitEigenReport(structures=tuple(structures), merged=tuple(merged))
 
 
-def _difference_vectors(units: UnitPartition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows chi_v - chi_v0 for every member v of every unit but its smallest
-    member v0, in unit order, with the v and v0 of each row."""
-    v = np.array([w for unit in units.units for w in unit.member_indices[1:]], dtype=np.intp)
-    v0 = np.array(
-        [unit.member_indices[0] for unit in units.units for _ in unit.member_indices[1:]],
-        dtype=np.intp,
-    )
-    vectors = np.zeros((len(v), units.n))
+def _unit_lifts(A: np.ndarray, units: UnitPartition) -> list[tuple[int, LiftedBlock]]:
+    """(index, eigenpairs) of every unit W of size at least 2, in unit
+    order: d - r in A's dtype, read off the representative row, |W| - 1
+    times, with the vectors chi_v - chi_v0 for its members v but the
+    smallest v0 as columns and their residuals against A. A must be
+    unit-compatible (checked by the caller)."""
+    big = [(i, unit.member_indices) for i, unit in enumerate(units.units) if unit.size > 1]
+    v = np.array([w for _, mem in big for w in mem[1:]], dtype=np.intp)
+    v0 = np.array([mem[0] for _, mem in big for _ in mem[1:]], dtype=np.intp)
     rows = np.arange(len(v))
+    vectors = np.zeros((len(v), units.n))
     vectors[rows, v] = 1.0
     vectors[rows, v0] = -1.0
-    return vectors, v, v0
+    values = [np.full(len(mem) - 1, A[mem[0], mem[0]] - A[mem[0], mem[1]]) for _, mem in big]
+    # A (chi_v - chi_v0) = A[:, v] - A[:, v0]: each residual is O(n)
+    residuals = residual_norms(
+        A[:, v] - A[:, v0], vectors.T, np.concatenate(values) if values else np.zeros(0, A.dtype)
+    )
+    bounds = np.cumsum([len(vals) for vals in values])[:-1]
+    return [
+        (i, LiftedBlock({"kind": "unit", "unit": units.units[i].key}, vals, vecs, res))
+        for (i, _), vals, vecs, res in zip(
+            big, values, np.split(vectors.T, bounds, axis=1), np.split(residuals, bounds)
+        )
+    ]
 
 
 def unit_quotient(M, units: UnitPartition, tol: float = COMPAT_TOL) -> np.ndarray:
@@ -311,33 +312,6 @@ def validate_unit_automorphism(h: Hypergraph, unit_map: dict[str, str] | Permuta
     )
 
 
-def induced_unit_automorphism(f: Automorphism) -> UnitAutomorphism:
-    """The unit permutation induced by a vertex automorphism.
-
-    Always valid and always cardinality-preserving: automorphisms map stars
-    to stars, hence units onto units of equal size.
-    """
-    h = f.hypergraph
-    units = compute_units(h)
-    mapping = []
-    for unit in units.units:
-        images = {units.unit_of[f.perm(v)] for v in unit.member_indices}
-        if len(images) != 1:
-            raise AssertionError(
-                f"automorphism splits unit {unit.key!r}; star computation is broken"
-            )
-        mapping.append(images.pop())
-    perm = Permutation(tuple(mapping))
-    return UnitAutomorphism(
-        hypergraph=h,
-        units=units,
-        perm=perm,
-        edge_map=dict(f.edge_map),
-        order=perm.order,
-        cardinality_preserving=True,
-    )
-
-
 def lift_cardinality_preserving(ua: UnitAutomorphism) -> Automorphism:
     """Lift a cardinality-preserving unit-automorphism to a vertex
     automorphism, mapping each unit's members positionally (both sides
@@ -384,13 +358,6 @@ def _quotient_witness(N: np.ndarray, ua: UnitAutomorphism, tol: float) -> dict |
     }
 
 
-def is_unit_automorphism_compatible(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL) -> bool:
-    """True when the unit quotient of M is compatible with the unit map.
-
-    M itself must be unit-compatible (checked; raises otherwise)."""
-    return unit_compatibility_witness(M, ua, tol) is None
-
-
 def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL) -> SpectralDecomposition:
     """Unit eigenvalues plus the block decomposition of the unit quotient
     along the unit permutation, blown back up to the vertices.
@@ -413,32 +380,8 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
             f"{describe_value(witness['image_value'])}"
         )
 
-    blocks: list[RotationBlock] = []
-    unit_values: list[np.ndarray] = []  # in A's dtype
-    for unit in units.units:
-        if unit.size < 2:
-            continue
-        rep, second = unit.member_indices[:2]
-        # d - r, read off the representative row of a checked matrix
-        unit_values.append(np.full(unit.size - 1, A[rep, rep] - A[rep, second]))
-        blocks.append(
-            RotationBlock(
-                source={"kind": "unit", "unit": unit.key},
-                order=unit.size - 1,
-                eigenvalues=unit_values[-1].astype(np.complex128),
-            )
-        )
-    # A (chi_v - chi_v0) = A[:, v] - A[:, v0]: each residual is O(n)
-    vectors, v, v0 = _difference_vectors(units)
-    values = np.concatenate(unit_values) if unit_values else np.zeros(0, A.dtype)
-    residuals = residual_norms(A[:, v] - A[:, v0], vectors.T, values)
-    bounds = np.cumsum([b.order for b in blocks])[:-1]
-    lifts = [
-        LiftedBlock(b.source, vals, vecs, res)
-        for b, vals, vecs, res in zip(
-            blocks, unit_values, np.split(vectors.T, bounds, axis=1), np.split(residuals, bounds)
-        )
-    ]
+    lifts = [lift for _, lift in _unit_lifts(A, units)]
+    blocks = [RotationBlock(lift.source, len(lift.values), lift.values.astype(np.complex128)) for lift in lifts]
     # N was checked against the unit map above
     core = _decompose(A, ua.perm, tol, built_from=N, lift=lambda Y: blow_up(Y, units), tag={"level": "units"})
     return SpectralDecomposition(

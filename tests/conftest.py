@@ -31,6 +31,13 @@ ROT10_MAP = {
     "6": "9", "7": "10", "8": "2", "9": "3", "10": "4",
 }
 
+# the unit map of the rotation: its units are the singletons 1, 4, 7, 10 and
+# the pairs 2,3 / 5,6 / 8,9, each moved as the vertex map moves its members
+ROT10_UNIT_MAP = {
+    "1": "1", "2,3": "5,6", "4": "7", "5,6": "8,9",
+    "7": "10", "8,9": "2,3", "10": "4",
+}
+
 # |E_u ^ E_v| off the diagonal, 0 on it; rows in vertex order 1..10
 ROT10_ADJACENCY_R = np.array(
     [
@@ -108,6 +115,11 @@ def rot10():
 @pytest.fixture
 def rot10_aut(rot10):
     return validate_automorphism(rot10, ROT10_MAP)
+
+
+@pytest.fixture
+def rot10_ua(rot10):
+    return validate_unit_automorphism(rot10, ROT10_UNIT_MAP)
 
 
 @pytest.fixture

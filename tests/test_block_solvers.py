@@ -55,7 +55,7 @@ def _block_rows(perm, source):
     if source["kind"] == "quotient":
         return [cell[0] for cell in orbits(perm).cells]
     j, ell = source["omega_k"], source["order_n"]
-    return [u for rot in rotation_decomposition(perm).factors if j * rot.order_n % ell == 0 for u in rot.u0]
+    return [u for rot in rotation_decomposition(perm) if j * rot.order_n % ell == 0 for u in rot.u0]
 
 
 def _meets_convention(x):
@@ -146,7 +146,7 @@ def test_conjugate_blocks_of_a_real_matrix_are_conjugate(lengths, fixed):
     rng = np.random.default_rng(sum(lengths) + fixed)
     p = permutation_with_type(rng, sum(lengths) + fixed, lengths)
     orbs = orbits(p)
-    characters = spectral._characters(rotation_decomposition(p).factors)
+    characters = spectral._characters(rotation_decomposition(p))
     for how in ("real symmetric", "real general"):
         A = _matrix(rng, p, how).astype(complex)
         blocks = {

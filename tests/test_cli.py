@@ -211,6 +211,35 @@ def test_missing_file_is_usage_error(capsys, rot10_map_path):
     assert "cannot read" in err
 
 
+TOO_LARGE = "1" + "0" * 400  # 10^400 as a JSON integer: beyond the float range
+
+
+@pytest.mark.parametrize(
+    "command, document, message",
+    [
+        ("units", '{"vertices": ["1"], "edges": [], "note": 1%s}' % ("0" * 5000), "cannot be read"),
+        ("units", "[" * 100000 + "]" * 100000, "cannot be read"),
+        ("matrix", '{"delta_V": {}, "delta_E": {"e": %s}}' % TOO_LARGE, "delta_E['e'] is too large"),
+        ("dynamics", '{"values": {"1": %s}}' % TOO_LARGE, "values['1'] is too large"),
+    ],
+    ids=["5001-digit-integer", "nested-100000-deep", "weight-10^400", "state-10^400"],
+)
+def test_unreadable_documents_are_usage_errors(capsys, tmp_path, rot10_path, rot10_map_path, command, document, message):
+    # valid JSON that Python cannot turn into numbers (or parse at all)
+    # prints an error line and exits 2 instead of raising
+    path = tmp_path / "document.json"
+    path.write_text(document)
+    argv = {
+        "units": ["units", str(path)],
+        "matrix": ["matrix", rot10_path, "--kind", "general_adjacency", "--weights", str(path)],
+        "dynamics": ["dynamics", rot10_path, rot10_map_path, "--kind", "adjacency_r",
+                     "--x0", str(path), "--steps", "1"],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_selftest_command(capsys):
     code, out, _ = run(capsys, ["selftest", "--seed", "1", "--count", "5"])
     assert code == 0

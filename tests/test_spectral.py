@@ -14,7 +14,6 @@ from hypersym import (
     compatible_matrix,
     compute_units,
     decompose_automorphism,
-    decompose_rotation,
     decompose_unit_automorphism,
     dense_spectrum,
     lift_orbit_vector,
@@ -159,7 +158,7 @@ def test_lifts_accept_column_matrices(rot10, rot10_aut, units18):
 def test_decompose_rotation_complete(rot10, rot10_aut):
     A = build_matrix(rot10, "adjacency_r")
     rot = as_rotation(rot10_aut.perm)
-    dec = decompose_rotation(A, rot)
+    dec = decompose_automorphism(A, rot.underlying)
     assert sum(b.order for b in dec.blocks) == 10
     assert len(dec.lifted) == 10
     assert not dec.skipped
@@ -172,7 +171,7 @@ def test_decompose_rotation_complete(rot10, rot10_aut):
 def test_decompose_automorphism_matches_rotation_route(rot10, rot10_aut):
     A = build_matrix(rot10, "adjacency_r")
     via_aut = decompose_automorphism(A, rot10_aut)
-    via_rot = decompose_rotation(A, as_rotation(rot10_aut.perm))
+    via_rot = decompose_automorphism(A, as_rotation(rot10_aut.perm).underlying)
     a = sorted(via_aut.eigenvalues(), key=lambda z: (z.real, z.imag))
     b = sorted(via_rot.eigenvalues(), key=lambda z: (z.real, z.imag))
     assert np.allclose(a, b, atol=1e-10)
@@ -206,7 +205,7 @@ def test_incompatible_matrix_refused(rot10, rot10_aut):
     A = build_matrix(rot10, "adjacency_r").entries.copy()
     A[0, 1] += 1.0
     with pytest.raises(IncompatibleMatrixError, match="deviates"):
-        decompose_rotation(A, as_rotation(rot10_aut.perm))
+        decompose_automorphism(A, as_rotation(rot10_aut.perm).underlying)
     with pytest.raises(IncompatibleMatrixError, match="deviates"):
         decompose_automorphism(A, rot10_aut)
 
@@ -323,11 +322,11 @@ def test_empty_invariant_set_quotient_equals_trivial_block():
     p = Permutation((1, 2, 0, 4, 5, 3))  # two 3-cycles, X empty
     M = compatible_matrix(rng, p)
     rot = as_rotation(p)
-    assert not rot.invariant_set
+    assert rot.order_n * rot.n_cycles == p.n  # no fixed vertex
     Q = orbit_quotient(M, orbits(p))
     R1 = rotation_matrix(M, rot, roots_of_unity(3)[0])
     assert np.allclose(Q, R1, atol=1e-12)
-    dec = decompose_rotation(M, rot)
+    dec = decompose_automorphism(M, rot.underlying)
     assert verify_decomposition(M, dec).verdict
 
 

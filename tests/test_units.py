@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersym import (
     DocumentError,
+    Hypergraph,
     IncompatibleMatrixError,
     NotUnitAutomorphismError,
     NotUnitCompatibleError,
@@ -13,8 +16,6 @@ from hypersym import (
     compute_units,
     decompose_unit_automorphism,
     dense_spectrum,
-    induced_unit_automorphism,
-    is_unit_automorphism_compatible,
     lift_cardinality_preserving,
     profile_unit_compatibility,
     unit_compatibility_witness,
@@ -27,7 +28,7 @@ from hypersym import (
 
 from hypersym.unit_symmetry import COMPAT_TOL, _quotient_witness
 
-from conftest import ROT10_MAP, UNITS18_KEYS, UNITS18_SWAP_MAP, UNITS18_UNIT_MAP
+from conftest import ROT10_MAP, ROT10_UNIT_MAP, UNITS18_KEYS, UNITS18_SWAP_MAP, UNITS18_UNIT_MAP
 
 
 def test_adjacency_r_is_unit_compatible(units18):
@@ -207,7 +208,6 @@ def test_adjacency_r_incompatible_with_unit_map(units18, units18_ua):
     assert witness["image_units"] == ("1,2", "7,8")
     assert witness["value"] == 3.0
     assert witness["image_value"] == 2.0
-    assert not is_unit_automorphism_compatible(A, units18_ua)
     with pytest.raises(IncompatibleMatrixError) as err:
         decompose_unit_automorphism(A, units18_ua)
     msg = str(err.value)
@@ -256,12 +256,12 @@ def test_cardinality_preserving_map_lifts_and_decomposes(units18):
     assert verify_decomposition(A, dec).verdict
 
 
-def test_unit_decompose_tolerance_reaches_the_quotient_check(rot10, rot10_aut):
+def test_unit_decompose_tolerance_reaches_the_quotient_check(rot10, rot10_ua):
     # both members of unit '2,3' move together, so the matrix stays
     # unit-compatible and only its unit quotient is compatible within tol;
     # columns 3 and 6 are the units '4' and '7' of one orbit, into which
     # the quotient's row '2,3' then sums 1.2 tol more than '5,6' and '8,9'
-    ua = induced_unit_automorphism(rot10_aut)
+    ua = rot10_ua
     base = build_matrix(rot10, "adjacency_r").entries
     for cols in ([0], [3, 6]):
         A = base.copy()
@@ -273,8 +273,8 @@ def test_unit_decompose_tolerance_reaches_the_quotient_check(rot10, rot10_aut):
         decompose_unit_automorphism(A, ua, tol=1e-6)
 
 
-def test_nan_tolerance_and_nan_entry_are_refused_on_the_unit_route(rot10, rot10_aut):
-    ua = induced_unit_automorphism(rot10_aut)
+def test_nan_tolerance_and_nan_entry_are_refused_on_the_unit_route(rot10, rot10_ua):
+    ua = rot10_ua
     base = build_matrix(rot10, "adjacency_r").entries
     A = base.copy()
     A[[1, 2], 0] += 0.5  # unit-compatible, but the quotient breaks the map
@@ -291,25 +291,70 @@ def test_nan_tolerance_and_nan_entry_are_refused_on_the_unit_route(rot10, rot10_
     assert _quotient_witness(unit_quotient(base, ua.units), ua, float("nan")) is not None
 
 
-def test_induced_unit_automorphism(rot10, rot10_aut):
-    ua = induced_unit_automorphism(rot10_aut)
-    assert ua.cardinality_preserving
-    keys = [u.key for u in ua.units.units]
-    key_map = ua.unit_key_map()
-    assert key_map["2,3"] == "5,6"
-    assert key_map["5,6"] == "8,9"
-    assert key_map["8,9"] == "2,3"
-    assert ua.edge_map == rot10_aut.edge_map
-    assert ROT10_MAP["2"] == "5"  # the vertex map behind the induced one
+def test_induced_unit_automorphism(rot10, rot10_aut, rot10_ua):
+    # the vertex automorphism moves whole units, and the unit map it induces
+    # preserves their sizes and lifts back to it, with the same edge map
+    assert rot10_ua.cardinality_preserving
+    assert rot10_ua.unit_key_map() == ROT10_UNIT_MAP
+    assert rot10_ua.edge_map == rot10_aut.edge_map
+    assert lift_cardinality_preserving(rot10_ua).perm == rot10_aut.perm
+    for unit in rot10_ua.units.units:
+        image = {ROT10_MAP[label] for label in unit.members}
+        assert ",".join(sorted(image, key=int)) == ROT10_UNIT_MAP[unit.key]
 
 
-def test_unit_route_agrees_with_vertex_route(rot10, rot10_aut):
+def test_unit_route_agrees_with_vertex_route(rot10, rot10_aut, rot10_ua):
     # same matrix, two decompositions: vertex automorphism vs induced units
     from hypersym import decompose_automorphism
 
     A = build_matrix(rot10, "unit_normalized")
     via_vertex = decompose_automorphism(A, rot10_aut)
-    via_units = decompose_unit_automorphism(A, induced_unit_automorphism(rot10_aut))
+    via_units = decompose_unit_automorphism(A, rot10_ua)
     a = np.sort_complex(via_vertex.eigenvalues())
     b = np.sort_complex(via_units.eigenvalues())
     assert np.allclose(a, b, atol=1e-8)
+
+
+def _assert_unit_records_match(A, ua):
+    """unit_eigenvalues and the "kind": "unit" records of a unit-route
+    decomposition name the same units, values, multiplicities and vectors,
+    exactly."""
+    report = unit_eigenvalues(A, ua.units)
+    dec = decompose_unit_automorphism(A, ua)
+    blocks = [b for b in dec.blocks if b.source["kind"] == "unit"]
+    lifts = [lift for lift in dec.lifts if lift.source["kind"] == "unit"]
+    keys = [s.unit_key for s in report.structures]
+    assert keys == [b.source["unit"] for b in blocks] == [lift.source["unit"] for lift in lifts]
+    assert keys == [u.key for u in ua.units.units if u.size > 1]
+    for s, block, lift in zip(report.structures, blocks, lifts):
+        assert s.multiplicity == block.order == len(lift.values)
+        assert block.eigenvalues.tolist() == lift.values.astype(complex).tolist() == [s.value] * s.multiplicity
+        assert np.array_equal(np.stack(s.vectors, axis=1), lift.vectors)
+
+
+@pytest.mark.parametrize("kind, unit_map", [("unit_normalized", UNITS18_UNIT_MAP), ("adjacency_r", UNITS18_SWAP_MAP)])
+def test_unit_eigenvalues_are_the_unit_records_of_the_decomposition(units18, kind, unit_map):
+    A = build_matrix(units18, kind)
+    _assert_unit_records_match(A, validate_unit_automorphism(units18, unit_map))
+    _assert_unit_records_match((0.5 - 2j) * A.entries, validate_unit_automorphism(units18, unit_map))
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=6),
+    st.sampled_from(["adjacency_r", "laplacian_r", "unit_normalized"]),
+    st.sampled_from([1.0, -0.25, 1.5 + 2j]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_unit_eigenvalues_are_the_unit_records_on_blow_ups(copies, kind, scale, seed):
+    # each base vertex b is copied copies[b] times; copies share b's star
+    rng = np.random.default_rng(seed)
+    labels = [f"{b}.{c}" for b, k in enumerate(copies) for c in range(k)]
+    edges = {}
+    for j in range(int(rng.integers(1, 5))):
+        members = frozenset(b for b in range(len(copies)) if rng.random() < 0.5) or frozenset({0})
+        edges.setdefault(members, f"e{j}")
+    h = Hypergraph(labels, [(eid, [f"{b}.{c}" for b in sorted(m) for c in range(copies[b])]) for m, eid in edges.items()])
+    units = compute_units(h)
+    ua = validate_unit_automorphism(h, {u.key: u.key for u in units.units})
+    _assert_unit_records_match(scale * build_matrix(h, kind).entries, ua)
