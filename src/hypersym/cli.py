@@ -12,6 +12,7 @@ for malformed documents or usage errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 
@@ -107,9 +108,12 @@ def _as_complex(value, what: str) -> complex:
     if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
         raise DocumentError(f"{what} must be a number or [re, im] pair")
     try:
-        return complex(*parts)
+        z = complex(*parts)
     except OverflowError:  # an integer beyond the float range
         raise DocumentError(f"{what} is too large for a float") from None
+    if not cmath.isfinite(z):  # NaN, Infinity or a float literal beyond the float range
+        raise DocumentError(f"{what} is not finite")
+    return z
 
 
 def cmd_units(args) -> int:

@@ -10,13 +10,28 @@ Documents use the JSON shape {"vertices": [label], "edges": [{"id",
 "members"}]}. Canonical form sorts the vertex list and each member list;
 label order is numeric when every label is an integer literal, otherwise
 lexicographic.
+
+A Hypergraph stores its edges as CSR incidence arrays: edge j's members are
+the vertex indices edge_members[edge_ptr[j]:edge_ptr[j + 1]], ascending.
+Parsing maps and type-checks every member in one pass, and every check
+that compares edges or stars (duplicate ids, repeated members, equal member
+sets, the image of an edge under a symmetry, equal stars) sorts the flat
+arrays (one stable sort of the rows padded to a common length, as a rule)
+instead of looping over edges.
+The per-edge and per-vertex Python views (edges, member_sets, stars) are
+built from the arrays on first access.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable
+
+import numpy as np
 
 from .errors import DocumentError
 from .jsonutil import parse_json, require_key, require_object
@@ -27,9 +42,77 @@ _INT_LABEL = re.compile(r"^-?\d+$")
 def sort_labels(labels: Iterable[str]) -> list[str]:
     """Sort labels numerically when all are integer literals, else lexically."""
     items = list(labels)
-    if items and all(_INT_LABEL.match(lab) for lab in items):
+    if items and all(map(_INT_LABEL.match, items)):
         return sorted(items, key=int)
     return sorted(items)
+
+
+def _row_of(ptr: np.ndarray) -> np.ndarray:
+    """The row of every entry of a CSR array with row pointer ptr."""
+    return np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+
+
+def _sort_rows(ptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The entries (integers >= -1) of a CSR array, ascending within each row."""
+    span = int(values.max(initial=0)) + 2
+    return values[np.argsort(_row_of(ptr) * span + values, kind="stable")]
+
+
+def _first_equal_rows(ptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """For each row of a CSR array whose rows are sorted, the index of the
+    first row with the same entries.
+
+    The rows, taken by length, are cut into classes of consecutive lengths
+    whose rows padded to the longest hold at most twice their entries
+    (usually a single class), so the padded tables stay O(len(values)).
+    Each class is one stable sort of its padded rows, each row (its length
+    first) packed into one integer key.
+    """
+    lengths = np.diff(ptr)
+    first = np.arange(len(lengths))
+    by_length = np.argsort(lengths, kind="stable")
+    counts = np.bincount(lengths)
+    classes = []  # (end in by_length, longest length) of each class
+    size = entries = end = 0  # rows and entries of the open class, rows taken so far
+    for length in np.flatnonzero(counts).tolist():
+        count = int(counts[length])
+        if size and (size + count) * length > 2 * (entries + count * length):
+            classes.append((end, longest))  # padding the open class to length would double it
+            size = entries = 0
+        size, entries, end, longest = size + count, entries + count * length, end + count, length
+    if size:
+        classes.append((end, longest))
+    begin = 0
+    for end, longest in classes:
+        rows, begin = by_length[begin:end], end
+        table = np.full((len(rows), longest + 1), -1, dtype=values.dtype)
+        table[:, 0] = lengths[rows]
+        inside = np.arange(longest) < table[:, :1]
+        table[:, 1:][inside] = values[(ptr[rows, None] + np.arange(longest))[inside]]
+        # each padded row as one integer, its entries + 1 the digits in base
+        # `base`; a key that could overflow is first replaced by its rank
+        base, key, bound = int(table.max(initial=0)) + 2, np.zeros(len(rows), dtype=np.int64), 1
+        for digits in table.T + 1:
+            if bound > np.iinfo(np.int64).max // base:
+                key, bound = np.unique(key, return_inverse=True)[1], len(rows)
+            key, bound = key * base + digits, bound * base
+        order = np.argsort(key, kind="stable")  # equal rows stay in row order
+        rows, key = rows[order], key[order]
+        starts = np.ones(len(rows), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=starts[1:])
+        first[rows] = rows[starts][np.cumsum(starts) - 1]
+    return first
+
+
+def _map_rows(ptr: np.ndarray, rows: np.ndarray, mapping) -> tuple[np.ndarray, np.ndarray]:
+    """The image of every row of a CSR array (sorted within rows) under
+    mapping, sorted within rows, and for each image the first row with the
+    same entries, or -1."""
+    image = _sort_rows(ptr, np.asarray(mapping, dtype=np.intp)[rows])
+    m = len(ptr) - 1
+    both = np.concatenate((ptr, ptr[1:] + ptr[-1]))
+    first = _first_equal_rows(both, np.concatenate((rows, image)))[m:]
+    return image, np.where(first < m, first, -1)
 
 
 @dataclass(frozen=True)
@@ -47,62 +130,80 @@ class Hypergraph:
     Attributes:
         labels: vertex labels in canonical order.
         index: label -> position in `labels`.
+        edge_ids: edge ids in document order; edge_index: id -> position.
+        edge_ptr, edge_members: the CSR incidence arrays (read-only); edge
+            j's members are the vertex indices
+            edge_members[edge_ptr[j]:edge_ptr[j + 1]], ascending.
         edges: hyperedges in document order, members in canonical order.
         member_sets: per edge, the frozenset of member vertex indices.
         stars: per vertex index, the frozenset of incident edge indices.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, Iterable[str]]]):
-        labels = [str(v) for v in vertices]
+        self._set_labels([str(v) for v in vertices])
+        ids: list[str] = []
+        sizes: list[int] = []
+        flat: list[str] = []
+        for eid, members in edges:
+            mem = [str(v) for v in members]
+            ids.append(str(eid))
+            sizes.append(len(mem))
+            flat += mem
+        self._set_edges(ids, sizes, flat)
+
+    def _set_labels(self, labels: list[str]) -> None:
         if not labels:
             raise DocumentError("hypergraph needs at least one vertex")
-        if len(set(labels)) != len(labels):
-            dup = next(lab for lab in labels if labels.count(lab) > 1)
-            raise DocumentError(f"duplicate vertex label {dup!r}")
         self.labels: tuple[str, ...] = tuple(sort_labels(labels))
         self.index: dict[str, int] = {lab: i for i, lab in enumerate(self.labels)}
+        if len(self.index) != len(labels):
+            counts = Counter(labels)
+            dup = next(lab for lab in labels if counts[lab] > 1)
+            raise DocumentError(f"duplicate vertex label {dup!r}")
 
-        seen_ids: dict[str, int] = {}
-        seen_sets: dict[frozenset[int], str] = {}
-        built: list[Hyperedge] = []
-        member_sets: list[frozenset[int]] = []
-        for eid, members in edges:
-            eid = str(eid)
-            if eid in seen_ids:
+    def _set_edges(self, ids: list[str], sizes: list[int], flat: list[str]) -> None:
+        """Map the members of every edge (flat, in document order, sizes[j]
+        of them for edge j) to vertex indices and check the edges; the
+        first offending edge, in document order, is refused."""
+        m = len(ids)
+        lengths = np.array(sizes, dtype=np.intp)
+        ptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(lengths, out=ptr[1:])
+        idx = np.fromiter(map(self.index.get, flat, repeat(-1)), dtype=np.intp, count=len(flat))
+        edge_of = _row_of(ptr)
+        members = _sort_rows(ptr, idx)
+        self.edge_index: dict[str, int] = dict(zip(ids, range(m)))
+        # one row per refusal, in the order each edge is checked for them
+        bad = np.zeros((5, m), dtype=bool)
+        if len(self.edge_index) < m:
+            first_of_id = dict(zip(reversed(ids), range(m - 1, -1, -1)))
+            bad[0] = np.fromiter(map(first_of_id.__getitem__, ids), dtype=np.intp, count=m) != np.arange(m)
+        bad[1] = lengths == 0
+        unknown = idx < 0
+        bad[2, edge_of[unknown]] = True
+        repeated = (members[1:] == members[:-1]) & (edge_of[1:] == edge_of[:-1])
+        bad[3, edge_of[1:][repeated]] = True
+        twin = _first_equal_rows(ptr, members)
+        bad[4] = twin != np.arange(m)
+        failed = bad.any(axis=0)
+        if failed.any():
+            j = int(np.argmax(failed))
+            eid = ids[j]
+            refusal = int(np.argmax(bad[:, j]))
+            if refusal == 0:
                 raise DocumentError(f"duplicate edge id {eid!r}")
-            seen_ids[eid] = len(built)
-            mem = [str(v) for v in members]
-            if not mem:
+            if refusal == 1:
                 raise DocumentError(f"edge {eid!r} has no members")
-            idxs = []
-            for v in mem:
-                if v not in self.index:
-                    raise DocumentError(f"edge {eid!r} names unknown vertex {v!r}")
-                idxs.append(self.index[v])
-            if len(set(idxs)) != len(idxs):
+            if refusal == 2:
+                v = flat[ptr[j] + int(np.argmax(unknown[ptr[j] : ptr[j + 1]]))]
+                raise DocumentError(f"edge {eid!r} names unknown vertex {v!r}")
+            if refusal == 3:
                 raise DocumentError(f"edge {eid!r} repeats a member")
-            mset = frozenset(idxs)
-            if mset in seen_sets:
-                raise DocumentError(
-                    f"edges {seen_sets[mset]!r} and {eid!r} have the same member set"
-                )
-            seen_sets[mset] = eid
-            ordered = tuple(self.labels[i] for i in sorted(idxs))
-            built.append(Hyperedge(eid, ordered))
-            member_sets.append(mset)
-
-        self.edges: tuple[Hyperedge, ...] = tuple(built)
-        self.edge_ids: tuple[str, ...] = tuple(e.id for e in built)
-        self.edge_index: dict[str, int] = seen_ids
-        self.member_sets: tuple[frozenset[int], ...] = tuple(member_sets)
-        self._set_to_edge: dict[frozenset[int], int] = {
-            s: i for i, s in enumerate(member_sets)
-        }
-        stars: list[set[int]] = [set() for _ in self.labels]
-        for j, mset in enumerate(member_sets):
-            for i in mset:
-                stars[i].add(j)
-        self.stars: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in stars)
+            raise DocumentError(f"edges {ids[twin[j]]!r} and {eid!r} have the same member set")
+        ptr.flags.writeable = members.flags.writeable = False
+        self.edge_ids: tuple[str, ...] = tuple(ids)
+        self.edge_ptr: np.ndarray = ptr
+        self.edge_members: np.ndarray = members
 
     @property
     def n(self) -> int:
@@ -110,16 +211,39 @@ class Hypergraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_ids)
 
-    def star(self, label: str) -> frozenset[str]:
-        """Edge ids incident to the vertex with this label."""
-        if label not in self.index:
-            raise DocumentError(f"unknown vertex {label!r}")
-        return frozenset(self.edge_ids[j] for j in self.stars[self.index[label]])
+    def _edge_rows(self) -> list[list[int]]:
+        bounds = self.edge_ptr.tolist()
+        flat = self.edge_members.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def edge_of_member_set(self, idxs: frozenset[int]) -> int | None:
-        return self._set_to_edge.get(idxs)
+    @cached_property
+    def edges(self) -> tuple[Hyperedge, ...]:
+        labels = self.labels
+        return tuple(
+            Hyperedge(eid, tuple(labels[i] for i in row))
+            for eid, row in zip(self.edge_ids, self._edge_rows())
+        )
+
+    @cached_property
+    def member_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(row) for row in self._edge_rows())
+
+    def _star_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stars as a CSR array: vertex i's incident edge indices are
+        star_edges[star_ptr[i]:star_ptr[i + 1]], ascending."""
+        edge_of = _row_of(self.edge_ptr)
+        star_ptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.edge_members, minlength=self.n), out=star_ptr[1:])
+        return star_ptr, edge_of[np.argsort(self.edge_members * max(self.m, 1) + edge_of, kind="stable")]
+
+    @cached_property
+    def stars(self) -> tuple[frozenset[int], ...]:
+        star_ptr, star_edges = self._star_arrays()
+        bounds = star_ptr.tolist()
+        flat = star_edges.tolist()
+        return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def to_dict(self) -> dict:
         return {
@@ -136,17 +260,27 @@ class Hypergraph:
             raise DocumentError("hypergraph 'vertices' must be a list of strings")
         if not isinstance(edges, list):
             raise DocumentError("hypergraph 'edges' must be a list")
-        pairs = []
+        ids: list[str] = []
+        sizes: list[int] = []
+        flat: list[str] = []
+        is_str = str.__instancecheck__  # isinstance(v, str), mapped without a Python frame per member
         for entry in edges:
-            entry = require_object(entry, "edge entry")
-            eid = require_key(entry, "id", "edge entry")
-            members = require_key(entry, "members", "edge entry")
+            if not (isinstance(entry, dict) and "id" in entry and "members" in entry):
+                entry = require_object(entry, "edge entry")
+                require_key(entry, "id", "edge entry")
+                require_key(entry, "members", "edge entry")
+            eid, members = entry["id"], entry["members"]
             if not isinstance(eid, str):
                 raise DocumentError("edge 'id' must be a string")
-            if not isinstance(members, list) or not all(isinstance(v, str) for v in members):
+            if not isinstance(members, list) or not all(map(is_str, members)):
                 raise DocumentError(f"edge {eid!r} 'members' must be a list of strings")
-            pairs.append((eid, members))
-        return cls(vertices, pairs)
+            ids.append(eid)
+            sizes.append(len(members))
+            flat += members
+        h = cls.__new__(cls)
+        h._set_labels(vertices)
+        h._set_edges(ids, sizes, flat)
+        return h
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
@@ -204,28 +338,48 @@ def compute_units(h: Hypergraph) -> UnitPartition:
     Isolated vertices all share the empty star and land in one unit. Units
     are ordered by their smallest vertex index.
     """
-    groups: dict[frozenset[int], list[int]] = {}
-    for i in range(h.n):
-        groups.setdefault(h.stars[i], []).append(i)
-    ordered = sorted(groups.items(), key=lambda kv: min(kv[1]))
+    star_ptr, star_edges = h._star_arrays()
+    reps, unit_of = np.unique(_first_equal_rows(star_ptr, star_edges), return_inverse=True)
+    by_unit = np.argsort(unit_of, kind="stable").tolist()  # ascending within each unit
+    ends = np.cumsum(np.bincount(unit_of)).tolist()
+    bounds = star_ptr.tolist()
+    flat = star_edges.tolist()
     units: list[Unit] = []
-    unit_of = [0] * h.n
-    for ui, (star_set, idxs) in enumerate(ordered):
-        idxs = sorted(idxs)
-        members = tuple(h.labels[i] for i in idxs)
-        gen = tuple(h.edge_ids[j] for j in sorted(star_set))
+    for rep, start, end in zip(reps.tolist(), [0, *ends], ends):
+        idxs = tuple(by_unit[start:end])
+        members = tuple(map(h.labels.__getitem__, idxs))
+        star = flat[bounds[rep] : bounds[rep + 1]]
         units.append(
             Unit(
                 key=unit_key(members),
                 members=members,
-                member_indices=tuple(idxs),
-                generating_edges=gen,
-                edge_indices=star_set,
+                member_indices=idxs,
+                generating_edges=tuple(map(h.edge_ids.__getitem__, star)),
+                edge_indices=frozenset(star),
             )
         )
-        for i in idxs:
-            unit_of[i] = ui
-    return UnitPartition(units=tuple(units), unit_of=tuple(unit_of), n=h.n)
+    return UnitPartition(units=tuple(units), unit_of=tuple(unit_of.tolist()), n=h.n)
+
+
+def _cover_arrays(h: Hypergraph, units: UnitPartition) -> tuple[np.ndarray, np.ndarray]:
+    """The unit covers of the edges as a CSR array: edge j is the union of
+    the units cover[ptr[j]:ptr[j + 1]], ascending. Every edge meets a unit
+    either fully or not at all, so the cover is exact; this is asserted."""
+    unit_of = np.array(units.unit_of, dtype=np.intp)
+    ptr = h.edge_ptr
+    cover, edge_of = _sort_rows(ptr, unit_of[h.edge_members]), _row_of(ptr)
+    first = np.ones(len(cover), dtype=bool)
+    first[1:] = (cover[1:] != cover[:-1]) | (edge_of[1:] != edge_of[:-1])
+    cover, edge_of = cover[first], edge_of[first]
+    covered = np.bincount(edge_of, weights=np.bincount(unit_of)[cover], minlength=h.m)
+    split = np.flatnonzero(covered != np.diff(h.edge_ptr))
+    if split.size:
+        raise AssertionError(
+            f"edge {h.edge_ids[split[0]]!r} splits a unit; star computation is broken"
+        )
+    ptr = np.zeros(h.m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(edge_of, minlength=h.m), out=ptr[1:])
+    return ptr, cover
 
 
 def edge_unit_covers(h: Hypergraph, units: UnitPartition) -> tuple[tuple[int, ...], ...]:
@@ -234,16 +388,10 @@ def edge_unit_covers(h: Hypergraph, units: UnitPartition) -> tuple[tuple[int, ..
     Every edge meets a unit either fully or not at all, so the cover is
     exact; this is asserted.
     """
-    covers = []
-    for j, mset in enumerate(h.member_sets):
-        seen = sorted({units.unit_of[i] for i in mset})
-        total = sum(units.units[ui].size for ui in seen)
-        if total != len(mset):
-            raise AssertionError(
-                f"edge {h.edge_ids[j]!r} splits a unit; star computation is broken"
-            )
-        covers.append(tuple(seen))
-    return tuple(covers)
+    ptr, cover = _cover_arrays(h, units)
+    bounds = ptr.tolist()
+    flat = cover.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)

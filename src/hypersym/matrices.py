@@ -22,6 +22,15 @@ star). Kinds with 1/(|e|-1) terms reject hypergraphs containing singleton
 edges outright; transition additionally requires every star non-empty.
 The general_* kinds require a weight document supplying dV for every
 vertex and dE for every edge, with no defaulting.
+
+Every kind is built from the hypergraph's CSR incidence arrays (edge_ptr,
+edge_members): the common-star sum C[u, v] = sum of g(e) over the edges e
+containing u and v is one bincount that scatters g(e) over each edge's
+|e|^2 member pairs into a float64 n x n array, and the star sizes |E_u|
+are one bincount of the members. A build costs O(n^2 + sum |e|^2), with no
+n x m incidence matrix and no Python loop over edges or vertices. The
+unweighted kinds count exactly; the sums of the reciprocal and weighted
+kinds are taken edge by edge in document order.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DocumentError, HypersymError
-from .hypergraph import Hypergraph, compute_units
+from .hypergraph import Hypergraph, _row_of, compute_units
 from .jsonutil import complex_pair, parse_json, require_key, require_object
 
 MATRIX_KINDS = (
@@ -154,17 +163,20 @@ def _weights(name: str, table: dict) -> dict[str, float]:
     return weights
 
 
-def _incidence(h: Hypergraph) -> np.ndarray:
-    B = np.zeros((h.n, h.m))
-    for j, mset in enumerate(h.member_sets):
-        for i in mset:
-            B[i, j] = 1.0
-    return B
-
-
-def _edge_weighted_common(B: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # (u, v) entry: sum of g(e) over edges containing both u and v
-    return (B * g) @ B.T
+def _common_star_sum(h: Hypergraph, g: np.ndarray) -> np.ndarray:
+    """C[u, v] = sum of g(e) over the edges e containing both u and v,
+    diagonal included, as one float64 n x n array: g(e) is scattered over
+    each edge's |e|^2 member pairs in one bincount, edge by edge in document
+    order."""
+    ptr, members = h.edge_ptr, h.edge_members
+    edge_of = _row_of(ptr)
+    per = np.diff(ptr)[edge_of]  # member entry p pairs with the |e| members of its edge e
+    entry = np.repeat(np.arange(len(members)), per)  # the member entry of each pair
+    offset = np.arange(len(entry)) - (np.cumsum(per) - per)[entry]  # 0 .. |e|-1 along each run
+    pair_edge = edge_of[entry]
+    pairs = members[entry] * h.n + members[ptr[pair_edge] + offset]
+    C = np.bincount(pairs, weights=g[pair_edge], minlength=h.n * h.n)
+    return C.reshape(h.n, h.n).astype(np.float64, copy=False)  # int64 when there is no edge
 
 
 def build_matrix(
@@ -181,65 +193,54 @@ def build_matrix(
         raise HypersymError(f"kind {kind!r} requires a weights document")
     if kind not in WEIGHTED_KINDS and weights is not None:
         raise HypersymError(f"kind {kind!r} does not take weights")
-    if kind in RECIPROCAL_KINDS:
-        for e in h.edges:
-            if len(e) < 2:
-                raise HypersymError(
-                    f"kind {kind!r} is undefined with singleton edge {e.id!r}"
-                )
-    if kind == "transition":
-        for i, s in enumerate(h.stars):
-            if not s:
-                raise HypersymError(
-                    f"transition matrix undefined: vertex {h.labels[i]!r} has empty star"
-                )
+    sizes = np.diff(h.edge_ptr).astype(np.float64)
+    star_sizes = np.bincount(h.edge_members, minlength=h.n).astype(np.float64)
+    if kind in RECIPROCAL_KINDS and (sizes < 2).any():
+        eid = h.edge_ids[int(np.argmax(sizes < 2))]
+        raise HypersymError(f"kind {kind!r} is undefined with singleton edge {eid!r}")
+    if kind == "transition" and not star_sizes.all():
+        label = h.labels[int(np.argmin(star_sizes))]
+        raise HypersymError(f"transition matrix undefined: vertex {label!r} has empty star")
     if weights is not None:
         weights.validate_for(h)
 
-    B = _incidence(h)
-    sizes = np.array([len(e) for e in h.edges], dtype=float)
-    star_sizes = B.sum(axis=1)
-
     if kind == "adjacency_r":
-        M = B @ B.T
+        M = _common_star_sum(h, np.ones(h.m))
         np.fill_diagonal(M, 0.0)
-    elif kind in ("adjacency_b", "transition", "laplacian_b", "signless_q"):
-        C = _edge_weighted_common(B, 1.0 / (sizes - 1.0)) if h.m else np.zeros((h.n, h.n))
-        np.fill_diagonal(C, 0.0)
-        if kind == "adjacency_b":
-            M = C
-        elif kind == "transition":
-            M = C / star_sizes[:, None]
+    elif kind in RECIPROCAL_KINDS:
+        M = _common_star_sum(h, 1.0 / (sizes - 1.0))
+        np.fill_diagonal(M, 0.0)
+        if kind == "transition":
+            M /= star_sizes[:, None]
         elif kind == "laplacian_b":
-            M = -C
+            np.negative(M, out=M)
             np.fill_diagonal(M, star_sizes)
-        else:  # signless_q
-            M = C.copy()
+        elif kind == "signless_q":
             np.fill_diagonal(M, star_sizes)
     elif kind == "laplacian_r":
-        C = B @ B.T
-        np.fill_diagonal(C, 0.0)
-        M = -C
-        np.fill_diagonal(M, C.sum(axis=1))
+        M = _common_star_sum(h, np.ones(h.m))
+        np.fill_diagonal(M, 0.0)
+        degrees = M.sum(axis=1)
+        np.negative(M, out=M)
+        np.fill_diagonal(M, degrees)
     elif kind in WEIGHTED_KINDS:
         dv = np.array([weights.delta_V[lab] for lab in h.labels])
         de = np.array([weights.delta_E[eid] for eid in h.edge_ids])
-        C2 = _edge_weighted_common(B, de / sizes**2) if h.m else np.zeros((h.n, h.n))
-        scaled = C2 / dv[:, None]
+        M = _common_star_sum(h, de / sizes**2)
+        M /= dv[:, None]
         if kind == "general_adjacency":
-            M = scaled.copy()
             np.fill_diagonal(M, 0.0)
         elif kind == "general_laplacian":
-            M = -scaled
-            np.fill_diagonal(M, (B @ (de / sizes)) / dv)
-        else:  # general_signless keeps the weighted diagonal of the common-star sum
-            M = scaled
+            np.negative(M, out=M)
+            diagonal = np.bincount(h.edge_members, weights=(de / sizes)[_row_of(h.edge_ptr)], minlength=h.n)
+            np.fill_diagonal(M, diagonal / dv)
+        # general_signless keeps the weighted diagonal of the common-star sum
     else:  # unit_normalized
-        units = compute_units(h)
-        nsize = np.array([units.units[units.unit_of[i]].size for i in range(h.n)], dtype=float)
-        C = B @ B.T
-        np.fill_diagonal(C, 0.0)
-        M = C / nsize[None, :]
+        unit_of = np.array(compute_units(h).unit_of)
+        nsize = np.bincount(unit_of)[unit_of].astype(np.float64)
+        M = _common_star_sum(h, np.ones(h.m))
+        np.fill_diagonal(M, 0.0)
+        M /= nsize[None, :]
         np.fill_diagonal(M, star_sizes / nsize)
 
     return HypergraphMatrix(kind=kind, labels=h.labels, entries=M.astype(np.complex128))

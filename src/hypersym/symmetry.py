@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DocumentError, HypersymError, NotAutomorphismError, NotEquitableError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _map_rows
 from .matrices import as_array
 
 COMPAT_TOL = 1e-9
@@ -117,16 +117,14 @@ def validate_automorphism(h: Hypergraph, f: Permutation | dict[str, str]) -> Aut
     perm = Permutation.from_label_map(h, f) if isinstance(f, dict) else f
     if perm.n != h.n:
         raise HypersymError(f"permutation size {perm.n} does not match {h.n} vertices")
-    edge_map: dict[str, str] = {}
-    for j, mset in enumerate(h.member_sets):
-        image = frozenset(perm(i) for i in mset)
-        k = h.edge_of_member_set(image)
-        if k is None:
-            labels = sorted(h.labels[i] for i in image)
-            raise NotAutomorphismError(
-                f"image of edge {h.edge_ids[j]!r} is {labels}, which is not an edge"
-            )
-        edge_map[h.edge_ids[j]] = h.edge_ids[k]
+    image, target = _map_rows(h.edge_ptr, h.edge_members, perm.mapping)
+    if (target < 0).any():
+        j = int(np.argmax(target < 0))
+        labels = sorted(h.labels[i] for i in image[h.edge_ptr[j] : h.edge_ptr[j + 1]].tolist())
+        raise NotAutomorphismError(
+            f"image of edge {h.edge_ids[j]!r} is {labels}, which is not an edge"
+        )
+    edge_map = dict(zip(h.edge_ids, map(h.edge_ids.__getitem__, target.tolist())))
     if len(set(edge_map.values())) != len(edge_map):
         raise NotAutomorphismError("induced edge map is not a bijection")
     return Automorphism(hypergraph=h, perm=perm, edge_map=edge_map, order=perm.order)

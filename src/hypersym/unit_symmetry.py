@@ -30,7 +30,7 @@ from .errors import (
     NotUnitAutomorphismError,
     NotUnitCompatibleError,
 )
-from .hypergraph import Hypergraph, UnitPartition, compute_units, edge_unit_covers
+from .hypergraph import Hypergraph, UnitPartition, _cover_arrays, _map_rows, compute_units
 from .jsonutil import describe_value
 from .matrices import _float_array, as_array
 from .spectral import LiftedBlock, RotationBlock, SpectralDecomposition, _decompose, _real_if_exact, residual_norms
@@ -284,19 +284,16 @@ def validate_unit_automorphism(h: Hypergraph, unit_map: dict[str, str] | Permuta
             raise DocumentError("unit map is not a bijection")
         perm = Permutation(tuple(mapping))
 
-    covers = edge_unit_covers(h, units)
-    cover_to_edge = {cover: j for j, cover in enumerate(covers)}
-    edge_map: dict[str, str] = {}
-    for j, cover in enumerate(covers):
-        image = tuple(sorted(perm(ui) for ui in cover))
-        k = cover_to_edge.get(image)
-        if k is None:
-            keys = [units.units[ui].key for ui in image]
-            raise NotUnitAutomorphismError(
-                f"image of edge {h.edge_ids[j]!r} covers units {keys}, "
-                "which is not an edge"
-            )
-        edge_map[h.edge_ids[j]] = h.edge_ids[k]
+    ptr, cover = _cover_arrays(h, units)
+    image, target = _map_rows(ptr, cover, perm.mapping)
+    if (target < 0).any():
+        j = int(np.argmax(target < 0))
+        keys = [units.units[ui].key for ui in image[ptr[j] : ptr[j + 1]].tolist()]
+        raise NotUnitAutomorphismError(
+            f"image of edge {h.edge_ids[j]!r} covers units {keys}, "
+            "which is not an edge"
+        )
+    edge_map = dict(zip(h.edge_ids, map(h.edge_ids.__getitem__, target.tolist())))
     if len(set(edge_map.values())) != len(edge_map):
         raise NotUnitAutomorphismError("induced edge map is not a bijection")
     cardinality = all(

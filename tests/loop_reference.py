@@ -15,6 +15,13 @@ test_loop_equivalence.py requires the library's encoder and whole-array
 conversion to give the same bytes and the same errors. The emitter expands
 each row node (jsonutil._Rows) in a list into the documents it stands for,
 one per line of its values, and prints each of them float by float.
+
+The hypergraph loops come last: the class that built and checked every
+edge as a frozenset and every star as a set, member by member, and the
+build, unit, cover and symmetry checks that read those sets, with the dense
+n x m incidence matrix behind every matrix kind. test_loop_equivalence.py
+requires the CSR library to give the same attributes, the same matrices
+(bitwise for the unweighted kinds) and the same refusals, word for word.
 """
 
 import json
@@ -22,9 +29,21 @@ import math
 
 import numpy as np
 
-from hypersym import DocumentError, HypersymError, NotEquitableError, NotUnitCompatibleError
-from hypersym.jsonutil import _ENTRIES, _HOLE, _Rows
-from hypersym.matrices import as_array
+from hypersym import (
+    DocumentError,
+    HypersymError,
+    Hyperedge,
+    NotAutomorphismError,
+    NotEquitableError,
+    NotUnitAutomorphismError,
+    NotUnitCompatibleError,
+    Unit,
+    UnitPartition,
+    sort_labels,
+    unit_key,
+)
+from hypersym.jsonutil import _ENTRIES, _HOLE, _Rows, require_key, require_object
+from hypersym.matrices import RECIPROCAL_KINDS, WEIGHTED_KINDS, as_array
 from hypersym.oracle import MATCH_TOL, SpectrumReport
 from hypersym.spectral import residual_norms
 
@@ -274,3 +293,216 @@ def complex_pairs(z):
     if np.ndim(z) == 0:
         return [float(z.real), float(z.imag)]
     return [[float(w.real), float(w.imag)] for w in z]
+
+
+class Hypergraph:
+    """The hypergraph that checked and stored every edge member by member."""
+
+    def __init__(self, vertices, edges):
+        labels = [str(v) for v in vertices]
+        if not labels:
+            raise DocumentError("hypergraph needs at least one vertex")
+        if len(set(labels)) != len(labels):
+            dup = next(lab for lab in labels if labels.count(lab) > 1)
+            raise DocumentError(f"duplicate vertex label {dup!r}")
+        self.labels = tuple(sort_labels(labels))
+        self.index = {lab: i for i, lab in enumerate(self.labels)}
+
+        seen_ids = {}
+        seen_sets = {}
+        built = []
+        member_sets = []
+        for eid, members in edges:
+            eid = str(eid)
+            if eid in seen_ids:
+                raise DocumentError(f"duplicate edge id {eid!r}")
+            seen_ids[eid] = len(built)
+            mem = [str(v) for v in members]
+            if not mem:
+                raise DocumentError(f"edge {eid!r} has no members")
+            idxs = []
+            for v in mem:
+                if v not in self.index:
+                    raise DocumentError(f"edge {eid!r} names unknown vertex {v!r}")
+                idxs.append(self.index[v])
+            if len(set(idxs)) != len(idxs):
+                raise DocumentError(f"edge {eid!r} repeats a member")
+            mset = frozenset(idxs)
+            if mset in seen_sets:
+                raise DocumentError(
+                    f"edges {seen_sets[mset]!r} and {eid!r} have the same member set"
+                )
+            seen_sets[mset] = eid
+            ordered = tuple(self.labels[i] for i in sorted(idxs))
+            built.append(Hyperedge(eid, ordered))
+            member_sets.append(mset)
+
+        self.edges = tuple(built)
+        self.edge_ids = tuple(e.id for e in built)
+        self.edge_index = seen_ids
+        self.member_sets = tuple(member_sets)
+        stars = [set() for _ in self.labels]
+        for j, mset in enumerate(member_sets):
+            for i in mset:
+                stars[i].add(j)
+        self.stars = tuple(frozenset(s) for s in stars)
+
+    @classmethod
+    def from_dict(cls, doc):
+        doc = require_object(doc, "hypergraph document")
+        vertices = require_key(doc, "vertices", "hypergraph document")
+        edges = require_key(doc, "edges", "hypergraph document")
+        if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+            raise DocumentError("hypergraph 'vertices' must be a list of strings")
+        if not isinstance(edges, list):
+            raise DocumentError("hypergraph 'edges' must be a list")
+        pairs = []
+        for entry in edges:
+            entry = require_object(entry, "edge entry")
+            eid = require_key(entry, "id", "edge entry")
+            members = require_key(entry, "members", "edge entry")
+            if not isinstance(eid, str):
+                raise DocumentError("edge 'id' must be a string")
+            if not isinstance(members, list) or not all(isinstance(v, str) for v in members):
+                raise DocumentError(f"edge {eid!r} 'members' must be a list of strings")
+            pairs.append((eid, members))
+        return cls(vertices, pairs)
+
+
+def _incidence(h):
+    B = np.zeros((len(h.labels), len(h.edges)))
+    for j, mset in enumerate(h.member_sets):
+        for i in mset:
+            B[i, j] = 1.0
+    return B
+
+
+def build_matrix(h, kind, weights=None):
+    """The entries of the matrix of one kind, from (B * g) @ B.T over the
+    dense incidence matrix B."""
+    n = len(h.labels)
+    if kind in RECIPROCAL_KINDS:
+        for e in h.edges:
+            if len(e) < 2:
+                raise HypersymError(f"kind {kind!r} is undefined with singleton edge {e.id!r}")
+    if kind == "transition":
+        for i, s in enumerate(h.stars):
+            if not s:
+                raise HypersymError(
+                    f"transition matrix undefined: vertex {h.labels[i]!r} has empty star"
+                )
+    B = _incidence(h)
+    sizes = np.array([len(e) for e in h.edges], dtype=float)
+    star_sizes = B.sum(axis=1)
+    if kind == "adjacency_r":
+        M = B @ B.T
+        np.fill_diagonal(M, 0.0)
+    elif kind in RECIPROCAL_KINDS:
+        C = (B * (1.0 / (sizes - 1.0))) @ B.T if len(h.edges) else np.zeros((n, n))
+        np.fill_diagonal(C, 0.0)
+        if kind == "adjacency_b":
+            M = C
+        elif kind == "transition":
+            M = C / star_sizes[:, None]
+        elif kind == "laplacian_b":
+            M = -C
+            np.fill_diagonal(M, star_sizes)
+        else:  # signless_q
+            M = C.copy()
+            np.fill_diagonal(M, star_sizes)
+    elif kind == "laplacian_r":
+        C = B @ B.T
+        np.fill_diagonal(C, 0.0)
+        M = -C
+        np.fill_diagonal(M, C.sum(axis=1))
+    elif kind in WEIGHTED_KINDS:
+        dv = np.array([weights.delta_V[lab] for lab in h.labels])
+        de = np.array([weights.delta_E[eid] for eid in h.edge_ids])
+        C2 = (B * (de / sizes**2)) @ B.T if len(h.edges) else np.zeros((n, n))
+        scaled = C2 / dv[:, None]
+        if kind == "general_adjacency":
+            M = scaled.copy()
+            np.fill_diagonal(M, 0.0)
+        elif kind == "general_laplacian":
+            M = -scaled
+            np.fill_diagonal(M, (B @ (de / sizes)) / dv)
+        else:  # general_signless
+            M = scaled
+    else:  # unit_normalized
+        units = compute_units(h)
+        nsize = np.array([units.units[units.unit_of[i]].size for i in range(n)], dtype=float)
+        C = B @ B.T
+        np.fill_diagonal(C, 0.0)
+        M = C / nsize[None, :]
+        np.fill_diagonal(M, star_sizes / nsize)
+    return M.astype(np.complex128)
+
+
+def compute_units(h):
+    """Units grouped by their star frozensets, ordered by smallest member."""
+    n = len(h.labels)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(h.stars[i], []).append(i)
+    ordered = sorted(groups.items(), key=lambda kv: min(kv[1]))
+    units = []
+    unit_of = [0] * n
+    for ui, (star_set, idxs) in enumerate(ordered):
+        idxs = sorted(idxs)
+        members = tuple(h.labels[i] for i in idxs)
+        gen = tuple(h.edge_ids[j] for j in sorted(star_set))
+        units.append(Unit(unit_key(members), members, tuple(idxs), gen, star_set))
+        for i in idxs:
+            unit_of[i] = ui
+    return UnitPartition(units=tuple(units), unit_of=tuple(unit_of), n=n)
+
+
+def edge_unit_covers(h, units):
+    covers = []
+    for j, mset in enumerate(h.member_sets):
+        seen = sorted({units.unit_of[i] for i in mset})
+        if sum(units.units[ui].size for ui in seen) != len(mset):
+            raise AssertionError(
+                f"edge {h.edge_ids[j]!r} splits a unit; star computation is broken"
+            )
+        covers.append(tuple(seen))
+    return tuple(covers)
+
+
+def validate_automorphism(h, perm):
+    """The edge map of a vertex permutation, from each edge's image set
+    looked up among the member sets; NotAutomorphismError otherwise."""
+    set_to_edge = {s: j for j, s in enumerate(h.member_sets)}
+    edge_map = {}
+    for j, mset in enumerate(h.member_sets):
+        image = frozenset(perm(i) for i in mset)
+        k = set_to_edge.get(image)
+        if k is None:
+            labels = sorted(h.labels[i] for i in image)
+            raise NotAutomorphismError(
+                f"image of edge {h.edge_ids[j]!r} is {labels}, which is not an edge"
+            )
+        edge_map[h.edge_ids[j]] = h.edge_ids[k]
+    if len(set(edge_map.values())) != len(edge_map):
+        raise NotAutomorphismError("induced edge map is not a bijection")
+    return edge_map
+
+
+def validate_unit_automorphism(h, units, perm):
+    """The edge map of a unit permutation, from each edge's image cover
+    looked up among the covers; NotUnitAutomorphismError otherwise."""
+    covers = edge_unit_covers(h, units)
+    cover_to_edge = {cover: j for j, cover in enumerate(covers)}
+    edge_map = {}
+    for j, cover in enumerate(covers):
+        image = tuple(sorted(perm(ui) for ui in cover))
+        k = cover_to_edge.get(image)
+        if k is None:
+            keys = [units.units[ui].key for ui in image]
+            raise NotUnitAutomorphismError(
+                f"image of edge {h.edge_ids[j]!r} covers units {keys}, which is not an edge"
+            )
+        edge_map[h.edge_ids[j]] = h.edge_ids[k]
+    if len(set(edge_map.values())) != len(edge_map):
+        raise NotUnitAutomorphismError("induced edge map is not a bijection")
+    return edge_map

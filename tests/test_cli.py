@@ -221,12 +221,18 @@ TOO_LARGE = "1" + "0" * 400  # 10^400 as a JSON integer: beyond the float range
         ("units", "[" * 100000 + "]" * 100000, "cannot be read"),
         ("matrix", '{"delta_V": {}, "delta_E": {"e": %s}}' % TOO_LARGE, "delta_E['e'] is too large"),
         ("dynamics", '{"values": {"1": %s}}' % TOO_LARGE, "values['1'] is too large"),
+        ("dynamics", '{"values": {"1": NaN}}', "values['1'] is not finite"),
+        ("dynamics", '{"values": {"1": [0, Infinity]}}', "values['1'] is not finite"),
+        ("dynamics", '{"values": {"1": 1e400}}', "values['1'] is not finite"),
     ],
-    ids=["5001-digit-integer", "nested-100000-deep", "weight-10^400", "state-10^400"],
+    ids=["5001-digit-integer", "nested-100000-deep", "weight-10^400", "state-10^400",
+         "state-NaN", "state-Infinity", "state-1e400"],
 )
 def test_unreadable_documents_are_usage_errors(capsys, tmp_path, rot10_path, rot10_map_path, command, document, message):
-    # valid JSON that Python cannot turn into numbers (or parse at all)
-    # prints an error line and exits 2 instead of raising
+    # valid JSON that Python cannot turn into numbers (or parse at all), or
+    # a state value that is not finite (the NaN and Infinity literals json
+    # reads, or a float literal beyond the float range), prints an error
+    # line and exits 2 instead of raising
     path = tmp_path / "document.json"
     path.write_text(document)
     argv = {

@@ -1,5 +1,5 @@
-"""The vectorised quotients, checks, matching and synchronization log, and the
-report encoder, against their loop references.
+"""The vectorised quotients, checks, matching and synchronization log, the
+report encoder and the CSR hypergraph code, against their loop references.
 
 Witness tuples, error messages, matchings and synchronization verdicts must
 be identical to those of loop_reference.py. Quotients must be bitwise equal
@@ -9,8 +9,11 @@ the synchronization log, whose cell means are summed in another order, within
 unit-compatible matrices, synchronized starts) and negative controls
 (perturbed matrices, desynchronized starts). The encoder must give the
 reference's bytes on every document and its error text on every value it
-refuses.
-"""
+refuses. The hypergraph built from CSR arrays must expose the reference's
+attributes and refuse every malformed document with its text; its matrices
+must be bitwise equal for the unweighted kinds and within 1e-12 * max(1,
+||M||_inf) for the others, its units, covers and edge maps equal, and its
+symmetry refusals word for word the reference's."""
 
 import sys
 
@@ -22,9 +25,11 @@ from hypothesis import strategies as st
 import loop_reference as ref
 from conftest import ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_UNIT_MAP
 from hypersym import (
+    MATRIX_KINDS,
     SYNC_TOL,
     DocumentError,
     Hypergraph,
+    HypersymError,
     NotEquitableError,
     NotUnitCompatibleError,
     Permutation,
@@ -39,8 +44,14 @@ from hypersym import (
     profile_unit_compatibility,
     random_instance,
     unit_quotient,
+    edge_unit_covers,
+    validate_automorphism,
+    validate_unit_automorphism,
+    WeightFunctions,
+    build_matrix,
 )
 from hypersym import LiftedBlock, cli, jsonutil
+from hypersym.matrices import WEIGHTED_KINDS
 from hypersym.dynamics import _sync_log
 from hypersym.symmetry import EQUITABLE_TOL, OrbitPartition
 from hypersym.unit_symmetry import COMPAT_TOL
@@ -543,3 +554,237 @@ def test_a_row_node_outside_a_list_is_refused():
     empty = _edge_lift(False, False, k=0).document_rows()
     for doc in ([node, node], [empty, empty], [empty, node, node, empty]):
         assert jsonutil.canonical_json(doc) == ref.canonical_json(doc)
+
+
+# -- hypergraphs: the CSR arrays against the member-by-member loops ---------
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of the HypersymError it raises."""
+    try:
+        return fn(*args)
+    except HypersymError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _views(h):
+    """Every public attribute of a hypergraph, the edge_index order included."""
+    return h.labels, h.index, list(h.edge_index.items()), h.edge_ids, h.edges, h.member_sets, h.stars
+
+
+def _labels(rng, n, style):
+    """n distinct labels: integer literals (numeric order differs from the
+    lexicographic one), others (lexicographic order) or a mix of both."""
+    pool = [int(i) for i in rng.permutation(np.arange(-2, 2 * n + 14))[:n]]
+    if style == "int":
+        return [str(i) for i in pool]
+    if style == "alpha":
+        return [f"a{i}" for i in pool]
+    return [str(i) if i % 2 else f"a{i}" for i in pool]
+
+
+def _corrupt(rng, doc, how):
+    """Break doc in place in one way, at a random edge entry (or vertex)."""
+    edges, labels = doc["edges"], doc["vertices"]
+    if how == "no vertices":
+        doc["vertices"] = []
+        return
+    if how == "duplicate vertex":
+        if labels:
+            labels.insert(int(rng.integers(len(labels) + 1)), labels[int(rng.integers(len(labels)))])
+        return
+    entries = [k for k, e in enumerate(edges) if isinstance(e, dict)]
+    if not entries:
+        edges.append({"id": "new", "members": list(labels[:1])})
+        entries = [len(edges) - 1]
+    k = entries[int(rng.integers(len(entries)))]
+    entry = edges[k]
+    members = entry.get("members")
+    if how == "duplicate id":
+        entry["id"] = edges[entries[int(rng.integers(len(entries)))]].get("id", "e0")
+    elif how == "empty edge":
+        entry["members"] = []
+    elif how == "malformed entry":
+        edges[k] = ["x", {"id": "q"}, {"members": []}, {"id": 5, "members": []}, {"id": "q", "members": "1"}][
+            int(rng.integers(5))
+        ]
+    elif not isinstance(members, list) or not members:
+        return
+    elif how == "equal member set":
+        copy = list(members)
+        rng.shuffle(copy)
+        edges.insert(int(rng.integers(len(edges) + 1)), {"id": f"twin{k}", "members": copy})
+    else:
+        at = int(rng.integers(len(members) + 1))
+        member = {
+            "unknown vertex": "zz",
+            "repeated member": members[int(rng.integers(len(members)))],
+            "non-string member": [7, None, 1.5, ["1"]][int(rng.integers(4))],
+        }[how]
+        members.insert(at, member)
+
+
+CORRUPTIONS = (
+    "duplicate id",
+    "empty edge",
+    "unknown vertex",
+    "repeated member",
+    "equal member set",
+    "non-string member",
+    "duplicate vertex",
+    "malformed entry",
+    "no vertices",
+)
+
+
+@st.composite
+def hypergraph_documents(draw, corruptions=3, max_n=9):
+    """A hypergraph document: 1-max_n vertices with integer, other or mixed
+    labels (so canonical order is numeric or lexicographic), isolated
+    vertices and singleton edges among them, 0-9 edges with distinct member
+    sets, then up to `corruptions` of CORRUPTIONS, each at a random place."""
+    rng = np.random.default_rng(draw(seeds))
+    n = int(rng.integers(1, max_n + 1))
+    labels = _labels(rng, n, draw(st.sampled_from(["int", "alpha", "mixed"])))
+    edges, sets = [], set()
+    for j in range(int(rng.integers(0, 10))):
+        members = [labels[int(i)] for i in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+        if frozenset(members) not in sets:
+            sets.add(frozenset(members))
+            edges.append({"id": f"e{j}", "members": members})
+    doc = {"vertices": labels, "edges": edges}
+    for how in draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=corruptions)):
+        _corrupt(rng, doc, how)
+    return doc
+
+
+@given(hypergraph_documents())
+@settings(max_examples=600, deadline=None)
+def test_hypergraph_documents_match_loops(doc):
+    want = _outcome(lambda: _views(ref.Hypergraph.from_dict(doc)))
+    assert _outcome(lambda: _views(Hypergraph.from_dict(doc))) == want
+    if all(isinstance(e, dict) and isinstance(e.get("members"), list) and "id" in e for e in doc["edges"]):
+        # the constructor converts ids and members with str() instead
+        pairs = [(e["id"], e["members"]) for e in doc["edges"]]
+        want = _outcome(lambda: _views(ref.Hypergraph(doc["vertices"], pairs)))
+        assert _outcome(lambda: _views(Hypergraph(doc["vertices"], pairs))) == want
+
+
+@given(hypergraph_documents(max_n=150))
+@settings(max_examples=100, deadline=None)
+def test_long_edges_match_loops(doc):
+    """Edges of up to 150 members, past the length at which the sort key
+    of a padded row would overflow 64 bits and is replaced by its rank."""
+    want = _outcome(lambda: _views(ref.Hypergraph.from_dict(doc)))
+    assert _outcome(lambda: _views(Hypergraph.from_dict(doc))) == want
+    if not isinstance(want, tuple):
+        h = Hypergraph.from_dict(doc)
+        assert compute_units(h) == ref.compute_units(ref.Hypergraph.from_dict(doc))
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (["1", "2", "2", "1"], [], "duplicate vertex label '1'"),
+        (["1", "2"], [("e", ["1"]), ("f", ["3"]), ("e", ["2"])], "edge 'f' names unknown vertex '3'"),
+        (["1", "2"], [("e", ["1", "2"]), ("f", []), ("g", ["2", "1"])], "edge 'f' has no members"),
+        (["1", "2"], [("e", ["1", "2"]), ("f", ["2", "1"])], "edges 'e' and 'f' have the same member set"),
+        (["1", "2"], [("e", ["1", "2", "1"]), ("f", ["1", "9"])], "edge 'e' repeats a member"),
+        (["1", "2"], [("e", ["1"]), ("e", ["9"])], "duplicate edge id 'e'"),
+        (["1", "2"], [("e", ["1", "9", "8"])], "edge 'e' names unknown vertex '9'"),
+    ],
+)
+def test_first_offender_is_refused(vertices, edges, message):
+    for cls in (Hypergraph, ref.Hypergraph):
+        with pytest.raises(DocumentError) as got:
+            cls(vertices, edges)
+        assert str(got.value) == message
+
+
+def test_non_string_member_comes_before_a_later_malformed_entry():
+    doc = {"vertices": ["1"], "edges": [{"id": "e", "members": ["1"]}, {"id": "f", "members": [1]}, "x"]}
+    for cls in (Hypergraph, ref.Hypergraph):
+        with pytest.raises(DocumentError, match="^edge 'f' 'members' must be a list of strings$"):
+            cls.from_dict(doc)
+
+
+EXACT_KINDS = ("adjacency_r", "laplacian_r", "unit_normalized")
+
+
+@given(hypergraph_documents(corruptions=0), seeds)
+@settings(max_examples=300, deadline=None)
+def test_matrix_kinds_match_loops(doc, seed):
+    """Every kind on hypergraphs with singleton edges, isolated vertices and
+    units: bitwise for the unweighted kinds, within rounding for the
+    reciprocal and weighted ones, and the same refusal where a kind is
+    undefined."""
+    h, want_h = Hypergraph.from_dict(doc), ref.Hypergraph.from_dict(doc)
+    rng = np.random.default_rng(seed)
+    weights = WeightFunctions(
+        delta_V={lab: float(w) for lab, w in zip(h.labels, rng.uniform(0.1, 3.0, h.n))},
+        delta_E={eid: float(w) for eid, w in zip(h.edge_ids, rng.uniform(0.1, 3.0, h.m))},
+    )
+    for kind in MATRIX_KINDS:
+        w = weights if kind in WEIGHTED_KINDS else None
+        want = _outcome(ref.build_matrix, want_h, kind, w)
+        got = _outcome(lambda: build_matrix(h, kind, w).entries)
+        if isinstance(want, tuple):
+            assert got == want
+        elif kind in EXACT_KINDS:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.abs(got - want).max(initial=0.0) <= QUOTIENT_RTOL * _norm_inf(want)
+
+
+@given(hypergraph_documents(corruptions=0))
+@settings(max_examples=300, deadline=None)
+def test_units_and_covers_match_loops(doc):
+    h, want_h = Hypergraph.from_dict(doc), ref.Hypergraph.from_dict(doc)
+    units = compute_units(h)
+    assert units == ref.compute_units(want_h)
+    assert edge_unit_covers(h, units) == ref.edge_unit_covers(want_h, units)
+
+
+def _swapped(mapping, rng, swap):
+    mapping = list(mapping)
+    if swap and len(mapping) > 1:
+        a, b = (int(x) for x in rng.choice(len(mapping), size=2, replace=False))
+        mapping[a], mapping[b] = mapping[b], mapping[a]
+    return Permutation(tuple(mapping))
+
+
+@given(seeds, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_automorphism_checks_match_loops(seed, swap):
+    """An automorphism of an invariant hypergraph (isolated vertices among
+    its vertices) gives the reference's edge map; with two images swapped,
+    the negative control, the same map or the same refusal."""
+    rng = np.random.default_rng(seed)
+    h, aut = random_instance(rng, n_max=12)
+    perm = _swapped(aut.perm.mapping, rng, swap)
+    want = _outcome(ref.validate_automorphism, h, perm)
+    got = _outcome(lambda: list(validate_automorphism(h, perm).edge_map.items()))
+    assert got == (list(want.items()) if isinstance(want, dict) else want)
+
+
+@given(seeds, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_unit_automorphism_checks_match_loops(seed, swap):
+    """An invariant hypergraph with each vertex copied 1-3 times and 0-2
+    isolated vertices added: the unit map its automorphism induces gives the
+    reference's edge map; with two images swapped, the same map or the same
+    refusal."""
+    rng = np.random.default_rng(seed)
+    base, aut = random_instance(rng, n_max=10)
+    copies = [int(c) for c in rng.integers(1, 4, size=base.n)]
+    labels = [f"{b}.{c}" for b in base.labels for c in range(copies[base.index[b]])]
+    labels += [f"x{i}" for i in range(int(rng.integers(0, 3)))]
+    edges = [(e.id, [f"{b}.{c}" for b in e.members for c in range(copies[base.index[b]])]) for e in base.edges]
+    h = Hypergraph(labels, edges)
+    units = compute_units(h)
+    image = {lab: f"{base.labels[aut.perm(base.index[lab.split('.')[0]])]}.0" for lab in labels if "." in lab}
+    mapping = [units.unit_of[h.index[image.get(u.members[0], u.members[0])]] for u in units.units]
+    perm = _swapped(mapping, rng, swap)
+    want = _outcome(ref.validate_unit_automorphism, ref.Hypergraph(labels, edges), units, perm)
+    got = _outcome(lambda: list(validate_unit_automorphism(h, perm).edge_map.items()))
+    assert got == (list(want.items()) if isinstance(want, dict) else want)

@@ -25,6 +25,7 @@ from hypersym import (
     build_matrix,
     compatible_matrix,
     decompose_automorphism,
+    decompose_unit_automorphism,
     dense_spectrum,
     invariant_hypergraph,
     invariant_weights,
@@ -308,3 +309,26 @@ def test_spectral_radius_matches_complex_eig(kind, seed):
     A, aut = _instance(rng, kind)
     rho_full, _ = spectral_radius_via_quotient(A, aut)
     assert abs(rho_full - float(np.abs(np.linalg.eigvals(A)).max())) <= PARITY_RTOL * _scale(A)
+
+
+def test_verify_names_each_offending_residual_once(units18, units18_ua):
+    # the unit route keeps one record per unit of size >= 2 and one per
+    # block; an over-threshold residual in one of each is reported once,
+    # record by record in decomposition order, whatever else passes
+    A = build_matrix(units18, "unit_normalized")
+    dec = decompose_unit_automorphism(A, units18_ua)
+    kinds = [lift.source.get("kind") for lift in dec.lifts]
+    u, b = kinds.index("unit"), len(kinds) - 1
+    assert kinds[b] != "unit" and len(dec.lifts[b].residuals) > 1
+    lifts = list(dec.lifts)
+    for r, i in ((u, 0), (b, 1)):
+        residuals = lifts[r].residuals.copy()
+        residuals[i] = 2.0 + r
+        lifts[r] = dataclasses.replace(lifts[r], residuals=residuals)
+    bad = dataclasses.replace(dec, lifts=tuple(lifts))
+    threshold = MATCH_TOL * verify_decomposition(A, dec).scale
+    assert [f for f in verify_decomposition(A, bad).failures if f.startswith("lifted")] == [
+        f"lifted pair at {complex(lifts[r].values[i])} from {lifts[r].source} has residual "
+        f"{2.0 + r:.3e} > {threshold:.3e}"
+        for r, i in ((u, 0), (b, 1))
+    ]
