@@ -52,6 +52,17 @@ def _row_of(ptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
 
 
+def _ptr(lengths) -> np.ndarray:
+    """The row pointer of a CSR array whose rows have these lengths."""
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
+
+
+def _split_rows(ptr: np.ndarray, values: np.ndarray) -> list[list[int]]:
+    """The rows of a CSR array as lists of Python ints."""
+    bounds, flat = ptr.tolist(), values.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _sort_rows(ptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The entries (integers >= -1) of a CSR array, ascending within each row."""
     span = int(values.max(initial=0)) + 2
@@ -167,8 +178,7 @@ class Hypergraph:
         first offending edge, in document order, is refused."""
         m = len(ids)
         lengths = np.array(sizes, dtype=np.intp)
-        ptr = np.zeros(m + 1, dtype=np.intp)
-        np.cumsum(lengths, out=ptr[1:])
+        ptr = _ptr(lengths)
         idx = np.fromiter(map(self.index.get, flat, repeat(-1)), dtype=np.intp, count=len(flat))
         edge_of = _row_of(ptr)
         members = _sort_rows(ptr, idx)
@@ -213,37 +223,28 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.edge_ids)
 
-    def _edge_rows(self) -> list[list[int]]:
-        bounds = self.edge_ptr.tolist()
-        flat = self.edge_members.tolist()
-        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
     @cached_property
     def edges(self) -> tuple[Hyperedge, ...]:
         labels = self.labels
         return tuple(
             Hyperedge(eid, tuple(labels[i] for i in row))
-            for eid, row in zip(self.edge_ids, self._edge_rows())
+            for eid, row in zip(self.edge_ids, _split_rows(self.edge_ptr, self.edge_members))
         )
 
     @cached_property
     def member_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(row) for row in self._edge_rows())
+        return tuple(frozenset(row) for row in _split_rows(self.edge_ptr, self.edge_members))
 
     def _star_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The stars as a CSR array: vertex i's incident edge indices are
         star_edges[star_ptr[i]:star_ptr[i + 1]], ascending."""
         edge_of = _row_of(self.edge_ptr)
-        star_ptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.edge_members, minlength=self.n), out=star_ptr[1:])
+        star_ptr = _ptr(np.bincount(self.edge_members, minlength=self.n))
         return star_ptr, edge_of[np.argsort(self.edge_members * max(self.m, 1) + edge_of, kind="stable")]
 
     @cached_property
     def stars(self) -> tuple[frozenset[int], ...]:
-        star_ptr, star_edges = self._star_arrays()
-        bounds = star_ptr.tolist()
-        flat = star_edges.tolist()
-        return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return tuple(frozenset(row) for row in _split_rows(*self._star_arrays()))
 
     def to_dict(self) -> dict:
         return {
@@ -342,13 +343,12 @@ def compute_units(h: Hypergraph) -> UnitPartition:
     reps, unit_of = np.unique(_first_equal_rows(star_ptr, star_edges), return_inverse=True)
     by_unit = np.argsort(unit_of, kind="stable").tolist()  # ascending within each unit
     ends = np.cumsum(np.bincount(unit_of)).tolist()
-    bounds = star_ptr.tolist()
-    flat = star_edges.tolist()
+    stars = _split_rows(star_ptr, star_edges)
     units: list[Unit] = []
     for rep, start, end in zip(reps.tolist(), [0, *ends], ends):
         idxs = tuple(by_unit[start:end])
         members = tuple(map(h.labels.__getitem__, idxs))
-        star = flat[bounds[rep] : bounds[rep + 1]]
+        star = stars[rep]
         units.append(
             Unit(
                 key=unit_key(members),
@@ -377,9 +377,7 @@ def _cover_arrays(h: Hypergraph, units: UnitPartition) -> tuple[np.ndarray, np.n
         raise AssertionError(
             f"edge {h.edge_ids[split[0]]!r} splits a unit; star computation is broken"
         )
-    ptr = np.zeros(h.m + 1, dtype=np.intp)
-    np.cumsum(np.bincount(edge_of, minlength=h.m), out=ptr[1:])
-    return ptr, cover
+    return _ptr(np.bincount(edge_of, minlength=h.m)), cover
 
 
 def edge_unit_covers(h: Hypergraph, units: UnitPartition) -> tuple[tuple[int, ...], ...]:
@@ -388,10 +386,7 @@ def edge_unit_covers(h: Hypergraph, units: UnitPartition) -> tuple[tuple[int, ..
     Every edge meets a unit either fully or not at all, so the cover is
     exact; this is asserted.
     """
-    ptr, cover = _cover_arrays(h, units)
-    bounds = ptr.tolist()
-    flat = cover.tolist()
-    return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return tuple(tuple(row) for row in _split_rows(*_cover_arrays(h, units)))
 
 
 @dataclass(frozen=True)

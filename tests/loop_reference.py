@@ -1,6 +1,6 @@
 """Loop reference versions of the vectorised quotient, check, matching and
-synchronization code, the complex-only dense oracle and the out-list JSON
-emitter.
+synchronization code, the complex-only dense oracle, the out-list JSON
+emitter and the member-by-member hypergraph code.
 
 These are the original per-cell-pair, per-unit, per-element and per-step
 loops the library replaced with whole-array numpy passes. They are kept

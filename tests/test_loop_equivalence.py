@@ -33,9 +33,12 @@ from hypersym import (
     NotEquitableError,
     NotUnitCompatibleError,
     Permutation,
+    WeightFunctions,
+    build_matrix,
     check_orbit_synchronization,
     compatible_matrix,
     compute_units,
+    edge_unit_covers,
     equitable_witness,
     iterate,
     match_multisets,
@@ -44,15 +47,12 @@ from hypersym import (
     profile_unit_compatibility,
     random_instance,
     unit_quotient,
-    edge_unit_covers,
     validate_automorphism,
     validate_unit_automorphism,
-    WeightFunctions,
-    build_matrix,
 )
 from hypersym import LiftedBlock, cli, jsonutil
-from hypersym.matrices import WEIGHTED_KINDS
 from hypersym.dynamics import _sync_log
+from hypersym.matrices import WEIGHTED_KINDS
 from hypersym.symmetry import EQUITABLE_TOL, OrbitPartition
 from hypersym.unit_symmetry import COMPAT_TOL
 
@@ -692,6 +692,15 @@ def test_long_edges_match_loops(doc):
         (["1", "2"], [("e", ["1", "2", "1"]), ("f", ["1", "9"])], "edge 'e' repeats a member"),
         (["1", "2"], [("e", ["1"]), ("e", ["9"])], "duplicate edge id 'e'"),
         (["1", "2"], [("e", ["1", "9", "8"])], "edge 'e' names unknown vertex '9'"),
+    ],
+    ids=[
+        "first-duplicate-label",
+        "unknown-before-later-duplicate-id",
+        "empty-before-later-equal-set",
+        "equal-set",
+        "repeat-before-later-unknown",
+        "duplicate-id-before-unknown",
+        "first-unknown-member",
     ],
 )
 def test_first_offender_is_refused(vertices, edges, message):
