@@ -210,7 +210,7 @@ def _decomposition_report(args, match_tol: float, body) -> int:
             raise
         _emit({"verdict": "fail", "error": str(exc)}, args.out)
         return CHECK_FAILED
-    report = verify_decomposition(M.entries, dec, tol=match_tol)
+    report = verify_decomposition(M, dec, tol=match_tol)
     doc = {"mode": mode, "kind": args.kind, "order": h.n, **body(dec), "verification": report.to_document()}
     _emit(doc, args.out)
     return 0 if report.verdict else CHECK_FAILED
@@ -277,7 +277,7 @@ def cmd_selftest(args) -> int:
         weights = invariant_weights(rng, h, aut)
         G = build_matrix(h, "general_adjacency", weights=weights)
         decg = decompose_automorphism(G, aut)
-        if not verify_decomposition(G.entries, decg).verdict:
+        if not verify_decomposition(G, decg).verdict:
             failures.append(f"trial {trial}: general_adjacency decomposition failed")
     for line in failures:
         print("FAIL", line)

@@ -30,7 +30,18 @@ containing u and v is one bincount that scatters g(e) over each edge's
 are one bincount of the members. A build costs O(n^2 + sum |e|^2), with no
 n x m incidence matrix and no Python loop over edges or vertices. The
 unweighted kinds count exactly; the sums of the reciprocal and weighted
-kinds are taken edge by edge in document order.
+kinds are taken edge by edge in document order, so C is exactly symmetric.
+
+The non-symmetric kinds are diag(1/d) times a symmetric matrix, and the
+build records that d as HypergraphMatrix.symmetrizer: diag(d) M is
+symmetric in exact arithmetic, so M is similar to the symmetric
+D^{1/2} M D^{-1/2}, and the dense oracle solves that form with eigh:
+
+    transition         d = |E_u|         (M = D^-1 C)
+    general_*          d = dV(u)         (M = D^-1 C, diagonal included)
+    unit_normalized    d = 1/n_u         (diag(1/n_u) M = C / (n_u n_v) off the diagonal)
+
+The symmetric kinds carry None.
 """
 
 from __future__ import annotations
@@ -64,11 +75,16 @@ ROW_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HypergraphMatrix:
-    """A square complex matrix tied to a vertex labelling."""
+    """A square complex matrix tied to a vertex labelling.
+
+    symmetrizer, when given, is a positive vector d of the matrix order with
+    diag(d) entries symmetric in exact arithmetic (module docstring); the
+    dense oracle checks it to rounding before it uses it."""
 
     kind: str
     labels: tuple[str, ...]
     entries: np.ndarray
+    symmetrizer: np.ndarray | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.complex128)
@@ -79,6 +95,13 @@ class HypergraphMatrix:
                 f"matrix order {arr.shape[0]} does not match {len(self.labels)} labels"
             )
         object.__setattr__(self, "entries", arr)
+        if self.symmetrizer is not None:
+            d = np.asarray(self.symmetrizer, dtype=np.float64)
+            if d.shape != (arr.shape[0],):
+                raise HypersymError(f"symmetrizer must have shape ({arr.shape[0]},), got {d.shape}")
+            if not (np.isfinite(d) & (d > 0)).all():
+                raise HypersymError("symmetrizer entries must be finite and positive")
+            object.__setattr__(self, "symmetrizer", d)
 
     @property
     def order(self) -> int:
@@ -97,6 +120,11 @@ def _float_array(x) -> np.ndarray:
     included): a real input stays real."""
     x = np.asarray(x)
     return x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
+
+
+def symmetrizer_of(M) -> np.ndarray | None:
+    """The symmetrizer of a HypergraphMatrix; None for any other input."""
+    return M.symmetrizer if isinstance(M, HypergraphMatrix) else None
 
 
 def as_array(M) -> np.ndarray:
@@ -204,6 +232,7 @@ def build_matrix(
     if weights is not None:
         weights.validate_for(h)
 
+    d = None
     if kind == "adjacency_r":
         M = _common_star_sum(h, np.ones(h.m))
         np.fill_diagonal(M, 0.0)
@@ -212,6 +241,7 @@ def build_matrix(
         np.fill_diagonal(M, 0.0)
         if kind == "transition":
             M /= star_sizes[:, None]
+            d = star_sizes
         elif kind == "laplacian_b":
             np.negative(M, out=M)
             np.fill_diagonal(M, star_sizes)
@@ -228,6 +258,7 @@ def build_matrix(
         de = np.array([weights.delta_E[eid] for eid in h.edge_ids])
         M = _common_star_sum(h, de / sizes**2)
         M /= dv[:, None]
+        d = dv
         if kind == "general_adjacency":
             np.fill_diagonal(M, 0.0)
         elif kind == "general_laplacian":
@@ -242,8 +273,9 @@ def build_matrix(
         np.fill_diagonal(M, 0.0)
         M /= nsize[None, :]
         np.fill_diagonal(M, star_sizes / nsize)
+        d = 1.0 / nsize
 
-    return HypergraphMatrix(kind=kind, labels=h.labels, entries=M.astype(np.complex128))
+    return HypergraphMatrix(kind=kind, labels=h.labels, entries=M.astype(np.complex128), symmetrizer=d)
 
 
 @dataclass(frozen=True)

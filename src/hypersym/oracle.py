@@ -4,15 +4,20 @@ The oracle route ignores all symmetry structure: it hands the full matrix
 to a dense solver, sorts the eigenvalues, and reports per-pair residuals.
 dense_spectrum decides realness once: a matrix with no nonzero imaginary
 entry is solved as the float64 matrix it is, by eigh (LAPACK dsyevd) when
-it equals its transpose, by real eig (dgeev) otherwise, its real vectors
-staying real; only a genuinely complex matrix goes to complex eig (zgeev).
-The residuals are one n^3 product of A with the eigenvectors, in real
+it equals its transpose; by eigh of its symmetric form D^{1/2} A D^{-1/2}
+when it is a HypergraphMatrix whose symmetrizer d balances it (the
+transition, general_* and unit_normalized kinds: diag(d) A symmetric, d
+checked to rounding first), its vectors mapped back to A's; by real eig
+(dgeev) otherwise, its real vectors staying real. Only a genuinely complex
+matrix goes to complex eig (zgeev). A raw array, or a matrix whose
+symmetrizer fails the check, takes the route it would without one. The
+residuals are one n^3 product of A itself with the eigenvectors, in real
 arithmetic for a real A (spectral._product, which the decomposition's
-residual checks share). verify_decomposition compares a block decomposition
-against it by greedy nearest-neighbour multiset matching with a per-match
-tolerance scaled by max(1, ||M||_inf), computed once per verification, and
-checks every lifted eigenpair's residual, all records' residuals in one
-comparison.
+residual checks share), so the symmetric form never vouches for itself.
+verify_decomposition compares a block decomposition against it by greedy
+nearest-neighbour multiset matching with a per-match tolerance scaled by
+max(1, ||M||_inf), computed once per verification, and checks every lifted
+eigenpair's residual, all records' residuals in one comparison.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .errors import HypersymError
 from .jsonutil import complex_pair
-from .matrices import as_array
+from .matrices import as_array, symmetrizer_of
 from .spectral import SpectralDecomposition, _eig_sorted, _product, _real_if_exact, residual_norms
 
 MATCH_TOL = 1e-8
@@ -59,13 +64,14 @@ def _scale(A: np.ndarray) -> float:
 
 
 def dense_spectrum(M) -> SpectrumReport:
-    """Full spectrum by direct dense eigensolve, sorted by (real, imag)."""
+    """Full spectrum by direct dense eigensolve, sorted by (real, imag); a
+    HypergraphMatrix's symmetrizer picks the balanced route."""
     A = as_array(M)
     if not np.all(np.isfinite(A)):
         raise HypersymError("matrix has non-finite entries")
     A = _real_if_exact(A)
     scale = _scale(A)
-    vals, vecs = _eig_sorted(A)  # real values for a real A: real residuals
+    vals, vecs = _eig_sorted(A, symmetrizer_of(M))  # real values for a real A: real residuals
     residuals = residual_norms(_product(A, vecs), vecs, vals)
     vals = vals.astype(np.complex128)
     failures = tuple(
@@ -119,7 +125,7 @@ def verify_decomposition(M, decomposition: SpectralDecomposition, tol: float = M
     and the offending residuals.
     """
     A = as_array(M)
-    dense = dense_spectrum(A)
+    dense = dense_spectrum(M)
     claimed = decomposition.eigenvalues()
     threshold = tol * dense.scale
     failures: list[str] = list(dense.failures)

@@ -41,7 +41,8 @@ root for n - k is the exact conjugate of the root for k. So for a real
 matrix the w = +-1 blocks (the quotient among them), their eigenvectors and
 their lifts are float64, and the conj(w)-block is conj of the w-block entry
 for entry: complex arithmetic starts only where an entry or a root is
-genuinely complex. A block's dtype picks its driver (_eig_sorted). For a
+genuinely complex. A block's dtype picks its driver (_eig_sorted; the
+blocks pass no symmetrizer, which only the dense oracle uses). For a
 real matrix the conj(w)-block is not solved: it takes the w-block's
 eigenpairs conjugated and sorted again, so each conjugate pair costs one
 solve; its residual is still taken against its own matrix.
@@ -81,7 +82,7 @@ import numpy as np
 
 from .errors import HypersymError, IncompatibleMatrixError
 from .jsonutil import _ENTRIES, _HOLE, _Rows, complex_pair
-from .matrices import _float_array, as_array
+from .matrices import _float_array, as_array, symmetrizer_of
 from .symmetry import (
     COMPAT_TOL,
     OrbitPartition,
@@ -306,26 +307,72 @@ def _real_if_exact(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _real_symmetric(A: np.ndarray) -> bool:
-    return np.isrealobj(A) and np.array_equal(A, A.T)
+# |S_ij - S_ji| within this many ulps of |S_ij + S_ji| (twice the larger
+# side for a balanced pair, whose two sides share a sign) passes as rounding
+_BALANCE_TOL = 4 * np.finfo(np.float64).eps
 
 
-def _eig_sorted(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _symmetric_form(A: np.ndarray, d: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """(S, s), the symmetric matrix eigh solves in place of A, and the
+    scaling back to A's vectors:
+
+    - (A, None) for a real A equal to its transpose;
+    - (D^{1/2} A D^{-1/2} made exactly symmetric, sqrt(d)) for a real A that
+      diag(d) balances: d_i A_ij = d_j A_ji to rounding, checked as
+      S_ij = S_ji (the same relation over sqrt(d_i d_j)) within
+      _BALANCE_TOL, in O(n^2) with three n x n temporaries;
+    - None for any other A: no d, a complex A, or a failed check."""
+    if not np.isrealobj(A):
+        return None
+    if np.array_equal(A, A.T):
+        return A, None
+    if d is None:
+        return None
+    s = np.sqrt(d)
+    S = s[:, None] * A
+    S /= s
+    D = S - S.T
+    P = S + S.T  # finite only if S is
+    np.abs(D, out=D)
+    np.abs(P, out=S)
+    S *= _BALANCE_TOL
+    if not (np.isfinite(P).all() and (D <= S).all()):
+        return None
+    P *= 0.5
+    return P, s
+
+
+def _eig_sorted(A: np.ndarray, d: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and column eigenvectors ordered by (real, imag). The
-    LAPACK driver follows A's dtype: a real A equal to its transpose goes to
-    eigh (dsyevd), any other real A to eig (dgeev), a complex A to eig
-    (zgeev). Values and vectors keep the driver's dtype, real from eigh and
-    from dgeev with all eigenvalues real. _dense_eigvals makes the same
-    choice for values only."""
-    vals, vecs = np.linalg.eigh(A) if _real_symmetric(A) else np.linalg.eig(A)
+    LAPACK driver follows A's dtype and structure (_symmetric_form):
+
+    - a real A equal to its transpose goes to eigh (dsyevd);
+    - a real A that diag(d) balances goes to eigh of its symmetric form
+      S = D^{1/2} A D^{-1/2}, S's vectors mapped back as D^{-1/2} U and
+      scaled to unit 2-norm;
+    - any other real A goes to eig (dgeev), a complex A to eig (zgeev).
+
+    Values and vectors keep the driver's dtype, real from eigh and from
+    dgeev with all eigenvalues real. _dense_eigvals makes the same choice
+    for values only."""
+    form = _symmetric_form(A, d)
+    if form is None:
+        vals, vecs = np.linalg.eig(A)
+    else:
+        S, s = form
+        vals, vecs = np.linalg.eigh(S)
+        if s is not None:
+            vecs /= s[:, None]
+            vecs /= np.linalg.norm(vecs, axis=0)
     order = np.lexsort((vals.imag, vals.real))
     return vals[order], vecs[:, order]
 
 
-def _dense_eigvals(A: np.ndarray) -> np.ndarray:
-    """Unsorted eigenvalues of A, by eigvalsh for a real symmetric matrix,
-    eigvals otherwise (_eig_sorted's choice)."""
-    return np.linalg.eigvalsh(A) if _real_symmetric(A) else np.linalg.eigvals(A)
+def _dense_eigvals(A: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+    """Unsorted eigenvalues of A, by eigvalsh of its symmetric form when it
+    has one, eigvals otherwise (_eig_sorted's choice)."""
+    form = _symmetric_form(A, d)
+    return np.linalg.eigvals(A) if form is None else np.linalg.eigvalsh(form[0])
 
 
 def _product(A: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -497,13 +544,14 @@ def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, 
     """Spectral radii of M and of its orbit quotient under f.
 
     The two agree for entrywise-nonnegative compatible M; the caller
-    compares. M must be f-compatible within tol.
+    compares. M must be f-compatible within tol. The radius of a
+    HypergraphMatrix with a symmetrizer comes from its symmetric form.
     """
     A = _real_if_exact(as_array(M))
     perm = _perm_of(f)
     _require_compatible(A, perm, tol)
     orbs = orbits(perm)
     Q = orbit_quotient(A, orbs, _quotient_tol(orbs, tol))
-    rho_full = float(np.abs(_dense_eigvals(A)).max()) if A.size else 0.0
+    rho_full = float(np.abs(_dense_eigvals(A, symmetrizer_of(M))).max()) if A.size else 0.0
     rho_quot = float(np.abs(_dense_eigvals(Q)).max()) if Q.size else 0.0
     return rho_full, rho_quot

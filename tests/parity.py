@@ -9,9 +9,12 @@ Runs the `decompose` and `verify` commands on
   (8 positives and 2 negative controls each, written by
   bench/workloads.generate), and
 - the rot10 and units18 fixtures in the 7 unweighted matrix kinds, under
-  the rot10 vertex map and the two units18 unit maps,
+  the rot10 vertex map and the two units18 unit maps, and
+- the rot10 fixture in the 3 general_* kinds under its vertex map, with
+  the fixed rot10-invariant weights document ROT10_WEIGHTS passed through
+  --weights,
 
-162 reports in all. Each report goes to DIR/reports/<case>-<command>.json;
+168 reports in all. Each report goes to DIR/reports/<case>-<command>.json;
 each exit code, with any stderr text, to a line of DIR/exit_codes.txt. Two
 checkouts are at byte parity when `diff -r` finds no difference between
 their DIRs. The package is imported from the src/ beside this file, so a
@@ -50,7 +53,7 @@ import numpy as np  # noqa: E402
 
 from hypersym import MATCH_TOL, build_matrix, parse_hypergraph  # noqa: E402
 from hypersym.cli import main  # noqa: E402
-from hypersym.matrices import MATRIX_KINDS, WEIGHTED_KINDS  # noqa: E402
+from hypersym.matrices import MATRIX_KINDS, WEIGHTED_KINDS, WeightFunctions  # noqa: E402
 from workloads import WORKLOADS, generate  # noqa: E402
 
 SEEDS = (11, 12)
@@ -60,22 +63,33 @@ FIXTURES = (
     ("units18", UNITS18_DOC, "unit_map", {"unit_map": UNITS18_UNIT_MAP}),
     ("units18", UNITS18_DOC, "swap_map", {"unit_map": UNITS18_SWAP_MAP}),
 )
+# constant on the rot10 map's vertex orbits {1}, {2 5 8}, {3 6 9}, {4 7 10}
+# and edge orbits {e f g}, {h i j}, delta_V spread over three decades
+ROT10_WEIGHTS = {
+    "delta_V": {"1": 0.5, **dict.fromkeys("258", 3.0), **dict.fromkeys("369", 40.0), **dict.fromkeys(("4", "7", "10"), 1000.0)},
+    "delta_E": {**dict.fromkeys("efg", 2.0), **dict.fromkeys("hij", 0.75)},
+}
 
 
 def cases(inputs: Path):
-    """(case name, hypergraph path, symmetry path, kind) of every report."""
+    """(case name, hypergraph path, symmetry path, kind, weights path or
+    None) of every report."""
     for w in WORKLOADS.values():
         for seed in SEEDS:
             positives, negatives = generate(w, seed, inputs / f"{w.name}-seed{seed}")
             for inst in positives + negatives:
-                yield f"{w.name}-seed{seed}-{inst.symmetry.stem}", inst.hypergraph, inst.symmetry, w.kind
+                yield f"{w.name}-seed{seed}-{inst.symmetry.stem}", inst.hypergraph, inst.symmetry, w.kind, None
+    wpath = inputs / "rot10_weights.json"
+    wpath.write_text(json.dumps(ROT10_WEIGHTS))
     for hname, hdoc, sname, sdoc in FIXTURES:
         hpath, spath = inputs / f"{hname}.json", inputs / f"{sname}.json"
         hpath.write_text(json.dumps(hdoc))
         spath.write_text(json.dumps(sdoc))
         for kind in MATRIX_KINDS:
             if kind not in WEIGHTED_KINDS:
-                yield f"{hname}-{sname}-{kind}", hpath, spath, kind
+                yield f"{hname}-{sname}-{kind}", hpath, spath, kind, None
+            elif sname == "rot10_map":
+                yield f"{hname}-{sname}-{kind}", hpath, spath, kind, wpath
 
 
 def write_parity_set(out: Path) -> int:
@@ -84,12 +98,13 @@ def write_parity_set(out: Path) -> int:
     reports.mkdir(parents=True, exist_ok=True)
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, hpath, spath, kind in cases(Path(tmp)):
+        for name, hpath, spath, kind, wpath in cases(Path(tmp)):
+            weights = ["--weights", str(wpath)] if wpath else []
             for command in COMMANDS:
                 target = reports / f"{name}-{command}.json"
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err):
-                    rc = main([command, str(hpath), str(spath), "--kind", kind, "--out", str(target)])
+                    rc = main([command, str(hpath), str(spath), "--kind", kind, *weights, "--out", str(target)])
                 lines.append(f"{name}-{command} {rc} {err.getvalue().strip()}".rstrip())
     (out / "exit_codes.txt").write_text("\n".join(lines) + "\n")
     return len(lines)
@@ -133,8 +148,9 @@ def compare(a: Path, b: Path) -> int:
         status = 1
     scales = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, hpath, _, kind in cases(Path(tmp)):
-            M = build_matrix(parse_hypergraph(hpath.read_text()), kind).entries
+        for name, hpath, _, kind, wpath in cases(Path(tmp)):
+            weights = WeightFunctions.parse(wpath.read_text()) if wpath else None
+            M = build_matrix(parse_hypergraph(hpath.read_text()), kind, weights=weights).entries
             scales[name] = max(1.0, float(np.abs(M).sum(axis=1).max()))
     worst = 0.0
     for name in sorted(names_a & names_b):

@@ -1,7 +1,8 @@
 """Dense-spectrum oracle and decomposition verification reports.
 
 The oracle solves a real matrix with the real LAPACK drivers (eigh when it
-is symmetric, real eig otherwise) and only a complex one with complex eig.
+is symmetric or balanced by its symmetrizer, real eig otherwise) and only a
+complex one with complex eig.
 Against the complex-only oracle of loop_reference.py it must give the same
 verdicts and failure texts, with eigenvalues within 1e-12 * max(1,
 ||M||_inf), on every route and on every negative control.
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import loop_reference as ref
 from hypersym import (
     MATRIX_KINDS,
+    HypergraphMatrix,
     HypersymError,
     Permutation,
     build_matrix,
@@ -35,7 +37,7 @@ from hypersym import (
     validate_automorphism,
     verify_decomposition,
 )
-from hypersym.matrices import WEIGHTED_KINDS
+from hypersym.matrices import WEIGHTED_KINDS, WeightFunctions, as_array
 from hypersym.oracle import MATCH_TOL
 
 
@@ -158,8 +160,8 @@ def test_unmatched_value_names_its_own_block():
 
 PARITY_RTOL = 1e-12
 DENSE_VALUE = re.compile(r"dense value (.+) missing from the decomposition")
-# the three solver routes, each with the instance that takes it
-ROUTES = ("real symmetric", "real general", "complex")
+# the four solver routes, each with the instance that takes it
+ROUTES = ("real symmetric", "real balanced", "real general", "complex")
 # matrices beyond the ten kinds: complex general, complex symmetric (not
 # Hermitian) and real nonnegative general, all compatible with the map
 GENERATED = ("complex", "complex_symmetric", "nonnegative")
@@ -167,7 +169,7 @@ CORRUPTIONS = ("none", "shifted value", "dropped block", "bad lift")
 
 
 def _scale(A):
-    return max(1.0, float(np.abs(A).sum(axis=1).max()))
+    return max(1.0, float(np.abs(as_array(A)).sum(axis=1).max()))
 
 
 def _drivers(A):
@@ -191,15 +193,19 @@ def _drivers(A):
 def _route_case(route, rot10, rot10_aut):
     if route == "real symmetric":
         A = build_matrix(rot10, "adjacency_r").entries
-    elif route == "real general":
+    elif route == "real balanced":  # the matrix, with its symmetrizer
+        A = build_matrix(rot10, "transition")
+    elif route == "real general":  # the same entries, without one
         A = build_matrix(rot10, "transition").entries
     else:
         A = compatible_matrix(np.random.default_rng(3), rot10_aut.perm)
     return A, decompose_automorphism(A, rot10_aut)
 
 
-def _instance(rng, kind):
-    """A random instance and its matrix of the given kind (or GENERATED)."""
+def _instance(rng, kind, weights=invariant_weights):
+    """A random instance and its matrix of the given kind (a
+    HypergraphMatrix), or an array of a GENERATED kind; weights(rng, h, aut)
+    draws the weights of a general_* kind."""
     h, aut = random_instance(rng, n_max=12)
     if kind == "transition":  # with an edge at every vertex
         h = invariant_hypergraph(rng, aut.perm, seed_edges=3, include_full_edge=True)
@@ -208,8 +214,7 @@ def _instance(rng, kind):
         return compatible_matrix(
             rng, aut.perm, symmetric=kind == "complex_symmetric", nonnegative=kind == "nonnegative"
         ), aut
-    weights = invariant_weights(rng, h, aut) if kind in WEIGHTED_KINDS else None
-    return build_matrix(h, kind, weights=weights).entries, aut
+    return build_matrix(h, kind, weights=weights(rng, h, aut) if kind in WEIGHTED_KINDS else None), aut
 
 
 def _corrupt(dec, how, threshold):
@@ -275,8 +280,82 @@ def test_real_drivers_match_the_complex_oracle(kind, corruption, seed):
 @pytest.mark.parametrize("route", ROUTES)
 def test_each_route_takes_its_driver(route, rot10, rot10_aut):
     A, _ = _route_case(route, rot10, rot10_aut)
-    expected = {"real symmetric": ("eigh", "f"), "real general": ("eig", "f"), "complex": ("eig", "c")}
+    expected = {
+        "real symmetric": ("eigh", "f"),
+        "real balanced": ("eigh", "f"),
+        "real general": ("eig", "f"),
+        "complex": ("eig", "c"),
+    }
     assert _drivers(A) == [expected[route]]
+
+
+def _moved_entry(M, move):
+    """M with its first nonzero off-diagonal entry moved by move, keeping
+    its symmetrizer."""
+    A = M.entries.copy()
+    i, j = next((i, j) for i, j in zip(*np.nonzero(A)) if i != j)
+    A[i, j] += move
+    return dataclasses.replace(M, entries=A)
+
+
+def test_a_moved_entry_takes_the_general_path(rot10, rot10_aut):
+    # diag(d) A stays symmetric only to rounding: an entry moved by
+    # 1e-9 * scale fails the check and goes to real eig
+    M = build_matrix(rot10, "transition")
+    dec = decompose_automorphism(M, rot10_aut)
+    moved = _moved_entry(M, 1e-9 * _scale(M))
+    assert _drivers(moved) == [("eig", "f")]
+    _assert_matches_complex_oracle(moved, dec)
+
+
+def test_a_wrong_symmetrizer_takes_the_general_path(rot10, rot10_aut):
+    M = build_matrix(rot10, "transition")
+    dec = decompose_automorphism(M, rot10_aut)
+    wrong = dataclasses.replace(M, symmetrizer=M.symmetrizer[::-1].copy())
+    assert not np.array_equal(wrong.symmetrizer, M.symmetrizer)
+    assert _drivers(wrong) == [("eig", "f")]
+    assert _assert_matches_complex_oracle(wrong, dec).verdict
+
+
+@pytest.mark.parametrize(
+    "symmetrizer, message",
+    [
+        (np.ones(9), "shape"),
+        (np.ones((10, 1)), "shape"),
+        (np.r_[np.inf, np.ones(9)], "finite and positive"),
+        (np.r_[np.nan, np.ones(9)], "finite and positive"),
+        (np.r_[0.0, np.ones(9)], "finite and positive"),
+        (np.r_[-1.0, np.ones(9)], "finite and positive"),
+    ],
+)
+def test_a_bad_symmetrizer_is_refused(symmetrizer, message, rot10):
+    M = build_matrix(rot10, "transition")
+    with pytest.raises(HypersymError, match=message):
+        HypergraphMatrix(kind=M.kind, labels=M.labels, entries=M.entries, symmetrizer=symmetrizer)
+
+
+def _spread_weights(rng, h, aut):
+    """Invariant weights with delta_V spread over 1..1e6: each orbit's
+    draw in (0.5, 2) mapped to 10**(4 * (draw - 0.5))."""
+    w = invariant_weights(rng, h, aut)
+    return WeightFunctions(
+        delta_V={lab: 10.0 ** (4 * (v - 0.5)) for lab, v in w.delta_V.items()}, delta_E=w.delta_E
+    )
+
+
+@given(
+    st.sampled_from(sorted(WEIGHTED_KINDS)),
+    st.sampled_from(CORRUPTIONS),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_balanced_route_matches_the_complex_oracle_over_spread_weights(kind, corruption, seed):
+    rng = np.random.default_rng(seed)
+    M, aut = _instance(rng, kind, weights=_spread_weights)
+    assert _drivers(M) == [("eigh", "f")]
+    dec = _corrupt(decompose_automorphism(M, aut), corruption, MATCH_TOL * _scale(M))
+    report = _assert_matches_complex_oracle(M, dec)
+    assert report.verdict == (corruption == "none")
 
 
 @pytest.mark.parametrize("corruption", CORRUPTIONS[1:])
@@ -308,7 +387,7 @@ def test_spectral_radius_matches_complex_eig(kind, seed):
     rng = np.random.default_rng(seed)
     A, aut = _instance(rng, kind)
     rho_full, _ = spectral_radius_via_quotient(A, aut)
-    assert abs(rho_full - float(np.abs(np.linalg.eigvals(A)).max())) <= PARITY_RTOL * _scale(A)
+    assert abs(rho_full - float(np.abs(np.linalg.eigvals(as_array(A))).max())) <= PARITY_RTOL * _scale(A)
 
 
 def test_verify_names_each_offending_residual_once(units18, units18_ua):
