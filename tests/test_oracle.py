@@ -39,6 +39,7 @@ from hypersym import (
 )
 from hypersym.matrices import WEIGHTED_KINDS, WeightFunctions, as_array
 from hypersym.oracle import MATCH_TOL
+from hypersym.spectral import _eig_sorted
 
 
 def test_dense_spectrum_sorted_with_residuals(rot10):
@@ -289,21 +290,24 @@ def test_each_route_takes_its_driver(route, rot10, rot10_aut):
     assert _drivers(A) == [expected[route]]
 
 
-def _moved_entry(M, move):
-    """M with its first nonzero off-diagonal entry moved by move, keeping
-    its symmetrizer."""
-    A = M.entries.copy()
-    i, j = next((i, j) for i, j in zip(*np.nonzero(A)) if i != j)
-    A[i, j] += move
-    return dataclasses.replace(M, entries=A)
+def test_balanced_route_returns_unit_eigenvectors_of_the_matrix(rot10):
+    M = build_matrix(rot10, "transition")
+    A = M.entries.real
+    vals, vecs = _eig_sorted(A, M.symmetrizer)
+    assert vals.dtype == vecs.dtype == np.float64
+    assert np.array_equal(vals, np.sort(vals))
+    assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-14)
+    assert np.abs(A @ vecs - vecs * vals).max() <= 1e-13
 
 
 def test_a_moved_entry_takes_the_general_path(rot10, rot10_aut):
-    # diag(d) A stays symmetric only to rounding: an entry moved by
-    # 1e-9 * scale fails the check and goes to real eig
+    # diag(d) A stays symmetric only to rounding: an off-diagonal entry
+    # moved by 1e-9 * scale fails the check and goes to real eig
     M = build_matrix(rot10, "transition")
     dec = decompose_automorphism(M, rot10_aut)
-    moved = _moved_entry(M, 1e-9 * _scale(M))
+    A = M.entries.copy()
+    A[0, 1] += 1e-9 * _scale(M)
+    moved = dataclasses.replace(M, entries=A)
     assert _drivers(moved) == [("eig", "f")]
     _assert_matches_complex_oracle(moved, dec)
 
