@@ -3,21 +3,25 @@
 The oracle route ignores all symmetry structure: it hands the full matrix
 to a dense solver, sorts the eigenvalues, and reports per-pair residuals.
 dense_spectrum decides realness once: a matrix with no nonzero imaginary
-entry is solved as the float64 matrix it is, by eigh (LAPACK dsyevd) when
-it equals its transpose; by eigh of its symmetric form D^{1/2} A D^{-1/2}
-when it is a HypergraphMatrix whose symmetrizer d balances it (the
-transition, general_* and unit_normalized kinds: diag(d) A symmetric, d
-checked to rounding first), its vectors mapped back to A's; by real eig
-(dgeev) otherwise, its real vectors staying real. Only a genuinely complex
-matrix goes to complex eig (zgeev). A raw array, or a matrix whose
-symmetrizer fails the check, takes the route it would without one. The
-residuals are one n^3 product of A itself with the eigenvectors, in real
-arithmetic for a real A (spectral._product, which the decomposition's
+entry is solved as the float64 matrix it is. It then decides balance once
+(spectral._balance), as the decomposition routes do: a real matrix equal to
+its transpose goes to eigh (LAPACK dsyevd), a complex one equal to its
+conjugate transpose to complex eigh (zheevd); a HypergraphMatrix whose
+symmetrizer d balances it (the transition, general_* and unit_normalized
+kinds: diag(d) A symmetric, d checked to rounding first) goes to eigh of
+its symmetric form D^{1/2} A D^{-1/2}, its vectors mapped back to A's. Any
+other real matrix goes to real eig (dgeev), its real vectors staying real,
+and any other complex one to complex eig (zgeev). A raw array, or a matrix
+whose symmetrizer fails the check, takes the route it would without one.
+The residuals are one n^3 product of A itself with the eigenvectors, in
+real arithmetic for a real A (spectral._product, which the decomposition's
 residual checks share), so the symmetric form never vouches for itself.
 verify_decomposition compares a block decomposition against it by greedy
 nearest-neighbour multiset matching with a per-match tolerance scaled by
 max(1, ||M||_inf), computed once per verification, and checks every lifted
-eigenpair's residual, all records' residuals in one comparison.
+eigenpair's residual, all records' residuals in one comparison. The
+matching searches, for each value, only the values whose real parts lie
+within that tolerance, found by one searchsorted over the sorted real parts.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from .errors import HypersymError
 from .jsonutil import complex_pair
 from .matrices import as_array, symmetrizer_of
-from .spectral import SpectralDecomposition, _eig_sorted, _product, _real_if_exact, residual_norms
+from .spectral import SpectralDecomposition, _balance, _eig_sorted, _product, _real_if_exact, residual_norms
 
 MATCH_TOL = 1e-8
 
@@ -71,7 +75,7 @@ def dense_spectrum(M) -> SpectrumReport:
         raise HypersymError("matrix has non-finite entries")
     A = _real_if_exact(A)
     scale = _scale(A)
-    vals, vecs = _eig_sorted(A, symmetrizer_of(M))  # real values for a real A: real residuals
+    vals, vecs = _eig_sorted(A, _balance(A, symmetrizer_of(M)))  # real values for a real A: real residuals
     residuals = residual_norms(_product(A, vecs), vecs, vals)
     vals = vals.astype(np.complex128)
     failures = tuple(
@@ -87,28 +91,47 @@ def match_multisets(a, b, tol: float):
     """Greedy nearest-neighbour matching of two complex multisets.
 
     Both are traversed in (real, imag) order; each element of a takes the
-    nearest unused element of b within tol. Returns (pairs, unmatched_a,
-    unmatched_b) with pairs as (x, y, |x - y|).
+    nearest unused element of b within tol, the first in b's order of
+    equally near ones. Returns (pairs, unmatched_a, unmatched_b) with pairs
+    as (x, y, |x - y|), |x - y| the hypot of the parts of x - y.
+
+    Only the elements of b whose real part lies within tol of x's (with a
+    few ulps to spare) can be within tol of x, so x's candidates are a
+    window of b's finite elements sorted by real part, found by
+    searchsorted; a non-finite element never matches, and an infinite tol
+    makes every window the whole of b's finite elements.
     """
     a = sorted((complex(z) for z in a), key=lambda z: (z.real, z.imag))
     b = sorted((complex(z) for z in b), key=lambda z: (z.real, z.imag))
     if not a or not b:
         return [], a, b
-    # err[i, j] = |a_i - b_j| (hypot, as abs of a Python complex); a column is
-    # set to inf once b_j is used, and NaN never matches
-    diff = np.array(a)[:, None] - np.array(b)[None, :]
-    err = np.hypot(diff.real, diff.imag)
-    err[np.isnan(err)] = np.inf
-    used = np.zeros(len(b), dtype=bool)
+    za, zb = np.array(a), np.array(b)
+    finite = np.flatnonzero(np.isfinite(zb))
+    finite = finite[np.argsort(zb.real[finite], kind="stable")]
+    pad = tol + 4 * np.finfo(np.float64).eps * (np.abs(za.real) + tol)
+    lo = np.searchsorted(zb.real[finite], za.real - pad, side="left")
+    hi = np.searchsorted(zb.real[finite], za.real + pad, side="right")
+    # every candidate pair (i, j), row by row, with its distance
+    counts = np.maximum(hi - lo, 0)
+    ends = np.cumsum(counts)
+    cols = finite[np.arange(ends[-1]) - np.repeat(ends - counts - lo, counts)]
+    diff = np.repeat(za, counts) - zb[cols]
+    errs = np.hypot(diff.real, diff.imag).tolist()
+    cols = cols.tolist()
+    used = [False] * len(b)
     pairs: list[tuple[complex, complex, float]] = []
     unmatched_a: list[complex] = []
-    for i, x in enumerate(a):
-        j = int(np.argmin(err[i]))  # the first of equally near elements
-        best_err = float(err[i, j])
-        if best_err < np.inf and best_err <= tol:
+    start = 0
+    for x, end in zip(a, ends.tolist()):
+        best, j = np.inf, -1  # an infinite or NaN distance is never taken
+        for p in range(start, end):
+            k, e = cols[p], errs[p]
+            if not used[k] and (e < best or (e == best and k < j)):
+                best, j = e, k
+        start = end
+        if j >= 0 and best <= tol:
             used[j] = True
-            err[:, j] = np.inf
-            pairs.append((x, b[j], best_err))
+            pairs.append((x, b[j], best))
         else:
             unmatched_a.append(x)
     unmatched_b = [y for y, u in zip(b, used) if not u]

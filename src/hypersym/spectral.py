@@ -41,18 +41,32 @@ root for n - k is the exact conjugate of the root for k. So for a real
 matrix the w = +-1 blocks (the quotient among them), their eigenvectors and
 their lifts are float64, and the conj(w)-block is conj of the w-block entry
 for entry: complex arithmetic starts only where an entry or a root is
-genuinely complex. A block's dtype picks its driver (_eig_sorted; the
-blocks pass no symmetrizer, which only the dense oracle uses). For a
-real matrix the conj(w)-block is not solved: it takes the w-block's
-eigenpairs conjugated and sorted again, so each conjugate pair costs one
-solve; its residual is still taken against its own matrix.
+genuinely complex.
+
+Each route also decides balance once, at its entry (_balance): a positive d
+with diag(d) M Hermitian, d = 1 for an exactly symmetric real or Hermitian
+complex M, or a HypergraphMatrix's symmetrizer when it passes an O(n^2)
+check to rounding. If d is also constant on every cycle, each block B gets
+its own symmetrizer e, e_c = len(c) d(rep c) over its cycles c (the
+d-weighted Gram matrix of the cycle basis), with diag(e) B Hermitian; on
+the unit route N's symmetrizer |W| d(rep W) plays the part of d. Every
+block then goes to eigh (dsyevd, or zheevd for a complex block) of the
+Hermitian part of D_e^{1/2} B D_e^{-1/2} (of B itself when e is constant),
+its vectors mapped back and scaled to unit norm, its values real; without
+such a d, a real block goes to dgeev and a complex one to zgeev
+(_eig_sorted). The block residual is still taken against B and the lifted
+one against M, so the Hermitian form never vouches for itself. For a real
+matrix the conj(w)-block is neither built nor solved: it takes the
+w-block's eigenpairs, block residuals and lifted residuals conjugated and
+sorted again, so each conjugate pair costs one build, one solve and one
+product with M.
 
 Block eigenvectors follow zgeev's own convention: unit 2-norm, with the
 first entry of largest re^2 + im^2 real and positive. Entries within a few
 ulps of the largest count as largest, so a vector from zgeev is never
-touched; a real vector is at most negated. A lifted vector carries its block
-vector unchanged at the U_0 of its rotations (at every member of each orbit
-for the quotient).
+touched; one from eigh is rotated to it, and a real vector is at most
+negated. A lifted vector carries its block vector unchanged at the U_0 of
+its rotations (at every member of each orbit for the quotient).
 
 A block's lifted eigenpairs are kept as one LiftedBlock: its eigenvalues
 in the driver's dtype (real for a real block, so the residuals of a real
@@ -62,13 +76,14 @@ with one formatting operation (jsonutil._Rows); the per-pair LiftedPair
 objects of SpectralDecomposition.lifted are built only when a caller asks.
 
 Cost model: the block eigensolves cost sum b_i^3 over the block orders b_i,
-one solve per conjugate pair for a real matrix. Checking the lifted
+by eigh for a balanced matrix (several times cheaper than eig at the same
+order), one solve per conjugate pair for a real matrix. Checking the lifted
 eigenpairs takes one matrix product A V per block (n^2 b_i multiply-adds,
-in BLAS-3), in real arithmetic for a real A (_product, shared with the
-oracle). Everything else (the compatibility check, the cell sums behind the
-quotient and its equitable check, the other blocks, the lifts) is
-vectorised O(n^2) numpy work, with no Python loop over cell pairs or
-eigenpairs.
+in BLAS-3), again one per conjugate pair for a real A, in real arithmetic
+(_product, shared with the oracle). Everything else (the compatibility and
+balance checks, the cell sums behind the quotient and its equitable check,
+the other blocks, the lifts) is vectorised O(n^2) numpy work, with no
+Python loop over cell pairs or eigenpairs.
 """
 
 from __future__ import annotations
@@ -307,59 +322,82 @@ def _real_if_exact(A: np.ndarray) -> np.ndarray:
     return A
 
 
-# |S_ij - S_ji| within this many ulps of |S_ij + S_ji| (twice the larger
+# |W_ij - W_ji| within this many ulps of |W_ij + W_ji| (twice the larger
 # side for a balanced pair, whose two sides share a sign) passes as rounding
 _BALANCE_TOL = 4 * np.finfo(np.float64).eps
+# entries of one row block of _balance's check: its buffer stays in cache
+_BALANCE_BLOCK = 1 << 13
 
 
-def _symmetric_form(A: np.ndarray, d: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """(S, s), the symmetric matrix eigh solves in place of A, and the
-    scaling back to A's vectors:
+def _balance(A: np.ndarray, d: np.ndarray | None) -> np.ndarray | None:
+    """A positive d with diag(d) A Hermitian, which puts A (and every block
+    of it) on the eigh route, or None for the general route:
 
-    - (A, None) for a real A equal to its transpose;
-    - (D^{1/2} A D^{-1/2} made exactly symmetric, sqrt(d)) for a real A that
-      diag(d) balances: d_i A_ij = d_j A_ji to rounding, checked as
-      S_ij = S_ji (the same relation over sqrt(d_i d_j)) within
-      _BALANCE_TOL, in O(n^2) with three n x n temporaries;
-    - None for any other A: no d, a complex A, or a failed check."""
-    if not np.isrealobj(A):
+    - ones for an A equal to its conjugate transpose (its transpose, for a
+      real A), exactly;
+    - the given d for a real A that it balances to rounding: for
+      W = diag(d) A, |W_ij - W_ji| <= _BALANCE_TOL |W_ij + W_ji| with every
+      W_ij + W_ji finite, checked in O(n^2) a block of rows at a time in one
+      reused buffer;
+    - None for any other A: no d, a complex A that is not exactly
+      Hermitian, or a failed check.
+
+    Each route entry calls it once and states the result to every solve."""
+    n = A.shape[0]
+    if np.array_equal(A, A.T if np.isrealobj(A) else A.conj().T):
+        return np.ones(n)
+    if d is None or not np.isrealobj(A):
         return None
-    if np.array_equal(A, A.T):
+    rows = max(1, _BALANCE_BLOCK // n)
+    buf = np.empty((3, min(rows, n), n))
+    for r in range(0, n, rows):
+        k = min(rows, n - r)
+        W, T, D = buf[:, :k]
+        np.multiply(d[r : r + k, None], A[r : r + k], out=W)  # rows r..r+k of W
+        np.multiply(A[:, r : r + k].T, d, out=T)  # the same rows of W.T
+        np.subtract(W, T, out=D)
+        W += T
+        np.abs(D, out=D)
+        np.abs(W, out=W)
+        W *= _BALANCE_TOL
+        if not (np.isfinite(W.max()) and (D <= W).all()):
+            return None
+    return d
+
+
+def _hermitian_form(A: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(S, s): the Hermitian matrix eigh solves in place of A, which d
+    balances (_balance), and the scaling back to A's vectors. A constant d
+    leaves A as it is, Hermitian to rounding already, with s None (eigh
+    reads its lower triangle); otherwise S is the Hermitian part of
+    D^{1/2} A D^{-1/2} and s = sqrt(d)."""
+    if (d == d[:1]).all():
         return A, None
-    if d is None:
-        return None
     s = np.sqrt(d)
     S = s[:, None] * A
     S /= s
-    D = S - S.T
-    P = S + S.T  # finite only if S is
-    np.abs(D, out=D)
-    np.abs(P, out=S)
-    S *= _BALANCE_TOL
-    if not (np.isfinite(P).all() and (D <= S).all()):
-        return None
-    P *= 0.5
-    return P, s
+    S = S + (S.T if np.isrealobj(S) else S.conj().T)
+    S *= 0.5
+    return S, s
 
 
 def _eig_sorted(A: np.ndarray, d: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and column eigenvectors ordered by (real, imag). The
-    LAPACK driver follows A's dtype and structure (_symmetric_form):
+    caller states d, a positive vector with diag(d) A Hermitian (_balance),
+    or None:
 
-    - a real A equal to its transpose goes to eigh (dsyevd);
-    - a real A that diag(d) balances goes to eigh of its symmetric form
-      S = D^{1/2} A D^{-1/2}, S's vectors mapped back as D^{-1/2} U and
-      scaled to unit 2-norm;
-    - any other real A goes to eig (dgeev), a complex A to eig (zgeev).
+    - with d, eigh (dsyevd, or zheevd for a complex A) solves A's Hermitian
+      form (_hermitian_form), its vectors mapped back as D^{-1/2} U and
+      scaled to unit 2-norm unless d is constant; the values are real;
+    - without, a real A goes to eig (dgeev), a complex A to eig (zgeev).
 
-    Values and vectors keep the driver's dtype, real from eigh and from
-    dgeev with all eigenvalues real. _dense_eigvals makes the same choice
-    for values only."""
-    form = _symmetric_form(A, d)
-    if form is None:
+    Values and vectors keep the driver's dtype, real from a real eigh and
+    from dgeev with all eigenvalues real. _dense_eigvals makes the same
+    choice for values only."""
+    if d is None:
         vals, vecs = np.linalg.eig(A)
     else:
-        S, s = form
+        S, s = _hermitian_form(A, d)
         vals, vecs = np.linalg.eigh(S)
         if s is not None:
             vecs /= s[:, None]
@@ -369,10 +407,9 @@ def _eig_sorted(A: np.ndarray, d: np.ndarray | None = None) -> tuple[np.ndarray,
 
 
 def _dense_eigvals(A: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
-    """Unsorted eigenvalues of A, by eigvalsh of its symmetric form when it
-    has one, eigvals otherwise (_eig_sorted's choice)."""
-    form = _symmetric_form(A, d)
-    return np.linalg.eigvals(A) if form is None else np.linalg.eigvalsh(form[0])
+    """Unsorted eigenvalues of A, by eigvalsh of its Hermitian form when d
+    balances it, eigvals otherwise (_eig_sorted's choice)."""
+    return np.linalg.eigvals(A) if d is None else np.linalg.eigvalsh(_hermitian_form(A, d)[0])
 
 
 def _product(A: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -475,52 +512,89 @@ def _lift_block(X: np.ndarray, parts: _Parts, orbs: OrbitPartition, n: int) -> n
     return sum(lifts[1:], lifts[0])
 
 
+def _cycle_constant(d: np.ndarray | None, perm: Permutation) -> np.ndarray | None:
+    """d when it is exactly constant on every cycle of perm, else None."""
+    return d if d is not None and np.array_equal(d[list(perm.mapping)], d) else None
+
+
+def _block_symmetrizer(d: np.ndarray, parts: _Parts, orbs: OrbitPartition) -> np.ndarray:
+    """e with diag(e) B Hermitian for the omega-block B over the given
+    factors (the orbit quotient without factors), for a d constant on every
+    cycle with diag(d) A Hermitian: e_c = len(c) d(rep c) over the block's
+    cycles c in row order, the d-weighted Gram matrix of its cycle basis."""
+    if not parts:
+        return np.array([len(cell) for cell in orbs.cells]) * d[[cell[0] for cell in orbs.cells]]
+    return np.concatenate([rot.order_n * d[list(rot.u0)] for rot, _ in parts])
+
+
 def _decompose(
-    A: np.ndarray, perm: Permutation, tol: float, built_from: np.ndarray | None = None, lift=None, tag: dict | None = None
+    A: np.ndarray,
+    perm: Permutation,
+    tol: float,
+    d: np.ndarray | None = None,
+    built_from: np.ndarray | None = None,
+    lift=None,
+    tag: dict | None = None,
 ) -> SpectralDecomposition:
     """Build, solve and lift every block of built_from (default A) along
     perm, which it must already be compatible with within tol (the
-    quotient's equitable check allows what that implies). lift carries
-    columns on its index set into A's (none when it is A); every lifted
-    residual is taken against A. tag is merged into the block and lifted sources, and
+    quotient's equitable check allows what that implies). d is a positive
+    vector with diag(d) built_from Hermitian (_balance), or None; when it is
+    also constant on every cycle of perm, every block goes to eigh with its
+    symmetrizer (_block_symmetrizer), otherwise to eig. lift carries columns
+    on its index set into A's (none when it is A); every lifted residual is
+    taken against A. tag is merged into the block and lifted sources, and
     into each skipped entry beside its source. Block pairs whose residual
     betrays a defective solve are skipped (and reported) instead of lifted.
+
+    For a real A and built_from the conj(w)-block is neither built nor
+    solved, and its lifts are not multiplied by A: its eigenpairs, block
+    residuals and lifted residuals are the w-block's, conjugated and sorted
+    again, bit for bit what computing them gives, since real GEMM and
+    complex multiplication commute with conjugation. Only its lift, O(n) per
+    pair, is made again, as conjugating the w-block's would flip the sign of
+    some zero parts.
     """
     B = A if built_from is None else built_from
     tag = tag or {}
     orbs = orbits(perm)
+    d = _cycle_constant(d, perm)
     quotient_tol = _quotient_tol(orbs, tol)
-    solved: list[tuple[np.ndarray, np.ndarray]] = []
+    real = np.isrealobj(A) and np.isrealobj(B)
+    # per block: values, vectors, block residuals, defective mask and lifted
+    # residuals
+    solved: list[tuple[np.ndarray, ...]] = []
     blocks: list[RotationBlock] = []
     lifts: list[LiftedBlock] = []
     skipped: list[dict] = []
     for source, parts, partner in _characters(rotation_decomposition(perm)):
-        matrix = _block_matrix(B, parts, orbs, quotient_tol)
-        if partner is not None and not np.iscomplexobj(B):
-            # conj(w)-block = conj(w-block): the conjugate eigenpairs, re-sorted
-            vals, vecs = (x.conj() for x in solved[partner])
+        if partner is not None and real:
+            vals, vecs, block_res, defective, lifted_res = solved[partner]
+            vals = vals.conj()
             order = np.lexsort((vals.imag, vals.real))
-            vals, vecs = vals[order], vecs[:, order]
+            # the lifted pair of each kept block pair, in the new order
+            lifted_res = lifted_res[(np.cumsum(~defective) - 1)[order][~defective[order]]]
+            vals, vecs, block_res, defective = vals[order], vecs[:, order].conj(), block_res[order], defective[order]
         else:
-            vals, vecs = _eig_sorted(matrix)
+            matrix = _block_matrix(B, parts, orbs, quotient_tol)
+            vals, vecs = _eig_sorted(matrix, None if d is None else _block_symmetrizer(d, parts, orbs))
             vecs = _phase_convention(vecs)
-        solved.append((vals, vecs))
-        blocks.append(
-            RotationBlock(source={**source, **tag}, order=matrix.shape[0], eigenvalues=vals.astype(np.complex128))
-        )
-        block_res = residual_norms(_product(matrix, vecs), vecs, vals)
-        defective = block_res > LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(matrix).max()))
+            block_res = residual_norms(_product(matrix, vecs), vecs, vals)
+            defective = block_res > LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(matrix).max()))
+            lifted_res = None
+        full = _lift_block(vecs[:, ~defective], parts, orbs, B.shape[0])
+        if lift is not None:
+            full = lift(full)
+        if lifted_res is None:
+            lifted_res = residual_norms(_product(A, full), full, vals[~defective])
+        solved.append((vals, vecs, block_res, defective, lifted_res))
+        blocks.append(RotationBlock(source={**source, **tag}, order=len(vals), eigenvalues=vals.astype(np.complex128)))
         skipped += [
             {"source": source, "lambda": complex_pair(vals[i]), "block_residual": float(block_res[i]),
              "reason": "defective block eigenpair", **tag}
             for i in np.flatnonzero(defective)
         ]
-        keep = np.flatnonzero(~defective)
-        full = _lift_block(vecs[:, keep], parts, orbs, B.shape[0])
-        if lift is not None:
-            full = lift(full)
-        values = vals[keep]
-        lifts.append(LiftedBlock(blocks[-1].source, values, full, residual_norms(_product(A, full), full, values)))
+        lifts.append(LiftedBlock(blocks[-1].source, vals[~defective], full, lifted_res))
     total = sum(b.order for b in blocks)
     if total != B.shape[0]:
         raise AssertionError(f"block orders sum to {total}, expected {B.shape[0]}")
@@ -528,7 +602,9 @@ def _decompose(
 
 
 def decompose_automorphism(M, f, tol: float = COMPAT_TOL) -> SpectralDecomposition:
-    """Spectrum of M from its blocks along f, with lifted eigenpairs.
+    """Spectrum of M from its blocks along f, with lifted eigenpairs. Every
+    block goes to eigh when M is Hermitian, or is a HypergraphMatrix whose
+    symmetrizer balances it and is constant on the cycles of f (_balance).
 
     Raises IncompatibleMatrixError if M is not f-compatible within tol, and
     NotEquitableError if the orbit quotient fails the equitable check that
@@ -537,21 +613,24 @@ def decompose_automorphism(M, f, tol: float = COMPAT_TOL) -> SpectralDecompositi
     A = _real_if_exact(as_array(M))
     perm = _perm_of(f)
     _require_compatible(A, perm, tol)
-    return _decompose(A, perm, tol)
+    return _decompose(A, perm, tol, _balance(A, symmetrizer_of(M)))
 
 
 def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, float]:
     """Spectral radii of M and of its orbit quotient under f.
 
     The two agree for entrywise-nonnegative compatible M; the caller
-    compares. M must be f-compatible within tol. The radius of a
-    HypergraphMatrix with a symmetrizer comes from its symmetric form.
+    compares. M must be f-compatible within tol. Both radii come from eigh
+    when M is balanced as in decompose_automorphism.
     """
     A = _real_if_exact(as_array(M))
     perm = _perm_of(f)
     _require_compatible(A, perm, tol)
     orbs = orbits(perm)
     Q = orbit_quotient(A, orbs, _quotient_tol(orbs, tol))
-    rho_full = float(np.abs(_dense_eigvals(A, symmetrizer_of(M))).max()) if A.size else 0.0
-    rho_quot = float(np.abs(_dense_eigvals(Q)).max()) if Q.size else 0.0
+    d = _balance(A, symmetrizer_of(M))
+    e = _cycle_constant(d, perm)
+    e = None if e is None else _block_symmetrizer(e, [], orbs)
+    rho_full = float(np.abs(_dense_eigvals(A, d)).max()) if A.size else 0.0
+    rho_quot = float(np.abs(_dense_eigvals(Q, e)).max()) if Q.size else 0.0
     return rho_full, rho_quot

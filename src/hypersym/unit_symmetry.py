@@ -32,8 +32,16 @@ from .errors import (
 )
 from .hypergraph import Hypergraph, UnitPartition, _cover_arrays, _map_rows, compute_units
 from .jsonutil import describe_value
-from .matrices import _float_array, as_array
-from .spectral import LiftedBlock, RotationBlock, SpectralDecomposition, _decompose, _real_if_exact, residual_norms
+from .matrices import _float_array, as_array, symmetrizer_of
+from .spectral import (
+    LiftedBlock,
+    RotationBlock,
+    SpectralDecomposition,
+    _balance,
+    _decompose,
+    _real_if_exact,
+    residual_norms,
+)
 from .symmetry import (
     COMPAT_TOL,
     Automorphism,
@@ -361,6 +369,9 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
 
     Block eigenvalue counts add up to the matrix order: sum(|W| - 1) from
     units plus one eigenvalue per unit from the quotient decomposition.
+    When a d balances M (_balance) and is constant on each unit, N is
+    balanced by |W| d(rep W), and the blocks of N go to eigh wherever that
+    is constant on the cycles of the unit map.
     """
     A = _real_if_exact(as_array(M))
     units = ua.units
@@ -379,8 +390,15 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
 
     lifts = [lift for _, lift in _unit_lifts(A, units)]
     blocks = [RotationBlock(lift.source, len(lift.values), lift.values.astype(np.complex128)) for lift in lifts]
+    # N's symmetrizer |W| d(rep W), when d balances A and is constant on units
+    d = _balance(A, symmetrizer_of(M))
+    reps = [unit.member_indices[0] for unit in units.units]
+    if d is not None and np.array_equal(d[reps][list(units.unit_of)], d):
+        d = np.array([unit.size for unit in units.units]) * d[reps]
+    else:
+        d = None
     # N was checked against the unit map above
-    core = _decompose(A, ua.perm, tol, built_from=N, lift=lambda Y: blow_up(Y, units), tag={"level": "units"})
+    core = _decompose(A, ua.perm, tol, d, built_from=N, lift=lambda Y: blow_up(Y, units), tag={"level": "units"})
     return SpectralDecomposition(
         n=units.n, blocks=(*blocks, *core.blocks), lifts=(*lifts, *core.lifts), skipped=core.skipped
     )

@@ -6,7 +6,11 @@ These are the original per-cell-pair, per-unit, per-element and per-step
 loops the library replaced with whole-array numpy passes. They are kept
 here, outside the package, so test_loop_equivalence.py can require the
 library to give the same witnesses, messages, quotients, matchings and
-synchronization verdicts. dense_spectrum is the oracle that solved every
+synchronization verdicts. match_multisets_argmin is the matching that took
+one argmin per value over the whole distance array, before the library
+searched only a window of real parts; test_loop_equivalence.py requires the
+same pairs, lists and order from both, non-finite values included.
+dense_spectrum is the oracle that solved every
 matrix as complex128 (LAPACK zgeev); test_oracle.py requires the real
 drivers to give the same verdicts and failures. canonical_json is the
 emitter that appended every token to one out-list and formatted floats with
@@ -165,6 +169,34 @@ def match_multisets(a, b, tol):
         else:
             unmatched_a.append(x)
     unmatched_b = [y for j, y in enumerate(b) if not used[j]]
+    return pairs, unmatched_a, unmatched_b
+
+
+def match_multisets_argmin(a, b, tol):
+    """The matching as one argmin per element of a over the whole row of an
+    n x n distance array, which the windowed search of the library
+    replaced: err[i, j] = hypot of the parts of a_i - b_j, NaN taken as inf,
+    a used column set to inf."""
+    a = sorted((complex(z) for z in a), key=lambda z: (z.real, z.imag))
+    b = sorted((complex(z) for z in b), key=lambda z: (z.real, z.imag))
+    if not a or not b:
+        return [], a, b
+    diff = np.array(a)[:, None] - np.array(b)[None, :]
+    err = np.hypot(diff.real, diff.imag)
+    err[np.isnan(err)] = np.inf
+    used = np.zeros(len(b), dtype=bool)
+    pairs = []
+    unmatched_a = []
+    for i, x in enumerate(a):
+        j = int(np.argmin(err[i]))  # the first of equally near elements
+        best_err = float(err[i, j])
+        if best_err < np.inf and best_err <= tol:
+            used[j] = True
+            err[:, j] = np.inf
+            pairs.append((x, b[j], best_err))
+        else:
+            unmatched_a.append(x)
+    unmatched_b = [y for y, u in zip(b, used) if not u]
     return pairs, unmatched_a, unmatched_b
 
 

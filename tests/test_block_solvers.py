@@ -1,11 +1,13 @@
 """Each block solved in the arithmetic its structure allows.
 
-Real blocks go to the real LAPACK drivers, the block of conj(w) of a real
-matrix takes the conjugated eigenpairs of the w-block, and every block
-eigenvector follows one phase convention. Every route is checked against
-the dense oracle, with negative controls.
+Real blocks go to the real LAPACK drivers, every block of a balanced matrix
+(Hermitian, or made so by its symmetrizer) goes to eigh, the block of
+conj(w) of a real matrix takes the conjugated eigenpairs and residuals of
+the w-block, and every block eigenvector follows one phase convention. Every route is checked against the dense oracle, with negative
+controls.
 """
 
+import dataclasses
 from unittest.mock import patch
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersym import (
+    COMPAT_TOL,
     Hypergraph,
     IncompatibleMatrixError,
     Permutation,
@@ -23,15 +26,18 @@ from hypersym import (
     decompose_automorphism,
     decompose_unit_automorphism,
     invariant_hypergraph,
+    invariant_weights,
     orbits,
     permutation_with_type,
+    validate_automorphism,
     validate_unit_automorphism,
     verify_decomposition,
 )
 from hypersym import spectral
+from hypersym.matrices import WEIGHTED_KINDS, WeightFunctions
 from hypersym.symmetry import rotation_decomposition
 
-from conftest import UNITS18_DOC, UNITS18_SWAP_MAP, UNITS18_UNIT_MAP
+from conftest import ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_SWAP_MAP, UNITS18_UNIT_MAP
 
 CYCLE_TYPES = ((2, 4, 4), (3, 6), (12,), (2,), (3,), (2, 3), (4,))
 MATRICES = ("real symmetric", "real general", "complex hermitian", "complex general")
@@ -183,7 +189,9 @@ def test_convention_leaves_zgeev_vectors_untouched(seed):
     assert np.array_equal(np.abs(P), np.abs(R)) and not P.imag.any()
 
 
-def _solver_calls(M, p):
+def _solver_calls(M, symmetry, decompose=decompose_automorphism):
+    """The (solver, dtype kind) of every eigensolve of decompose(M, symmetry),
+    and the decomposition."""
     calls = []
 
     def spy(name, fn):
@@ -196,7 +204,7 @@ def _solver_calls(M, p):
     with patch.object(np.linalg, "eig", spy("eig", np.linalg.eig)), patch.object(
         np.linalg, "eigh", spy("eigh", np.linalg.eigh)
     ):
-        dec = decompose_automorphism(M, p)
+        dec = decompose(M, symmetry)
     return calls, dec
 
 
@@ -241,3 +249,175 @@ def test_conjugated_values_are_sorted_again():
     assert w[0].real == w[1].real and w[0].imag < 0 < w[1].imag
     assert np.array_equal(w_bar, w)
     assert verify_decomposition(A, dec).verdict
+
+
+BALANCED = ("transition", "unit_normalized", "general_adjacency", "general_laplacian", "general_signless", "complex hermitian")
+# mixed cycle types whose lengths share a factor
+MIXED_TYPES = ((2, 4), (2, 4, 4), (3, 6), (2, 3, 6), (4, 6), (2, 2, 6))
+
+
+def _orbit_ids(image):
+    """The orbit index of every point under the map i -> image[i]."""
+    ids = [-1] * len(image)
+    for i in range(len(image)):
+        j, orbit = i, max(ids) + 1
+        while ids[j] < 0:
+            ids[j] = orbit
+            j = image[j]
+    return ids
+
+
+def _spread_weights(rng, h, group_of, edge_map):
+    """general_* weights: delta_V one draw 10**u, u uniform in [0, 6), per
+    vertex group (group_of[i] for vertex i), so spread over 1..1e6; delta_E
+    one draw in (0.5, 2) per orbit of edge_map."""
+    dv = 10.0 ** rng.uniform(0, 6, size=max(group_of) + 1)
+    ids = list(edge_map)
+    orbit = _orbit_ids([ids.index(edge_map[e]) for e in ids])
+    de = rng.uniform(0.5, 2.0, size=max(orbit, default=0) + 1)
+    return WeightFunctions(
+        delta_V={lab: float(dv[g]) for lab, g in zip(h.labels, group_of)},
+        delta_E={e: float(de[o]) for e, o in zip(ids, orbit)},
+    )
+
+
+def _vertex_case(rng, kind, lengths, fixed):
+    """(M, automorphism, decompose, rows_of) of a random instance of the
+    given balanced kind along a map of the given cycle type."""
+    p = permutation_with_type(rng, sum(lengths) + fixed, lengths)
+    rows_of = lambda source: _block_rows(p, source)  # noqa: E731
+    if kind == "complex hermitian":
+        return _matrix(rng, p, kind), p, decompose_automorphism, rows_of
+    h = invariant_hypergraph(rng, p, seed_edges=3, include_full_edge=kind == "transition")
+    aut = validate_automorphism(h, p)
+    weights = _spread_weights(rng, h, orbits(p).cell_index, aut.edge_map) if kind in WEIGHTED_KINDS else None
+    return build_matrix(h, kind, weights=weights), aut, decompose_automorphism, rows_of
+
+
+def _unit_case(rng, kind, lengths, fixed):
+    """The same on the unit route: every vertex of a random invariant
+    hypergraph becomes one or two vertices sharing its star (as many along
+    each cycle), and the map moves the units as it moves their members."""
+    base = permutation_with_type(rng, sum(lengths) + fixed, lengths)
+    h0 = invariant_hypergraph(rng, base, seed_edges=3, include_full_edge=kind == "transition")
+    copies = np.zeros(base.n, dtype=int)
+    for cell in orbits(base).cells:
+        copies[list(cell)] = rng.integers(1, 3)
+    first = np.concatenate([[0], np.cumsum(copies)])
+    labels = [str(k + 1) for k in range(first[-1])]
+    edges = [
+        (e.id, [labels[first[b] + c] for b in (int(m) - 1 for m in e.members) for c in range(copies[b])])
+        for e in h0.edges
+    ]
+    h = Hypergraph(labels, edges)
+    units = compute_units(h)
+    mapping = [0] * len(units.units)
+    for b in range(base.n):
+        mapping[units.unit_of[first[b]]] = units.unit_of[first[base(b)]]
+    ua = validate_unit_automorphism(h, Permutation(tuple(mapping)))
+    rows_of = lambda source: [units.units[i].member_indices[0] for i in _block_rows(ua.perm, source)]  # noqa: E731
+    if kind == "complex hermitian":  # a Hermitian matrix on the units, blown up
+        H = _matrix(rng, ua.perm, kind)
+        M = H[np.ix_(units.unit_of, units.unit_of)]
+    else:
+        group_of = [_orbit_ids(ua.perm.mapping)[u] for u in units.unit_of]
+        weights = _spread_weights(rng, h, group_of, ua.edge_map) if kind in WEIGHTED_KINDS else None
+        M = build_matrix(h, kind, weights=weights)
+    return M, ua, decompose_unit_automorphism, rows_of
+
+
+@given(
+    st.sampled_from(BALANCED),
+    st.sampled_from(MIXED_TYPES),
+    st.integers(min_value=0, max_value=2),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_balanced_inputs_solve_every_block_by_eigh(kind, lengths, fixed, on_units, seed):
+    rng = np.random.default_rng(seed)
+    M, symmetry, decompose, rows_of = (_unit_case if on_units else _vertex_case)(rng, kind, lengths, fixed)
+    calls, dec = _solver_calls(M, symmetry, decompose)
+    assert calls and {name for name, _ in calls} == {"eigh"}, calls
+    _check(M, dec, rows_of)
+
+
+@pytest.fixture
+def transition10():
+    h = Hypergraph.from_dict(ROT10_DOC)
+    return build_matrix(h, "transition"), validate_automorphism(h, ROT10_MAP)
+
+
+def test_balanced_input_makes_no_eig_call(transition10):
+    M, aut = transition10
+    calls, dec = _solver_calls(M, aut)
+    assert calls == [("eigh", "c"), ("eigh", "f")]  # the w-block of w^3 = 1, then the quotient
+    assert verify_decomposition(M, dec).verdict
+
+
+def _general_path(M, symmetry):
+    """Every block goes to eig, and the oracle passes the decomposition."""
+    calls, dec = _solver_calls(M, symmetry)
+    assert calls and {name for name, _ in calls} == {"eig"}, calls
+    assert verify_decomposition(M, dec).verdict
+
+
+def test_a_reversed_symmetrizer_takes_the_general_path(transition10):
+    M, aut = transition10
+    _general_path(dataclasses.replace(M, symmetrizer=M.symmetrizer[::-1].copy()), aut)
+
+
+def test_a_moved_entry_takes_the_general_path(transition10):
+    # a move far inside the compatibility tolerance, far outside rounding
+    M, aut = transition10
+    A = M.entries.copy()
+    A[0, 1] += 1e-12
+    _general_path(dataclasses.replace(M, entries=A), aut)
+
+
+def test_a_symmetrizer_not_constant_on_one_cycle_takes_the_general_path():
+    # two isolated vertices swapped by the map: their rows and columns are
+    # zero, so a d doubled at one of them still balances the matrix, but
+    # is not constant on that cycle
+    h = Hypergraph.from_dict({**ROT10_DOC, "vertices": ROT10_DOC["vertices"] + ["11", "12"]})
+    aut = validate_automorphism(h, {**ROT10_MAP, "11": "12", "12": "11"})
+    M = build_matrix(h, "general_adjacency", weights=invariant_weights(np.random.default_rng(0), h, aut))
+    d = M.symmetrizer.copy()
+    d[10] *= 2
+    uneven = dataclasses.replace(M, symmetrizer=d)
+    assert spectral._balance(M.entries.real, d) is d
+    _general_path(uneven, aut)
+
+
+@pytest.mark.parametrize("lengths", [(12,), (2, 4, 4), (3, 6), (4, 6)], ids=str)
+@pytest.mark.parametrize("fixed", [0, 2])
+@pytest.mark.parametrize("how", ["real symmetric", "real general"])
+def test_partner_lifts_are_bitwise_what_solving_them_gives(lengths, fixed, how):
+    # the conj(w)-block, built and given the w-block's conjugated and
+    # re-sorted eigenpairs, lifts to the same bytes as the reused record
+    rng = np.random.default_rng(sum(lengths) + fixed)
+    p = permutation_with_type(rng, sum(lengths) + fixed, lengths)
+    A = _matrix(rng, p, how)
+    dec = decompose_automorphism(A, p)
+    d = spectral._balance(A, None)
+    orbs = orbits(p)
+    tol = spectral._quotient_tol(orbs, COMPAT_TOL)
+    characters = spectral._characters(rotation_decomposition(p))
+    partners = [(i, parts, partner) for i, (_, parts, partner) in enumerate(characters) if partner is not None]
+    assert partners
+    for i, parts, partner in partners:
+        w_parts = characters[partner][1]
+        e = None if d is None else spectral._block_symmetrizer(d, w_parts, orbs)
+        vals, vecs = spectral._eig_sorted(spectral._block_matrix(A, w_parts, orbs, tol), e)
+        vals, vecs = vals.conj(), spectral._phase_convention(vecs).conj()
+        order = np.lexsort((vals.imag, vals.real))
+        vals, vecs = vals[order], vecs[:, order]
+        matrix = spectral._block_matrix(A, parts, orbs, tol)
+        block_res = spectral.residual_norms(spectral._product(matrix, vecs), vecs, vals)
+        assert np.all(block_res <= spectral.LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(matrix).max())))
+        full = spectral._lift_block(vecs, parts, orbs, p.n)
+        res = spectral.residual_norms(spectral._product(A, full), full, vals)
+        lift = dec.lifts[i]
+        assert lift.values.dtype == vals.dtype and lift.values.tobytes() == vals.tobytes()
+        assert lift.vectors.dtype == full.dtype and lift.vectors.tobytes() == full.tobytes()
+        assert lift.residuals.tobytes() == res.tobytes()

@@ -230,6 +230,35 @@ def test_match_multisets_matches_loops(a, b, tol):
     assert match_multisets(a, b, tol) == ref.match_multisets(a, b, tol)
 
 
+TOL = 1e-8
+# clusters of values within a few tol of 1 + 1j or of 1 (exact ties among
+# them), small grid points, and every kind of non-finite value
+clustered = st.builds(
+    lambda c, i, k: c + complex(i, k) * TOL / 3,
+    st.sampled_from([1 + 1j, 1.0]),
+    st.integers(-4, 4),
+    st.integers(-1, 1),
+)
+non_finite = st.sampled_from(
+    [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0), complex(-np.inf, 1), complex(1, np.inf),
+     complex(np.inf, -np.inf), complex(np.nan, np.inf)]
+)
+mixed = clustered | grid | non_finite
+
+
+@given(
+    st.lists(mixed, max_size=12),
+    st.lists(mixed, max_size=12),
+    st.sampled_from([0.0, TOL / 2, TOL, 3 * TOL, 1.0, np.inf, np.nan]),
+)
+@settings(max_examples=500, deadline=None)
+def test_windowed_matching_matches_the_argmin_loop(a, b, tol):
+    # the same pairs, distances, unmatched lists and order, bit for bit
+    with np.errstate(invalid="ignore"):
+        got, want = match_multisets(a, b, tol), ref.match_multisets_argmin(a, b, tol)
+    assert repr(got) == repr(want)
+
+
 @st.composite
 def partitioned_states(draw):
     """(states, cells): cells of random members, singletons and cells of 9

@@ -1,8 +1,9 @@
 """Dense-spectrum oracle and decomposition verification reports.
 
 The oracle solves a real matrix with the real LAPACK drivers (eigh when it
-is symmetric or balanced by its symmetrizer, real eig otherwise) and only a
-complex one with complex eig.
+is symmetric or balanced by its symmetrizer, real eig otherwise), an exactly
+Hermitian complex one with complex eigh and any other complex one with
+complex eig.
 Against the complex-only oracle of loop_reference.py it must give the same
 verdicts and failure texts, with eigenvalues within 1e-12 * max(1,
 ||M||_inf), on every route and on every negative control.
@@ -161,8 +162,8 @@ def test_unmatched_value_names_its_own_block():
 
 PARITY_RTOL = 1e-12
 DENSE_VALUE = re.compile(r"dense value (.+) missing from the decomposition")
-# the four solver routes, each with the instance that takes it
-ROUTES = ("real symmetric", "real balanced", "real general", "complex")
+# the five solver routes, each with the instance that takes it
+ROUTES = ("real symmetric", "real balanced", "real general", "complex hermitian", "complex")
 # matrices beyond the ten kinds: complex general, complex symmetric (not
 # Hermitian) and real nonnegative general, all compatible with the map
 GENERATED = ("complex", "complex_symmetric", "nonnegative")
@@ -200,6 +201,8 @@ def _route_case(route, rot10, rot10_aut):
         A = build_matrix(rot10, "transition").entries
     else:
         A = compatible_matrix(np.random.default_rng(3), rot10_aut.perm)
+        if route == "complex hermitian":
+            A = (A + A.conj().T) / 2
     return A, decompose_automorphism(A, rot10_aut)
 
 
@@ -285,9 +288,19 @@ def test_each_route_takes_its_driver(route, rot10, rot10_aut):
         "real symmetric": ("eigh", "f"),
         "real balanced": ("eigh", "f"),
         "real general": ("eig", "f"),
+        "complex hermitian": ("eigh", "c"),
         "complex": ("eig", "c"),
     }
     assert _drivers(A) == [expected[route]]
+
+
+def test_a_moved_imaginary_part_takes_the_general_path(rot10, rot10_aut):
+    # a Hermitian matrix with one imaginary part moved by 1e-12 is no longer
+    # exactly Hermitian: complex eig, with the complex-only oracle's verdict
+    A, dec = _route_case("complex hermitian", rot10, rot10_aut)
+    A[1, 2] += 1e-12j
+    assert _drivers(A) == [("eig", "c")]
+    assert _assert_matches_complex_oracle(A, dec).verdict
 
 
 def test_balanced_route_returns_unit_eigenvectors_of_the_matrix(rot10):
