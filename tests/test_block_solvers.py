@@ -256,24 +256,13 @@ BALANCED = ("transition", "unit_normalized", "general_adjacency", "general_lapla
 MIXED_TYPES = ((2, 4), (2, 4, 4), (3, 6), (2, 3, 6), (4, 6), (2, 2, 6))
 
 
-def _orbit_ids(image):
-    """The orbit index of every point under the map i -> image[i]."""
-    ids = [-1] * len(image)
-    for i in range(len(image)):
-        j, orbit = i, max(ids) + 1
-        while ids[j] < 0:
-            ids[j] = orbit
-            j = image[j]
-    return ids
-
-
 def _spread_weights(rng, h, group_of, edge_map):
     """general_* weights: delta_V one draw 10**u, u uniform in [0, 6), per
     vertex group (group_of[i] for vertex i), so spread over 1..1e6; delta_E
     one draw in (0.5, 2) per orbit of edge_map."""
     dv = 10.0 ** rng.uniform(0, 6, size=max(group_of) + 1)
     ids = list(edge_map)
-    orbit = _orbit_ids([ids.index(edge_map[e]) for e in ids])
+    orbit = orbits(Permutation(tuple(ids.index(edge_map[e]) for e in ids))).cell_index
     de = rng.uniform(0.5, 2.0, size=max(orbit, default=0) + 1)
     return WeightFunctions(
         delta_V={lab: float(dv[g]) for lab, g in zip(h.labels, group_of)},
@@ -320,7 +309,7 @@ def _unit_case(rng, kind, lengths, fixed):
         H = _matrix(rng, ua.perm, kind)
         M = H[np.ix_(units.unit_of, units.unit_of)]
     else:
-        group_of = [_orbit_ids(ua.perm.mapping)[u] for u in units.unit_of]
+        group_of = [orbits(ua.perm).cell_index[u] for u in units.unit_of]
         weights = _spread_weights(rng, h, group_of, ua.edge_map) if kind in WEIGHTED_KINDS else None
         M = build_matrix(h, kind, weights=weights)
     return M, ua, decompose_unit_automorphism, rows_of
