@@ -76,8 +76,10 @@ def _encode(obj: Any) -> str:
             text = _float_rows(obj)
             if text is not None:
                 return text
-        items = [_rows(item) if type(item) is _Rows else _encode(item) for item in obj]
-        return "[" + ", ".join(filter(None, items)) + "]"  # only a node with no lines prints ""
+        nodes = [item for item in obj if type(item) is _Rows]
+        if nodes:
+            return _spliced(obj, nodes)
+        return "[" + ", ".join([_encode(item) for item in obj]) + "]"
     if isinstance(obj, dict):
         return "{" + ", ".join([_member(key, obj[key]) for key in sorted(obj)]) + "}"
     if obj is None:
@@ -126,19 +128,34 @@ def _float_rows(items: list) -> str | None:
     return template % tuple([x + 0.0 for x in values])  # + 0.0 turns -0.0 into 0.0
 
 
-def _rows(node: _Rows) -> str:
-    """The documents of a node, joined by ", " without brackets; "" for a
-    node with no lines."""
+def _spliced(items: list | tuple, nodes: list[_Rows]) -> str:
+    """items, among them the row nodes nodes, with each node's documents in
+    its place: one template with a %s hole per float of the nodes, filled by
+    one % operation with the text of each distinct magnitude, printed once."""
+    template = ", ".join(filter(None, [  # only a node with no lines prints ""
+        _template(item) if type(item) is _Rows else _encode(item).replace("%", "%%") for item in items
+    ]))
+    flat = np.concatenate([node.values.ravel() for node in nodes]) + 0.0  # + 0.0 turns -0.0 into 0.0
+    magnitudes, index = np.unique(np.abs(flat), return_inverse=True)
+    texts = (" ".join(["%.17g"] * len(magnitudes)) % tuple(magnitudes.tolist())).split(" ")
+    # "%.17g" % -x is "-" + "%.17g" % x: a negative value takes its signed text
+    texts = np.array(texts + ["-" + text for text in texts], dtype=object)
+    return "[" + template % tuple(texts[index + len(magnitudes) * (flat < 0)].tolist()) + "]"
+
+
+def _template(node: _Rows) -> str:
+    """The documents of a node, joined by ", " without brackets, with a %s
+    hole at each float; "" for a node with no lines. Refuses the row, then
+    the first non-finite value in document order."""
     values = node.values
     if not len(values):
         return ""
     entries = "[" + ", ".join([_encode(node.entry)] * node.count) + "]"
-    template = _encode(node.row).replace("\1", entries).replace("%", "%%").replace("\0", "%.17g")
+    template = _encode(node.row).replace("\1", entries).replace("%", "%%").replace("\0", "%s")
     finite = np.isfinite(values)
     if not finite.all():
         _float(float(values[~finite][0]))  # the first in document order: raises
-    template = ", ".join([template] * len(values))
-    return template % tuple((values + 0.0).ravel().tolist())  # + 0.0 turns -0.0 into 0.0
+    return ", ".join([template] * len(values))
 
 
 def _member(key: Any, value: Any) -> str:
