@@ -301,6 +301,32 @@ def test_weights_flag(capsys, rot10_path, rot10_map_path, write_doc):
     assert json.loads(out)["verification"]["verdict"] == "pass"
 
 
+def test_calls_in_one_process_print_as_each_call_alone(capsys, rot10_path, rot10_map_path, write_doc):
+    # main shares one parser between calls: a flag given to one call must
+    # not become a default of the next
+    weights = {"delta_V": {lab: 0.5 for lab in ROT10_DOC["vertices"]}, "delta_E": {e["id"]: 2.0 for e in ROT10_DOC["edges"]}}
+    wpath = write_doc("w.json", weights)
+    rot10 = [rot10_path, rot10_map_path]
+    runs = [
+        ["verify", *rot10, "--kind", "adjacency_r", "--tol-match", "0"],
+        ["verify", *rot10, "--kind", "adjacency_r"],
+        ["validate-symmetry", *rot10, "--mode", "unit"],
+        ["validate-symmetry", *rot10],
+        ["verify", *rot10, "--kind", "general_adjacency", "--weights", wpath],
+        ["verify", *rot10, "--kind", "general_adjacency"],
+    ]
+    together = [run(capsys, argv) for argv in runs]
+    src = str(Path(hypersym.__file__).resolve().parents[1])
+    alone = [
+        subprocess.run([sys.executable, "-m", "hypersym.cli", *argv], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src})
+        for argv in runs
+    ]
+    assert together == [(proc.returncode, proc.stdout, proc.stderr) for proc in alone]
+    for with_flag, without in zip(together[::2], together[1::2]):
+        assert with_flag != without  # so a leaked flag would show
+
+
 def test_console_script_installed(rot10_path):
     # the package's parent directory, so an uninstalled checkout runs too
     src = str(Path(hypersym.__file__).resolve().parents[1])
