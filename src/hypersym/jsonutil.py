@@ -135,10 +135,10 @@ def _spliced(items: list | tuple, nodes: list[_Rows]) -> str:
     template = ", ".join(filter(None, [  # only a node with no lines prints ""
         _template(item) if type(item) is _Rows else _encode(item).replace("%", "%%") for item in items
     ]))
-    flat = np.concatenate([node.values.ravel() for node in nodes]) + 0.0  # + 0.0 turns -0.0 into 0.0
+    flat = np.concatenate([node.values.ravel() for node in nodes])
     magnitudes, index = np.unique(np.abs(flat), return_inverse=True)
     texts = (" ".join(["%.17g"] * len(magnitudes)) % tuple(magnitudes.tolist())).split(" ")
-    # "%.17g" % -x is "-" + "%.17g" % x: a negative value takes its signed text
+    # "%.17g" % -x is "-" + "%.17g" % x for x > 0, and -0.0, not < 0, prints as 0
     texts = np.array(texts + ["-" + text for text in texts], dtype=object)
     return "[" + template % tuple(texts[index + len(magnitudes) * (flat < 0)].tolist()) + "]"
 

@@ -46,6 +46,7 @@ from hypersym import (
     orbits,
     profile_unit_compatibility,
     random_instance,
+    roots_of_unity,
     unit_quotient,
     validate_automorphism,
     validate_unit_automorphism,
@@ -506,11 +507,11 @@ sources = st.one_of(
 NON_FINITE = [float("nan"), float("inf"), -float("inf")]
 
 
-def _array(draw, shape, complex_):
+def _array(draw, shape, complex_, elements=doubles):
     """A float64 or complex128 array of the given shape, its parts drawn from
-    doubles one by one, so signed zeros and subnormals stay as drawn."""
+    elements one by one, so signed zeros and subnormals stay as drawn."""
     size = int(np.prod(shape))
-    parts = [np.array(draw(st.lists(doubles, min_size=size, max_size=size)), dtype=np.float64).reshape(shape)
+    parts = [np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=np.float64).reshape(shape)
              for _ in range(1 + complex_)]
     if not complex_:
         return parts[0]
@@ -519,20 +520,41 @@ def _array(draw, shape, complex_):
     return z
 
 
+# entries of a block vector: signed zeros and subnormals, often
+block_entries = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320]), doubles)
+
+
 @st.composite
 def lifted_blocks(draw):
     """A LiftedBlock of n = 1-6 entries and k = 0-4 pairs, its values and
     its vectors each real or complex (real vectors under complex values as
-    on the unit route of a complex matrix), at times one or two of its
-    floats made non-finite."""
+    on the unit route of a complex matrix). At times its vectors repeat one
+    drawn column, each entry times a sign as in a real lift or times a
+    power of a root of unity as in a complex one, and its lambda and
+    residual columns reuse magnitudes of the vectors. At times one or two
+    of its floats are made non-finite, at times two of one magnitude and
+    opposite signs, where only document order tells which is refused."""
     n, k = draw(st.integers(1, 6)), draw(st.integers(0, 4))
     values = _array(draw, (k,), draw(st.booleans()))
-    vectors = _array(draw, (n, k), draw(st.booleans()))
+    vectors = _array(draw, (n, k), draw(st.booleans()), block_entries)
     residuals = np.abs(_array(draw, (k,), False))
+    order = draw(st.sampled_from([None, 2, 3, 4, 6, 12])) if k else None
+    if order is not None:
+        roots = np.array([root.value for root in roots_of_unity(order)])  # float64 for +-1
+        powers = np.array(draw(st.lists(st.integers(0, order - 1), min_size=n * k, max_size=n * k)))
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf made here is refused as any other
+            vectors = vectors[:, :1] * roots[powers.reshape(n, k)]
+        floats = np.concatenate([vectors.real.ravel(), vectors.imag.ravel()])
+        shared = floats[draw(st.lists(st.integers(0, floats.size - 1), min_size=2 * k, max_size=2 * k))]
+        residuals = np.abs(shared[:k])
+        values.real = -shared[k:]
     parts = [a for x in (values, residuals, vectors) if x.size for a in ((x.real, x.imag) if np.iscomplexobj(x) else (x,))]
-    for bad in draw(st.lists(st.sampled_from(NON_FINITE), max_size=2 if parts else 0)):
+    bad = draw(st.lists(st.sampled_from(NON_FINITE), max_size=2 if parts else 0))
+    if bad and draw(st.booleans()):
+        bad = [bad[0], -bad[0]]
+    for value in bad:
         part = draw(st.sampled_from(parts))
-        part.flat[draw(st.integers(0, part.size - 1))] = bad
+        part.flat[draw(st.integers(0, part.size - 1))] = value
     return LiftedBlock(draw(sources), values, vectors, residuals)
 
 
@@ -547,22 +569,27 @@ def _pair_documents(lift):
 
 
 def _edge_lift(complex_values, complex_vectors, k=2):
-    """A record of the encoder's edge floats, n = 3, with k pairs."""
-    edges = np.array([-0.0, 5e-324, sys.float_info.max, -sys.float_info.max, -5e-324, 0.0])
+    """A record of the encoder's edge floats, n = 3, with k pairs: a vector
+    of k >= 2 holds x and -x, 0.0 and -0.0 together."""
+    edges = np.array([-0.0, 5e-324, sys.float_info.max, -sys.float_info.max, -5e-324, 0.0, 1 / 3, -1 / 3])
     values = edges[:k] + 1j * edges[::-1][:k] if complex_values else edges[:k]
     vectors = np.resize(edges, (3, k)) * (1 - 1j if complex_vectors else 1)
     return LiftedBlock({"kind": "unit", "unit": "%"}, values, vectors, np.abs(edges[1:k + 1]))
 
 
-@given(st.lists(lifted_blocks(), max_size=3))
-@example([_edge_lift(False, False), _edge_lift(True, True), _edge_lift(True, False, k=1), _edge_lift(False, False, k=0)])
+@given(st.lists(lifted_blocks(), max_size=3), st.booleans())
+@example([_edge_lift(False, False), _edge_lift(True, True), _edge_lift(True, False, k=1), _edge_lift(False, False, k=0)], False)
+@example([_edge_lift(False, False, k=4), _edge_lift(True, True, k=4)], True)
 @settings(max_examples=500, deadline=None)
-def test_lifted_rows_print_as_the_per_pair_documents(lifts):
+def test_lifted_rows_print_as_the_per_pair_documents(lifts, partner):
     # one node per record, spliced among other items of the lifted list;
-    # a record with no pairs adds nothing
-    doc = {"lifted": ["head", *[lift.document_rows() for lift in lifts], ["tail", -0.0]], "skipped": []}
+    # a record with no pairs adds nothing; a conj partner, as a real
+    # matrix's conj(w)-block, shares every magnitude of its record
+    if partner and lifts:
+        lifts = [*lifts, LiftedBlock(lifts[0].source, lifts[0].values.conj(), lifts[0].vectors.conj(), lifts[0].residuals)]
+    doc = {"lifted": ["head %s%%", *[lift.document_rows() for lift in lifts], ["tail", -0.0]], "skipped": []}
     pairs = [pair for lift in lifts for pair in _pair_documents(lift)]
-    want_doc = {"lifted": ["head", *pairs, ["tail", -0.0]], "skipped": []}
+    want_doc = {"lifted": ["head %s%%", *pairs, ["tail", -0.0]], "skipped": []}
     try:
         want = ref.canonical_json(want_doc)
     except DocumentError as exc:
