@@ -19,15 +19,22 @@ A _Rows node prints many documents of one shape, such as a block's lifted
 eigenpairs: its row is one such document with _HOLE at each float, and its
 values a 2-d float array with one line per document and one column per
 hole, in document order (keys sorted). The row is printed once through the
-recursion into a template, and the whole node by one "%" operation on that
-template repeated, after one finiteness pass and one "+ 0.0" pass over the
-array. A float that is always zero, such as the imaginary part of a real
-vector, is a literal 0.0 in the row and prints as 0. A list of one entry
-repeated, such as a vector's [re, im] slots, is _ENTRIES in the row: its
-entry is printed once and repeated count times. A node stands for its
-documents inside the list that holds it, spliced in among the other items
-(a node with no lines adds nothing); anywhere else it is refused. A row
-that cannot be printed is refused before any of its values.
+recursion into a template with a "%s" hole at each float, after which one
+finiteness pass checks the array. A float that is always zero, such as the
+imaginary part of a real vector, is a literal 0.0 in the row and prints as
+0. A list of one entry repeated, such as a vector's [re, im] slots, is
+_ENTRIES in the row: its entry is printed once and repeated count times. A
+node stands for its documents inside the list that holds it, spliced in
+among the other items (a node with no lines adds nothing); anywhere else it
+is refused. A row that cannot be printed is refused before any of its
+values.
+
+A lifted vector repeats its block vector up to a sign or a root of unity,
+so the nodes of a report hold far fewer distinct magnitudes than floats. A
+list holding nodes is therefore printed by one "%" operation on one
+template, filled from one np.unique pass over the |x| of all its nodes:
+each distinct magnitude is printed once with "%.17g", and a negative value
+takes that text behind a "-", which is what "%.17g" prints for it.
 """
 
 from __future__ import annotations

@@ -71,9 +71,11 @@ its rotations (at every member of each orbit for the quotient).
 A block's lifted eigenpairs are kept as one LiftedBlock: its eigenvalues
 in the driver's dtype (real for a real block, so the residuals of a real
 block are taken in real arithmetic), its lifted vectors as the columns of
-one array and its residuals as another. The report prints each LiftedBlock
-with one formatting operation (jsonutil._Rows); the per-pair LiftedPair
-objects of SpectralDecomposition.lifted are built only when a caller asks.
+one array and its residuals as another. The report prints every
+LiftedBlock as a jsonutil._Rows node, all in one formatting operation that
+prints each distinct magnitude of their floats once; the per-pair
+LiftedPair objects of SpectralDecomposition.lifted are built only when a
+caller asks.
 
 Cost model: the block eigensolves cost sum b_i^3 over the block orders b_i,
 by eigh for a balanced matrix (several times cheaper than eig at the same
