@@ -144,6 +144,7 @@ def _spliced(items: list | tuple, nodes: list[_Rows]) -> str:
     ]))
     flat = np.concatenate([node.values.ravel() for node in nodes])
     magnitudes, index = np.unique(np.abs(flat), return_inverse=True)
+    # one % operation for all magnitudes; no "%.17g" text holds a space
     texts = (" ".join(["%.17g"] * len(magnitudes)) % tuple(magnitudes.tolist())).split(" ")
     # "%.17g" % -x is "-" + "%.17g" % x for x > 0, and -0.0, not < 0, prints as 0
     texts = np.array(texts + ["-" + text for text in texts], dtype=object)
