@@ -121,7 +121,7 @@ def cmd_units(args) -> int:
     h = _load_hypergraph(args.hypergraph)
     result = unit_contraction(h)
     doc = {
-        "count": len(result.units.units),
+        "count": len(result.units),
         "units": [
             {
                 "key": u.key,

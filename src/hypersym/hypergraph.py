@@ -20,6 +20,11 @@ arrays (one stable sort of the rows padded to a common length, as a rule)
 instead of looping over edges.
 The per-edge and per-vertex Python views (edges, member_sets, stars) are
 built from the arrays on first access.
+
+A UnitPartition is CSR arrays too: unit_of, a unit pointer and the members
+in unit order, with the unit keys as the only Python strings. The unit
+checks, quotient and eigenpairs of unit_symmetry read those arrays; the
+per-unit Unit objects are built on first access of UnitPartition.units.
 """
 
 from __future__ import annotations
@@ -315,17 +320,81 @@ class Unit:
         return len(self.member_indices)
 
 
-@dataclass(frozen=True)
 class UnitPartition:
-    units: tuple[Unit, ...]
-    unit_of: tuple[int, ...]  # vertex index -> unit index
-    n: int
+    """The units of a hypergraph as CSR arrays (read-only, intp): unit i's
+    members are the vertex indices unit_members[unit_ptr[i]:unit_ptr[i + 1]],
+    ascending; unit_of maps each vertex index to its unit, keys holds each
+    unit's key, and sizes and reps are each unit's order and smallest
+    member. The Unit objects of `units` are built from the arrays on first
+    access.
+
+    UnitPartition(units=..., unit_of=..., n=...) builds the arrays from
+    given Unit objects; two partitions are equal when their orders, unit_of
+    and Unit objects are.
+    """
+
+    def __init__(self, units: Iterable[Unit], unit_of: Iterable[int], n: int):
+        units = tuple(units)
+        self._set_arrays(
+            n,
+            np.array(unit_of, dtype=np.intp),
+            _ptr([u.size for u in units]),
+            np.array([i for u in units for i in u.member_indices], dtype=np.intp),
+            tuple(u.key for u in units),
+        )
+        self.units = units
+
+    def _set_arrays(self, n: int, unit_of: np.ndarray, ptr: np.ndarray, members: np.ndarray, keys: tuple[str, ...]) -> None:
+        unit_of.flags.writeable = ptr.flags.writeable = members.flags.writeable = False
+        self.n: int = n
+        self.unit_of: np.ndarray = unit_of
+        self.unit_ptr: np.ndarray = ptr
+        self.unit_members: np.ndarray = members
+        self.keys: tuple[str, ...] = keys
+
+    @cached_property
+    def units(self) -> tuple[Unit, ...]:
+        # a partition from compute_units only: the constructor sets units
+        h, star_ptr, star_edges = self._stars
+        labels, edge_ids = h.labels, h.edge_ids
+        stars = _split_rows(star_ptr, star_edges)
+        return tuple(
+            Unit(
+                key=key,
+                members=tuple(map(labels.__getitem__, idxs)),
+                member_indices=tuple(idxs),
+                generating_edges=tuple(map(edge_ids.__getitem__, stars[idxs[0]])),
+                edge_indices=frozenset(stars[idxs[0]]),
+            )
+            for key, idxs in zip(self.keys, _split_rows(self.unit_ptr, self.unit_members))
+        )
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The number of members of each unit."""
+        return np.diff(self.unit_ptr)
+
+    @property
+    def reps(self) -> np.ndarray:
+        """The smallest member of each unit."""
+        return self.unit_members[self.unit_ptr[:-1]]
 
     def __len__(self) -> int:
-        return len(self.units)
+        return len(self.keys)
 
     def key_index(self) -> dict[str, int]:
-        return {u.key: i for i, u in enumerate(self.units)}
+        return dict(zip(self.keys, range(len(self.keys))))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UnitPartition):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.unit_of, other.unit_of) and self.units == other.units
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.keys))
+
+    def __repr__(self) -> str:
+        return f"UnitPartition(n={self.n}, units={len(self)})"
 
 
 def unit_key(members: Iterable[str]) -> str:
@@ -337,41 +406,36 @@ def compute_units(h: Hypergraph) -> UnitPartition:
     """Partition the vertices into units (classes of equal stars).
 
     Isolated vertices all share the empty star and land in one unit. Units
-    are ordered by their smallest vertex index.
+    are ordered by their smallest vertex index. The partition is built as
+    arrays, one stable sort of the stars; only the keys are Python strings.
+    When every label is an integer literal, index order is numeric label
+    order, so a key is its members' labels joined in index order; otherwise
+    each unit's labels are sorted again (unit_key): with labels a, 10, 9, b
+    the unit {10, 9} has the members ("10", "9") but the key "9,10".
     """
     star_ptr, star_edges = h._star_arrays()
-    reps, unit_of = np.unique(_first_equal_rows(star_ptr, star_edges), return_inverse=True)
-    by_unit = np.argsort(unit_of, kind="stable").tolist()  # ascending within each unit
-    ends = np.cumsum(np.bincount(unit_of)).tolist()
-    stars = _split_rows(star_ptr, star_edges)
-    units: list[Unit] = []
-    for rep, start, end in zip(reps.tolist(), [0, *ends], ends):
-        idxs = tuple(by_unit[start:end])
-        members = tuple(map(h.labels.__getitem__, idxs))
-        star = stars[rep]
-        units.append(
-            Unit(
-                key=unit_key(members),
-                members=members,
-                member_indices=idxs,
-                generating_edges=tuple(map(h.edge_ids.__getitem__, star)),
-                edge_indices=frozenset(star),
-            )
-        )
-    return UnitPartition(units=tuple(units), unit_of=tuple(unit_of.tolist()), n=h.n)
+    unit_of = np.unique(_first_equal_rows(star_ptr, star_edges), return_inverse=True)[1].astype(np.intp, copy=False)
+    members = np.argsort(unit_of, kind="stable")  # ascending within each unit
+    ptr = _ptr(np.bincount(unit_of))
+    labels, bounds = list(map(h.labels.__getitem__, members.tolist())), ptr.tolist()
+    join = ",".join if all(map(_INT_LABEL.match, h.labels)) else unit_key
+    units = UnitPartition.__new__(UnitPartition)
+    units._set_arrays(h.n, unit_of, ptr, members, tuple(join(labels[a:b]) for a, b in zip(bounds, bounds[1:])))
+    units._stars = (h, star_ptr, star_edges)
+    return units
 
 
 def _cover_arrays(h: Hypergraph, units: UnitPartition) -> tuple[np.ndarray, np.ndarray]:
     """The unit covers of the edges as a CSR array: edge j is the union of
     the units cover[ptr[j]:ptr[j + 1]], ascending. Every edge meets a unit
     either fully or not at all, so the cover is exact; this is asserted."""
-    unit_of = np.array(units.unit_of, dtype=np.intp)
+    unit_of = units.unit_of
     ptr = h.edge_ptr
     cover, edge_of = _sort_rows(ptr, unit_of[h.edge_members]), _row_of(ptr)
     first = np.ones(len(cover), dtype=bool)
     first[1:] = (cover[1:] != cover[:-1]) | (edge_of[1:] != edge_of[:-1])
     cover, edge_of = cover[first], edge_of[first]
-    covered = np.bincount(edge_of, weights=np.bincount(unit_of)[cover], minlength=h.m)
+    covered = np.bincount(edge_of, weights=units.sizes[cover], minlength=h.m)
     split = np.flatnonzero(covered != np.diff(h.edge_ptr))
     if split.size:
         raise AssertionError(
@@ -404,10 +468,10 @@ def unit_contraction(h: Hypergraph) -> ContractionResult:
     """
     units = compute_units(h)
     covers = edge_unit_covers(h, units)
-    keys = [u.key for u in units.units]
+    keys = units.keys
     edges = [
         (h.edge_ids[j], [keys[ui] for ui in cover]) for j, cover in enumerate(covers)
     ]
     contracted = Hypergraph(keys, edges)
-    vertex_map = {lab: keys[units.unit_of[h.index[lab]]] for lab in h.labels}
+    vertex_map = dict(zip(h.labels, map(keys.__getitem__, units.unit_of.tolist())))
     return ContractionResult(contracted=contracted, units=units, vertex_map=vertex_map)

@@ -157,9 +157,11 @@ def roots_of_unity(n: int) -> tuple[RootOfUnity, ...]:
 
 def _rotation_columns(A: np.ndarray, rows: Rotation, cols: Rotation, omega: RootOfUnity) -> np.ndarray:
     """r[u, v] = sum_{i < cols.order_n} omega^i A[u, f^i(v)] for u in rows.u0
-    and v in cols.u0; omega must be a root of cols' order."""
-    terms = [omega.pow(i) * A[np.ix_(rows.u0, comp)] for i, comp in enumerate(cols.components)]
-    return sum(terms[1:], terms[0])
+    and v in cols.u0; omega must be a root of cols' order. The columns of
+    all of cols' components are gathered at once, and the weighted slices
+    summed in order i = 0, 1, ..."""
+    G = A[np.ix_(rows.u0, np.ravel(cols.components))].reshape(len(rows.u0), cols.order_n, -1)
+    return sum((omega.pow(i) * G[:, i] for i in range(1, cols.order_n)), omega.pow(0) * G[:, 0])
 
 
 def rotation_matrix(M, rot: Rotation, omega: RootOfUnity, tol: float | None = COMPAT_TOL) -> np.ndarray:
@@ -199,8 +201,7 @@ def lift_rotation_vector(x, rot: Rotation, omega: RootOfUnity, n_full: int) -> n
     if x.ndim not in (1, 2) or x.shape[0] != len(rot.u0):
         raise HypersymError(f"vector length {x.shape} does not match |U_0| = {len(rot.u0)}")
     full = np.zeros((n_full,) + x.shape[1:], dtype=np.result_type(x, omega.value))
-    for i, comp in enumerate(rot.components):
-        full[list(comp)] = omega.pow(i) * x
+    full[np.array(rot.components)] = np.stack([omega.pow(i) * x for i in range(rot.order_n)])
     return full
 
 
@@ -327,8 +328,9 @@ def _real_if_exact(A: np.ndarray) -> np.ndarray:
 # |W_ij - W_ji| within this many ulps of |W_ij + W_ji| (twice the larger
 # side for a balanced pair, whose two sides share a sign) passes as rounding
 _BALANCE_TOL = 4 * np.finfo(np.float64).eps
-# entries of one row block of _balance's check: its buffer stays in cache
-_BALANCE_BLOCK = 1 << 13
+# entries of one row block of an O(n^2) check (_balance, the unit checks):
+# its buffers stay in cache
+_BLOCK = 1 << 13
 
 
 def _balance(A: np.ndarray, d: np.ndarray | None) -> np.ndarray | None:
@@ -350,7 +352,7 @@ def _balance(A: np.ndarray, d: np.ndarray | None) -> np.ndarray | None:
         return np.ones(n)
     if d is None or not np.isrealobj(A):
         return None
-    rows = max(1, _BALANCE_BLOCK // n)
+    rows = max(1, _BLOCK // n)
     buf = np.empty((3, min(rows, n), n))
     for r in range(0, n, rows):
         k = min(rows, n - r)

@@ -15,6 +15,25 @@ automorphism exactly when it preserves unit cardinalities. M follows the
 symmetry when N is compatible with the unit permutation, in which case the
 full spectrum decomposes into unit eigenvalues plus the block
 decomposition of N along the unit permutation.
+
+Everything here reads the unit partition's CSR arrays (unit_of, the unit
+pointer and members), with no Python loop over units or vertex pairs:
+
+- the four unit-compatibility conditions: the diagonal against each
+  representative's, the off-diagonal entries over the sum |W|(|W| - 1)
+  pairs within units, and the rows toward and columns from outside
+  vertices by one take-subtract-abs pass each, a block of rows at a time,
+  with the entries within units zeroed by index. The first failing unit
+  and condition get their message from _unit_violation;
+- the unit quotient: the representative rows summed over the members in
+  unit order;
+- the unit eigenpairs: every unit's d - r, its chi_v - chi_v0 columns and
+  their residuals in one pass. The per-unit LiftedBlock and RotationBlock
+  records are slices of those arrays;
+- the unit-map lookup, the cardinality check and the positional lift.
+
+The cost is O(n^2) for the checks, O(n) per unit eigenpair, and the block
+decomposition of the q x q quotient N over the q units.
 """
 
 from __future__ import annotations
@@ -30,13 +49,14 @@ from .errors import (
     NotUnitAutomorphismError,
     NotUnitCompatibleError,
 )
-from .hypergraph import Hypergraph, UnitPartition, _cover_arrays, _map_rows, compute_units
+from .hypergraph import Hypergraph, UnitPartition, _cover_arrays, _map_rows, _ptr, _row_of, compute_units
 from .jsonutil import describe_value
 from .matrices import _float_array, as_array, symmetrizer_of
 from .spectral import (
     LiftedBlock,
     RotationBlock,
     SpectralDecomposition,
+    _BLOCK,
     _balance,
     _decompose,
     _real_if_exact,
@@ -46,7 +66,6 @@ from .symmetry import (
     COMPAT_TOL,
     Automorphism,
     Permutation,
-    _cell_layout,
     _cell_sums,
     validate_automorphism,
 )
@@ -69,64 +88,77 @@ class UnitCompatibleProfile:
     rows: np.ndarray
 
 
+def _unit_pairs(units: UnitPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (u, v) of members of one unit, u = v included, by
+    u then v ascending: vertex u's pairs are pairs[ptr[u]:ptr[u + 1]], and
+    (ptr, pairs) holds their columns v."""
+    sizes = units.sizes[units.unit_of]  # the order of each vertex's unit
+    ptr = _ptr(sizes)
+    # v's position among the unit members: that of u's unit's first member,
+    # plus v's place in u's row of pairs
+    pos = np.arange(ptr[-1]) - np.repeat(ptr[:-1] - units.unit_ptr[units.unit_of], sizes)
+    return ptr, units.unit_members[pos]
+
+
 def profile_unit_compatibility(M, units: UnitPartition, tol: float = COMPAT_TOL) -> UnitCompatibleProfile:
     """Verify the unit-compatibility conditions and extract (d, r, s).
 
     Raises NotUnitCompatibleError naming the violated unit and condition.
+    The conditions are read from the unit arrays: the diagonal against the
+    representative's, the off-diagonal entries of each unit W over its
+    |W|(|W| - 1) pairs only, and the rows toward and columns from outside
+    vertices by one take-subtract-abs pass each, a block of rows at a time
+    (its buffers stay in cache), the entries within units zeroed by index.
     """
     A = as_array(M)
     n = units.n
     if A.shape[0] != n:
         raise HypersymError(f"matrix order {A.shape[0]} does not match {n} vertices")
-    members = [unit.member_indices for unit in units.units]
-    reps = np.array([mem[0] for mem in members], dtype=np.intp)
-    seconds = np.array([mem[1] if len(mem) > 1 else mem[0] for mem in members], dtype=np.intp)
-    unit_of = np.array(units.unit_of, dtype=np.intp)
-    rep_of = reps[unit_of]
-    same = unit_of[:, None] == unit_of
+    members, starts, sizes = units.unit_members, units.unit_ptr[:-1], units.sizes
+    reps = units.reps
+    seconds = members[starts + (sizes > 1)]  # the representative again for a singleton
+    rep_of = reps[units.unit_of]
+    ptr, v = _unit_pairs(units)
+    u = _row_of(ptr)
     diag = A.diagonal()
-    buf = np.empty_like(A)
-    absbuf = np.empty(A.shape)
-
-    def worst(reference, excluded, axis):
-        """Largest |A - reference| per vertex along axis, skipping the
-        excluded entries; reference may be buf itself."""
-        np.subtract(A, reference, out=buf)
-        np.abs(buf, out=absbuf)
-        absbuf[excluded] = 0.0
-        return absbuf.max(axis=axis, initial=0.0)
-
     # worst deviation at each vertex for each condition, in the order the
     # conditions are reported: diagonal, off-diagonal within the unit, row
     # toward outside vertices, column from outside vertices
-    dev = np.stack(
-        [
-            np.abs(diag - diag[rep_of]),
-            worst(A[reps, seconds][unit_of][:, None], ~same | np.eye(n, dtype=bool), 1),
-            worst(np.take(A, rep_of, axis=0, out=buf), same, 1),
-            worst(np.take(A, rep_of, axis=1, out=buf), same, 0),
-        ]
-    )
-    order, starts, _ = _cell_layout(members)
-    failed = ~(np.maximum.reduceat(dev[:, order], starts, axis=1) <= tol)  # NaN never passes
+    dev = np.zeros((4, n))
+    np.abs(diag - diag[rep_of], out=dev[0])
+    off = np.abs(A[u, v] - A[reps, seconds][units.unit_of[u]])
+    off[u == v] = 0.0
+    dev[1] = np.maximum.reduceat(off, ptr[:-1])
+    rows = max(1, _BLOCK // n)
+    for r in range(0, n, rows):
+        end = min(r + rows, n)
+        block = A[r:end]
+        inside = (u[ptr[r] : ptr[end]] - r, v[ptr[r] : ptr[end]])
+        D = np.abs(block - A[rep_of[r:end]])
+        D[inside] = 0.0
+        dev[2, r:end] = D.max(axis=1)
+        D = np.abs(block - block[:, rep_of])
+        D[inside] = 0.0
+        np.maximum(dev[3], D.max(axis=0), out=dev[3])
+    dev = np.maximum.reduceat(dev[:, members], starts, axis=1)  # per unit
+    failed = ~(dev <= tol)  # NaN never passes
     if failed.any():
         i = int(np.argmax(failed.any(axis=0)))
         raise NotUnitCompatibleError(_unit_violation(A, units, i, int(np.argmax(failed[:, i]))))
-    r = tuple(
-        complex(A[rep, second]) if len(mem) > 1 else None
-        for rep, second, mem in zip(reps, seconds, members)
-    )
+    r = A[reps, seconds].tolist()
     return UnitCompatibleProfile(
-        units=units, d=tuple(complex(z) for z in diag[reps]), r=r, rows=A[reps]
+        units=units,
+        d=tuple(map(complex, diag[reps].tolist())),
+        r=tuple(complex(z) if big else None for z, big in zip(r, (sizes > 1).tolist())),
+        rows=A[reps],
     )
 
 
 def _unit_violation(A: np.ndarray, units: UnitPartition, i: int, condition: int) -> str:
     """The message naming where unit i breaks the given condition (numbered
     as in profile_unit_compatibility)."""
-    unit = units.units[i]
-    mem = list(unit.member_indices)
-    key = unit.key
+    mem = units.unit_members[units.unit_ptr[i] : units.unit_ptr[i + 1]].tolist()
+    key = units.keys[i]
     if condition == 0:
         diag = A[mem, mem]
         k = int(np.argmax(np.abs(diag - diag[0])))
@@ -140,7 +172,7 @@ def _unit_violation(A: np.ndarray, units: UnitPartition, i: int, condition: int)
             f"unit {key!r}: off-diagonal entries within the unit are not "
             f"constant: {complex(off[0])} vs {complex(off[np.argmax(np.abs(off - off[0]))])}"
         )
-    outside = [w for w in range(units.n) if w not in unit.member_indices]
+    outside = np.flatnonzero(units.unit_of != i)
     if condition == 2:
         block = A[np.ix_(mem, outside)]
         dev = np.abs(block - block[0]).max(axis=0)
@@ -149,7 +181,7 @@ def _unit_violation(A: np.ndarray, units: UnitPartition, i: int, condition: int)
         block = A[np.ix_(outside, mem)]
         dev = np.abs(block - block[:, :1]).max(axis=1)
         what = "columns from"
-    w = outside[int(np.argmax(dev))]
+    w = int(outside[np.argmax(dev)])
     return f"unit {key!r}: {what} outside vertex {w} differ (max deviation {dev.max():.3e})"
 
 
@@ -187,7 +219,7 @@ def unit_eigenvalues(M, units: UnitPartition, tol: float = COMPAT_TOL, merge_tol
             multiplicity=len(lift.values),
             vectors=tuple(lift.vectors.T),
         )
-        for i, lift in _unit_lifts(A, units)
+        for i, lift, _ in _unit_lifts(A, units)
     ]
     merged: list[tuple[complex, int, tuple[str, ...]]] = []
     for s in sorted(structures, key=lambda s: (s.value.real, s.value.imag)):
@@ -199,31 +231,40 @@ def unit_eigenvalues(M, units: UnitPartition, tol: float = COMPAT_TOL, merge_tol
     return UnitEigenReport(structures=tuple(structures), merged=tuple(merged))
 
 
-def _unit_lifts(A: np.ndarray, units: UnitPartition) -> list[tuple[int, LiftedBlock]]:
-    """(index, eigenpairs) of every unit W of size at least 2, in unit
-    order: d - r in A's dtype, read off the representative row, |W| - 1
+def _unit_lifts(A: np.ndarray, units: UnitPartition) -> list[tuple[int, LiftedBlock, RotationBlock]]:
+    """(index, eigenpairs, block) of every unit W of size at least 2, in
+    unit order: d - r in A's dtype, read off the representative row, |W| - 1
     times, with the vectors chi_v - chi_v0 for its members v but the
     smallest v0 as columns and their residuals against A. A must be
-    unit-compatible (checked by the caller)."""
-    big = [(i, unit.member_indices) for i, unit in enumerate(units.units) if unit.size > 1]
-    v = np.array([w for _, mem in big for w in mem[1:]], dtype=np.intp)
-    v0 = np.array([mem[0] for _, mem in big for _ in mem[1:]], dtype=np.intp)
+    unit-compatible (checked by the caller). The values, vectors and
+    residuals of all units come from one pass over the unit arrays, and
+    each unit's records hold slices of them."""
+    ptr, members, sizes = units.unit_ptr, units.unit_members, units.sizes
+    big = np.flatnonzero(sizes > 1)
+    others = np.ones(len(members), dtype=bool)
+    others[ptr[:-1]] = False
+    v, v0 = members[others], np.repeat(units.reps, sizes - 1)
     rows = np.arange(len(v))
     vectors = np.zeros((len(v), units.n))
     vectors[rows, v] = 1.0
     vectors[rows, v0] = -1.0
-    values = [np.full(len(mem) - 1, A[mem[0], mem[0]] - A[mem[0], mem[1]]) for _, mem in big]
-    # A (chi_v - chi_v0) = A[:, v] - A[:, v0]: each residual is O(n)
-    residuals = residual_norms(
-        A[:, v] - A[:, v0], vectors.T, np.concatenate(values) if values else np.zeros(0, A.dtype)
-    )
-    bounds = np.cumsum([len(vals) for vals in values])[:-1]
-    return [
-        (i, LiftedBlock({"kind": "unit", "unit": units.units[i].key}, vals, vecs, res))
-        for (i, _), vals, vecs, res in zip(
-            big, values, np.split(vectors.T, bounds, axis=1), np.split(residuals, bounds)
-        )
-    ]
+    reps, seconds = members[ptr[big]], members[ptr[big] + 1]
+    values = np.repeat(A[reps, reps] - A[reps, seconds], sizes[big] - 1)
+    # A (chi_v - chi_v0) = A[:, v] - A[:, v0]: each residual is O(n), taken
+    # a block of columns at a time, each column's the same as in one pass
+    residuals = np.empty(len(v))
+    cols = max(1, _BLOCK // units.n)
+    for a in range(0, len(v), cols):
+        b = a + cols
+        residuals[a:b] = residual_norms(A[:, v[a:b]] - A[:, v0[a:b]], vectors[a:b].T, values[a:b])
+    eigenvalues = values.astype(np.complex128)
+    bounds = _ptr(sizes[big] - 1).tolist()
+    out = []
+    for i, a, b in zip(big.tolist(), bounds, bounds[1:]):
+        source = {"kind": "unit", "unit": units.keys[i]}
+        lift = LiftedBlock(source, values[a:b], vectors.T[:, a:b], residuals[a:b])
+        out.append((i, lift, RotationBlock(source, b - a, eigenvalues[a:b])))
+    return out
 
 
 def unit_quotient(M, units: UnitPartition, tol: float = COMPAT_TOL) -> np.ndarray:
@@ -232,17 +273,16 @@ def unit_quotient(M, units: UnitPartition, tol: float = COMPAT_TOL) -> np.ndarra
     Diagonal entries come out as d + (|W| - 1) r. M must be unit-compatible
     (checked)."""
     profile = profile_unit_compatibility(M, units, tol)
-    order, starts, _ = _cell_layout([u.member_indices for u in units.units])
-    return _cell_sums(profile.rows, order, starts)
+    return _cell_sums(profile.rows, units.unit_members, units.unit_ptr[:-1])
 
 
 def blow_up(y, units: UnitPartition) -> np.ndarray:
     """Extend a vector on units to the vertices, constant on each unit.
     A (units, k) matrix extends column by column, keeping y's dtype."""
     y = _float_array(y)
-    if y.ndim not in (1, 2) or y.shape[0] != len(units.units):
-        raise HypersymError(f"vector length {y.shape} does not match {len(units.units)} units")
-    return y[np.array(units.unit_of)]
+    if y.ndim not in (1, 2) or y.shape[0] != len(units):
+        raise HypersymError(f"vector length {y.shape} does not match {len(units)} units")
+    return y[units.unit_of]
 
 
 @dataclass(frozen=True)
@@ -257,8 +297,8 @@ class UnitAutomorphism:
     cardinality_preserving: bool
 
     def unit_key_map(self) -> dict[str, str]:
-        keys = [u.key for u in self.units.units]
-        return {keys[i]: keys[self.perm(i)] for i in range(len(keys))}
+        keys = self.units.keys
+        return dict(zip(keys, map(keys.__getitem__, self.perm.mapping)))
 
 
 def validate_unit_automorphism(h: Hypergraph, unit_map: dict[str, str] | Permutation) -> UnitAutomorphism:
@@ -270,22 +310,22 @@ def validate_unit_automorphism(h: Hypergraph, unit_map: dict[str, str] | Permuta
     an edge.
     """
     units = compute_units(h)
-    key_index = units.key_index()
     if isinstance(unit_map, Permutation):
-        if unit_map.n != len(units.units):
+        if unit_map.n != len(units):
             raise HypersymError(
-                f"permutation size {unit_map.n} does not match {len(units.units)} units"
+                f"permutation size {unit_map.n} does not match {len(units)} units"
             )
         perm = unit_map
     else:
-        mapping = [-1] * len(units.units)
+        key_index = units.key_index()
+        mapping = [-1] * len(units)
         for src, dst in unit_map.items():
             if src not in key_index:
                 raise DocumentError(f"unit map names unknown unit {src!r}")
             if dst not in key_index:
                 raise DocumentError(f"unit map sends {src!r} to unknown unit {dst!r}")
             mapping[key_index[src]] = key_index[dst]
-        missing = [units.units[i].key for i, v in enumerate(mapping) if v < 0]
+        missing = [units.keys[i] for i, v in enumerate(mapping) if v < 0]
         if missing:
             raise DocumentError(f"unit map does not cover units {missing}")
         if len(set(mapping)) != len(mapping):
@@ -296,7 +336,7 @@ def validate_unit_automorphism(h: Hypergraph, unit_map: dict[str, str] | Permuta
     image, target = _map_rows(ptr, cover, perm.mapping)
     if (target < 0).any():
         j = int(np.argmax(target < 0))
-        keys = [units.units[ui].key for ui in image[ptr[j] : ptr[j + 1]].tolist()]
+        keys = [units.keys[ui] for ui in image[ptr[j] : ptr[j + 1]].tolist()]
         raise NotUnitAutomorphismError(
             f"image of edge {h.edge_ids[j]!r} covers units {keys}, "
             "which is not an edge"
@@ -304,9 +344,7 @@ def validate_unit_automorphism(h: Hypergraph, unit_map: dict[str, str] | Permuta
     edge_map = dict(zip(h.edge_ids, map(h.edge_ids.__getitem__, target.tolist())))
     if len(set(edge_map.values())) != len(edge_map):
         raise NotUnitAutomorphismError("induced edge map is not a bijection")
-    cardinality = all(
-        units.units[i].size == units.units[perm(i)].size for i in range(len(units.units))
-    )
+    cardinality = bool(np.array_equal(units.sizes[list(perm.mapping)], units.sizes))
     return UnitAutomorphism(
         hypergraph=h,
         units=units,
@@ -321,23 +359,21 @@ def lift_cardinality_preserving(ua: UnitAutomorphism) -> Automorphism:
     """Lift a cardinality-preserving unit-automorphism to a vertex
     automorphism, mapping each unit's members positionally (both sides
     sorted by index)."""
+    units = ua.units
+    ptr, members, sizes = units.unit_ptr, units.unit_members, units.sizes
+    image = np.array(ua.perm.mapping, dtype=np.intp)
     if not ua.cardinality_preserving:
-        units = ua.units.units
-        i = next(
-            i for i in range(len(units)) if units[i].size != units[ua.perm(i)].size
-        )
+        i = int(np.argmax(sizes[image] != sizes))
+        j = int(image[i])
         raise NotUnitAutomorphismError(
-            f"unit map is not cardinality-preserving: {units[i].key!r} has "
-            f"{units[i].size} members but its image {units[ua.perm(i)].key!r} "
-            f"has {units[ua.perm(i)].size}"
+            f"unit map is not cardinality-preserving: {units.keys[i]!r} has "
+            f"{sizes[i]} members but its image {units.keys[j]!r} "
+            f"has {sizes[j]}"
         )
-    h = ua.hypergraph
-    mapping = [0] * h.n
-    for i, unit in enumerate(ua.units.units):
-        target = ua.units.units[ua.perm(i)]
-        for src, dst in zip(unit.member_indices, target.member_indices):
-            mapping[src] = dst
-    return validate_automorphism(h, Permutation(tuple(mapping)))
+    # each member position moves to the same place in its unit's image
+    mapping = np.empty(units.n, dtype=np.intp)
+    mapping[members] = members[np.arange(len(members)) + np.repeat(ptr[image] - ptr[:-1], sizes)]
+    return validate_automorphism(ua.hypergraph, Permutation(tuple(mapping.tolist())))
 
 
 def unit_compatibility_witness(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL) -> dict | None:
@@ -353,7 +389,7 @@ def _quotient_witness(N: np.ndarray, ua: UnitAutomorphism, tol: float) -> dict |
     if bad.size == 0:
         return None
     i, j = (int(v) for v in bad[0])  # first violation in row-major order
-    keys = [u.key for u in ua.units.units]
+    keys = ua.units.keys
     return {
         "units": (keys[i], keys[j]),
         "value": complex(N[i, j]),
@@ -388,17 +424,19 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
             f"{describe_value(witness['image_value'])}"
         )
 
-    lifts = [lift for _, lift in _unit_lifts(A, units)]
-    blocks = [RotationBlock(lift.source, len(lift.values), lift.values.astype(np.complex128)) for lift in lifts]
+    pairs = _unit_lifts(A, units)
     # N's symmetrizer |W| d(rep W), when d balances A and is constant on units
     d = _balance(A, symmetrizer_of(M))
-    reps = [unit.member_indices[0] for unit in units.units]
-    if d is not None and np.array_equal(d[reps][list(units.unit_of)], d):
-        d = np.array([unit.size for unit in units.units]) * d[reps]
+    reps = units.reps
+    if d is not None and np.array_equal(d[reps][units.unit_of], d):
+        d = units.sizes * d[reps]
     else:
         d = None
     # N was checked against the unit map above
     core = _decompose(A, ua.perm, tol, d, built_from=N, lift=lambda Y: blow_up(Y, units), tag={"level": "units"})
     return SpectralDecomposition(
-        n=units.n, blocks=(*blocks, *core.blocks), lifts=(*lifts, *core.lifts), skipped=core.skipped
+        n=units.n,
+        blocks=(*(block for _, _, block in pairs), *core.blocks),
+        lifts=(*(lift for _, lift, _ in pairs), *core.lifts),
+        skipped=core.skipped,
     )

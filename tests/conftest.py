@@ -80,6 +80,12 @@ UNITS18_DOC = {
     ],
 }
 
+# labels not all integer literals, so index order is lexicographic: the unit
+# {10, 9} lists its members as ("10", "9") but its key sorts them numerically
+MIXED_LABELS_DOC = {
+    "vertices": ["a", "10", "9", "b"],
+    "edges": [{"id": "e1", "members": ["9", "10", "a"]}, {"id": "e2", "members": ["a", "b"]}],
+}
 UNITS18_KEYS = ["1,2", "3,4", "5,6,15", "7,8", "9,10", "11,12,16", "13,14", "17,18"]
 
 # fixes 1,2 / 3,4 / 17,18; 3-cycle on the next three units; swaps the rest

@@ -1,12 +1,16 @@
-"""Loop reference versions of the vectorised quotient, check, matching and
-synchronization code, the complex-only dense oracle, the out-list JSON
-emitter and the member-by-member hypergraph code.
+"""Loop reference versions of the vectorised quotient, check, unit pair,
+rotation gather and lift, matching and synchronization code, the
+complex-only dense oracle, the out-list JSON emitter and the
+member-by-member hypergraph code.
 
 These are the original per-cell-pair, per-unit, per-element and per-step
 loops the library replaced with whole-array numpy passes. They are kept
 here, outside the package, so test_loop_equivalence.py can require the
 library to give the same witnesses, messages, quotients, matchings and
-synchronization verdicts. match_multisets_argmin is the matching that took
+synchronization verdicts, and the same bytes for the unit pairs (one pass
+over the unit arrays in the library, one unit at a time here) and for the
+rotation columns and lifts (one gather and one scatter in the library, one
+per component here). match_multisets_argmin is the matching that took
 one argmin per value over the whole distance array, before the library
 searched only a window of real parts; test_loop_equivalence.py requires the
 same pairs, lists and order from both, non-finite values included.
@@ -147,6 +151,42 @@ def unit_quotient(M, units, tol):
         for j, other in enumerate(units.units):
             N[i, j] = A[rep, list(other.member_indices)].sum()
     return N
+
+
+def unit_lifts(A, units):
+    """(index, values, vectors, residuals) of every unit of size at least 2,
+    one unit at a time: d - r |W| - 1 times, the columns chi_v - chi_v0 and
+    their residuals. The vectors are built as rows and transposed, as the
+    library lays them out: a column's norm sums its squares pairwise when
+    the column is contiguous, in another order when it is not."""
+    out = []
+    for i, unit in enumerate(units.units):
+        mem = list(unit.member_indices)
+        if len(mem) < 2:
+            continue
+        rows = np.zeros((len(mem) - 1, units.n))
+        for j, w in enumerate(mem[1:]):
+            rows[j, w] = 1.0
+            rows[j, mem[0]] = -1.0
+        values = np.full(len(mem) - 1, A[mem[0], mem[0]] - A[mem[0], mem[1]])
+        AV = A[:, mem[1:]] - A[:, [mem[0]] * (len(mem) - 1)]
+        out.append((i, values, rows.T, residual_norms(AV, rows.T, values)))
+    return out
+
+
+def rotation_columns(A, rows, cols, omega):
+    """sum_i omega^i A[rows.u0, f^i(cols.u0)], one gather per component."""
+    terms = [omega.pow(i) * A[np.ix_(rows.u0, comp)] for i, comp in enumerate(cols.components)]
+    return sum(terms[1:], terms[0])
+
+
+def lift_rotation_vector(x, rot, omega, n_full):
+    """omega^i x written at component i, one scatter per component."""
+    x = np.asarray(x)
+    full = np.zeros((n_full,) + x.shape[1:], dtype=np.result_type(x, omega.value))
+    for i, comp in enumerate(rot.components):
+        full[list(comp)] = omega.pow(i) * x
+    return full
 
 
 def match_multisets(a, b, tol):

@@ -13,7 +13,7 @@ import hypersym
 from hypersym import spectral
 from hypersym.cli import main
 
-from conftest import ROT10_ADJACENCY_R, ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_UNIT_MAP
+from conftest import MIXED_LABELS_DOC, ROT10_ADJACENCY_R, ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_UNIT_MAP
 
 
 @pytest.fixture
@@ -50,6 +50,19 @@ def test_units_command(capsys, units18_path):
     assert doc["vertex_map"]["15"] == "5,6,15"
     assert [u["key"] for u in doc["units"]][:2] == ["1,2", "3,4"]
     assert doc["contracted"]["vertices"][0] == "1,2"
+
+
+def test_units_command_on_mixed_labels(capsys, write_doc):
+    code, out, _ = run(capsys, ["units", write_doc("mixed.json", MIXED_LABELS_DOC)])
+    assert code == 0
+    assert out == (
+        '{"contracted": {"edges": [{"id": "e1", "members": ["9,10", "a"]}, '
+        '{"id": "e2", "members": ["a", "b"]}], "vertices": ["9,10", "a", "b"]}, "count": 3, '
+        '"units": [{"generating_edges": ["e1"], "key": "9,10", "members": ["10", "9"], "size": 2}, '
+        '{"generating_edges": ["e1", "e2"], "key": "a", "members": ["a"], "size": 1}, '
+        '{"generating_edges": ["e2"], "key": "b", "members": ["b"], "size": 1}], '
+        '"vertex_map": {"10": "9,10", "9": "9,10", "a": "a", "b": "b"}}\n'
+    )
 
 
 def test_matrix_command_exact(capsys, rot10_path):

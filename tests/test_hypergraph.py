@@ -1,10 +1,12 @@
 """Hypergraph parsing, stars, unit partitions, and contraction."""
 
+import numpy as np
 import pytest
 
 from hypersym import (
     DocumentError,
     Hypergraph,
+    UnitPartition,
     canonical_json,
     compute_units,
     edge_unit_covers,
@@ -14,7 +16,7 @@ from hypersym import (
     unit_key,
 )
 
-from conftest import ROT10_DOC, UNITS18_DOC, UNITS18_KEYS
+from conftest import MIXED_LABELS_DOC, ROT10_DOC, UNITS18_DOC, UNITS18_KEYS
 
 
 def test_vertex_order_is_numeric_for_integer_labels(rot10):
@@ -101,6 +103,37 @@ def test_rot10_units(rot10):
 
 def test_unit_key_sorts_members():
     assert unit_key(["15", "6", "5"]) == "5,6,15"
+
+
+def test_mixed_label_key_sorts_only_the_unit():
+    units = compute_units(Hypergraph.from_dict(MIXED_LABELS_DOC))
+    assert units.keys == ("9,10", "a", "b")
+    assert units.units[0].key == "9,10"
+    assert units.units[0].members == ("10", "9")
+
+
+def test_partition_arrays_hold_the_units(units18):
+    units = compute_units(units18)
+    assert len(units) == len(units.keys) == 8
+    for i, u in enumerate(units.units):
+        assert units.keys[i] == u.key
+        assert units.unit_members[units.unit_ptr[i] : units.unit_ptr[i + 1]].tolist() == list(u.member_indices)
+        assert (units.unit_of[list(u.member_indices)] == i).all()
+    assert units.sizes.tolist() == [u.size for u in units.units]
+    assert units.reps.tolist() == [u.member_indices[0] for u in units.units]
+    for array in (units.unit_of, units.unit_ptr, units.unit_members):
+        assert array.dtype == np.intp and not array.flags.writeable
+
+
+def test_partition_built_from_units_equals_the_computed_one(units18, rot10):
+    units = compute_units(units18)
+    built = UnitPartition(units=units.units, unit_of=tuple(units.unit_of.tolist()), n=units.n)
+    assert built == units and units == built and hash(built) == hash(units)
+    assert built.keys == units.keys
+    for name in ("unit_of", "unit_ptr", "unit_members"):
+        assert np.array_equal(getattr(built, name), getattr(units, name))
+    assert built != compute_units(rot10)
+    assert built != UnitPartition(units=units.units, unit_of=(0,) * units.n, n=units.n)
 
 
 def test_edge_covers_are_exact(units18):

@@ -44,6 +44,7 @@ from hypersym import (
     match_multisets,
     orbit_quotient,
     orbits,
+    permutation_with_type,
     profile_unit_compatibility,
     random_instance,
     roots_of_unity,
@@ -51,10 +52,10 @@ from hypersym import (
     validate_automorphism,
     validate_unit_automorphism,
 )
-from hypersym import LiftedBlock, cli, jsonutil
+from hypersym import LiftedBlock, cli, jsonutil, spectral, unit_symmetry
 from hypersym.dynamics import _sync_log
 from hypersym.matrices import WEIGHTED_KINDS
-from hypersym.symmetry import EQUITABLE_TOL, OrbitPartition
+from hypersym.symmetry import EQUITABLE_TOL, OrbitPartition, rotation_decomposition
 from hypersym.unit_symmetry import COMPAT_TOL
 
 QUOTIENT_RTOL = 1e-12
@@ -164,21 +165,36 @@ def test_orbit_quotient_matches_loops(case):
     _assert_quotients_equal(orbit_quotient(A, cells), want, A, integer)
 
 
-@st.composite
-def unit_matrices(draw):
-    """(A, units, integer): a hypergraph whose base vertices are copied 1-3
-    times (copies share a star, so they form one unit), with 0-3 isolated
-    vertices (one unit), and a unit-compatible matrix, perturbed at up to
-    two entries."""
-    rng = np.random.default_rng(draw(seeds))
-    base = int(rng.integers(1, 6))
+# the refusal text of each unit-compatibility condition, in the order the
+# conditions are checked
+UNIT_CONDITIONS = (
+    "diagonal entries differ",
+    "off-diagonal entries within the unit",
+    "rows toward outside vertex",
+    "columns from outside vertex",
+)
+
+
+def _unit_case(seed, isolated, integer, big=False, condition=None, perturbed=0):
+    """(A, units, integer, condition): a hypergraph whose base vertices (1-5,
+    or 40-80 when big, so that the unit checks and unit pairs take several
+    blocks) are copied 1-3 times (copies share a star, so they form one
+    unit), with isolated vertices (one unit), and a unit-compatible matrix.
+    A condition (0-3, as in UNIT_CONDITIONS) is broken at one entry of the
+    first unit, which then has two members or more and an outside vertex;
+    otherwise up to `perturbed` random entries are perturbed."""
+    rng = np.random.default_rng(seed)
+    base = int(rng.integers(40, 81) if big else rng.integers(1, 6))
     copies = [int(c) for c in rng.integers(1, 4, size=base)]
-    isolated = draw(st.integers(min_value=0, max_value=3))
+    if condition is not None:
+        copies[0], isolated = max(copies[0], 2), max(isolated, 1)
     labels = [f"{b}.{c}" for b in range(base) for c in range(copies[b])]
     labels += [f"x{i}" for i in range(isolated)]
     edges = []
-    for j in range(int(rng.integers(1, 5))):
+    for j in range(int(rng.integers(1, base // 2 + 5))):
         members = [b for b in range(base) if rng.random() < 0.5] or [0]
+        if condition is not None and j == 0 and 0 not in members:
+            members.insert(0, 0)
         edges.append((f"e{j}", [f"{b}.{c}" for b in members for c in range(copies[b])]))
     seen, unique = set(), []
     for eid, members in edges:
@@ -186,34 +202,114 @@ def unit_matrices(draw):
             seen.add(frozenset(members))
             unique.append((eid, members))
     units = compute_units(Hypergraph(labels, unique))
-    n, q = units.n, len(units.units)
-    integer = draw(st.booleans())
+    n, q = units.n, len(units)
     d, r, s = _values(rng, q, integer), _values(rng, q, integer), _values(rng, (q, q), integer)
-    unit_of = np.array(units.unit_of)
+    unit_of = units.unit_of
     A = np.where(unit_of[:, None] == unit_of, r[unit_of][:, None], s[np.ix_(unit_of, unit_of)])
     np.fill_diagonal(A, d[unit_of])
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+    delta = 1.0 if integer else rng.uniform(1e-3, 1.0)
+    if condition is not None:
+        # vertex 0 ("0.0") and 1 ("0.1") lead the first unit, the last
+        # vertex (an isolated one) is outside it
+        entry = [(1, 1), (1, 0), (1, n - 1), (n - 1, 1)][condition]
+        A[entry] += delta
+    for _ in range(perturbed if condition is None else 0):
         u, v = (int(x) for x in rng.integers(0, n, size=2))
         A[u, v] += 1.0 if integer else rng.uniform(1e-3, 1.0)
-    return A, units, integer
+    return A, units, integer, condition
+
+
+@st.composite
+def unit_matrices(draw):
+    """A _unit_case, big one time in four."""
+    return _unit_case(
+        draw(seeds),
+        draw(st.integers(min_value=0, max_value=3)),
+        draw(st.booleans()),
+        draw(st.sampled_from([False, False, False, True])),
+        draw(st.sampled_from([None, None, 0, 1, 2, 3])),
+        draw(st.integers(min_value=0, max_value=2)),
+    )
 
 
 @given(unit_matrices())
+@example(_unit_case(1, 0, True, condition=0))
+@example(_unit_case(2, 0, False, condition=1))
+@example(_unit_case(3, 2, True, big=True, condition=2))
+@example(_unit_case(4, 1, False, big=True, condition=3))
 @settings(max_examples=300, deadline=None)
 def test_unit_profile_and_quotient_match_loops(case):
-    A, units, integer = case
+    A, units, integer, condition = case
     try:
         d, r, rows = ref.profile_unit_compatibility(A, units, COMPAT_TOL)
     except NotUnitCompatibleError as exc:
+        assert condition is None or f"unit {units.keys[0]!r}: {UNIT_CONDITIONS[condition]}" in str(exc)
         for fn in (profile_unit_compatibility, unit_quotient):
             with pytest.raises(NotUnitCompatibleError) as got:
                 fn(A, units)
             assert str(got.value) == str(exc)
         return
+    assert condition is None
     profile = profile_unit_compatibility(A, units)
     assert (profile.d, profile.r) == (d, r)
     assert np.array_equal(profile.rows, rows)
     _assert_quotients_equal(unit_quotient(A, units), ref.unit_quotient(A, units, COMPAT_TOL), A, integer)
+
+
+@given(unit_matrices(), st.booleans(), st.booleans())
+@example(_unit_case(5, 3, False, big=True), True, True)
+@settings(max_examples=200, deadline=None)
+def test_unit_pairs_match_loops(case, real, noisy):
+    """The unit pairs (values, vectors, residuals) are bitwise those of the
+    per-unit loop, over real and complex matrices, singleton units, the unit
+    of the isolated vertices and units of three or more. Noise on every
+    entry makes the residual columns dense, so that their norms depend on
+    the order of summation."""
+    A, units = case[:2]
+    if noisy:
+        A = A + np.random.default_rng(units.n).normal(size=A.shape)
+    if real:
+        A = np.ascontiguousarray(A.real)
+    got = unit_symmetry._unit_lifts(A, units)
+    want = ref.unit_lifts(A, units)
+    assert [i for i, _, _ in got] == [i for i, *_ in want]
+    for (i, lift, block), (_, values, vectors, residuals) in zip(got, want):
+        assert lift.source == block.source == {"kind": "unit", "unit": units.keys[i]}
+        for x, y in ((lift.values, values), (lift.vectors, vectors), (lift.residuals, residuals)):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert block.order == len(values)
+        assert block.eigenvalues.tobytes() == values.astype(np.complex128).tobytes()
+
+
+@given(
+    st.sampled_from([(2, 4, 4), (4, 6), (2, 3, 6), (3, 6), (4,), (12,)]),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from(["real", "complex"]),
+    st.sampled_from([(), (3,)]),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_rotation_gather_and_lift_match_loops(lengths, fixed, matrix, columns, complex_x, data):
+    """The one-gather rotation columns and the one-scatter lift are bitwise
+    the per-component loops': coupling blocks (rows is not cols) between
+    non-coprime cycle lengths, fixed points, the quarter-turn roots
+    +-1 and +-i, a real x under a complex root, complex matrices."""
+    rng = np.random.default_rng(data.draw(seeds))
+    p = permutation_with_type(rng, sum(lengths) + fixed, lengths)
+    A = rng.normal(size=(p.n, p.n))
+    if matrix == "complex":
+        A = A + 1j * rng.normal(size=A.shape)
+    factors = rotation_decomposition(p)
+    rows, cols = data.draw(st.sampled_from(factors)), data.draw(st.sampled_from(factors))
+    omega = data.draw(st.sampled_from(roots_of_unity(cols.order_n)))
+    got, want = spectral._rotation_columns(A, rows, cols, omega), ref.rotation_columns(A, rows, cols, omega)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    x = rng.normal(size=(cols.n_cycles, *columns))
+    if complex_x:
+        x = x + 1j * rng.normal(size=x.shape)
+    got, want = spectral.lift_rotation_vector(x, cols, omega, p.n), ref.lift_rotation_vector(x, cols, omega, p.n)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # small integer grids make exact ties and equal distances common
