@@ -328,8 +328,10 @@ def _real_if_exact(A: np.ndarray) -> np.ndarray:
 # |W_ij - W_ji| within this many ulps of |W_ij + W_ji| (twice the larger
 # side for a balanced pair, whose two sides share a sign) passes as rounding
 _BALANCE_TOL = 4 * np.finfo(np.float64).eps
-# entries of one row block of an O(n^2) check (_balance, the unit checks):
-# its buffers stay in cache
+# entries of one row block of an O(n^2) pass (_balance, the unit checks and
+# unit pairs): its buffers stay in cache and are small enough to be reused
+# from the allocator's free lists, where each fresh n x n temporary is new
+# pages, each taken with a page fault
 _BLOCK = 1 << 13
 
 
