@@ -267,8 +267,8 @@ def build_matrix(
             np.fill_diagonal(M, diagonal / dv)
         # general_signless keeps the weighted diagonal of the common-star sum
     else:  # unit_normalized
-        unit_of = compute_units(h).unit_of
-        nsize = np.bincount(unit_of)[unit_of].astype(np.float64)
+        units = compute_units(h)
+        nsize = units.sizes[units.unit_of].astype(np.float64)
         M = _common_star_sum(h, np.ones(h.m))
         np.fill_diagonal(M, 0.0)
         M /= nsize[None, :]
