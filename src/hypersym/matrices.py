@@ -2,9 +2,8 @@
 
 All kinds are indexed by the hypergraph's canonical vertex order and stored
 complex, even though every kind here has a real definition; as_array keeps
-any other real input real (float64), and the decomposition and oracle
-routes take a matrix with no nonzero imaginary entry as its real part.
-Off-diagonal entries are sums over the common star E_u ∩ E_v:
+any other real input real (float64). Off-diagonal entries are sums over
+the common star E_u ∩ E_v:
 
     adjacency_r        |E_u ∩ E_v|,                       diagonal 0
     adjacency_b        sum 1/(|e|-1),                     diagonal 0
@@ -35,18 +34,22 @@ kinds are taken edge by edge in document order, so C is exactly symmetric.
 The non-symmetric kinds are diag(1/d) times a symmetric matrix, and the
 build records that d as HypergraphMatrix.symmetrizer: diag(d) M is
 symmetric in exact arithmetic, so M is similar to the symmetric
-D^{1/2} M D^{-1/2}, and the dense oracle solves that form with eigh:
+D^{1/2} M D^{-1/2}, and the routes solve that form with eigh:
 
     transition         d = |E_u|         (M = D^-1 C)
     general_*          d = dV(u)         (M = D^-1 C, diagonal included)
     unit_normalized    d = 1/n_u         (diag(1/n_u) M = C / (n_u n_v) off the diagonal)
 
-The symmetric kinds carry None.
+The symmetric kinds carry None. Every route and the oracle solve
+prepared(M): realness (a matrix with no nonzero imaginary entry is taken as
+its real part) and balance (_balance) are decided once per matrix, kept by a
+HypergraphMatrix (not the real array) from its first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,9 +80,10 @@ ROW_SUM_TOL = 1e-12
 class HypergraphMatrix:
     """A square complex matrix tied to a vertex labelling.
 
-    symmetrizer, when given, is a positive vector d of the matrix order with
-    diag(d) entries symmetric in exact arithmetic (module docstring); the
-    dense oracle checks it to rounding before it uses it."""
+    entries is a read-only complex128 view (a caller's own array keeps its
+    flags). symmetrizer, when given, is a positive vector d of the matrix
+    order with diag(d) entries symmetric in exact arithmetic (module
+    docstring); prepared checks it to rounding before any route uses it."""
 
     kind: str
     labels: tuple[str, ...]
@@ -94,6 +98,8 @@ class HypergraphMatrix:
             raise HypersymError(
                 f"matrix order {arr.shape[0]} does not match {len(self.labels)} labels"
             )
+        arr = arr.view()
+        arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
         if self.symmetrizer is not None:
             d = np.asarray(self.symmetrizer, dtype=np.float64)
@@ -106,6 +112,10 @@ class HypergraphMatrix:
     @property
     def order(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def _decision(self) -> tuple[bool, np.ndarray | None]:
+        return _decide(self.entries, self.symmetrizer)
 
     def to_document(self) -> dict:
         return {
@@ -122,11 +132,6 @@ def _float_array(x) -> np.ndarray:
     return x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
 
 
-def symmetrizer_of(M) -> np.ndarray | None:
-    """The symmetrizer of a HypergraphMatrix; None for any other input."""
-    return M.symmetrizer if isinstance(M, HypergraphMatrix) else None
-
-
 def as_array(M) -> np.ndarray:
     """The entries of a HypergraphMatrix (complex128) or of any square
     array-like, through _float_array, C-contiguous."""
@@ -136,6 +141,66 @@ def as_array(M) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise HypersymError(f"matrix must be square, got shape {arr.shape}")
     return arr
+
+
+def prepared(M) -> tuple[np.ndarray, np.ndarray | None]:
+    """(A, d): the C-contiguous array every route solves, M's float64 real
+    part if exactly real (a copy, made per call), and the _balance result."""
+    A = as_array(M)
+    real, d = M._decision if isinstance(M, HypergraphMatrix) else _decide(A, None)
+    return np.ascontiguousarray(A.real if real else A), d
+
+
+def _decide(A: np.ndarray, symmetrizer: np.ndarray | None) -> tuple[bool, np.ndarray | None]:
+    """(real, d): whether no entry of A has a nonzero imaginary part (the
+    one scan of them), and _balance of A, its real part when real."""
+    real = np.isrealobj(A) or not A.imag.any()
+    return real, _balance(A.real if real else A, symmetrizer)
+
+
+# |W_ij - W_ji| within this many ulps of |W_ij + W_ji| (twice the larger
+# side for a balanced pair, whose two sides share a sign) passes as rounding
+_BALANCE_TOL = 4 * np.finfo(np.float64).eps
+# entries of one row block of an O(n^2) pass (_balance, the compatibility
+# and unit checks, the unit pairs): its buffers stay in cache and are small
+# enough to be reused from the allocator's free lists, where each fresh
+# n x n temporary is new pages, each taken with a page fault
+_BLOCK = 1 << 13
+
+
+def _balance(A: np.ndarray, d: np.ndarray | None) -> np.ndarray | None:
+    """A positive d with diag(d) A Hermitian, which puts A (and every block
+    of it) on the eigh route, or None for the general route:
+
+    - ones for an A equal to its conjugate transpose (its transpose, for a
+      real A), exactly;
+    - the given d for a real A that it balances to rounding: for
+      W = diag(d) A, |W_ij - W_ji| <= _BALANCE_TOL |W_ij + W_ji| with every
+      W_ij + W_ji finite, checked in O(n^2) a block of rows at a time in one
+      reused buffer;
+    - None for any other A: no d, a complex A that is not exactly
+      Hermitian, or a failed check."""
+    n = A.shape[0]
+    if np.array_equal(A, A.T if np.isrealobj(A) else A.conj().T):
+        return np.ones(n)
+    if d is None or not np.isrealobj(A):
+        return None
+    rows = max(1, _BLOCK // n)
+    buf = np.empty((3, min(rows, n), n))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite W fails the check
+        for r in range(0, n, rows):
+            k = min(rows, n - r)
+            W, T, D = buf[:, :k]
+            np.multiply(d[r : r + k, None], A[r : r + k], out=W)  # rows r..r+k of W
+            np.multiply(A[:, r : r + k].T, d, out=T)  # the same rows of W.T
+            np.subtract(W, T, out=D)
+            W += T
+            np.abs(D, out=D)
+            np.abs(W, out=W)
+            W *= _BALANCE_TOL
+            if not (np.isfinite(W.max()) and (D <= W).all()):
+                return None
+    return d
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 The oracle route ignores all symmetry structure: it hands the full matrix
 to a dense solver, sorts the eigenvalues, and reports per-pair residuals.
-dense_spectrum decides realness once: a matrix with no nonzero imaginary
-entry is solved as the float64 matrix it is. It then decides balance once
-(spectral._balance), as the decomposition routes do: a real matrix equal to
-its transpose goes to eigh (LAPACK dsyevd), a complex one equal to its
+dense_spectrum reads the realness and balance matrices.prepared decides
+once per matrix, as the decomposition routes do: a matrix with no nonzero
+imaginary entry is solved as the float64 matrix it is; a real matrix equal
+to its transpose goes to eigh (LAPACK dsyevd), a complex one equal to its
 conjugate transpose to complex eigh (zheevd); a HypergraphMatrix whose
 symmetrizer d balances it (the transition, general_* and unit_normalized
 kinds: diag(d) A symmetric, d checked to rounding first) goes to eigh of
@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import HypersymError
 from .jsonutil import complex_pair
-from .matrices import as_array, symmetrizer_of
-from .spectral import SpectralDecomposition, _balance, _eig_sorted, _product, _real_if_exact, residual_norms
+from .matrices import prepared
+from .spectral import SpectralDecomposition, _eig_sorted, _product, residual_norms
 
 MATCH_TOL = 1e-8
 
@@ -70,12 +70,11 @@ def _scale(A: np.ndarray) -> float:
 def dense_spectrum(M) -> SpectrumReport:
     """Full spectrum by direct dense eigensolve, sorted by (real, imag); a
     HypergraphMatrix's symmetrizer picks the balanced route."""
-    A = as_array(M)
+    A, d = prepared(M)
     if not np.all(np.isfinite(A)):
         raise HypersymError("matrix has non-finite entries")
-    A = _real_if_exact(A)
     scale = _scale(A)
-    vals, vecs = _eig_sorted(A, _balance(A, symmetrizer_of(M)))  # real values for a real A: real residuals
+    vals, vecs = _eig_sorted(A, d)  # real values for a real A: real residuals
     residuals = residual_norms(_product(A, vecs), vecs, vals)
     vals = vals.astype(np.complex128)
     failures = tuple(
@@ -147,15 +146,14 @@ def verify_decomposition(M, decomposition: SpectralDecomposition, tol: float = M
     On failure the report lists unmatched values with their source blocks
     and the offending residuals.
     """
-    A = as_array(M)
     dense = dense_spectrum(M)
     claimed = decomposition.eigenvalues()
     threshold = tol * dense.scale
     failures: list[str] = list(dense.failures)
 
-    if len(claimed) != A.shape[0]:
+    if len(claimed) != len(dense.eigenvalues):
         failures.append(
-            f"decomposition carries {len(claimed)} eigenvalues for order {A.shape[0]}"
+            f"decomposition carries {len(claimed)} eigenvalues for order {len(dense.eigenvalues)}"
         )
     pairs, unmatched_claimed, unmatched_dense = match_multisets(
         claimed, dense.eigenvalues, threshold

@@ -34,32 +34,33 @@ A unit-automorphism uses the same blocks, built from the unit quotient N
 along the unit permutation; their eigenvectors blow up to the vertices, and
 their residuals are taken against M itself.
 
-Each route decides realness once, at its entry: a matrix with no nonzero
-imaginary entry is taken as its float64 real part. From there the dtype
-carries it. The roots 1, i, -1 and -i are exact, +-1 as floats, and the
-root for n - k is the exact conjugate of the root for k. So for a real
-matrix the w = +-1 blocks (the quotient among them), their eigenvectors and
-their lifts are float64, and the conj(w)-block is conj of the w-block entry
-for entry: complex arithmetic starts only where an entry or a root is
-genuinely complex.
+Realness is decided once per matrix, in matrices.prepared, which every
+route entry calls: a matrix with no nonzero imaginary entry is taken as its
+float64 real part. From there the dtype carries it. The roots 1, i, -1 and
+-i are exact, +-1 as floats, and the root for n - k is the exact conjugate
+of the root for k. So for a real matrix the w = +-1 blocks (the quotient
+among them), their eigenvectors and their lifts are float64, and the
+conj(w)-block is conj of the w-block entry for entry: complex arithmetic
+starts only where an entry or a root is genuinely complex.
 
-Each route also decides balance once, at its entry (_balance): a positive d
-with diag(d) M Hermitian, d = 1 for an exactly symmetric real or Hermitian
-complex M, or a HypergraphMatrix's symmetrizer when it passes an O(n^2)
-check to rounding. If d is also constant on every cycle, each block B gets
-its own symmetrizer e, e_c = len(c) d(rep c) over its cycles c (the
-d-weighted Gram matrix of the cycle basis), with diag(e) B Hermitian; on
-the unit route N's symmetrizer |W| d(rep W) plays the part of d. Every
-block then goes to eigh (dsyevd, or zheevd for a complex block) of the
-Hermitian part of D_e^{1/2} B D_e^{-1/2} (of B itself when e is constant),
-its vectors mapped back and scaled to unit norm, its values real; without
-such a d, a real block goes to dgeev and a complex one to zgeev
-(_eig_sorted). The block residual is still taken against B and the lifted
-one against M, so the Hermitian form never vouches for itself. For a real
-matrix the conj(w)-block is neither built nor solved: it takes the
-w-block's eigenpairs, block residuals and lifted residuals conjugated and
-sorted again, so each conjugate pair costs one build, one solve and one
-product with M.
+So is balance (matrices._balance): a positive d with diag(d) M Hermitian,
+d = 1 for an exactly symmetric real or Hermitian complex M, or a
+HypergraphMatrix's symmetrizer when it passes an O(n^2) check to rounding.
+If d is also constant on every cycle, each block B over cycles c has
+diag(e) B Hermitian for e_c = len(c) d(rep c) (the d-weighted Gram matrix
+of the cycle basis), one rule (_cell_symmetrizer) computed once over the
+orbits; on the unit route the same rule over the units gives N's
+symmetrizer |W| d(rep W), which plays the part of d. Every block then goes
+to eigh (dsyevd, or zheevd for a complex block) of the Hermitian part of
+D_e^{1/2} B D_e^{-1/2} (of B itself when e is constant), its vectors mapped
+back and scaled to unit norm, its values real; without such a d, a real
+block goes to dgeev and a complex one to zgeev (_eig_sorted). The block
+residual is still taken against B and the lifted one against M, so the
+Hermitian form never vouches for itself. For a real matrix the
+conj(w)-block is neither built nor solved: it takes the w-block's
+eigenpairs, block residuals and lifted residuals conjugated and sorted
+again, so each conjugate pair costs one build, one solve and one product
+with M.
 
 Block eigenvectors follow zgeev's own convention: unit 2-norm, with the
 first entry of largest re^2 + im^2 real and positive. Entries within a few
@@ -99,12 +100,13 @@ import numpy as np
 
 from .errors import HypersymError, IncompatibleMatrixError
 from .jsonutil import _ENTRIES, _HOLE, _Rows, complex_pair
-from .matrices import _float_array, as_array, symmetrizer_of
+from .matrices import _float_array, as_array, prepared
 from .symmetry import (
     COMPAT_TOL,
     OrbitPartition,
     Permutation,
     Rotation,
+    _cell_layout,
     _perm_of,
     compatibility_deviation,
     orbit_quotient,
@@ -317,66 +319,12 @@ class SpectralDecomposition:
         }
 
 
-def _real_if_exact(A: np.ndarray) -> np.ndarray:
-    """A's real part, contiguous, when no entry of A has a nonzero imaginary
-    part; otherwise A itself. Each route calls it once, at its entry."""
-    if np.iscomplexobj(A) and not A.imag.any():
-        return np.ascontiguousarray(A.real)
-    return A
-
-
-# |W_ij - W_ji| within this many ulps of |W_ij + W_ji| (twice the larger
-# side for a balanced pair, whose two sides share a sign) passes as rounding
-_BALANCE_TOL = 4 * np.finfo(np.float64).eps
-# entries of one row block of an O(n^2) pass (_balance, the unit checks and
-# unit pairs): its buffers stay in cache and are small enough to be reused
-# from the allocator's free lists, where each fresh n x n temporary is new
-# pages, each taken with a page fault
-_BLOCK = 1 << 13
-
-
-def _balance(A: np.ndarray, d: np.ndarray | None) -> np.ndarray | None:
-    """A positive d with diag(d) A Hermitian, which puts A (and every block
-    of it) on the eigh route, or None for the general route:
-
-    - ones for an A equal to its conjugate transpose (its transpose, for a
-      real A), exactly;
-    - the given d for a real A that it balances to rounding: for
-      W = diag(d) A, |W_ij - W_ji| <= _BALANCE_TOL |W_ij + W_ji| with every
-      W_ij + W_ji finite, checked in O(n^2) a block of rows at a time in one
-      reused buffer;
-    - None for any other A: no d, a complex A that is not exactly
-      Hermitian, or a failed check.
-
-    Each route entry calls it once and states the result to every solve."""
-    n = A.shape[0]
-    if np.array_equal(A, A.T if np.isrealobj(A) else A.conj().T):
-        return np.ones(n)
-    if d is None or not np.isrealobj(A):
-        return None
-    rows = max(1, _BLOCK // n)
-    buf = np.empty((3, min(rows, n), n))
-    for r in range(0, n, rows):
-        k = min(rows, n - r)
-        W, T, D = buf[:, :k]
-        np.multiply(d[r : r + k, None], A[r : r + k], out=W)  # rows r..r+k of W
-        np.multiply(A[:, r : r + k].T, d, out=T)  # the same rows of W.T
-        np.subtract(W, T, out=D)
-        W += T
-        np.abs(D, out=D)
-        np.abs(W, out=W)
-        W *= _BALANCE_TOL
-        if not (np.isfinite(W.max()) and (D <= W).all()):
-            return None
-    return d
-
-
 def _hermitian_form(A: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """(S, s): the Hermitian matrix eigh solves in place of A, which d
-    balances (_balance), and the scaling back to A's vectors. A constant d
-    leaves A as it is, Hermitian to rounding already, with s None (eigh
-    reads its lower triangle); otherwise S is the Hermitian part of
-    D^{1/2} A D^{-1/2} and s = sqrt(d)."""
+    balances (matrices._balance), and the scaling back to A's vectors. A
+    constant d leaves A as it is, Hermitian to rounding already, with s
+    None (eigh reads its lower triangle); otherwise S is the Hermitian part
+    of D^{1/2} A D^{-1/2} and s = sqrt(d)."""
     if (d == d[:1]).all():
         return A, None
     s = np.sqrt(d)
@@ -389,8 +337,8 @@ def _hermitian_form(A: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _eig_sorted(A: np.ndarray, d: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and column eigenvectors ordered by (real, imag). The
-    caller states d, a positive vector with diag(d) A Hermitian (_balance),
-    or None:
+    caller states d, a positive vector with diag(d) A Hermitian
+    (matrices._balance), or None:
 
     - with d, eigh (dsyevd, or zheevd for a complex A) solves A's Hermitian
       form (_hermitian_form), its vectors mapped back as D^{-1/2} U and
@@ -398,8 +346,7 @@ def _eig_sorted(A: np.ndarray, d: np.ndarray | None = None) -> tuple[np.ndarray,
     - without, a real A goes to eig (dgeev), a complex A to eig (zgeev).
 
     Values and vectors keep the driver's dtype, real from a real eigh and
-    from dgeev with all eigenvalues real. _dense_eigvals makes the same
-    choice for values only."""
+    from dgeev with all eigenvalues real."""
     if d is None:
         vals, vecs = np.linalg.eig(A)
     else:
@@ -410,12 +357,6 @@ def _eig_sorted(A: np.ndarray, d: np.ndarray | None = None) -> tuple[np.ndarray,
             vecs /= np.linalg.norm(vecs, axis=0)
     order = np.lexsort((vals.imag, vals.real))
     return vals[order], vecs[:, order]
-
-
-def _dense_eigvals(A: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
-    """Unsorted eigenvalues of A, by eigvalsh of its Hermitian form when d
-    balances it, eigvals otherwise (_eig_sorted's choice)."""
-    return np.linalg.eigvals(A) if d is None else np.linalg.eigvalsh(_hermitian_form(A, d)[0])
 
 
 def _product(A: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -518,19 +459,14 @@ def _lift_block(X: np.ndarray, parts: _Parts, orbs: OrbitPartition, n: int) -> n
     return sum(lifts[1:], lifts[0])
 
 
-def _cycle_constant(d: np.ndarray | None, perm: Permutation) -> np.ndarray | None:
-    """d when it is exactly constant on every cycle of perm, else None."""
-    return d if d is not None and np.array_equal(d[list(perm.mapping)], d) else None
-
-
-def _block_symmetrizer(d: np.ndarray, parts: _Parts, orbs: OrbitPartition) -> np.ndarray:
-    """e with diag(e) B Hermitian for the omega-block B over the given
-    factors (the orbit quotient without factors), for a d constant on every
-    cycle with diag(d) A Hermitian: e_c = len(c) d(rep c) over the block's
-    cycles c in row order, the d-weighted Gram matrix of its cycle basis."""
-    if not parts:
-        return np.array([len(cell) for cell in orbs.cells]) * d[[cell[0] for cell in orbs.cells]]
-    return np.concatenate([rot.order_n * d[list(rot.u0)] for rot, _ in parts])
+def _cell_symmetrizer(d: np.ndarray | None, cell_of: np.ndarray, reps: np.ndarray, sizes: np.ndarray) -> np.ndarray | None:
+    """e_c = |c| d(rep c) for every cell c (cell_of[v] the cell of v, reps
+    and sizes per cell) when d is exactly constant on every cell, else None:
+    diag(e) balances the quotient over the cells, and e at its cycles a
+    w-block, for a d that balances the matrix."""
+    if d is None or not np.array_equal(d[reps][cell_of], d):
+        return None
+    return sizes * d[reps]
 
 
 def _decompose(
@@ -545,13 +481,14 @@ def _decompose(
     """Build, solve and lift every block of built_from (default A) along
     perm, which it must already be compatible with within tol (the
     quotient's equitable check allows what that implies). d is a positive
-    vector with diag(d) built_from Hermitian (_balance), or None; when it is
-    also constant on every cycle of perm, every block goes to eigh with its
-    symmetrizer (_block_symmetrizer), otherwise to eig. lift carries columns
-    on its index set into A's (none when it is A); every lifted residual is
-    taken against A. tag is merged into the block and lifted sources, and
-    into each skipped entry beside its source. Block pairs whose residual
-    betrays a defective solve are skipped (and reported) instead of lifted.
+    vector with diag(d) built_from Hermitian (matrices._balance), or None;
+    when it is also constant on every cycle of perm, every block goes to
+    eigh with its symmetrizer (_cell_symmetrizer), otherwise to eig. lift
+    carries columns on its index set into A's (none when it is A); every
+    lifted residual is taken against A. tag is merged into the block and
+    lifted sources, and into each skipped entry beside its source. Block
+    pairs whose residual betrays a defective solve are skipped (and
+    reported) instead of lifted.
 
     For a real A and built_from the conj(w)-block is neither built nor
     solved, and its lifts are not multiplied by A: its eigenpairs, block
@@ -564,7 +501,9 @@ def _decompose(
     B = A if built_from is None else built_from
     tag = tag or {}
     orbs = orbits(perm)
-    d = _cycle_constant(d, perm)
+    members, starts, sizes = _cell_layout(orbs.cells)
+    cell_index = np.array(orbs.cell_index)
+    e = _cell_symmetrizer(d, cell_index, members[starts], sizes)
     quotient_tol = _quotient_tol(orbs, tol)
     real = np.isrealobj(A) and np.isrealobj(B)
     # per block: values, vectors, block residuals, defective mask and lifted
@@ -583,7 +522,8 @@ def _decompose(
             vals, vecs, block_res, defective = vals[order], vecs[:, order].conj(), block_res[order], defective[order]
         else:
             matrix = _block_matrix(B, parts, orbs, quotient_tol)
-            vals, vecs = _eig_sorted(matrix, None if d is None else _block_symmetrizer(d, parts, orbs))
+            cells = cell_index[np.concatenate([rot.u0 for rot, _ in parts])] if parts else slice(None)
+            vals, vecs = _eig_sorted(matrix, None if e is None else e[cells])
             vecs = _phase_convention(vecs)
             block_res = residual_norms(_product(matrix, vecs), vecs, vals)
             defective = block_res > LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(matrix).max()))
@@ -610,16 +550,17 @@ def _decompose(
 def decompose_automorphism(M, f, tol: float = COMPAT_TOL) -> SpectralDecomposition:
     """Spectrum of M from its blocks along f, with lifted eigenpairs. Every
     block goes to eigh when M is Hermitian, or is a HypergraphMatrix whose
-    symmetrizer balances it and is constant on the cycles of f (_balance).
+    symmetrizer balances it (matrices.prepared) and is constant on the
+    cycles of f.
 
     Raises IncompatibleMatrixError if M is not f-compatible within tol, and
     NotEquitableError if the orbit quotient fails the equitable check that
     compatibility within tol implies.
     """
-    A = _real_if_exact(as_array(M))
+    A, d = prepared(M)
     perm = _perm_of(f)
     _require_compatible(A, perm, tol)
-    return _decompose(A, perm, tol, _balance(A, symmetrizer_of(M)))
+    return _decompose(A, perm, tol, d)
 
 
 def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, float]:
@@ -629,14 +570,13 @@ def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, 
     compares. M must be f-compatible within tol. Both radii come from eigh
     when M is balanced as in decompose_automorphism.
     """
-    A = _real_if_exact(as_array(M))
+    A, d = prepared(M)
     perm = _perm_of(f)
     _require_compatible(A, perm, tol)
     orbs = orbits(perm)
     Q = orbit_quotient(A, orbs, _quotient_tol(orbs, tol))
-    d = _balance(A, symmetrizer_of(M))
-    e = _cycle_constant(d, perm)
-    e = None if e is None else _block_symmetrizer(e, [], orbs)
-    rho_full = float(np.abs(_dense_eigvals(A, d)).max()) if A.size else 0.0
-    rho_quot = float(np.abs(_dense_eigvals(Q, e)).max()) if Q.size else 0.0
+    members, starts, sizes = _cell_layout(orbs.cells)
+    e = _cell_symmetrizer(d, np.array(orbs.cell_index), members[starts], sizes)
+    rho_full = float(np.abs(_eig_sorted(A, d)[0]).max()) if A.size else 0.0
+    rho_quot = float(np.abs(_eig_sorted(Q, e)[0]).max()) if Q.size else 0.0
     return rho_full, rho_quot

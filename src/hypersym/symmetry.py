@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DocumentError, HypersymError, NotAutomorphismError, NotEquitableError
 from .hypergraph import Hypergraph, _map_rows
-from .matrices import as_array
+from .matrices import _BLOCK, as_array
 
 COMPAT_TOL = 1e-9
 EQUITABLE_TOL = 1e-9
@@ -131,15 +131,27 @@ def validate_automorphism(h: Hypergraph, f: Permutation | dict[str, str]) -> Aut
 
 
 def compatibility_deviation(M, f) -> tuple[float, tuple[int, int]]:
-    """Max |m[u,v] - m[f(u),f(v)]| and the entry attaining it."""
+    """Max |m[u,v] - m[f(u),f(v)]| and the entry attaining it: the first in
+    row-major order, or the first NaN, as np.argmax of the whole deviation
+    would pick. Taken a block of rows at a time, so no n x n temporary is
+    made."""
     A = as_array(M)
     perm = _perm_of(f)
-    if A.shape[0] != perm.n:
-        raise HypersymError(f"matrix order {A.shape[0]} does not match permutation size {perm.n}")
+    n = A.shape[0]
+    if n != perm.n:
+        raise HypersymError(f"matrix order {n} does not match permutation size {perm.n}")
     idx = np.array(perm.mapping)
-    D = np.abs(A - A[np.ix_(idx, idx)])
-    u, v = np.unravel_index(int(np.argmax(D)), D.shape)
-    return float(D[u, v]), (int(u), int(v))
+    rows = max(1, _BLOCK // n)
+    best, at = -1.0, 0
+    for r in range(0, n, rows):
+        G = A[idx[r : r + rows]].take(idx, axis=1)  # rows r.. of A[f(u), f(v)]
+        D = np.abs(np.subtract(A[r : r + rows], G, out=G))
+        k = int(np.argmax(D))
+        if not D.flat[k] <= best:  # a larger value, or the first NaN
+            best, at = float(D.flat[k]), r * n + k
+            if best != best:
+                break
+    return best, divmod(at, n)
 
 
 def check_commutation(M, f) -> float:

@@ -32,7 +32,10 @@ pointer and members), with no Python loop over units or vertex pairs:
   records are slices of those arrays;
 - the unit-map lookup, the cardinality check and the positional lift.
 
-The cost is O(n^2) for the checks, O(n) per unit eigenpair, and the block
+The decomposition reads the one decision of realness and balance made per
+matrix in matrices.prepared; N's symmetrizer |W| d(rep W) comes from the
+orbits' rule (spectral._cell_symmetrizer) applied to the units. The cost is
+O(n^2) for the checks, O(n) per unit eigenpair, and the block
 decomposition of the q x q quotient N over the q units.
 """
 
@@ -51,15 +54,13 @@ from .errors import (
 )
 from .hypergraph import Hypergraph, UnitPartition, _cover_arrays, _map_rows, _ptr, _row_of, compute_units
 from .jsonutil import describe_value
-from .matrices import _float_array, as_array, symmetrizer_of
+from .matrices import _BLOCK, _float_array, as_array, prepared
 from .spectral import (
     LiftedBlock,
     RotationBlock,
     SpectralDecomposition,
-    _BLOCK,
-    _balance,
+    _cell_symmetrizer,
     _decompose,
-    _real_if_exact,
     residual_norms,
 )
 from .symmetry import (
@@ -405,11 +406,11 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
 
     Block eigenvalue counts add up to the matrix order: sum(|W| - 1) from
     units plus one eigenvalue per unit from the quotient decomposition.
-    When a d balances M (_balance) and is constant on each unit, N is
-    balanced by |W| d(rep W), and the blocks of N go to eigh wherever that
-    is constant on the cycles of the unit map.
+    When a d balances M (matrices.prepared) and is constant on each unit, N
+    is balanced by |W| d(rep W) (_cell_symmetrizer), and the blocks of N go
+    to eigh wherever that is constant on the cycles of the unit map.
     """
-    A = _real_if_exact(as_array(M))
+    A, d = prepared(M)
     units = ua.units
     if A.shape[0] != units.n:
         raise HypersymError(f"matrix order {A.shape[0]} does not match {units.n} vertices")
@@ -425,15 +426,9 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
         )
 
     pairs = _unit_lifts(A, units)
-    # N's symmetrizer |W| d(rep W), when d balances A and is constant on units
-    d = _balance(A, symmetrizer_of(M))
-    reps = units.reps
-    if d is not None and np.array_equal(d[reps][units.unit_of], d):
-        d = units.sizes * d[reps]
-    else:
-        d = None
+    e = _cell_symmetrizer(d, units.unit_of, units.reps, units.sizes)
     # N was checked against the unit map above
-    core = _decompose(A, ua.perm, tol, d, built_from=N, lift=lambda Y: blow_up(Y, units), tag={"level": "units"})
+    core = _decompose(A, ua.perm, tol, e, built_from=N, lift=lambda Y: blow_up(Y, units), tag={"level": "units"})
     return SpectralDecomposition(
         n=units.n,
         blocks=(*(block for _, _, block in pairs), *core.blocks),

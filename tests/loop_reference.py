@@ -1,7 +1,7 @@
 """Loop reference versions of the vectorised quotient, check, unit pair,
 rotation gather and lift, matching and synchronization code, the
-complex-only dense oracle, the out-list JSON emitter and the
-member-by-member hypergraph code.
+one-shot compatibility deviation, the complex-only dense oracle, the
+out-list JSON emitter and the member-by-member hypergraph code.
 
 These are the original per-cell-pair, per-unit, per-element and per-step
 loops the library replaced with whole-array numpy passes. They are kept
@@ -14,7 +14,9 @@ per component here). match_multisets_argmin is the matching that took
 one argmin per value over the whole distance array, before the library
 searched only a window of real parts; test_loop_equivalence.py requires the
 same pairs, lists and order from both, non-finite values included.
-dense_spectrum is the oracle that solved every
+compatibility_deviation takes the deviation of the whole matrix at once,
+where the library takes a block of rows at a time; test_loop_equivalence.py
+requires the same value and witness bit for bit. dense_spectrum is the oracle that solved every
 matrix as complex128 (LAPACK zgeev); test_oracle.py requires the real
 drivers to give the same verdicts and failures. canonical_json is the
 emitter that appended every token to one out-list and formatted floats with
@@ -187,6 +189,15 @@ def lift_rotation_vector(x, rot, omega, n_full):
     for i, comp in enumerate(rot.components):
         full[list(comp)] = omega.pow(i) * x
     return full
+
+
+def compatibility_deviation(A, perm):
+    """Max |A[u, v] - A[f(u), f(v)]| and its entry, from one n x n deviation
+    array and one argmax (the library takes a block of rows at a time)."""
+    idx = np.array(perm.mapping)
+    D = np.abs(A - A[np.ix_(idx, idx)])
+    u, v = np.unravel_index(int(np.argmax(D)), D.shape)
+    return float(D[u, v]), (int(u), int(v))
 
 
 def match_multisets(a, b, tol):

@@ -8,6 +8,7 @@ controls.
 """
 
 import dataclasses
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -18,8 +19,10 @@ from hypothesis import strategies as st
 from hypersym import (
     COMPAT_TOL,
     Hypergraph,
+    HypergraphMatrix,
     IncompatibleMatrixError,
     Permutation,
+    as_array,
     build_matrix,
     compatible_matrix,
     compute_units,
@@ -33,7 +36,7 @@ from hypersym import (
     validate_unit_automorphism,
     verify_decomposition,
 )
-from hypersym import spectral
+from hypersym import matrices, spectral
 from hypersym.matrices import WEIGHTED_KINDS, WeightFunctions
 from hypersym.symmetry import rotation_decomposition
 
@@ -326,9 +329,36 @@ def _unit_case(rng, kind, lengths, fixed):
 def test_balanced_inputs_solve_every_block_by_eigh(kind, lengths, fixed, on_units, seed):
     rng = np.random.default_rng(seed)
     M, symmetry, decompose, rows_of = (_unit_case if on_units else _vertex_case)(rng, kind, lengths, fixed)
-    calls, dec = _solver_calls(M, symmetry, decompose)
+    symmetrizers = []
+
+    def solve(block, e=None):
+        symmetrizers.append(e)
+        return eig_sorted(block, e)
+
+    eig_sorted = spectral._eig_sorted
+    with patch.object(spectral, "_eig_sorted", solve):
+        calls, dec = _solver_calls(M, symmetry, decompose)
     assert calls and {name for name, _ in calls} == {"eigh"}, calls
     _check(M, dec, rows_of)
+    # each solved block's symmetrizer is len(c) d(rep c) over its cycles c,
+    # computed here from d directly: d = 1 for an exactly Hermitian matrix,
+    # else the symmetrizer; |W| d(rep W) on the units, for the unit route
+    A = as_array(M)
+    d = np.ones(len(A)) if np.array_equal(A, A.conj().T) else M.symmetrizer
+    perm = getattr(symmetry, "perm", symmetry)
+    if on_units:
+        d = symmetry.units.sizes * d[symmetry.units.reps]
+    cycle_of = {v: cycle for cycle in perm.cycles() for v in cycle}
+    real = not np.iscomplexobj(A) or not A.imag.any()
+    solved = [
+        b for b in dec.blocks
+        if b.source["kind"] == "quotient"
+        or (b.source["kind"] == "rotation" and not (real and 2 * b.source["omega_k"] > b.source["order_n"]))
+    ]
+    assert len(solved) == len(symmetrizers)
+    for block, e in zip(solved, symmetrizers):
+        want = [len(cycle_of[c]) * d[c] for c in _block_rows(perm, block.source)]
+        assert np.array_equal(e, want), block.source
 
 
 @pytest.fixture
@@ -374,8 +404,18 @@ def test_a_symmetrizer_not_constant_on_one_cycle_takes_the_general_path():
     d = M.symmetrizer.copy()
     d[10] *= 2
     uneven = dataclasses.replace(M, symmetrizer=d)
-    assert spectral._balance(M.entries.real, d) is d
+    assert matrices._balance(M.entries.real, d) is d
     _general_path(uneven, aut)
+
+
+def test_a_non_finite_matrix_fails_the_balance_check_without_a_warning():
+    # the balance check now runs before the compatibility check refuses an
+    # overflowed matrix; its inf - inf is a failed check, not a numpy warning
+    A = np.array([[0.0, np.inf, 1.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    M = HypergraphMatrix(kind="transition", labels=("1", "2", "3"), entries=A, symmetrizer=np.ones(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert matrices.prepared(M)[1] is None
 
 
 @pytest.mark.parametrize("lengths", [(12,), (2, 4, 4), (3, 6), (4, 6)], ids=str)
@@ -388,7 +428,7 @@ def test_partner_lifts_are_bitwise_what_solving_them_gives(lengths, fixed, how):
     p = permutation_with_type(rng, sum(lengths) + fixed, lengths)
     A = _matrix(rng, p, how)
     dec = decompose_automorphism(A, p)
-    d = spectral._balance(A, None)
+    d = matrices._balance(A, None)
     orbs = orbits(p)
     tol = spectral._quotient_tol(orbs, COMPAT_TOL)
     characters = spectral._characters(rotation_decomposition(p))
@@ -396,7 +436,9 @@ def test_partner_lifts_are_bitwise_what_solving_them_gives(lengths, fixed, how):
     assert partners
     for i, parts, partner in partners:
         w_parts = characters[partner][1]
-        e = None if d is None else spectral._block_symmetrizer(d, w_parts, orbs)
+        cell_of = np.array(orbs.cell_index)
+        e = spectral._cell_symmetrizer(d, cell_of, [c[0] for c in orbs.cells], np.array([len(c) for c in orbs.cells]))
+        e = None if e is None else e[cell_of[np.concatenate([rot.u0 for rot, _ in w_parts])]]
         vals, vecs = spectral._eig_sorted(spectral._block_matrix(A, w_parts, orbs, tol), e)
         vals, vecs = vals.conj(), spectral._phase_convention(vecs).conj()
         order = np.lexsort((vals.imag, vals.real))

@@ -1,12 +1,16 @@
 """The dtype contract: a real input stays real, and complex arithmetic starts
 only where an entry or a root of unity is genuinely complex.
 
-Each route decides realness once, at its entry; from there the dtype of
-every block, block vector and lift carries the decision, and picks each
-block's LAPACK driver. Negative control: one entry with a nonzero imaginary
-part sends every block to complex eig.
+Realness and balance are decided once per matrix, in matrices.prepared,
+which every route entry calls: a HypergraphMatrix keeps the decision (its
+entries read-only), a raw array is decided again on each call. From there
+the dtype of every block, block vector and lift carries the decision, and
+picks each block's LAPACK driver. Negative controls: one entry with a
+nonzero imaginary part sends every block to complex eig, and a raw array
+changed between two calls is decided again.
 """
 
+import json
 from unittest.mock import patch
 
 import numpy as np
@@ -14,6 +18,7 @@ import pytest
 
 from hypersym import (
     Hypergraph,
+    HypergraphMatrix,
     as_array,
     as_rotation,
     blow_up,
@@ -36,8 +41,10 @@ from hypersym import (
     spectral_radius_via_quotient,
     validate_unit_automorphism,
 )
+from hypersym import matrices
+from hypersym.cli import main
 
-from conftest import UNITS18_DOC, UNITS18_SWAP_MAP
+from conftest import ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_SWAP_MAP
 
 
 def _solved(decompose, *args):
@@ -179,6 +186,43 @@ def test_one_imaginary_entry_sends_every_block_to_complex_eig(lengths):
     calls, dec = _solved(decompose_automorphism, A, p)
     assert calls == [("eig", "c")] * len(dec.blocks)
     assert all(pair.vector.dtype == np.complex128 for pair in dec.lifted)
+
+
+def test_one_verify_decides_realness_and_balance_once(write_doc, capsys):
+    # the decompose route and the dense oracle read one decision: one
+    # imaginary-part scan (matrices._decide) and one balance check
+    doc, table = write_doc("rot10.json", ROT10_DOC), write_doc("map.json", {"map": ROT10_MAP})
+    with patch.object(matrices, "_decide", wraps=matrices._decide) as decide, patch.object(
+        matrices, "_balance", wraps=matrices._balance
+    ) as balance:
+        assert main(["verify", doc, table, "--kind", "transition"]) == 0
+    assert json.loads(capsys.readouterr().out)["verification"]["verdict"] == "pass"
+    assert decide.call_count == 1 and balance.call_count == 1
+
+
+def test_hypergraph_matrix_entries_are_read_only():
+    M = build_matrix(Hypergraph.from_dict(UNITS18_DOC), "adjacency_r")
+    with pytest.raises(ValueError, match="read-only"):
+        M.entries[0, 0] = 1.0
+    # a caller's own complex128 array is viewed, not frozen
+    own = M.entries.copy()
+    held = HypergraphMatrix(kind=M.kind, labels=M.labels, entries=own)
+    assert np.shares_memory(held.entries, own) and not held.entries.flags.writeable
+    own[0, 0] = 1.0
+    assert own.flags.writeable
+
+
+def test_a_raw_array_changed_between_calls_is_decided_again():
+    rng = np.random.default_rng(5)
+    p = permutation_with_type(rng, 13, (3, 6))
+    A = _real_symmetric(rng, p)
+    calls, first = _solved(decompose_automorphism, A, p)
+    assert {name for name, _ in calls} == {"eigh"}
+    A[:] = compatible_matrix(rng, p).real  # compatible, no longer symmetric
+    calls, second = _solved(decompose_automorphism, A, p)
+    assert {name for name, _ in calls} == {"eig"}
+    _same_decomposition(second, decompose_automorphism(A.copy(), p))
+    assert not np.array_equal(second.eigenvalues(), first.eigenvalues())
 
 
 def test_dynamics_runs_in_complex_arithmetic():

@@ -55,7 +55,7 @@ from hypersym import (
 from hypersym import LiftedBlock, cli, jsonutil, spectral, unit_symmetry
 from hypersym.dynamics import _sync_log
 from hypersym.matrices import WEIGHTED_KINDS
-from hypersym.symmetry import EQUITABLE_TOL, OrbitPartition, rotation_decomposition
+from hypersym.symmetry import EQUITABLE_TOL, OrbitPartition, compatibility_deviation, rotation_decomposition
 from hypersym.unit_symmetry import COMPAT_TOL
 
 QUOTIENT_RTOL = 1e-12
@@ -310,6 +310,37 @@ def test_rotation_gather_and_lift_match_loops(lengths, fixed, matrix, columns, c
         x = x + 1j * rng.normal(size=x.shape)
     got, want = spectral.lift_rotation_vector(x, cols, omega, p.n), ref.lift_rotation_vector(x, cols, omega, p.n)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def deviation_cases(draw):
+    """A matrix compatible with a random permutation, rounded to a grid so
+    that equal deviations tie exactly, with a few entries moved by +-1, 0.5,
+    2, NaN or +-inf; real or complex, with orders of one row block up to
+    several (matrices._BLOCK entries a block)."""
+    n = draw(st.sampled_from([1, 2, 7, 40, 91, 92, 150, 257]))
+    rng = np.random.default_rng(draw(seeds))
+    p = Permutation(tuple(rng.permutation(n).tolist()))
+    A = np.round(3 * compatible_matrix(rng, p))
+    if draw(st.booleans()):
+        A = np.ascontiguousarray(A.real)
+    moves = st.sampled_from([1.0, -1.0, 0.5, 2.0, np.nan, np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        for move in draw(st.lists(moves, max_size=6)):
+            A[rng.integers(n), rng.integers(n)] += move
+    return A, p
+
+
+@given(deviation_cases())
+@settings(max_examples=300, deadline=None)
+def test_compatibility_deviation_matches_the_one_shot_deviation(case):
+    """The row-blocked deviation gives the one-shot value and witness bit for
+    bit: the first maximal entry in row-major order, a NaN entry winning as
+    np.argmax makes it win."""
+    A, p = case
+    with np.errstate(invalid="ignore"):  # inf - inf
+        (got, at), (want, want_at) = compatibility_deviation(A, p), ref.compatibility_deviation(A, p)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes() and at == want_at
 
 
 # small integer grids make exact ties and equal distances common
