@@ -16,11 +16,12 @@ whose symmetrizer fails the check, takes the route it would without one.
 The residuals are one n^3 product of A itself with the eigenvectors, in
 real arithmetic for a real A (spectral._product, which the decomposition's
 residual checks share), so the symmetric form never vouches for itself.
-verify_decomposition compares a block decomposition against it by greedy
-nearest-neighbour multiset matching with a per-match tolerance scaled by
-max(1, ||M||_inf), computed once per verification, and checks every lifted
-eigenpair's residual, all records' residuals in one comparison. The
-matching searches, for each value, only the values whose real parts lie
+verify_decomposition compares a block decomposition against it (solved
+there, or handed over through dense=, as the CLI does from the thread that
+solves it beside the decomposition) by greedy nearest-neighbour multiset
+matching with a per-match tolerance scaled by max(1, ||M||_inf), computed
+once per verification, and checks every lifted eigenpair's residual, all
+records' residuals in one comparison. The matching searches, for each value, only the values whose real parts lie
 within that tolerance, found by one searchsorted over the sorted real parts.
 """
 
@@ -137,16 +138,21 @@ def match_multisets(a, b, tol: float):
     return pairs, unmatched_a, unmatched_b
 
 
-def verify_decomposition(M, decomposition: SpectralDecomposition, tol: float = MATCH_TOL) -> SpectrumReport:
+def verify_decomposition(
+    M, decomposition: SpectralDecomposition, tol: float = MATCH_TOL, *, dense: SpectrumReport | None = None
+) -> SpectrumReport:
     """Check a decomposition against the dense oracle.
 
     The block eigenvalue multiset must match the dense spectrum within
     tol * max(1, ||M||_inf) per match, counts must agree with the matrix
     order, and every lifted pair's residual must clear the same threshold.
     On failure the report lists unmatched values with their source blocks
-    and the offending residuals.
+    and the offending residuals. dense, when given, is dense_spectrum(M)
+    already solved (the CLI solves it beside the decomposition); left out,
+    it is solved here.
     """
-    dense = dense_spectrum(M)
+    if dense is None:
+        dense = dense_spectrum(M)
     claimed = decomposition.eigenvalues()
     threshold = tol * dense.scale
     failures: list[str] = list(dense.failures)

@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hypersym
-from hypersym import spectral
+from hypersym import oracle, spectral
 from hypersym.cli import main
 
 from conftest import MIXED_LABELS_DOC, ROT10_ADJACENCY_R, ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_UNIT_MAP
@@ -145,13 +148,57 @@ def test_decompose_command(capsys, rot10_path, rot10_map_path):
         assert pair["residual"] <= 1e-8 * 3  # scaled by max |entry| = 3
 
 
-def test_decompose_incompatible_unit_matrix(capsys, units18_path, unit_map_path):
-    code, out, _ = run(capsys, ["decompose", units18_path, unit_map_path, "--kind", "adjacency_r"])
-    assert code == 1
+def _spy_dense_solves(monkeypatch, overflow=False, delay=0.0):
+    """The thread of every dense solve (oracle._scale runs once in each);
+    with overflow, each solve first meets a numpy overflow, and each takes
+    at least delay seconds."""
+    solves = []
+    scale = oracle._scale
+
+    def spy(A):
+        solves.append(threading.current_thread())
+        if overflow:
+            np.float64(1e308) * 10.0
+        time.sleep(delay)
+        return scale(A)
+
+    monkeypatch.setattr(oracle, "_scale", spy)
+    return solves
+
+
+def _poison_oracle(monkeypatch):
+    """Give the dense oracle a NaN in its copy of every matrix, so that its
+    own finiteness check refuses what the decomposition accepts."""
+    prepared = oracle.prepared
+
+    def poisoned(M):
+        A, d = prepared(M)
+        A[0, 0] = np.nan
+        return A, d
+
+    monkeypatch.setattr(oracle, "prepared", poisoned)
+
+
+def test_decompose_incompatible_unit_matrix(capsys, monkeypatch, units18_path, unit_map_path, rot10_path, rot10_map_path):
+    argv = ["decompose", units18_path, unit_map_path, "--kind", "adjacency_r"]
+    threads = threading.active_count()
+    solves = _spy_dense_solves(monkeypatch, delay=0.2)  # still solving when the refusal comes
+    code, out, err = run(capsys, argv)
+    assert code == 1 and err == ""
+    # the oracle's thread is joined on refusal
+    assert len(solves) == 1 and not solves[0].is_alive() and threading.active_count() == threads
     doc = json.loads(out)
     assert doc["verdict"] == "fail"
     assert "(W[1,2], W[5,6,15]) = 3" in doc["error"]
     assert "(W[1,2], W[7,8]) = 2" in doc["error"]
+    _poison_oracle(monkeypatch)
+    # an oracle error after a passing decomposition: exit 1 and its error line
+    assert run(capsys, ["decompose", rot10_path, rot10_map_path, "--kind", "adjacency_r"]) == (
+        1, "", "error: matrix has non-finite entries\n"
+    )
+    # both fail: the decomposition's refusal is what is emitted
+    assert run(capsys, argv) == (1, out, "")
+    assert threading.active_count() == threads
 
 
 def test_decompose_unit_normalized(capsys, units18_path, unit_map_path):
@@ -338,6 +385,51 @@ def test_calls_in_one_process_print_as_each_call_alone(capsys, rot10_path, rot10
     assert together == [(proc.returncode, proc.stdout, proc.stderr) for proc in alone]
     for with_flag, without in zip(together[::2], together[1::2]):
         assert with_flag != without  # so a leaked flag would show
+
+
+def test_importing_the_cli_loads_no_executor_or_logging():
+    # concurrent.futures imports logging, some 7 ms of every one-shot run
+    # under -X importtime; the oracle's thread is a plain threading.Thread
+    src = str(Path(hypersym.__file__).resolve().parents[1])
+    code = "import sys, hypersym.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_the_dense_oracle_solves_beside_the_decomposition(capsys, monkeypatch, command, rot10_path, rot10_map_path):
+    solves = _spy_dense_solves(monkeypatch)
+    threads = threading.active_count()
+    code, out, _ = run(capsys, [command, rot10_path, rot10_map_path, "--kind", "adjacency_r"])
+    assert code == 0 and json.loads(out)["verification"]["verdict"] == "pass"
+    # one solve, on a thread of its own, joined before main returns
+    assert len(solves) == 1 and solves[0] is not threading.current_thread()
+    assert not solves[0].is_alive() and threading.active_count() == threads
+
+
+def test_only_a_used_oracle_solve_warns(capsys, monkeypatch, write_doc, rot10_path, rot10_map_path):
+    # rot10 weights near the top of the float range, one edge weight off the
+    # orbit: the decomposition refuses it without a warning, while the dense
+    # solve of the same matrix overflows; the refusal shows none of that
+    weights = {
+        "delta_V": {lab: 1.0 for lab in ROT10_DOC["vertices"]},
+        "delta_E": {e["id"]: 2e305 for e in ROT10_DOC["edges"]},
+    }
+    weights["delta_E"]["e"] = 3e305
+    argv = ["verify", rot10_path, rot10_map_path, "--kind", "general_adjacency", "--weights", write_doc("w.json", weights)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv)
+        assert code == 1 and "error" in json.loads(out) and err == ""
+        assert caught == []
+        # a solve of a passing decomposition that meets an overflow is done
+        # again by the calling thread, whose warning is the only one
+        solves = _spy_dense_solves(monkeypatch, overflow=True)
+        code, out, _ = run(capsys, ["verify", rot10_path, rot10_map_path, "--kind", "adjacency_r"])
+    assert code == 0 and json.loads(out)["verification"]["verdict"] == "pass"
+    assert solves[1:] == [threading.current_thread()] and solves[0] is not solves[1]
+    assert [str(w.message) for w in caught] == ["overflow encountered in scalar multiply"]
 
 
 def test_console_script_installed(rot10_path):

@@ -188,14 +188,16 @@ def test_one_imaginary_entry_sends_every_block_to_complex_eig(lengths):
     assert all(pair.vector.dtype == np.complex128 for pair in dec.lifted)
 
 
-def test_one_verify_decides_realness_and_balance_once(write_doc, capsys):
-    # the decompose route and the dense oracle read one decision: one
-    # imaginary-part scan (matrices._decide) and one balance check
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_one_verify_decides_realness_and_balance_once(command, write_doc, capsys):
+    # the decompose route and the dense oracle, on a thread of its own, read
+    # one decision: one imaginary-part scan (matrices._decide) and one
+    # balance check, taken before the oracle's thread starts
     doc, table = write_doc("rot10.json", ROT10_DOC), write_doc("map.json", {"map": ROT10_MAP})
     with patch.object(matrices, "_decide", wraps=matrices._decide) as decide, patch.object(
         matrices, "_balance", wraps=matrices._balance
     ) as balance:
-        assert main(["verify", doc, table, "--kind", "transition"]) == 0
+        assert main([command, doc, table, "--kind", "transition"]) == 0
     assert json.loads(capsys.readouterr().out)["verification"]["verdict"] == "pass"
     assert decide.call_count == 1 and balance.call_count == 1
 
