@@ -22,7 +22,7 @@ import numpy as np
 from .errors import HypersymError
 from .jsonutil import complex_pair
 from .matrices import as_array
-from .symmetry import OrbitPartition, _cell_layout
+from .symmetry import OrbitPartition
 
 SYNC_TOL = 1e-10
 # the cap of s_k's growth term on normalised runs, where tol * s_k exceeds
@@ -69,7 +69,7 @@ def _sync_log(states: np.ndarray, orbs: OrbitPartition) -> np.ndarray:
     by an exact power of two, so it logs a finite deviation (one beyond
     the largest float logs as the largest float); a state that has itself
     overflowed logs inf or nan."""
-    order, starts, sizes = _cell_layout(orbs.cells)
+    order, starts, sizes, _ = orbs._arrays
     log = np.empty((states.shape[0], len(starts)))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, states.shape[0], _SYNC_ROWS):

@@ -83,10 +83,11 @@ by eigh for a balanced matrix (several times cheaper than eig at the same
 order), one solve per conjugate pair for a real matrix. Checking the lifted
 eigenpairs takes one matrix product A V per block (n^2 b_i multiply-adds,
 in BLAS-3), again one per conjugate pair for a real A, in real arithmetic
-(_product, shared with the oracle). Everything else (the compatibility and
-balance checks, the cell sums behind the quotient and its equitable check,
-the other blocks, the lifts) is vectorised O(n^2) numpy work, with no
-Python loop over cell pairs or eigenpairs.
+(_product, shared with the oracle). f's cycles are walked once, and the
+orbits and rotation factors read that layout as arrays. Everything else (the
+compatibility and balance checks, the cell sums behind the quotient and its
+equitable check, the other blocks, the lifts) is vectorised O(n^2) numpy
+work, with no Python loop over cell pairs or eigenpairs.
 """
 
 from __future__ import annotations
@@ -106,7 +107,6 @@ from .symmetry import (
     OrbitPartition,
     Permutation,
     Rotation,
-    _cell_layout,
     _perm_of,
     compatibility_deviation,
     orbit_quotient,
@@ -215,7 +215,7 @@ def lift_orbit_vector(y, orbs: OrbitPartition) -> np.ndarray:
         raise HypersymError(
             f"vector length {y.shape} does not match {len(orbs.cells)} orbits"
         )
-    return y[np.array(orbs.cell_index)]
+    return y[orbs._arrays[3]]
 
 
 @dataclass(frozen=True)
@@ -398,10 +398,18 @@ def _phase_convention(V: np.ndarray) -> np.ndarray:
 
 def residual_norms(AV: np.ndarray, V: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Columnwise ||AV[:, j] - values[j] V[:, j]|| / max(1, ||V[:, j]||),
-    the residual of each eigenpair given the product AV."""
+    the residual of each eigenpair given the product AV. A finite column
+    whose sum of squares overflows is taken again scaled down by an exact
+    power of two, so only a norm beyond the largest float reads inf."""
     R = V * values
     np.subtract(AV, R, out=R)
-    return np.linalg.norm(R, axis=0) / np.maximum(1.0, np.linalg.norm(V, axis=0))
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(R, axis=0)
+        big = np.flatnonzero(np.isinf(norms))
+        if big.size:
+            scale = np.ldexp(1.0, np.frexp(np.abs(R[:, big]).max(axis=0))[1] - 1)  # 2^1023 at most
+            norms[big] = np.linalg.norm(R[:, big] / scale, axis=0) * scale
+    return norms / np.maximum(1.0, np.linalg.norm(V, axis=0))
 
 
 def _characters(factors: tuple[Rotation, ...]) -> list[tuple[dict, _Parts, int | None]]:
@@ -433,7 +441,7 @@ def _quotient_tol(orbs: OrbitPartition, tol: float) -> float:
     with the orbits' permutation within tol meets: one step along a cycle
     moves a row's sum into cell j by at most |cell j| * tol, and every row
     of a cell is at most half its cycle away from the cell's first member."""
-    longest = max((len(cell) for cell in orbs.cells), default=1)
+    longest = int(orbs._arrays[2].max(initial=1))
     return tol * longest * max(1, longest // 2)
 
 
@@ -501,8 +509,7 @@ def _decompose(
     B = A if built_from is None else built_from
     tag = tag or {}
     orbs = orbits(perm)
-    members, starts, sizes = _cell_layout(orbs.cells)
-    cell_index = np.array(orbs.cell_index)
+    members, starts, sizes, cell_index = orbs._arrays
     e = _cell_symmetrizer(d, cell_index, members[starts], sizes)
     quotient_tol = _quotient_tol(orbs, tol)
     real = np.isrealobj(A) and np.isrealobj(B)
@@ -575,8 +582,8 @@ def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, 
     _require_compatible(A, perm, tol)
     orbs = orbits(perm)
     Q = orbit_quotient(A, orbs, _quotient_tol(orbs, tol))
-    members, starts, sizes = _cell_layout(orbs.cells)
-    e = _cell_symmetrizer(d, np.array(orbs.cell_index), members[starts], sizes)
+    members, starts, sizes, cell_index = orbs._arrays
+    e = _cell_symmetrizer(d, cell_index, members[starts], sizes)
     rho_full = float(np.abs(_eig_sorted(A, d)[0]).max()) if A.size else 0.0
     rho_quot = float(np.abs(_eig_sorted(Q, e)[0]).max()) if Q.size else 0.0
     return rho_full, rho_quot

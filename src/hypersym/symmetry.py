@@ -10,19 +10,21 @@ common length yields the rotation decomposition: one rotation per cycle
 length, all with disjoint active domains; the fixed vertices belong to
 none. A rotation of order n carries components U_0, ..., U_{n-1} cycled
 positionally, with U_0 holding one representative per cycle (the smallest
-index, sorted ascending).
+index, sorted ascending). A Permutation walks its cycles once, into a CSR
+layout that its order, its orbits and its rotation factors read as arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DocumentError, HypersymError, NotAutomorphismError, NotEquitableError
-from .hypergraph import Hypergraph, _map_rows
+from .hypergraph import Hypergraph, _map_rows, _row_of, _sort_rows, _split_rows
 from .matrices import _BLOCK, as_array
 
 COMPAT_TOL = 1e-9
@@ -66,27 +68,33 @@ class Permutation:
     def __call__(self, u: int) -> int:
         return self.mapping[u]
 
+    _cycles = cached_property(lambda self: _walk_cycles(self.mapping))
+
     def cycles(self) -> list[tuple[int, ...]]:
         """All cycles (fixed points included), each starting at its smallest
         element, listed in order of that element."""
-        seen = [False] * self.n
-        out: list[tuple[int, ...]] = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            v = self.mapping[start]
-            while v != start:
-                cyc.append(v)
-                seen[v] = True
-                v = self.mapping[v]
-            out.append(tuple(cyc))
-        return out
+        return list(map(tuple, _split_rows(*self._cycles)))
 
     @property
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.n else 1
+        return math.lcm(*np.diff(self._cycles[0]).tolist())
+
+
+def _walk_cycles(mapping: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The cycles of a permutation as read-only CSR arrays (ptr, members),
+    each from its smallest element, in order of that element."""
+    seen, members, ptr = bytearray(len(mapping)), [], [0]
+    for start in range(len(mapping)):
+        v = start
+        while not seen[v]:
+            seen[v] = 1
+            members.append(v)
+            v = mapping[v]
+        if len(members) > ptr[-1]:
+            ptr.append(len(members))
+    ptr, members = np.array(ptr, dtype=np.intp), np.array(members, dtype=np.intp)
+    ptr.flags.writeable = members.flags.writeable = False
+    return ptr, members
 
 
 def _perm_of(f) -> Permutation:
@@ -164,24 +172,28 @@ def check_commutation(M, f) -> float:
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """Orbits of a permutation, cells ascending, ordered by smallest member."""
+    """Orbits of a permutation, cells ascending, ordered by smallest member;
+    _arrays holds their _cell_layout, derived once from cells if not given."""
 
     cells: tuple[tuple[int, ...], ...]
     cell_index: tuple[int, ...]
     n: int
+    _arrays: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._arrays is None:
+            object.__setattr__(self, "_arrays", _cell_layout(self.cells))
 
     def __len__(self) -> int:
         return len(self.cells)
 
     @classmethod
     def from_permutation(cls, f) -> "OrbitPartition":
-        perm = _perm_of(f)
-        cells = tuple(tuple(sorted(c)) for c in perm.cycles())
-        index = [0] * perm.n
-        for i, cell in enumerate(cells):
-            for v in cell:
-                index[v] = i
-        return cls(cells=cells, cell_index=tuple(index), n=perm.n)
+        ptr, members = _perm_of(f)._cycles
+        members, cell_of = _sort_rows(ptr, members), np.empty_like(members)
+        cell_of[members] = _row_of(ptr)
+        arrays = members, ptr[:-1], np.diff(ptr), cell_of
+        return cls(tuple(map(tuple, _split_rows(ptr, members))), tuple(cell_of.tolist()), len(members), arrays)
 
     def label_cells(self, labels: Sequence[str]) -> list[list[str]]:
         return [[labels[v] for v in cell] for cell in self.cells]
@@ -191,20 +203,14 @@ def orbits(f) -> OrbitPartition:
     return OrbitPartition.from_permutation(f)
 
 
-def _cells_of(partition) -> tuple[tuple[int, ...], ...]:
-    if isinstance(partition, OrbitPartition):
-        return partition.cells
-    return tuple(tuple(cell) for cell in partition)
-
-
-def _cell_layout(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The indices in cell order, the offset at which each cell starts and
-    each cell's size."""
+def _cell_layout(cells) -> tuple[np.ndarray, ...]:
+    """The indices in cell order, the offset at which each cell starts, each
+    cell's size and the cell of each index (when the cells cover 0..n-1)."""
     sizes = np.fromiter((len(cell) for cell in cells), dtype=np.intp, count=len(cells))
     order = np.fromiter((v for cell in cells for v in cell), dtype=np.intp, count=int(sizes.sum()))
     starts = np.zeros(len(cells), dtype=np.intp)
     np.cumsum(sizes[:-1], out=starts[1:])
-    return order, starts, sizes
+    return order, starts, sizes, np.repeat(np.arange(len(cells)), sizes)[np.argsort(order, kind="stable")]
 
 
 def _cell_sums(A: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -213,27 +219,28 @@ def _cell_sums(A: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarr
     return np.add.reduceat(A[:, order], starts, axis=1)
 
 
-def _equitable(A: np.ndarray, cells, tol: float):
+def _equitable(A: np.ndarray, partition, tol: float):
     """The quotient at the cell representatives (first members) and the
-    equitable witness (None when equitable), from one set of cell sums."""
-    order, starts, sizes = _cell_layout(cells)
+    equitable witness (None when equitable), from one set of cell sums, for
+    an OrbitPartition (its arrays) or a caller's plain list of cells."""
+    order, starts, sizes, cell_of = (
+        partition._arrays if isinstance(partition, OrbitPartition) else _cell_layout(list(map(tuple, partition)))
+    )
     if len(order) != A.shape[0] or not np.array_equal(np.sort(order), np.arange(A.shape[0])):
         raise HypersymError("partition does not cover the index set exactly once")
     if not sizes.all():
         raise HypersymError("partition has an empty cell")
     R = _cell_sums(A, order, starts)
-    rep_of = np.empty(A.shape[0], dtype=np.intp)
-    rep_of[order] = np.repeat(order[starts], sizes)
-    D = np.abs(R - R[rep_of])
+    D = np.abs(R - R[order[starts][cell_of]])
     # worst[i, j]: largest deviation, over the rows of cell i, of the sum into
     # cell j from that of the cell's first member
     worst = np.maximum.reduceat(D[order], starts, axis=0)
     bad = np.flatnonzero(~(worst <= tol))  # NaN never passes
     witness = None
     if bad.size:
-        i, j = divmod(int(bad[0]), len(cells))  # first offending pair, row-major
-        cell = cells[i]
-        k = int(np.argmax(D[list(cell), j]))
+        i, j = divmod(int(bad[0]), len(starts))  # first offending pair, row-major
+        cell = order[starts[i] : starts[i] + sizes[i]].tolist()
+        k = int(np.argmax(D[cell, j]))
         witness = (i, cell[0], cell[k], j, complex(R[cell[0], j]), complex(R[cell[k], j]))
     return R[order[starts]], witness
 
@@ -241,7 +248,7 @@ def _equitable(A: np.ndarray, cells, tol: float):
 def equitable_witness(M, partition, tol: float = EQUITABLE_TOL):
     """None if the partition is equitable for M, else the offending pair:
     (cell_i, u, u2, cell_j, sum_u, sum_u2)."""
-    return _equitable(as_array(M), _cells_of(partition), tol)[1]
+    return _equitable(as_array(M), partition, tol)[1]
 
 
 def is_equitable(M, partition, tol: float = EQUITABLE_TOL) -> bool:
@@ -252,7 +259,7 @@ def is_equitable(M, partition, tol: float = EQUITABLE_TOL) -> bool:
 def orbit_quotient(M, orbs, tol: float = EQUITABLE_TOL) -> np.ndarray:
     """Quotient matrix b[i,j] = sum over cell j of m[u,w], u representing
     cell i. The partition must be equitable for M (checked)."""
-    Q, witness = _equitable(as_array(M), _cells_of(orbs), tol)
+    Q, witness = _equitable(as_array(M), orbs, tol)
     if witness is not None:
         i, u, u2, j, s1, s2 = witness
         raise NotEquitableError(
@@ -292,24 +299,15 @@ def rotation_decomposition(f) -> tuple[Rotation, ...]:
     reproduces f.
     """
     perm = _perm_of(f)
-    by_length: dict[int, list[tuple[int, ...]]] = {}
-    for cyc in perm.cycles():
-        if len(cyc) > 1:
-            by_length.setdefault(len(cyc), []).append(cyc)
+    ptr, members = perm._cycles
+    lengths = np.diff(ptr)
     factors = []
-    for length in sorted(by_length):
-        cycs = sorted(by_length[length], key=lambda c: c[0])
-        mapping = list(range(perm.n))
-        for c in cycs:
-            for t, v in enumerate(c):
-                mapping[v] = c[(t + 1) % length]
-        factors.append(
-            Rotation(
-                order_n=length,
-                components=tuple(tuple(c[i] for c in cycs) for i in range(length)),
-                underlying=Permutation(tuple(mapping)),
-            )
-        )
+    for length in sorted(set(lengths.tolist()) - {1}):
+        # components[i][k] = f^i(smallest member of the k-th cycle of this length)
+        comps = members[ptr[:-1][lengths == length] + np.arange(length)[:, None]]
+        mapping = np.arange(perm.n)
+        mapping[comps] = np.roll(comps, -1, axis=0)
+        factors.append(Rotation(length, tuple(map(tuple, comps.tolist())), Permutation(tuple(mapping.tolist()))))
     return tuple(factors)
 
 

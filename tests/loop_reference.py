@@ -1,5 +1,5 @@
 """Loop reference versions of the vectorised quotient, check, unit pair,
-rotation gather and lift, matching and synchronization code, the
+cycle layout, rotation gather and lift, matching and synchronization code, the
 one-shot compatibility deviation, the complex-only dense oracle, the
 out-list JSON emitter and the member-by-member hypergraph code.
 
@@ -10,7 +10,12 @@ library to give the same witnesses, messages, quotients, matchings and
 synchronization verdicts, and the same bytes for the unit pairs (one pass
 over the unit arrays in the library, one unit at a time here) and for the
 rotation columns and lifts (one gather and one scatter in the library, one
-per component here). match_multisets_argmin is the matching that took
+per component here). cycles, orbits and rotation_decomposition walk a
+permutation's cycles on every call and write the orbits and rotation
+factors cycle by cycle and vertex by vertex, where the library walks them
+once and reads both off that one layout; test_loop_equivalence.py requires
+the same cycles, order, cells, cell indices and factors.
+match_multisets_argmin is the matching that took
 one argmin per value over the whole distance array, before the library
 searched only a window of real parts; test_loop_equivalence.py requires the
 same pairs, lists and order from both, non-finite values included.
@@ -47,6 +52,8 @@ from hypersym import (
     NotEquitableError,
     NotUnitAutomorphismError,
     NotUnitCompatibleError,
+    Permutation,
+    Rotation,
     Unit,
     UnitPartition,
     sort_labels,
@@ -174,6 +181,64 @@ def unit_lifts(A, units):
         AV = A[:, mem[1:]] - A[:, [mem[0]] * (len(mem) - 1)]
         out.append((i, values, rows.T, residual_norms(AV, rows.T, values)))
     return out
+
+
+def cycles(perm):
+    """All cycles (fixed points included), each starting at its smallest
+    element, listed in order of that element: one walk per call."""
+    seen = [False] * perm.n
+    out = []
+    for start in range(perm.n):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        v = perm.mapping[start]
+        while v != start:
+            cyc.append(v)
+            seen[v] = True
+            v = perm.mapping[v]
+        out.append(tuple(cyc))
+    return out
+
+
+def order(perm):
+    return math.lcm(*(len(c) for c in cycles(perm))) if perm.n else 1
+
+
+def orbits(perm):
+    """(cells, cell_index): each cycle sorted, and the cell of each vertex
+    written vertex by vertex."""
+    cells = tuple(tuple(sorted(c)) for c in cycles(perm))
+    index = [0] * perm.n
+    for i, cell in enumerate(cells):
+        for v in cell:
+            index[v] = i
+    return cells, tuple(index)
+
+
+def rotation_decomposition(perm):
+    """One Rotation per nontrivial cycle length, ascending, its components
+    and underlying permutation written cycle by cycle."""
+    by_length = {}
+    for cyc in cycles(perm):
+        if len(cyc) > 1:
+            by_length.setdefault(len(cyc), []).append(cyc)
+    factors = []
+    for length in sorted(by_length):
+        cycs = sorted(by_length[length], key=lambda c: c[0])
+        mapping = list(range(perm.n))
+        for c in cycs:
+            for t, v in enumerate(c):
+                mapping[v] = c[(t + 1) % length]
+        factors.append(
+            Rotation(
+                order_n=length,
+                components=tuple(tuple(c[i] for c in cycs) for i in range(length)),
+                underlying=Permutation(tuple(mapping)),
+            )
+        )
+    return tuple(factors)
 
 
 def rotation_columns(A, rows, cols, omega):

@@ -8,12 +8,13 @@ import threading
 import time
 import warnings
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 import hypersym
-from hypersym import oracle, spectral
+from hypersym import oracle, spectral, symmetry
 from hypersym.cli import main
 
 from conftest import MIXED_LABELS_DOC, ROT10_ADJACENCY_R, ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_UNIT_MAP
@@ -430,6 +431,43 @@ def test_only_a_used_oracle_solve_warns(capsys, monkeypatch, write_doc, rot10_pa
     assert code == 0 and json.loads(out)["verification"]["verdict"] == "pass"
     assert solves[1:] == [threading.current_thread()] and solves[0] is not solves[1]
     assert [str(w.message) for w in caught] == ["overflow encountered in scalar multiply"]
+
+
+@pytest.mark.parametrize("kind", ["general_adjacency", "general_signless", "general_laplacian"])
+def test_residuals_whose_squares_overflow_stay_finite(capsys, write_doc, rot10_path, rot10_map_path, kind):
+    # rot10 with every edge weight 1e306: entries near 1e305, so the squares
+    # of a residual overflow though the residual does not; every block pair is
+    # kept, every residual is finite, and no overflow is reported
+    weights = {
+        "delta_V": {lab: 1.0 for lab in ROT10_DOC["vertices"]},
+        "delta_E": {e["id"]: 1e306 for e in ROT10_DOC["edges"]},
+    }
+    argv = ["verify", rot10_path, rot10_map_path, "--kind", kind, "--weights", write_doc("w.json", weights)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv)
+    doc = json.loads(out)
+    assert (code, err, caught) == (0, "", [])
+    assert doc["verification"]["verdict"] == "pass" and doc["skipped"] == [] and doc["claimed"] == 10
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+@pytest.mark.parametrize(
+    "route",
+    [(ROT10_DOC, {"map": ROT10_MAP}, "adjacency_r"), (UNITS18_DOC, {"unit_map": UNITS18_UNIT_MAP}, "unit_normalized")],
+    ids=["rot10", "units18"],
+)
+def test_one_operation_walks_the_cycles_once(capsys, write_doc, command, route):
+    # validation takes the order from the permutation's cycle layout, and the
+    # decomposition's orbits and rotation factors read the same layout
+    doc, table, kind = route
+    argv = [command, write_doc("h.json", doc), write_doc("s.json", table), "--kind", kind]
+    with patch.object(symmetry, "_walk_cycles", wraps=symmetry._walk_cycles) as walk, patch.object(
+        symmetry, "_cell_layout", wraps=symmetry._cell_layout
+    ) as layout:
+        code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["verification"]["verdict"] == "pass"
+    assert walk.call_count == 1 and layout.call_count == 0
 
 
 def test_console_script_installed(rot10_path):

@@ -312,6 +312,42 @@ def test_rotation_gather_and_lift_match_loops(lengths, fixed, matrix, columns, c
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def _ints(nested):
+    """Every leaf of nested tuples and lists is a Python int."""
+    return all(_ints(x) if isinstance(x, (tuple, list)) else type(x) is int for x in nested)
+
+
+@given(
+    st.one_of(
+        st.sampled_from([(2, 4, 6), (3, 6), (2, 4, 4), (2, 3, 6), (4, 6), (12,)]),
+        st.lists(st.integers(min_value=2, max_value=7), max_size=5).map(tuple),
+    ),
+    st.integers(min_value=0, max_value=3),
+    seeds,
+)
+@example((), 0, 0)  # the empty permutation
+@example((), 1, 0)  # n = 1
+@example((), 5, 0)  # the identity
+@example((2, 4, 6), 2, 1)
+@example((3, 6), 0, 2)
+@settings(max_examples=300, deadline=None)
+def test_cycle_layout_matches_loops(lengths, fixed, seed):
+    """Cycles, order, orbits and rotation factors read off the one cycle
+    layout equal the per-cycle, per-vertex loops', with Python ints."""
+    p = permutation_with_type(np.random.default_rng(seed), sum(lengths) + fixed, lengths)
+    assert p.cycles() == ref.cycles(p) and _ints(p.cycles())
+    assert p.order == ref.order(p) and type(p.order) is int
+    assert not any(a.flags.writeable for a in p._cycles)
+    orbs = orbits(p)
+    assert (orbs.cells, orbs.cell_index) == ref.orbits(p) and _ints(orbs.cells) and _ints(orbs.cell_index)
+    # a partition built from its cells derives the same arrays
+    rebuilt = OrbitPartition(cells=orbs.cells, cell_index=orbs.cell_index, n=orbs.n)
+    assert all(np.array_equal(x, y) for x, y in zip(rebuilt._arrays, orbs._arrays, strict=True))
+    got, want = rotation_decomposition(p), ref.rotation_decomposition(p)
+    assert got == want
+    assert all(type(r.order_n) is int and _ints(r.components) and _ints(r.underlying.mapping) for r in got)
+
+
 @st.composite
 def deviation_cases(draw):
     """A matrix compatible with a random permutation, rounded to a grid so

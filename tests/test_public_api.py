@@ -7,10 +7,15 @@ is deleted, not kept for its tests.
 """
 
 import ast
+import contextlib
+import io
+import json
 import re
 from pathlib import Path
 
 import hypersym
+
+from conftest import ROT10_DOC, ROT10_MAP
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hypersym"
@@ -69,3 +74,22 @@ def test_paper_views_are_exported():
     names = exported()
     assert PAPER_VIEWS <= set(names)
     assert all(hasattr(hypersym, name) for name in names)
+
+
+def test_readme_library_examples_run(tmp_path, monkeypatch):
+    # the two python blocks of the Library section, in one namespace, on the
+    # rot10 fixture written where the first block reads it
+    section = re.search(r"(?ms)^## Library$(.*?)(?=^## )", (ROOT / "README.md").read_text(encoding="utf-8"))[1]
+    blocks = re.findall(r"(?ms)^```python$(.*?)^```$", section)
+    assert len(blocks) == 2
+    (tmp_path / "graph.json").write_text(json.dumps(ROT10_DOC))
+    (tmp_path / "rotation.json").write_text(json.dumps({"map": ROT10_MAP}))
+    monkeypatch.chdir(tmp_path)
+    namespace, out = {}, io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+    units = [line.split() for line in out.getvalue().splitlines()]
+    assert [(key, complex(value), int(count)) for key, value, count in units] == [
+        ("2,3", -3.0, 1), ("5,6", -3.0, 1), ("8,9", -3.0, 1),
+    ]

@@ -28,6 +28,8 @@ from hypersym import (
     verify_decomposition,
 )
 
+from hypersym.spectral import residual_norms
+
 from conftest import SQRT105
 
 
@@ -386,3 +388,20 @@ def test_lifted_pairs_are_the_columns_of_the_block_records(route, rot10, rot10_a
     real = [lift for lift in dec.lifts if not np.iscomplexobj(lift.values)]
     assert real and all(lift.residuals.dtype == np.float64 for lift in dec.lifts)
     assert all(b.eigenvalues.dtype == np.complex128 for b in dec.blocks)
+
+
+def test_residual_norms_scale_only_the_columns_whose_squares_overflow():
+    # column 0 is ordinary and keeps np.linalg.norm's bits; column 1's
+    # squares overflow, so it is taken again scaled, to its finite norm
+    V = np.array([[0.6, 1.0], [0.8, 0.0]])
+    AV = np.array([[1.5, 1e305], [-2.0, 1e305]])
+    values = np.array([2.0, 0.0])
+    with np.errstate(all="raise"):
+        got = residual_norms(AV, V, values)
+    assert got[0] == np.linalg.norm(AV[:, 0] - 2.0 * V[:, 0])
+    assert got[1] == pytest.approx(1e305 * np.sqrt(2.0), rel=1e-15)
+    # a residual beyond the largest float, or one that is not finite, stays so
+    AV[:, 1] = [1.5e308, 1.5e308]
+    assert np.isinf(residual_norms(AV, V, values)[1])
+    AV[0, 1] = np.nan
+    assert np.isnan(residual_norms(AV, V, values)[1])
