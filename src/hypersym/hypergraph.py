@@ -355,8 +355,7 @@ class UnitPartition:
     @cached_property
     def units(self) -> tuple[Unit, ...]:
         # a partition from compute_units only: the constructor sets units
-        h, star_ptr, star_edges = self._stars
-        labels, edge_ids = h.labels, h.edge_ids
+        labels, edge_ids, star_ptr, star_edges = self._stars
         stars = _split_rows(star_ptr, star_edges)
         return tuple(
             Unit(
@@ -406,22 +405,25 @@ def compute_units(h: Hypergraph) -> UnitPartition:
     """Partition the vertices into units (classes of equal stars).
 
     Isolated vertices all share the empty star and land in one unit. Units
-    are ordered by their smallest vertex index. The partition is built as
-    arrays, one stable sort of the stars; only the keys are Python strings.
+    are ordered by their smallest vertex index. The partition is built once
+    per hypergraph, cached on it (its arrays are read-only), as arrays, by
+    one stable sort of the stars; only the keys are Python strings.
     When every label is an integer literal, index order is numeric label
     order, so a key is its members' labels joined in index order; otherwise
     each unit's labels are sorted again (unit_key): with labels a, 10, 9, b
     the unit {10, 9} has the members ("10", "9") but the key "9,10".
     """
+    if "_units" in vars(h):
+        return h._units
     star_ptr, star_edges = h._star_arrays()
     unit_of = np.unique(_first_equal_rows(star_ptr, star_edges), return_inverse=True)[1].astype(np.intp, copy=False)
     members = np.argsort(unit_of, kind="stable")  # ascending within each unit
     ptr = _ptr(np.bincount(unit_of))
     labels, bounds = list(map(h.labels.__getitem__, members.tolist())), ptr.tolist()
     join = ",".join if all(map(_INT_LABEL.match, h.labels)) else unit_key
-    units = UnitPartition.__new__(UnitPartition)
+    h._units = units = UnitPartition.__new__(UnitPartition)
     units._set_arrays(h.n, unit_of, ptr, members, tuple(join(labels[a:b]) for a, b in zip(bounds, bounds[1:])))
-    units._stars = (h, star_ptr, star_edges)
+    units._stars = (h.labels, h.edge_ids, star_ptr, star_edges)
     return units
 
 

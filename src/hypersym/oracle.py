@@ -76,6 +76,8 @@ def dense_spectrum(M) -> SpectrumReport:
         raise HypersymError("matrix has non-finite entries")
     scale = _scale(A)
     vals, vecs = _eig_sorted(A, d)  # real values for a real A: real residuals
+    if not np.all(np.isfinite(vals)):
+        raise HypersymError("matrix has an eigenvalue beyond the float range")
     residuals = residual_norms(_product(A, vecs), vecs, vals)
     vals = vals.astype(np.complex128)
     failures = tuple(

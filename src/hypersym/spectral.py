@@ -85,9 +85,9 @@ eigenpairs takes one matrix product A V per block (n^2 b_i multiply-adds,
 in BLAS-3), again one per conjugate pair for a real A, in real arithmetic
 (_product, shared with the oracle). f's cycles are walked once, and the
 orbits and rotation factors read that layout as arrays. Everything else (the
-compatibility and balance checks, the cell sums behind the quotient and its
-equitable check, the other blocks, the lifts) is vectorised O(n^2) numpy
-work, with no Python loop over cell pairs or eigenpairs.
+compatibility check, which also makes the quotient equitable, the balance
+check, the cell sums, the other blocks, the lifts) is vectorised O(n^2)
+numpy work, with no Python loop over cell pairs or eigenpairs.
 """
 
 from __future__ import annotations
@@ -328,10 +328,9 @@ def _hermitian_form(A: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if (d == d[:1]).all():
         return A, None
     s = np.sqrt(d)
-    S = s[:, None] * A
+    S = (0.5 * s)[:, None] * A  # halved first, so the sum cannot overflow
     S /= s
     S = S + (S.T if np.isrealobj(S) else S.conj().T)
-    S *= 0.5
     return S, s
 
 
@@ -436,21 +435,12 @@ def _characters(factors: tuple[Rotation, ...]) -> list[tuple[dict, _Parts, int |
     return found
 
 
-def _quotient_tol(orbs: OrbitPartition, tol: float) -> float:
-    """The tolerance of the equitable check that every matrix compatible
-    with the orbits' permutation within tol meets: one step along a cycle
-    moves a row's sum into cell j by at most |cell j| * tol, and every row
-    of a cell is at most half its cycle away from the cell's first member."""
-    longest = int(orbs._arrays[2].max(initial=1))
-    return tol * longest * max(1, longest // 2)
-
-
-def _block_matrix(A: np.ndarray, parts: _Parts, orbs: OrbitPartition, tol: float) -> np.ndarray:
+def _block_matrix(A: np.ndarray, parts: _Parts, orbs: OrbitPartition) -> np.ndarray:
     """The omega-block over the given factors, each factor's rotation matrix
     on the diagonal and the couplings between factors off it; without
-    factors, the orbit quotient (with its equitable check within tol)."""
+    factors, the orbit quotient, which A's compatibility makes equitable."""
     if not parts:
-        return orbit_quotient(A, orbs, tol)
+        return orbit_quotient(A, orbs, math.inf)
     return np.block([
         [rotation_matrix(A, col, w, tol=None) if col is row else _rotation_columns(A, row, col, w) for col, w in parts]
         for row, _ in parts
@@ -480,23 +470,22 @@ def _cell_symmetrizer(d: np.ndarray | None, cell_of: np.ndarray, reps: np.ndarra
 def _decompose(
     A: np.ndarray,
     perm: Permutation,
-    tol: float,
     d: np.ndarray | None = None,
     built_from: np.ndarray | None = None,
     lift=None,
     tag: dict | None = None,
 ) -> SpectralDecomposition:
     """Build, solve and lift every block of built_from (default A) along
-    perm, which it must already be compatible with within tol (the
-    quotient's equitable check allows what that implies). d is a positive
-    vector with diag(d) built_from Hermitian (matrices._balance), or None;
-    when it is also constant on every cycle of perm, every block goes to
-    eigh with its symmetrizer (_cell_symmetrizer), otherwise to eig. lift
-    carries columns on its index set into A's (none when it is A); every
-    lifted residual is taken against A. tag is merged into the block and
-    lifted sources, and into each skipped entry beside its source. Block
-    pairs whose residual betrays a defective solve are skipped (and
-    reported) instead of lifted.
+    perm, which it must already be compatible with, so the quotient needs
+    no equitable check. d is a positive vector with diag(d) built_from
+    Hermitian (matrices._balance), or None; when it is also constant on
+    every cycle of perm, every block goes to eigh with its symmetrizer
+    (_cell_symmetrizer), otherwise to eig. lift carries columns on its
+    index set into A's (none when it is A); every lifted residual is taken
+    against A. tag is merged into the block and lifted sources, and into
+    each skipped entry beside its source. Block pairs whose residual
+    betrays a defective solve are skipped (and reported) instead of lifted,
+    and a block beyond the float range raises HypersymError naming it.
 
     For a real A and built_from the conj(w)-block is neither built nor
     solved, and its lifts are not multiplied by A: its eigenpairs, block
@@ -511,7 +500,6 @@ def _decompose(
     orbs = orbits(perm)
     members, starts, sizes, cell_index = orbs._arrays
     e = _cell_symmetrizer(d, cell_index, members[starts], sizes)
-    quotient_tol = _quotient_tol(orbs, tol)
     real = np.isrealobj(A) and np.isrealobj(B)
     # per block: values, vectors, block residuals, defective mask and lifted
     # residuals
@@ -528,9 +516,13 @@ def _decompose(
             lifted_res = lifted_res[(np.cumsum(~defective) - 1)[order][~defective[order]]]
             vals, vecs, block_res, defective = vals[order], vecs[:, order].conj(), block_res[order], defective[order]
         else:
-            matrix = _block_matrix(B, parts, orbs, quotient_tol)
+            matrix = _block_matrix(B, parts, orbs)
             cells = cell_index[np.concatenate([rot.u0 for rot, _ in parts])] if parts else slice(None)
+            if not np.isfinite(matrix).all():  # eig would refuse it, eigh give NaN
+                raise HypersymError(f"block {source} has an entry beyond the float range")
             vals, vecs = _eig_sorted(matrix, None if e is None else e[cells])
+            if not np.isfinite(vals).all():
+                raise HypersymError(f"block {source} has an eigenvalue beyond the float range")
             vecs = _phase_convention(vecs)
             block_res = residual_norms(_product(matrix, vecs), vecs, vals)
             defective = block_res > LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(matrix).max()))
@@ -560,28 +552,29 @@ def decompose_automorphism(M, f, tol: float = COMPAT_TOL) -> SpectralDecompositi
     symmetrizer balances it (matrices.prepared) and is constant on the
     cycles of f.
 
-    Raises IncompatibleMatrixError if M is not f-compatible within tol, and
-    NotEquitableError if the orbit quotient fails the equitable check that
-    compatibility within tol implies.
+    Raises IncompatibleMatrixError if M is not f-compatible within tol, the
+    only symmetry check (NotEquitableError comes only from NaN cell sums),
+    and HypersymError for a block beyond the float range.
     """
     A, d = prepared(M)
     perm = _perm_of(f)
     _require_compatible(A, perm, tol)
-    return _decompose(A, perm, tol, d)
+    return _decompose(A, perm, d)
 
 
 def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, float]:
     """Spectral radii of M and of its orbit quotient under f.
 
     The two agree for entrywise-nonnegative compatible M; the caller
-    compares. M must be f-compatible within tol. Both radii come from eigh
+    compares. M must be f-compatible within tol (checked), which makes the
+    quotient equitable with no check of its own. Both radii come from eigh
     when M is balanced as in decompose_automorphism.
     """
     A, d = prepared(M)
     perm = _perm_of(f)
     _require_compatible(A, perm, tol)
     orbs = orbits(perm)
-    Q = orbit_quotient(A, orbs, _quotient_tol(orbs, tol))
+    Q = orbit_quotient(A, orbs, math.inf)  # equitable, as A is compatible
     members, starts, sizes, cell_index = orbs._arrays
     e = _cell_symmetrizer(d, cell_index, members[starts], sizes)
     rho_full = float(np.abs(_eig_sorted(A, d)[0]).max()) if A.size else 0.0

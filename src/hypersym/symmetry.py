@@ -120,7 +120,8 @@ def validate_automorphism(h: Hypergraph, f: Permutation | dict[str, str]) -> Aut
     """Check that f maps every edge onto an edge; return the witness object.
 
     Raises NotAutomorphismError naming the first edge whose image is not an
-    edge of h.
+    edge of h. The edge map is then a bijection: so is f, and parsing
+    refuses two edges with one member set.
     """
     perm = Permutation.from_label_map(h, f) if isinstance(f, dict) else f
     if perm.n != h.n:
@@ -133,8 +134,6 @@ def validate_automorphism(h: Hypergraph, f: Permutation | dict[str, str]) -> Aut
             f"image of edge {h.edge_ids[j]!r} is {labels}, which is not an edge"
         )
     edge_map = dict(zip(h.edge_ids, map(h.edge_ids.__getitem__, target.tolist())))
-    if len(set(edge_map.values())) != len(edge_map):
-        raise NotAutomorphismError("induced edge map is not a bijection")
     return Automorphism(hypergraph=h, perm=perm, edge_map=edge_map, order=perm.order)
 
 

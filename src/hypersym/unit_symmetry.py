@@ -250,7 +250,11 @@ def _unit_lifts(A: np.ndarray, units: UnitPartition) -> list[tuple[int, LiftedBl
     vectors[rows, v] = 1.0
     vectors[rows, v0] = -1.0
     reps, seconds = members[ptr[big]], members[ptr[big] + 1]
-    values = np.repeat(A[reps, reps] - A[reps, seconds], sizes[big] - 1)
+    values = A[reps, reps] - A[reps, seconds]
+    if not np.isfinite(values).all():
+        key = units.keys[big[np.argmin(np.isfinite(values))]]
+        raise HypersymError(f"unit {key!r} has an eigenvalue beyond the float range")
+    values = np.repeat(values, sizes[big] - 1)
     # A (chi_v - chi_v0) = A[:, v] - A[:, v0]: each residual is O(n), taken
     # a block of columns at a time, each column's the same as in one pass
     residuals = np.empty(len(v))
@@ -308,7 +312,8 @@ def validate_unit_automorphism(h: Hypergraph, unit_map: dict[str, str] | Permuta
     unit_map is keyed by unit keys (comma-joined sorted member labels) or
     given directly as a Permutation on unit indices. Raises
     NotUnitAutomorphismError naming the first edge whose image cover is not
-    an edge.
+    an edge. The edge map is then a bijection: distinct edges have distinct
+    unit covers, and so have their images.
     """
     units = compute_units(h)
     if isinstance(unit_map, Permutation):
@@ -343,8 +348,6 @@ def validate_unit_automorphism(h: Hypergraph, unit_map: dict[str, str] | Permuta
             "which is not an edge"
         )
     edge_map = dict(zip(h.edge_ids, map(h.edge_ids.__getitem__, target.tolist())))
-    if len(set(edge_map.values())) != len(edge_map):
-        raise NotUnitAutomorphismError("induced edge map is not a bijection")
     cardinality = bool(np.array_equal(units.sizes[list(perm.mapping)], units.sizes))
     return UnitAutomorphism(
         hypergraph=h,
@@ -428,7 +431,7 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
     pairs = _unit_lifts(A, units)
     e = _cell_symmetrizer(d, units.unit_of, units.reps, units.sizes)
     # N was checked against the unit map above
-    core = _decompose(A, ua.perm, tol, e, built_from=N, lift=lambda Y: blow_up(Y, units), tag={"level": "units"})
+    core = _decompose(A, ua.perm, e, built_from=N, lift=lambda Y: blow_up(Y, units), tag={"level": "units"})
     return SpectralDecomposition(
         n=units.n,
         blocks=(*(block for _, _, block in pairs), *core.blocks),

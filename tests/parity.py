@@ -10,11 +10,14 @@ Runs the `decompose` and `verify` commands on
   bench/workloads.generate), and
 - the rot10 and units18 fixtures in the 7 unweighted matrix kinds, under
   the rot10 vertex map and the two units18 unit maps, and
+- the MIXED13 fixture in the same 7 kinds under its vertex map, of cycle
+  type (2, 4, 4) with three fixed points, so that its w = -1 block couples
+  the 2-cycle with the 4-cycles, and
 - the rot10 fixture in the 3 general_* kinds under its vertex map, with
   the fixed rot10-invariant weights document ROT10_WEIGHTS passed through
   --weights,
 
-168 reports in all. Each report goes to DIR/reports/<case>-<command>.json;
+182 reports in all. Each report goes to DIR/reports/<case>-<command>.json;
 each exit code, with any stderr text, to a line of DIR/exit_codes.txt. Two
 checkouts are at byte parity when `diff -r` finds no difference between
 their DIRs. The package is imported from the src/ beside this file, so a
@@ -57,11 +60,29 @@ from hypersym.matrices import MATRIX_KINDS, WEIGHTED_KINDS, WeightFunctions  # n
 from workloads import WORKLOADS, generate  # noqa: E402
 
 SEEDS = (11, 12)
+# permutation_with_type(rng, 13, (2, 4, 4)) and invariant_hypergraph(rng,
+# perm, seed_edges=4) with rng = np.random.default_rng(8), written out: the
+# cycles (1 11) (2 4 8 9) (6 12 7 13) and the fixed points 3, 5, 10
+MIXED13_DOC = {
+    "vertices": [str(v) for v in range(1, 14)],
+    "edges": [
+        {"id": f"e{j}", "members": members.split()}
+        for j, members in enumerate([
+            "3 6 12", "3 6 13", "3 7 12", "3 7 13", "1 2 5 9", "1 4 5 8", "2 4 5 11",
+            "2 4 6 10", "2 9 10 13", "4 8 10 12", "5 8 9 11", "7 8 9 10", "1 2 3 8 11", "1 3 4 9 11",
+        ])
+    ],
+}
+MIXED13_MAP = {
+    "1": "11", "2": "4", "3": "3", "4": "8", "5": "5", "6": "12", "7": "13",
+    "8": "9", "9": "2", "10": "10", "11": "1", "12": "7", "13": "6",
+}
 COMMANDS = ("decompose", "verify")
 FIXTURES = (
     ("rot10", ROT10_DOC, "rot10_map", {"map": ROT10_MAP}),
     ("units18", UNITS18_DOC, "unit_map", {"unit_map": UNITS18_UNIT_MAP}),
     ("units18", UNITS18_DOC, "swap_map", {"unit_map": UNITS18_SWAP_MAP}),
+    ("mixed13", MIXED13_DOC, "mixed13_map", {"map": MIXED13_MAP}),
 )
 # constant on the rot10 map's vertex orbits {1}, {2 5 8}, {3 6 9}, {4 7 10}
 # and edge orbits {e f g}, {h i j}, delta_V spread over three decades

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersym import (
-    COMPAT_TOL,
     Hypergraph,
     HypergraphMatrix,
     IncompatibleMatrixError,
@@ -159,7 +158,7 @@ def test_conjugate_blocks_of_a_real_matrix_are_conjugate(lengths, fixed):
     for how in ("real symmetric", "real general"):
         A = _matrix(rng, p, how).astype(complex)
         blocks = {
-            (s.get("factor"), s.get("omega_k")): spectral._block_matrix(A, parts, orbs, 1e-6)
+            (s.get("factor"), s.get("omega_k")): spectral._block_matrix(A, parts, orbs)
             for s, parts, _ in characters
         }
         for s, _, _ in characters:
@@ -430,7 +429,6 @@ def test_partner_lifts_are_bitwise_what_solving_them_gives(lengths, fixed, how):
     dec = decompose_automorphism(A, p)
     d = matrices._balance(A, None)
     orbs = orbits(p)
-    tol = spectral._quotient_tol(orbs, COMPAT_TOL)
     characters = spectral._characters(rotation_decomposition(p))
     partners = [(i, parts, partner) for i, (_, parts, partner) in enumerate(characters) if partner is not None]
     assert partners
@@ -439,11 +437,11 @@ def test_partner_lifts_are_bitwise_what_solving_them_gives(lengths, fixed, how):
         cell_of = np.array(orbs.cell_index)
         e = spectral._cell_symmetrizer(d, cell_of, [c[0] for c in orbs.cells], np.array([len(c) for c in orbs.cells]))
         e = None if e is None else e[cell_of[np.concatenate([rot.u0 for rot, _ in w_parts])]]
-        vals, vecs = spectral._eig_sorted(spectral._block_matrix(A, w_parts, orbs, tol), e)
+        vals, vecs = spectral._eig_sorted(spectral._block_matrix(A, w_parts, orbs), e)
         vals, vecs = vals.conj(), spectral._phase_convention(vecs).conj()
         order = np.lexsort((vals.imag, vals.real))
         vals, vecs = vals[order], vecs[:, order]
-        matrix = spectral._block_matrix(A, parts, orbs, tol)
+        matrix = spectral._block_matrix(A, parts, orbs)
         block_res = spectral.residual_norms(spectral._product(matrix, vecs), vecs, vals)
         assert np.all(block_res <= spectral.LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(matrix).max())))
         full = spectral._lift_block(vecs, parts, orbs, p.n)

@@ -14,10 +14,18 @@ import numpy as np
 import pytest
 
 import hypersym
-from hypersym import oracle, spectral, symmetry
+from hypersym import Hypergraph, oracle, spectral, symmetry
 from hypersym.cli import main
 
-from conftest import MIXED_LABELS_DOC, ROT10_ADJACENCY_R, ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_UNIT_MAP
+from conftest import (
+    MIXED_LABELS_DOC,
+    ROT10_ADJACENCY_R,
+    ROT10_DOC,
+    ROT10_MAP,
+    UNITS18_DOC,
+    UNITS18_SWAP_MAP,
+    UNITS18_UNIT_MAP,
+)
 
 
 @pytest.fixture
@@ -433,22 +441,61 @@ def test_only_a_used_oracle_solve_warns(capsys, monkeypatch, write_doc, rot10_pa
     assert [str(w.message) for w in caught] == ["overflow encountered in scalar multiply"]
 
 
+def _edge_weights(write_doc, doc, delta_E):
+    """A weights document for doc: every vertex weight 1, every edge weight delta_E."""
+    return write_doc("w.json", {
+        "delta_V": {lab: 1.0 for lab in doc["vertices"]},
+        "delta_E": {e["id"]: delta_E for e in doc["edges"]},
+    })
+
+
 @pytest.mark.parametrize("kind", ["general_adjacency", "general_signless", "general_laplacian"])
 def test_residuals_whose_squares_overflow_stay_finite(capsys, write_doc, rot10_path, rot10_map_path, kind):
     # rot10 with every edge weight 1e306: entries near 1e305, so the squares
     # of a residual overflow though the residual does not; every block pair is
     # kept, every residual is finite, and no overflow is reported
-    weights = {
-        "delta_V": {lab: 1.0 for lab in ROT10_DOC["vertices"]},
-        "delta_E": {e["id"]: 1e306 for e in ROT10_DOC["edges"]},
-    }
-    argv = ["verify", rot10_path, rot10_map_path, "--kind", kind, "--weights", write_doc("w.json", weights)]
+    argv = ["verify", rot10_path, rot10_map_path, "--kind", kind, "--weights", _edge_weights(write_doc, ROT10_DOC, 1e306)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, argv)
     doc = json.loads(out)
     assert (code, err, caught) == (0, "", [])
     assert doc["verification"]["verdict"] == "pass" and doc["skipped"] == [] and doc["claimed"] == 10
+
+
+@pytest.mark.parametrize("delta_E", [1e307, 5e307, 1e308])
+@pytest.mark.parametrize("kind", ["general_adjacency", "general_signless", "general_laplacian"])
+def test_the_top_of_the_float_range_verifies(capsys, write_doc, rot10_path, rot10_map_path, kind, delta_E):
+    # compatibility is the only symmetry check, so cell sums that differ by
+    # rounding are not refused as unequal, and a balanced block's Hermitian
+    # form is halved before it is summed, so it does not overflow
+    argv = ["verify", rot10_path, rot10_map_path, "--kind", kind, "--weights", _edge_weights(write_doc, ROT10_DOC, delta_E)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv)
+    assert (code, err, caught) == (0, "", [])
+    assert json.loads(out)["verification"]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+@pytest.mark.parametrize(
+    "route, beyond",
+    [((ROT10_DOC, {"map": ROT10_MAP}), "block {'kind': 'quotient'}"), ((UNITS18_DOC, {"unit_map": UNITS18_SWAP_MAP}), "unit '1,2'")],
+    ids=["rot10", "units18"],
+)
+def test_a_spectrum_beyond_the_float_range_is_a_failed_check(capsys, write_doc, command, route, beyond):
+    # with every edge weight 1.7e308, general_laplacian has an eigenvalue
+    # beyond the largest float: the decomposition refuses the block or unit
+    # that holds it, with no report of a number JSON cannot hold
+    doc, table = route
+    weights = _edge_weights(write_doc, doc, 1.7e308)
+    argv = [command, write_doc("h.json", doc), write_doc("s.json", table), "--kind", "general_laplacian", "--weights", weights]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, _ = run(capsys, argv)
+    report = json.loads(out)
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["error"] == f"{beyond} has an eigenvalue beyond the float range"
 
 
 @pytest.mark.parametrize("command", ["decompose", "verify"])
@@ -468,6 +515,16 @@ def test_one_operation_walks_the_cycles_once(capsys, write_doc, command, route):
         code, out, _ = run(capsys, argv)
     assert code == 0 and json.loads(out)["verification"]["verdict"] == "pass"
     assert walk.call_count == 1 and layout.call_count == 0
+
+
+def test_one_unit_operation_computes_the_units_once(capsys, write_doc, unit_map_path):
+    # build_matrix and validate_unit_automorphism share the partition that
+    # compute_units caches on the hypergraph
+    argv = ["verify", write_doc("h.json", UNITS18_DOC), unit_map_path, "--kind", "unit_normalized"]
+    with patch.object(Hypergraph, "_star_arrays", autospec=True, side_effect=Hypergraph._star_arrays) as build:
+        code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["verification"]["verdict"] == "pass"
+    assert build.call_count == 1
 
 
 def test_console_script_installed(rot10_path):

@@ -65,6 +65,13 @@ def test_dense_spectrum_rejects_nonfinite():
         dense_spectrum(A)
 
 
+@pytest.mark.parametrize("A", [np.full((2, 2), 1.7e308), np.array([[1.7e308, 1.7e308], [1e308, 1.7e308]])], ids=["eigh", "eig"])
+def test_dense_spectrum_refuses_an_eigenvalue_beyond_the_float_range(A):
+    # finite entries, but an eigenvalue near 3.4e308 or 3e308 on both drivers
+    with np.errstate(over="ignore"), pytest.raises(HypersymError, match="eigenvalue beyond the float range"):
+        dense_spectrum(A)
+
+
 def test_match_tolerance_scales_with_norm():
     # the per-match threshold grows with ||M||_inf, so a large matrix with
     # proportionally large eigensolve error still verifies

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from hypersym import (
     MATCH_TOL,
     Hypergraph,
+    NotAutomorphismError,
+    NotUnitAutomorphismError,
     Permutation,
     canonical_json,
     compatible_matrix,
@@ -18,6 +20,9 @@ from hypersym import (
     match_multisets,
     parse_json,
     permutation_with_type,
+    random_instance,
+    validate_automorphism,
+    validate_unit_automorphism,
     verify_decomposition,
 )
 
@@ -134,6 +139,32 @@ def test_units_never_split_by_edges(h):
         for cell in cells:
             touched = cell & mset
             assert not touched or touched == cell
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=11), st.data())
+@settings(max_examples=100, deadline=None)
+def test_accepted_maps_induce_edge_bijections(seed, k, data):
+    # the validators test no bijection of their own: each map they accept (a
+    # power of an automorphism and the unit map it induces, or a random
+    # vertex or unit bijection) maps the edges one to one onto the edges
+    h, aut = random_instance(np.random.default_rng(seed), n_max=10)
+    units = compute_units(h)
+    f = np.arange(h.n)
+    for _ in range(k):
+        f = np.array(aut.perm.mapping)[f]
+    maps = [
+        (validate_automorphism, Permutation(tuple(f.tolist()))),
+        (validate_unit_automorphism, Permutation(tuple(units.unit_of[f[units.reps]].tolist()))),
+        (validate_automorphism, Permutation(tuple(data.draw(st.permutations(range(h.n)))))),
+        (validate_unit_automorphism, Permutation(tuple(data.draw(st.permutations(range(len(units))))))),
+    ]
+    for i, (validate, perm) in enumerate(maps):
+        try:
+            edge_map = validate(h, perm).edge_map
+        except (NotAutomorphismError, NotUnitAutomorphismError):
+            assert i >= 2  # a power of an automorphism and its unit map are accepted
+            continue
+        assert list(edge_map) == list(h.edge_ids) and sorted(edge_map.values()) == sorted(h.edge_ids)
 
 
 @given(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersym import (
     HypersymError,
@@ -16,18 +18,21 @@ from hypersym import (
     decompose_automorphism,
     decompose_unit_automorphism,
     dense_spectrum,
+    invariant_weights,
     lift_orbit_vector,
     lift_rotation_vector,
     match_multisets,
     orbit_quotient,
     orbits,
     permutation_with_type,
+    random_instance,
     roots_of_unity,
     rotation_matrix,
     spectral_radius_via_quotient,
     verify_decomposition,
 )
 
+from hypersym import spectral
 from hypersym.spectral import residual_norms
 
 from conftest import SQRT105
@@ -263,6 +268,33 @@ def test_quotient_tolerance_spans_half_a_cycle():
         decompose_automorphism(A, p, tol=1e-6)
 
 
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=-12, max_value=12))
+@settings(max_examples=80, deadline=None)
+def test_scaled_invariant_matrices_are_never_refused_as_not_equitable(seed, k):
+    # compatibility is the decomposition's only symmetry check: an exactly
+    # invariant matrix scaled by 10^k may be refused as incompatible (that
+    # tolerance is absolute), never by the quotient
+    rng = np.random.default_rng(seed)
+    h, aut = random_instance(rng)
+    M = build_matrix(h, "general_laplacian", weights=invariant_weights(rng, h, aut))
+    try:
+        decompose_automorphism(M.entries * 10.0**k, aut)
+    except IncompatibleMatrixError:
+        pass
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_a_block_beyond_the_float_range_is_refused(symmetric):
+    # the w = -1 block of this compatible matrix sums 1e308 and -(-1e308)
+    # into an entry beyond the largest float: eig would refuse it with a
+    # LinAlgError and eigh return NaN, so it is refused by name first
+    A = np.array([[1e308, -1e308, 1.0], [-1e308, 1e308, 1.0], [2.0, 2.0, 0.0]])
+    if symmetric:
+        A[2, :2] = 1.0
+    with np.errstate(over="ignore"), pytest.raises(HypersymError, match="'omega_k': 1, 'order_n': 2} has an entry beyond"):
+        decompose_automorphism(A, Permutation((1, 0, 2)))
+
+
 def test_mixed_coprime_orders_decompose():
     # 2-cycle and 3-cycle: factor orders are coprime, every factor is a
     # power of the whole permutation, so per-factor blocks are sound
@@ -405,3 +437,20 @@ def test_residual_norms_scale_only_the_columns_whose_squares_overflow():
     assert np.isinf(residual_norms(AV, V, values)[1])
     AV[0, 1] = np.nan
     assert np.isnan(residual_norms(AV, V, values)[1])
+
+
+def test_hermitian_form_halves_before_it_adds():
+    # a balanced block with entries near the largest float: S + S^H would
+    # overflow, half S plus its half transpose does not, and for ordinary
+    # floats halving first gives the same bits
+    A = np.array([[0.0, 0.7e308], [1.4e308, 0.0]])
+    d = np.array([2.0, 1.0])  # diag(d) A is symmetric; the form's off-diagonal is 0.99e308
+    with np.errstate(all="raise"):
+        vals, _ = spectral._eig_sorted(A, d)
+    assert vals == pytest.approx([-0.7e308 * np.sqrt(2.0), 0.7e308 * np.sqrt(2.0)], rel=1e-15)
+    rng = np.random.default_rng(3)
+    B = rng.normal(size=(6, 6))
+    e = rng.uniform(0.5, 2.0, size=6)
+    S = spectral._hermitian_form(B, e)[0]
+    T = np.sqrt(e)[:, None] * B / np.sqrt(e)
+    assert S.tobytes() == ((T + T.T) * 0.5).tobytes()
