@@ -80,14 +80,23 @@ caller asks.
 
 Cost model: the block eigensolves cost sum b_i^3 over the block orders b_i,
 by eigh for a balanced matrix (several times cheaper than eig at the same
-order), one solve per conjugate pair for a real matrix. Checking the lifted
-eigenpairs takes one matrix product A V per block (n^2 b_i multiply-adds,
-in BLAS-3), again one per conjugate pair for a real A, in real arithmetic
-(_product, shared with the oracle). f's cycles are walked once, and the
-orbits and rotation factors read that layout as arrays. Everything else (the
-compatibility check, which also makes the quotient equitable, the balance
-check, the cell sums, the other blocks, the lifts) is vectorised O(n^2)
-numpy work, with no Python loop over cell pairs or eigenpairs.
+order), one solve per conjugate pair for a real matrix. Every block is
+built first; the blocks of one order, dtype and symmetrizer are then solved
+as one stack (k, b, b), one eigensolver call each, and the phase
+convention and the block residuals take each stack at once too, bit for
+bit what each block alone gives (_finish_stack). A rotation of order l
+gives up to l blocks of one order, so the fixed cost per call is paid once
+per stack, not once per block. Checking the lifted eigenpairs takes one
+matrix product A V per block (n^2 b_i multiply-adds, in BLAS-3), again one
+per conjugate pair for a real A, in real arithmetic (_product, shared with
+the oracle). f's cycles are walked once, and the orbits and rotation
+factors read that layout as arrays, each rotation's components as one
+index array; each root of unity computes its exact powers once, which its
+rotation columns sum in order and its lift multiplies at once and writes
+with one scatter. Everything else (the compatibility check, which also
+makes the quotient equitable, the balance check, the cell sums, the other
+blocks, the lifts) is vectorised O(n^2) numpy work, with no Python loop
+over cell pairs or eigenpairs.
 """
 
 from __future__ import annotations
@@ -128,6 +137,10 @@ class RootOfUnity:
     def pow(self, i: int) -> complex:
         return _root_value(self.n, (self.k * i) % self.n)
 
+    # w^0, ..., w^(n-1) by pow, made once per root: the float powers +-1
+    # stay floats, so a real x times one of them is a real product
+    _powers = cached_property(lambda self: tuple(map(self.pow, range(self.n))))
+
 
 # the rotation factors an omega-block holds, each with omega as a root of
 # that factor's order
@@ -160,10 +173,11 @@ def roots_of_unity(n: int) -> tuple[RootOfUnity, ...]:
 def _rotation_columns(A: np.ndarray, rows: Rotation, cols: Rotation, omega: RootOfUnity) -> np.ndarray:
     """r[u, v] = sum_{i < cols.order_n} omega^i A[u, f^i(v)] for u in rows.u0
     and v in cols.u0; omega must be a root of cols' order. The columns of
-    all of cols' components are gathered at once, and the weighted slices
-    summed in order i = 0, 1, ..."""
-    G = A[np.ix_(rows.u0, np.ravel(cols.components))].reshape(len(rows.u0), cols.order_n, -1)
-    return sum((omega.pow(i) * G[:, i] for i in range(1, cols.order_n)), omega.pow(0) * G[:, 0])
+    all of cols' components are gathered at once, and the slices weighted
+    by omega's cached powers summed in order i = 0, 1, ..."""
+    w = omega._powers
+    G = A[np.ix_(rows.u0, cols._index.ravel())].reshape(len(rows.u0), cols.order_n, -1)
+    return sum((w[i] * G[:, i] for i in range(1, cols.order_n)), w[0] * G[:, 0])
 
 
 def rotation_matrix(M, rot: Rotation, omega: RootOfUnity, tol: float | None = COMPAT_TOL) -> np.ndarray:
@@ -198,12 +212,20 @@ def _require_compatible(A: np.ndarray, perm: Permutation, tol: float) -> None:
 def lift_rotation_vector(x, rot: Rotation, omega: RootOfUnity, n_full: int) -> np.ndarray:
     """Lift x on U_0 to the full index set: w^i * x at position f^i(v),
     zero off the rotation's cycles, real for a real x and w = +-1. An
-    (|U_0|, k) matrix lifts column by column."""
+    (|U_0|, k) matrix lifts column by column. The products with omega's
+    powers are taken at once and written by one scatter into the
+    rotation's component array; a real x times a power +-1 is a real
+    product, as it is on its own, so its zero imaginary parts stay +0."""
     x = _float_array(x)
     if x.ndim not in (1, 2) or x.shape[0] != len(rot.u0):
         raise HypersymError(f"vector length {x.shape} does not match |U_0| = {len(rot.u0)}")
-    full = np.zeros((n_full,) + x.shape[1:], dtype=np.result_type(x, omega.value))
-    full[np.array(rot.components)] = np.stack([omega.pow(i) * x for i in range(rot.order_n)])
+    w = np.array(omega._powers).reshape((-1,) + (1,) * x.ndim)
+    terms = w * x
+    if np.isrealobj(x) and np.iscomplexobj(w):
+        ones = (w.imag == 0).ravel()  # the powers +-1
+        terms[ones] = w.real[ones] * x
+    full = np.zeros((n_full,) + x.shape[1:], dtype=terms.dtype)
+    full[rot._index] = terms
     return full
 
 
@@ -324,13 +346,14 @@ def _hermitian_form(A: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarra
     balances (matrices._balance), and the scaling back to A's vectors. A
     constant d leaves A as it is, Hermitian to rounding already, with s
     None (eigh reads its lower triangle); otherwise S is the Hermitian part
-    of D^{1/2} A D^{-1/2} and s = sqrt(d)."""
+    of D^{1/2} A D^{-1/2} and s = sqrt(d). A stack of matrices that d
+    balances each is taken matrix by matrix."""
     if (d == d[:1]).all():
         return A, None
     s = np.sqrt(d)
     S = (0.5 * s)[:, None] * A  # halved first, so the sum cannot overflow
     S /= s
-    S = S + (S.T if np.isrealobj(S) else S.conj().T)
+    S = S + np.swapaxes(S if np.isrealobj(S) else S.conj(), -1, -2)
     return S, s
 
 
@@ -345,7 +368,13 @@ def _eig_sorted(A: np.ndarray, d: np.ndarray | None = None) -> tuple[np.ndarray,
     - without, a real A goes to eig (dgeev), a complex A to eig (zgeev).
 
     Values and vectors keep the driver's dtype, real from a real eigh and
-    from dgeev with all eigenvalues real."""
+    from dgeev with all eigenvalues real. A may be a stack (k, b, b) of
+    matrices that d balances each: one eigensolver call solves them all,
+    and each matrix's values (k, b) and vectors (k, b, b) are bit for bit
+    what solving it alone gives, but that dgeev returns complex values and
+    vectors for every matrix of the stack unless all its values are real.
+    Each matrix's sorted vectors are column-major, as the sort lays out a
+    lone matrix's."""
     if d is None:
         vals, vecs = np.linalg.eig(A)
     else:
@@ -353,9 +382,12 @@ def _eig_sorted(A: np.ndarray, d: np.ndarray | None = None) -> tuple[np.ndarray,
         vals, vecs = np.linalg.eigh(S)
         if s is not None:
             vecs /= s[:, None]
-            vecs /= np.linalg.norm(vecs, axis=0)
+            vecs /= np.linalg.norm(vecs, axis=-2, keepdims=True)
     order = np.lexsort((vals.imag, vals.real))
-    return vals[order], vecs[:, order]
+    if order.ndim == 1:
+        return vals[order], vecs[:, order]
+    k = np.arange(len(order))[:, None]
+    return vals[k, order], np.swapaxes(vecs[k, :, order], -1, -2)
 
 
 def _product(A: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -375,23 +407,36 @@ def _product(A: np.ndarray, V: np.ndarray) -> np.ndarray:
 _PIVOT_TIE = 64 * np.finfo(np.float64).eps
 
 
-def _phase_convention(V: np.ndarray) -> np.ndarray:
+def _off_convention(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mag, fix): re^2 + im^2 of every entry of V, (..., b, b), and which
+    of its columns (..., b) have no entry of largest mag (within
+    _PIVOT_TIE) that is real and positive."""
+    mag = V.real**2 + V.imag**2
+    near = mag >= (1.0 - _PIVOT_TIE) * mag.max(axis=-2, keepdims=True)
+    return mag, ~(near & (V.imag == 0) & (V.real > 0)).any(axis=-2)
+
+
+def _phase_convention(V: np.ndarray, off: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """V with each unit column scaled so that an entry of largest
     re^2 + im^2 (within _PIVOT_TIE) is real and positive: the column is
     multiplied by conj(p) / |p| for its first entry p of largest
     re^2 + im^2, and that entry's imaginary part set to zero, as zgeev does.
     A column that meets the rule already is left as it is, bit for bit, and
-    a real column is at most negated."""
-    mag = V.real**2 + V.imag**2
-    near = mag >= (1.0 - _PIVOT_TIE) * mag.max(axis=0)
-    fix = np.flatnonzero(~(near & (V.imag == 0) & (V.real > 0)).any(axis=0))
-    if not fix.size:
+    a real column is at most negated. V may be a stack (k, b, b); if any
+    column is scaled, the result is a row-major copy. off is
+    _off_convention(V), when the caller has it."""
+    mag, fix = _off_convention(V) if off is None else off
+    if not fix.any():
         return V
-    rows = mag[:, fix].argmax(axis=0)
-    p = V[rows, fix]
     V = V.copy()
-    V[:, fix] *= np.where(p.imag == 0, np.sign(p.real), p.conj() / np.abs(p))
-    V[rows, fix] = V[rows, fix].real
+    # one matrix per stack entry, W viewing the copy; each column k, col to
+    # scale is multiplied by the factor of its first largest entry
+    shape = (-1,) + V.shape[-2:]
+    W, (k, col) = V.reshape(shape), np.nonzero(fix.reshape(shape[:2]))
+    row = mag.reshape(shape)[k, :, col].argmax(axis=-1)
+    p = W[k, row, col]
+    W[k, :, col] *= np.where(p.imag == 0, np.sign(p.real), p.conj() / np.abs(p))[:, None]
+    W[k, row, col] = W[k, row, col].real
     return V
 
 
@@ -399,16 +444,20 @@ def residual_norms(AV: np.ndarray, V: np.ndarray, values: np.ndarray) -> np.ndar
     """Columnwise ||AV[:, j] - values[j] V[:, j]|| / max(1, ||V[:, j]||),
     the residual of each eigenpair given the product AV. A finite column
     whose sum of squares overflows is taken again scaled down by an exact
-    power of two, so only a norm beyond the largest float reads inf."""
-    R = V * values
+    power of two, so only a norm beyond the largest float reads inf. A
+    stack of k matrices (k, n, b) with values (k, b) gives (k, b)."""
+    R = V * values[..., None, :]
     np.subtract(AV, R, out=R)
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(R, axis=0)
-        big = np.flatnonzero(np.isinf(norms))
-        if big.size:
-            scale = np.ldexp(1.0, np.frexp(np.abs(R[:, big]).max(axis=0))[1] - 1)  # 2^1023 at most
-            norms[big] = np.linalg.norm(R[:, big] / scale, axis=0) * scale
-    return norms / np.maximum(1.0, np.linalg.norm(V, axis=0))
+        norms = np.linalg.norm(R, axis=-2)
+        if np.isinf(norms).any():
+            for i in np.ndindex(norms.shape[:-1]):
+                big = np.flatnonzero(np.isinf(norms[i]))
+                if big.size:
+                    Ri = R[i]
+                    scale = np.ldexp(1.0, np.frexp(np.abs(Ri[:, big]).max(axis=0))[1] - 1)  # 2^1023 at most
+                    norms[i][big] = np.linalg.norm(Ri[:, big] / scale, axis=0) * scale
+    return norms / np.maximum(1.0, np.linalg.norm(V, axis=-2))
 
 
 def _characters(factors: tuple[Rotation, ...]) -> list[tuple[dict, _Parts, int | None]]:
@@ -467,6 +516,57 @@ def _cell_symmetrizer(d: np.ndarray | None, cell_of: np.ndarray, reps: np.ndarra
     return sizes * d[reps]
 
 
+def _finish_stack(stack: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """(values, vectors, block residuals, defective mask) of each matrix of
+    a stack (k, b, b) of blocks, from its sorted eigenpairs (_eig_sorted),
+    bit for bit what a lone matrix's give. _phase_convention and the block
+    residuals take the stack at once, split only where a lone matrix is
+    laid out otherwise: dgeev leaves real only the matrices whose values
+    are all real (numpy's eig makes a whole stack complex unless every
+    value is real), and the vectors that meet the convention keep the
+    column-major layout of the sort, where the convention's copy of the
+    others is row-major: the column norms of the residuals sum in the order
+    the layout gives."""
+    real = np.zeros(len(stack), dtype=bool)
+    if np.iscomplexobj(vals) and np.isrealobj(stack):  # dgeev, with a complex value somewhere
+        real = ~vals.imag.any(axis=-1)
+    off = _off_convention(vecs)
+    kept = ~off[1].any(axis=-1)
+    scaled = _phase_convention(vecs, off)
+    out: list[tuple[np.ndarray, ...]] = [()] * len(stack)
+    for is_real, is_kept in dict.fromkeys(zip(real.tolist(), kept.tolist())):
+        rows = np.flatnonzero((real == is_real) & (kept == is_kept))
+        values, V, matrices = vals, vecs if is_kept else scaled, stack
+        if len(rows) < len(stack):
+            values, V, matrices = values[rows], V[rows], matrices[rows]
+        if is_real:
+            values, V = values.real, V.real
+        res = residual_norms(_product(matrices, V), V, values)
+        defective = res > LIFT_RESIDUAL_TOL * np.maximum(1.0, np.abs(matrices).max(axis=(-2, -1)))[:, None]
+        for j, row in enumerate(rows.tolist()):
+            out[row] = values[j], V[j], res[j], defective[j]
+    return out
+
+
+def _solve_blocks(blocks: dict[int, tuple[dict, np.ndarray, np.ndarray | None]]) -> dict[int, tuple[np.ndarray, ...]]:
+    """_finish_stack's result for each block (source, matrix, symmetrizer
+    or None), by block index. The blocks of one order, dtype and
+    symmetrizer are solved as one stack, the stacks in order of their first
+    block; the first block, in block order, with an eigenvalue beyond the
+    float range raises HypersymError naming it."""
+    stacks: dict[tuple, list[int]] = {}
+    for i, (_, matrix, e) in blocks.items():
+        stacks.setdefault((len(matrix), matrix.dtype, None if e is None else e.tobytes()), []).append(i)
+    solved = []
+    for members in stacks.values():
+        stack = np.stack([blocks[i][1] for i in members])
+        solved.append((members, stack, *_eig_sorted(stack, blocks[members[0]][2])))
+    beyond = [i for members, _, vals, _ in solved for i, ok in zip(members, np.isfinite(vals).all(axis=-1)) if not ok]
+    if beyond:
+        raise HypersymError(f"block {blocks[min(beyond)][0]} has an eigenvalue beyond the float range")
+    return {i: pairs for members, *stack in solved for i, pairs in zip(members, _finish_stack(*stack))}
+
+
 def _decompose(
     A: np.ndarray,
     perm: Permutation,
@@ -486,6 +586,8 @@ def _decompose(
     each skipped entry beside its source. Block pairs whose residual
     betrays a defective solve are skipped (and reported) instead of lifted,
     and a block beyond the float range raises HypersymError naming it.
+    Every block is built before any is solved, and the blocks of one order,
+    dtype and symmetrizer are solved as one stack (_solve_blocks).
 
     For a real A and built_from the conj(w)-block is neither built nor
     solved, and its lifts are not multiplied by A: its eigenpairs, block
@@ -501,14 +603,31 @@ def _decompose(
     members, starts, sizes, cell_index = orbs._arrays
     e = _cell_symmetrizer(d, cell_index, members[starts], sizes)
     real = np.isrealobj(A) and np.isrealobj(B)
+    characters = _characters(rotation_decomposition(perm))
+    # every block that is solved, with its symmetrizer, in block order up to
+    # the first with an entry beyond the float range (eig would refuse it,
+    # eigh give NaN), whose refusal waits for those before it to be solved
+    built: dict[int, tuple[dict, np.ndarray, np.ndarray | None]] = {}
+    beyond = None
+    for i, (source, parts, partner) in enumerate(characters):
+        if partner is None or not real:
+            matrix = _block_matrix(B, parts, orbs)
+            if not np.isfinite(matrix).all():
+                beyond = f"block {source} has an entry beyond the float range"
+                break
+            cells = cell_index[np.concatenate([rot.u0 for rot, _ in parts])] if parts else slice(None)
+            built[i] = source, matrix, None if e is None else e[cells]
+    eigen = _solve_blocks(built)
+    if beyond is not None:
+        raise HypersymError(beyond)
     # per block: values, vectors, block residuals, defective mask and lifted
     # residuals
     solved: list[tuple[np.ndarray, ...]] = []
     blocks: list[RotationBlock] = []
     lifts: list[LiftedBlock] = []
     skipped: list[dict] = []
-    for source, parts, partner in _characters(rotation_decomposition(perm)):
-        if partner is not None and real:
+    for i, (source, parts, partner) in enumerate(characters):
+        if i not in eigen:  # the conj(w)-block of a real matrix
             vals, vecs, block_res, defective, lifted_res = solved[partner]
             vals = vals.conj()
             order = np.lexsort((vals.imag, vals.real))
@@ -516,16 +635,7 @@ def _decompose(
             lifted_res = lifted_res[(np.cumsum(~defective) - 1)[order][~defective[order]]]
             vals, vecs, block_res, defective = vals[order], vecs[:, order].conj(), block_res[order], defective[order]
         else:
-            matrix = _block_matrix(B, parts, orbs)
-            cells = cell_index[np.concatenate([rot.u0 for rot, _ in parts])] if parts else slice(None)
-            if not np.isfinite(matrix).all():  # eig would refuse it, eigh give NaN
-                raise HypersymError(f"block {source} has an entry beyond the float range")
-            vals, vecs = _eig_sorted(matrix, None if e is None else e[cells])
-            if not np.isfinite(vals).all():
-                raise HypersymError(f"block {source} has an eigenvalue beyond the float range")
-            vecs = _phase_convention(vecs)
-            block_res = residual_norms(_product(matrix, vecs), vecs, vals)
-            defective = block_res > LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(matrix).max()))
+            vals, vecs, block_res, defective = eigen[i]
             lifted_res = None
         full = _lift_block(vecs[:, ~defective], parts, orbs, B.shape[0])
         if lift is not None:
@@ -535,9 +645,9 @@ def _decompose(
         solved.append((vals, vecs, block_res, defective, lifted_res))
         blocks.append(RotationBlock(source={**source, **tag}, order=len(vals), eigenvalues=vals.astype(np.complex128)))
         skipped += [
-            {"source": source, "lambda": complex_pair(vals[i]), "block_residual": float(block_res[i]),
+            {"source": source, "lambda": complex_pair(vals[j]), "block_residual": float(block_res[j]),
              "reason": "defective block eigenpair", **tag}
-            for i in np.flatnonzero(defective)
+            for j in np.flatnonzero(defective)
         ]
         lifts.append(LiftedBlock(blocks[-1].source, vals[~defective], full, lifted_res))
     total = sum(b.order for b in blocks)
@@ -575,6 +685,8 @@ def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, 
     _require_compatible(A, perm, tol)
     orbs = orbits(perm)
     Q = orbit_quotient(A, orbs, math.inf)  # equitable, as A is compatible
+    if not np.isfinite(Q).all():  # eigh would give NaN
+        raise HypersymError("block {'kind': 'quotient'} has an entry beyond the float range")
     members, starts, sizes, cell_index = orbs._arrays
     e = _cell_symmetrizer(d, cell_index, members[starts], sizes)
     rho_full = float(np.abs(_eig_sorted(A, d)[0]).max()) if A.size else 0.0

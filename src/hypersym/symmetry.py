@@ -92,9 +92,12 @@ def _walk_cycles(mapping: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
             v = mapping[v]
         if len(members) > ptr[-1]:
             ptr.append(len(members))
-    ptr, members = np.array(ptr, dtype=np.intp), np.array(members, dtype=np.intp)
-    ptr.flags.writeable = members.flags.writeable = False
-    return ptr, members
+    return _read_only(np.array(ptr, dtype=np.intp)), _read_only(np.array(members, dtype=np.intp))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _perm_of(f) -> Permutation:
@@ -229,8 +232,15 @@ def _equitable(A: np.ndarray, partition, tol: float):
         raise HypersymError("partition does not cover the index set exactly once")
     if not sizes.all():
         raise HypersymError("partition has an empty cell")
-    R = _cell_sums(A, order, starts)
-    D = np.abs(R - R[order[starts][cell_of]])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf beyond the float range, NaN where infs meet
+        R = _cell_sums(A, order, starts)
+    if tol == math.inf:  # only a NaN sum fails: no sums are compared
+        nan = np.isnan(R)
+        if not nan.any():
+            return R[order[starts]], None
+        D = np.where(nan, np.nan, 0.0)
+    else:
+        D = np.abs(R - R[order[starts][cell_of]])
     # worst[i, j]: largest deviation, over the rows of cell i, of the sum into
     # cell j from that of the cell's first member
     worst = np.maximum.reduceat(D[order], starts, axis=0)
@@ -257,7 +267,10 @@ def is_equitable(M, partition, tol: float = EQUITABLE_TOL) -> bool:
 
 def orbit_quotient(M, orbs, tol: float = EQUITABLE_TOL) -> np.ndarray:
     """Quotient matrix b[i,j] = sum over cell j of m[u,w], u representing
-    cell i. The partition must be equitable for M (checked)."""
+    cell i. The partition must be equitable for M (checked). An infinite
+    tol, for a caller that knows it equitable, checks only that no cell sum
+    is NaN, without comparing the sums: an infinite sum is the caller's to
+    refuse."""
     Q, witness = _equitable(as_array(M), orbs, tol)
     if witness is not None:
         i, u, u2, j, s1, s2 = witness
@@ -280,6 +293,9 @@ class Rotation:
     order_n: int
     components: tuple[tuple[int, ...], ...]
     underlying: Permutation
+
+    # the components as one read-only (order_n, n_cycles) index array
+    _index = cached_property(lambda self: _read_only(np.array(self.components, dtype=np.intp)))
 
     @property
     def u0(self) -> tuple[int, ...]:

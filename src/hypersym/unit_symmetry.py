@@ -68,7 +68,6 @@ from .symmetry import (
     Automorphism,
     Permutation,
     _cell_sums,
-    validate_automorphism,
 )
 
 MERGE_TOL = 1e-9
@@ -101,6 +100,7 @@ def _unit_pairs(units: UnitPartition) -> tuple[np.ndarray, np.ndarray]:
     return ptr, units.unit_members[pos]
 
 
+@np.errstate(over="ignore")  # a deviation beyond the float range is inf, and fails
 def profile_unit_compatibility(M, units: UnitPartition, tol: float = COMPAT_TOL) -> UnitCompatibleProfile:
     """Verify the unit-compatibility conditions and extract (d, r, s).
 
@@ -250,7 +250,8 @@ def _unit_lifts(A: np.ndarray, units: UnitPartition) -> list[tuple[int, LiftedBl
     vectors[rows, v] = 1.0
     vectors[rows, v0] = -1.0
     reps, seconds = members[ptr[big]], members[ptr[big] + 1]
-    values = A[reps, reps] - A[reps, seconds]
+    with np.errstate(over="ignore"):  # a d - r beyond the float range is inf
+        values = A[reps, reps] - A[reps, seconds]
     if not np.isfinite(values).all():
         key = units.keys[big[np.argmin(np.isfinite(values))]]
         raise HypersymError(f"unit {key!r} has an eigenvalue beyond the float range")
@@ -362,7 +363,9 @@ def validate_unit_automorphism(h: Hypergraph, unit_map: dict[str, str] | Permuta
 def lift_cardinality_preserving(ua: UnitAutomorphism) -> Automorphism:
     """Lift a cardinality-preserving unit-automorphism to a vertex
     automorphism, mapping each unit's members positionally (both sides
-    sorted by index)."""
+    sorted by index). It needs no check of its own: every edge is the union
+    of the units that cover it, so the lift maps it onto the edge whose
+    cover is the image of its cover, ua.edge_map's."""
     units = ua.units
     ptr, members, sizes = units.unit_ptr, units.unit_members, units.sizes
     image = np.array(ua.perm.mapping, dtype=np.intp)
@@ -377,7 +380,8 @@ def lift_cardinality_preserving(ua: UnitAutomorphism) -> Automorphism:
     # each member position moves to the same place in its unit's image
     mapping = np.empty(units.n, dtype=np.intp)
     mapping[members] = members[np.arange(len(members)) + np.repeat(ptr[image] - ptr[:-1], sizes)]
-    return validate_automorphism(ua.hypergraph, Permutation(tuple(mapping.tolist())))
+    perm = Permutation(tuple(mapping.tolist()))
+    return Automorphism(hypergraph=ua.hypergraph, perm=perm, edge_map=dict(ua.edge_map), order=perm.order)
 
 
 def unit_compatibility_witness(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL) -> dict | None:

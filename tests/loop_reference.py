@@ -1,7 +1,8 @@
 """Loop reference versions of the vectorised quotient, check, unit pair,
-cycle layout, rotation gather and lift, matching and synchronization code, the
-one-shot compatibility deviation, the complex-only dense oracle, the
-out-list JSON emitter and the member-by-member hypergraph code.
+cycle layout, rotation gather and lift, block solve, matching and
+synchronization code, the one-shot compatibility deviation, the complex-only
+dense oracle, the out-list JSON emitter and the member-by-member hypergraph
+code.
 
 These are the original per-cell-pair, per-unit, per-element and per-step
 loops the library replaced with whole-array numpy passes. They are kept
@@ -14,7 +15,12 @@ per component here). cycles, orbits and rotation_decomposition walk a
 permutation's cycles on every call and write the orbits and rotation
 factors cycle by cycle and vertex by vertex, where the library walks them
 once and reads both off that one layout; test_loop_equivalence.py requires
-the same cycles, order, cells, cell indices and factors.
+the same cycles, order, cells, cell indices and factors. block_eigenpairs
+solves one block at a time, as the library did before it solved the blocks
+of one order, dtype and symmetrizer as one stack; test_loop_equivalence.py
+requires the same bytes for the values, vectors and block residuals of
+every block. Its residual_norms takes one matrix of pairs; the unit pairs
+and the dense oracle here use it too.
 match_multisets_argmin is the matching that took
 one argmin per value over the whole distance array, before the library
 searched only a window of real parts; test_loop_equivalence.py requires the
@@ -62,7 +68,6 @@ from hypersym import (
 from hypersym.jsonutil import _ENTRIES, _HOLE, _Rows, require_key, require_object
 from hypersym.matrices import RECIPROCAL_KINDS, WEIGHTED_KINDS, as_array
 from hypersym.oracle import MATCH_TOL, SpectrumReport
-from hypersym.spectral import residual_norms
 
 
 def equitable_witness(M, cells, tol):
@@ -254,6 +259,81 @@ def lift_rotation_vector(x, rot, omega, n_full):
     for i, comp in enumerate(rot.components):
         full[list(comp)] = omega.pow(i) * x
     return full
+
+
+def residual_norms(AV, V, values):
+    """Columnwise ||AV[:, j] - values[j] V[:, j]|| / max(1, ||V[:, j]||) of
+    one matrix of pairs, a column whose squares overflow taken again scaled
+    down by a power of two."""
+    R = V * values
+    np.subtract(AV, R, out=R)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(R, axis=0)
+        big = np.flatnonzero(np.isinf(norms))
+        if big.size:
+            scale = np.ldexp(1.0, np.frexp(np.abs(R[:, big]).max(axis=0))[1] - 1)
+            norms[big] = np.linalg.norm(R[:, big] / scale, axis=0) * scale
+    return norms / np.maximum(1.0, np.linalg.norm(V, axis=0))
+
+
+def hermitian_form(A, d):
+    """(S, s): A itself for a constant d, else the Hermitian part of
+    D^{1/2} A D^{-1/2}, halved before it is summed, and sqrt(d)."""
+    if (d == d[:1]).all():
+        return A, None
+    s = np.sqrt(d)
+    S = (0.5 * s)[:, None] * A
+    S /= s
+    S = S + (S.T if np.isrealobj(S) else S.conj().T)
+    return S, s
+
+
+def eig_sorted(A, d=None):
+    """One block's values and vectors ordered by (real, imag): eig without
+    d, else eigh of its Hermitian form, the vectors mapped back."""
+    if d is None:
+        vals, vecs = np.linalg.eig(A)
+    else:
+        S, s = hermitian_form(A, d)
+        vals, vecs = np.linalg.eigh(S)
+        if s is not None:
+            vecs /= s[:, None]
+            vecs /= np.linalg.norm(vecs, axis=0)
+    order = np.lexsort((vals.imag, vals.real))
+    return vals[order], vecs[:, order]
+
+
+def phase_convention(V, tie=64 * np.finfo(np.float64).eps):
+    """Each column scaled so that its first entry of largest re^2 + im^2
+    (within tie) is real and positive, a copy if any column is scaled."""
+    mag = V.real**2 + V.imag**2
+    near = mag >= (1.0 - tie) * mag.max(axis=0)
+    fix = np.flatnonzero(~(near & (V.imag == 0) & (V.real > 0)).any(axis=0))
+    if not fix.size:
+        return V
+    rows = mag[:, fix].argmax(axis=0)
+    p = V[rows, fix]
+    V = V.copy()
+    V[:, fix] *= np.where(p.imag == 0, np.sign(p.real), p.conj() / np.abs(p))
+    V[rows, fix] = V[rows, fix].real
+    return V
+
+
+def product(A, V):
+    """A @ V, in real arithmetic for a real A."""
+    if np.iscomplexobj(A):
+        return A @ V
+    V = np.ascontiguousarray(V)
+    if np.iscomplexobj(V):
+        return (A @ V.view(np.float64)).view(np.complex128)
+    return A @ V
+
+
+def block_eigenpairs(matrix, e):
+    """(values, vectors, block residuals) of one block solved alone."""
+    vals, vecs = eig_sorted(matrix, e)
+    vecs = phase_convention(vecs)
+    return vals, vecs, residual_norms(product(matrix, vecs), vecs, vals)
 
 
 def compatibility_deviation(A, perm):

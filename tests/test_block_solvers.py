@@ -9,6 +9,7 @@ controls.
 
 import dataclasses
 import warnings
+from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
@@ -192,13 +193,14 @@ def test_convention_leaves_zgeev_vectors_untouched(seed):
 
 
 def _solver_calls(M, symmetry, decompose=decompose_automorphism):
-    """The (solver, dtype kind) of every eigensolve of decompose(M, symmetry),
-    and the decomposition."""
+    """The (solver, dtype kind) of every matrix that decompose(M, symmetry)
+    hands to an eigensolver, one entry per matrix of a stacked call, and the
+    decomposition."""
     calls = []
 
     def spy(name, fn):
         def wrapped(X):
-            calls.append((name, X.dtype.kind))
+            calls.extend([(name, X.dtype.kind)] * int(np.prod(X.shape[:-2])))
             return fn(X)
 
         return wrapped
@@ -219,6 +221,38 @@ def test_rot2_blocks_reach_eigh():
     A = build_matrix(h, "adjacency_r").entries
     calls, dec = _solver_calls(A, p)
     assert calls == [("eigh", "f"), ("eigh", "f")]
+    assert verify_decomposition(A, dec).verdict
+
+
+@pytest.mark.parametrize(
+    "lengths, fixed, want",
+    [((12,), 0, 2), ((2,) * 8, 0, 1), ((12,), 2, 3), ((2,) * 8, 2, 2)],
+    ids=["12-cycle", "rot2", "12-cycle, fixed points", "rot2, fixed points"],
+)
+def test_blocks_of_one_order_dtype_and_symmetrizer_share_one_eigensolver_call(lengths, fixed, want):
+    # a real symmetric matrix: under one 12-cycle the five complex w-blocks
+    # of order 1 make one stack, w = -1 and the quotient (one real order,
+    # one symmetrizer) another; under an involution w = -1 and the quotient
+    # are one stack. Fixed points make the quotient larger than the w-blocks,
+    # so it takes a stack, and a call, of its own
+    rng = np.random.default_rng(sum(lengths) + fixed)
+    p = permutation_with_type(rng, sum(lengths) + fixed, lengths)
+    A = _matrix(rng, p, "real symmetric")
+    with patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig:
+        dec = decompose_automorphism(A, p)
+    assert (eigh.call_count, eig.call_count) == (want, 0)
+    assert verify_decomposition(A, dec).verdict
+
+
+def test_each_root_computes_its_powers_once():
+    # one 12-cycle of a real matrix: each of the 11 roots w != 1 computes
+    # w^0..w^11 once, which its rotation columns and its lift both read
+    rng = np.random.default_rng(12)
+    p = permutation_with_type(rng, 12, (12,))
+    A = _matrix(rng, p, "real general")
+    with patch.object(spectral.RootOfUnity, "pow", autospec=True, side_effect=spectral.RootOfUnity.pow) as power:
+        dec = decompose_automorphism(A, p)
+    assert power.call_count == 11 * 12
     assert verify_decomposition(A, dec).verdict
 
 
@@ -328,11 +362,15 @@ def _unit_case(rng, kind, lengths, fixed):
 def test_balanced_inputs_solve_every_block_by_eigh(kind, lengths, fixed, on_units, seed):
     rng = np.random.default_rng(seed)
     M, symmetry, decompose, rows_of = (_unit_case if on_units else _vertex_case)(rng, kind, lengths, fixed)
-    symmetrizers = []
+    symmetrizers = []  # (eigenvalues, symmetrizer) of each matrix solved
 
-    def solve(block, e=None):
-        symmetrizers.append(e)
-        return eig_sorted(block, e)
+    def solve(blocks, e=None):
+        vals, vecs = eig_sorted(blocks, e)
+        symmetrizers.extend(
+            (v.astype(np.complex128).tobytes(), None if e is None else e.tobytes())
+            for v in vals.reshape(-1, vals.shape[-1])
+        )
+        return vals, vecs
 
     eig_sorted = spectral._eig_sorted
     with patch.object(spectral, "_eig_sorted", solve):
@@ -341,7 +379,9 @@ def test_balanced_inputs_solve_every_block_by_eigh(kind, lengths, fixed, on_unit
     _check(M, dec, rows_of)
     # each solved block's symmetrizer is len(c) d(rep c) over its cycles c,
     # computed here from d directly: d = 1 for an exactly Hermitian matrix,
-    # else the symmetrizer; |W| d(rep W) on the units, for the unit route
+    # else the symmetrizer; |W| d(rep W) on the units, for the unit route.
+    # A stack solves several blocks in one call, so each matrix is told
+    # from the others by the eigenvalues it gave its block
     A = as_array(M)
     d = np.ones(len(A)) if np.array_equal(A, A.conj().T) else M.symmetrizer
     perm = getattr(symmetry, "perm", symmetry)
@@ -354,10 +394,11 @@ def test_balanced_inputs_solve_every_block_by_eigh(kind, lengths, fixed, on_unit
         if b.source["kind"] == "quotient"
         or (b.source["kind"] == "rotation" and not (real and 2 * b.source["omega_k"] > b.source["order_n"]))
     ]
-    assert len(solved) == len(symmetrizers)
-    for block, e in zip(solved, symmetrizers):
-        want = [len(cycle_of[c]) * d[c] for c in _block_rows(perm, block.source)]
-        assert np.array_equal(e, want), block.source
+    want = Counter(
+        (block.eigenvalues.tobytes(), np.array([len(cycle_of[c]) * d[c] for c in _block_rows(perm, block.source)]).tobytes())
+        for block in solved
+    )
+    assert Counter(symmetrizers) == want
 
 
 @pytest.fixture

@@ -500,6 +500,33 @@ def test_a_spectrum_beyond_the_float_range_is_a_failed_check(capsys, write_doc, 
 
 @pytest.mark.parametrize("command", ["decompose", "verify"])
 @pytest.mark.parametrize(
+    "unit_map, error",
+    [
+        (
+            UNITS18_UNIT_MAP,
+            "unit quotient is not compatible with the unit map: entry (W[1,2], W[5,6,15]) = -1.04082e+307 "
+            "but its image entry (W[1,2], W[7,8]) = -9.44444e+306",
+        ),
+        (UNITS18_SWAP_MAP, "unit '1,2' has an eigenvalue beyond the float range"),
+    ],
+    ids=["unit_map", "swap_map"],
+)
+def test_unit_checks_at_the_top_of_the_float_range_print_no_warning(capsys, write_doc, command, unit_map, error):
+    # every edge weight 1.7e308: comparing opposite-signed entries in the
+    # unit checks overflows, and under the swap map d - r of unit '1,2' lies
+    # beyond the float range; each input is refused as before, with nothing
+    # on stderr
+    weights = _edge_weights(write_doc, UNITS18_DOC, 1.7e308)
+    argv = [command, write_doc("h.json", UNITS18_DOC), write_doc("s.json", {"unit_map": unit_map}), "--kind", "general_laplacian", "--weights", weights]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv)
+    assert (code, err, [str(w.message) for w in caught]) == (1, "", [])
+    assert json.loads(out) == {"error": error, "verdict": "fail"}
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+@pytest.mark.parametrize(
     "route",
     [(ROT10_DOC, {"map": ROT10_MAP}, "adjacency_r"), (UNITS18_DOC, {"unit_map": UNITS18_UNIT_MAP}, "unit_normalized")],
     ids=["rot10", "units18"],

@@ -48,12 +48,13 @@ from conftest import ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_SWAP_MAP
 
 
 def _solved(decompose, *args):
-    """(driver, dtype kind) of every eigensolver call, and the result."""
+    """(driver, dtype kind) of every matrix handed to an eigensolver, one
+    entry per matrix of a stacked call, and the result."""
     calls = []
 
     def spy(name, fn):
         def wrapped(X):
-            calls.append((name, X.dtype.kind))
+            calls.extend([(name, X.dtype.kind)] * int(np.prod(X.shape[:-2])))
             return fn(X)
 
         return wrapped

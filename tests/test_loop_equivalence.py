@@ -16,6 +16,7 @@ must be bitwise equal for the unweighted kinds and within 1e-12 * max(1,
 symmetry refusals word for word the reference's."""
 
 import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -310,6 +311,57 @@ def test_rotation_gather_and_lift_match_loops(lengths, fixed, matrix, columns, c
         x = x + 1j * rng.normal(size=x.shape)
     got, want = spectral.lift_rotation_vector(x, cols, omega, p.n), ref.lift_rotation_vector(x, cols, omega, p.n)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def block_stacks(draw):
+    """(blocks, e): 1-6 blocks of one order b (1-12), as _decompose stacks
+    them, each real or complex with the stack, and e their symmetrizer:
+    None (eig), constant or varying (eigh of the Hermitian form). Under a
+    symmetrizer e each block is diag(e)^-1 H for a Hermitian H; without, a
+    block is Hermitian or general at random, so dgeev gives some blocks of
+    one stack all-real values and others not. A diagonal block's vectors
+    meet the phase convention as solved, so some blocks of a stack keep
+    their vectors and others are scaled."""
+    k, b = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    complex_, symmetrizer = draw(st.booleans()), draw(st.sampled_from(["absent", "constant", "varying"]))
+    rng = np.random.default_rng(draw(seeds))
+    e = {"absent": None, "constant": np.full(b, rng.uniform(0.5, 4.0)), "varying": rng.uniform(0.5, 4.0, size=b)}[symmetrizer]
+    blocks = []
+    for how in draw(st.lists(st.sampled_from(["diagonal", "hermitian", "general"]), min_size=k, max_size=k)):
+        X = rng.normal(size=(b, b)) + (1j * rng.normal(size=(b, b)) if complex_ else 0)
+        if how == "diagonal":
+            X = np.diag(np.diag(X).real) + 0 * X
+        elif how == "hermitian" or e is not None:
+            X = (X + X.conj().T) / 2
+        blocks.append(X if e is None else X / e[:, None])
+    return blocks, e
+
+
+@given(block_stacks())
+@settings(max_examples=400, deadline=None)
+def test_stacked_block_solve_matches_the_per_block_loop(case):
+    """One eigensolver call solves a stack of blocks of one order, dtype and
+    symmetrizer, and its values, vectors and block residuals are bitwise
+    those of solving each block alone."""
+    blocks, e = case
+    calls = []
+
+    def spy(fn):
+        def wrapped(X):
+            calls.append(X.shape)
+            return fn(X)
+
+        return wrapped
+
+    with patch.object(np.linalg, "eig", spy(np.linalg.eig)), patch.object(np.linalg, "eigh", spy(np.linalg.eigh)):
+        got = spectral._solve_blocks({i: ({"block": i}, B, e) for i, B in enumerate(blocks)})
+    assert calls == [(len(blocks), *blocks[0].shape)]
+    for i, B in enumerate(blocks):
+        vals, vecs, res, defective = got[i]
+        for x, y in zip((vals, vecs, res), ref.block_eigenpairs(B, e)):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert np.array_equal(defective, res > spectral.LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(B).max())))
 
 
 def _ints(nested):

@@ -1,5 +1,8 @@
 """Rotation blocks, eigenvector lifts, and full decompositions."""
 
+import warnings
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,6 +296,49 @@ def test_a_block_beyond_the_float_range_is_refused(symmetric):
         A[2, :2] = 1.0
     with np.errstate(over="ignore"), pytest.raises(HypersymError, match="'omega_k': 1, 'order_n': 2} has an entry beyond"):
         decompose_automorphism(A, Permutation((1, 0, 2)))
+
+
+def test_a_cell_sum_beyond_the_float_range_is_refused():
+    # every entry of this compatible matrix is finite, but its cell sums
+    # overflow: under the infinite tolerance the quotient compares no sums,
+    # so its inf entries reach the block check, which names them, quietly;
+    # the spectral radius refuses the quotient the same way. No solver is
+    # handed a matrix with an entry beyond the float range
+    p = Permutation((1, 2, 3, 0, 5, 4))
+    A = np.abs(compatible_matrix(np.random.default_rng(1), p).real) * 1.7e308
+    assert np.isfinite(A).all()
+    solved = []
+
+    def spy(fn):
+        def wrapped(X):
+            solved.append(bool(np.isfinite(X).all()))
+            return fn(X)
+
+        return wrapped
+
+    with warnings.catch_warnings(), patch.object(np.linalg, "eig", spy(np.linalg.eig)), patch.object(
+        np.linalg, "eigh", spy(np.linalg.eigh)
+    ):
+        warnings.simplefilter("error")
+        for refuse in (decompose_automorphism, spectral_radius_via_quotient):
+            with pytest.raises(HypersymError, match=r"^block \{'kind': 'quotient'\} has an entry beyond the float range$"):
+                refuse(A, p)
+    assert all(solved)
+
+
+def test_an_infinite_tolerance_refuses_only_a_nan_sum():
+    # cells {0, 1} and {2}: row 1 sums to inf over cell 1, which the
+    # infinite tolerance lets through; a NaN sum is refused, naming the
+    # first row whose sum is NaN
+    orbs = orbits(Permutation((1, 0, 2)))
+    A = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, np.inf], [1.0, 1.0, 0.0]])
+    assert orbit_quotient(A, orbs, np.inf)[0, 1] == 1.0
+    with pytest.raises(NotEquitableError):
+        orbit_quotient(A, orbs)
+    A[1, :2] = [np.inf, -np.inf]
+    with warnings.catch_warnings(), pytest.raises(NotEquitableError, match=r"rows 0 and 1 of cell 0 sum to \(1\+0j\) and \(nan\+0j\) over cell 0"):
+        warnings.simplefilter("error")
+        orbit_quotient(A, orbs, np.inf)
 
 
 def test_mixed_coprime_orders_decompose():

@@ -1,5 +1,7 @@
 """Unit-compatible matrices: eigenvalues, quotients, and unit bijections."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,9 +28,11 @@ from hypersym import (
     verify_decomposition,
 )
 
+from hypersym import symmetry
 from hypersym.unit_symmetry import COMPAT_TOL, _quotient_witness
 
 from conftest import ROT10_MAP, ROT10_UNIT_MAP, UNITS18_KEYS, UNITS18_SWAP_MAP, UNITS18_UNIT_MAP
+from test_block_solvers import _unit_case
 
 
 def test_adjacency_r_is_unit_compatible(units18):
@@ -254,6 +258,27 @@ def test_cardinality_preserving_map_lifts_and_decomposes(units18):
     A = build_matrix(units18, "adjacency_r")
     dec = decompose_unit_automorphism(A, ua)
     assert verify_decomposition(A, dec).verdict
+
+
+@given(
+    st.sampled_from(((2,), (3,), (12,), (2, 4), (3, 6), (2, 2, 6))),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_lifted_unit_map_is_the_automorphism_validation_gives(lengths, fixed, seed):
+    # blown-up instances, whose unit maps preserve unit sizes: the lift
+    # validates nothing, and gives the permutation, edge map and order that
+    # validating its permutation gives
+    _, ua, _, _ = _unit_case(np.random.default_rng(seed), "adjacency_r", lengths, fixed)
+    assert ua.cardinality_preserving
+    with patch.object(symmetry, "validate_automorphism", wraps=symmetry.validate_automorphism) as validate, patch.object(
+        symmetry, "_map_rows", wraps=symmetry._map_rows
+    ) as map_rows:
+        aut = lift_cardinality_preserving(ua)
+    assert validate.call_count == map_rows.call_count == 0
+    want = validate_automorphism(ua.hypergraph, aut.perm)
+    assert (aut.hypergraph, aut.perm, aut.edge_map, aut.order) == (want.hypergraph, want.perm, want.edge_map, want.order)
 
 
 def test_unit_decompose_tolerance_reaches_the_quotient_check(rot10, rot10_ua):
