@@ -432,7 +432,7 @@ def _phase_convention(V: np.ndarray, off: tuple[np.ndarray, np.ndarray] | None =
     # one matrix per stack entry, W viewing the copy; each column k, col to
     # scale is multiplied by the factor of its first largest entry
     shape = (-1,) + V.shape[-2:]
-    W, (k, col) = V.reshape(shape), np.nonzero(fix.reshape(shape[:2]))
+    W, (k, col) = V.reshape(shape), np.nonzero(fix.reshape(-1, V.shape[-1]))
     row = mag.reshape(shape)[k, :, col].argmax(axis=-1)
     p = W[k, row, col]
     W[k, :, col] *= np.where(p.imag == 0, np.sign(p.real), p.conj() / np.abs(p))[:, None]
@@ -564,7 +564,10 @@ def _solve_blocks(blocks: dict[int, tuple[dict, np.ndarray, np.ndarray | None]])
     beyond = [i for members, _, vals, _ in solved for i, ok in zip(members, np.isfinite(vals).all(axis=-1)) if not ok]
     if beyond:
         raise HypersymError(f"block {blocks[min(beyond)][0]} has an eigenvalue beyond the float range")
-    return {i: pairs for members, *stack in solved for i, pairs in zip(members, _finish_stack(*stack))}
+    eigen: dict[int, tuple[np.ndarray, ...]] = {}
+    for members, stack, vals, vecs in solved:
+        eigen.update(zip(members, _finish_stack(stack, vals, vecs)))
+    return eigen
 
 
 def _decompose(

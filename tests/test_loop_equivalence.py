@@ -331,7 +331,7 @@ def block_stacks(draw):
     for how in draw(st.lists(st.sampled_from(["diagonal", "hermitian", "general"]), min_size=k, max_size=k)):
         X = rng.normal(size=(b, b)) + (1j * rng.normal(size=(b, b)) if complex_ else 0)
         if how == "diagonal":
-            X = np.diag(np.diag(X).real) + 0 * X
+            X = np.diag(np.diag(X).real).astype(X.dtype)
         elif how == "hermitian" or e is not None:
             X = (X + X.conj().T) / 2
         blocks.append(X if e is None else X / e[:, None])
