@@ -483,6 +483,12 @@ def test_residual_norms_scale_only_the_columns_whose_squares_overflow():
     assert np.isinf(residual_norms(AV, V, values)[1])
     AV[0, 1] = np.nan
     assert np.isnan(residual_norms(AV, V, values)[1])
+    # a stack gives each matrix's norms, bit for bit, an ordinary matrix
+    # beside ones with an overflowing column
+    AV = np.stack([[[1.5, 1e305], [-2.0, 1e305]], [[1.5, 0.5], [-2.0, 0.25]], [[1e305, 1.5], [1e305, -2.0]]])
+    V, values = np.stack([V, V, V[:, ::-1]]), np.stack([values, values, values[::-1]])
+    got = residual_norms(AV, V, values)
+    assert [row.tobytes() for row in got] == [residual_norms(*case).tobytes() for case in zip(AV, V, values)]
 
 
 def test_hermitian_form_halves_before_it_adds():
