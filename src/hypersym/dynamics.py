@@ -69,7 +69,7 @@ def _sync_log(states: np.ndarray, orbs: OrbitPartition) -> np.ndarray:
     by an exact power of two, so it logs a finite deviation (one beyond
     the largest float logs as the largest float); a state that has itself
     overflowed logs inf or nan."""
-    order, starts, sizes, _ = orbs._arrays
+    order, starts, sizes = orbs.cell_members, orbs.cell_ptr[:-1], orbs.sizes
     log = np.empty((states.shape[0], len(starts)))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, states.shape[0], _SYNC_ROWS):

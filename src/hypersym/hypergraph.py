@@ -21,10 +21,10 @@ instead of looping over edges.
 The per-edge and per-vertex Python views (edges, member_sets, stars) are
 built from the arrays on first access.
 
-A UnitPartition is CSR arrays too: unit_of, a unit pointer and the members
-in unit order, with the unit keys as the only Python strings. The unit
-checks, quotient and eigenpairs of unit_symmetry read those arrays; the
-per-unit Unit objects are built on first access of UnitPartition.units.
+The orbits of a permutation (symmetry.OrbitPartition) and the units
+(UnitPartition, whose keys are its only strings) are CSR arrays too, one
+layout (_Cells) that both quotients sum over and both lifts gather along;
+their cells as tuples and the Unit objects are built on first access.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DocumentError
+from .errors import DocumentError, HypersymError
 from .jsonutil import parse_json, require_key, require_object
 
 _INT_LABEL = re.compile(r"^-?\d+$")
@@ -66,6 +66,40 @@ def _split_rows(ptr: np.ndarray, values: np.ndarray) -> list[list[int]]:
     """The rows of a CSR array as lists of Python ints."""
     bounds, flat = ptr.tolist(), values.tolist()
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class _Cells:
+    """A partition of 0..n-1 as read-only intp CSR arrays: cell i's members
+    are cell_members[cell_ptr[i]:cell_ptr[i + 1]], cell_of maps each index
+    to its cell. _Cells(cells, n) refuses given cells unless they partition
+    0..n-1; cells read off cycles or stars do, and are set by _set_cells."""
+
+    def __init__(self, cells: Iterable[Iterable[int]], n: int):
+        cells = list(map(tuple, cells))
+        sizes = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+        members = np.fromiter((v for cell in cells for v in cell), dtype=np.intp, count=int(sizes.sum()))
+        ptr, cell_of = _ptr(sizes), np.full(n, -1, dtype=np.intp)
+        inside = (members >= 0) & (members < n)
+        cell_of[members[inside]] = _row_of(ptr)[inside]
+        if len(members) != n or (cell_of < 0).any():  # an index outside, repeated or missed
+            raise HypersymError("partition does not cover the index set exactly once")
+        if not sizes.all():
+            raise HypersymError("partition has an empty cell")
+        self._set_cells(n, members, ptr, cell_of)
+
+    def _set_cells(self, n: int, members: np.ndarray, ptr: np.ndarray, cell_of: np.ndarray) -> None:
+        members.flags.writeable = ptr.flags.writeable = cell_of.flags.writeable = False
+        self.n, self.cell_members, self.cell_ptr, self.cell_of = n, members, ptr, cell_of
+
+    # each cell's order and first member (its smallest, in the partitions the package builds)
+    sizes = property(lambda self: np.diff(self.cell_ptr))
+    reps = property(lambda self: self.cell_members[self.cell_ptr[:-1]])
+
+    def __len__(self) -> int:
+        return len(self.cell_ptr) - 1
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, cells={len(self)})"
 
 
 def _sort_rows(ptr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -320,13 +354,10 @@ class Unit:
         return len(self.member_indices)
 
 
-class UnitPartition:
-    """The units of a hypergraph as CSR arrays (read-only, intp): unit i's
-    members are the vertex indices unit_members[unit_ptr[i]:unit_ptr[i + 1]],
-    ascending; unit_of maps each vertex index to its unit, keys holds each
-    unit's key, and sizes and reps are each unit's order and smallest
-    member. The Unit objects of `units` are built from the arrays on first
-    access.
+class UnitPartition(_Cells):
+    """The units of a hypergraph as cells (_Cells), each ascending, whose
+    arrays unit_members, unit_ptr and unit_of name too; keys holds each
+    unit's key. The Unit objects of `units` are built on first access.
 
     UnitPartition(units=..., unit_of=..., n=...) builds the arrays from
     given Unit objects; two partitions are equal when their orders, unit_of
@@ -335,22 +366,14 @@ class UnitPartition:
 
     def __init__(self, units: Iterable[Unit], unit_of: Iterable[int], n: int):
         units = tuple(units)
-        self._set_arrays(
-            n,
-            np.array(unit_of, dtype=np.intp),
-            _ptr([u.size for u in units]),
-            np.array([i for u in units for i in u.member_indices], dtype=np.intp),
-            tuple(u.key for u in units),
-        )
+        members = np.array([i for u in units for i in u.member_indices], dtype=np.intp)
+        self._set_cells(n, members, _ptr([u.size for u in units]), np.array(unit_of, dtype=np.intp))
+        self.keys: tuple[str, ...] = tuple(u.key for u in units)
         self.units = units
 
-    def _set_arrays(self, n: int, unit_of: np.ndarray, ptr: np.ndarray, members: np.ndarray, keys: tuple[str, ...]) -> None:
-        unit_of.flags.writeable = ptr.flags.writeable = members.flags.writeable = False
-        self.n: int = n
-        self.unit_of: np.ndarray = unit_of
-        self.unit_ptr: np.ndarray = ptr
-        self.unit_members: np.ndarray = members
-        self.keys: tuple[str, ...] = keys
+    unit_of = property(lambda self: self.cell_of)
+    unit_ptr = property(lambda self: self.cell_ptr)
+    unit_members = property(lambda self: self.cell_members)
 
     @cached_property
     def units(self) -> tuple[Unit, ...]:
@@ -368,19 +391,6 @@ class UnitPartition:
             for key, idxs in zip(self.keys, _split_rows(self.unit_ptr, self.unit_members))
         )
 
-    @property
-    def sizes(self) -> np.ndarray:
-        """The number of members of each unit."""
-        return np.diff(self.unit_ptr)
-
-    @property
-    def reps(self) -> np.ndarray:
-        """The smallest member of each unit."""
-        return self.unit_members[self.unit_ptr[:-1]]
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
     def key_index(self) -> dict[str, int]:
         return dict(zip(self.keys, range(len(self.keys))))
 
@@ -391,9 +401,6 @@ class UnitPartition:
 
     def __hash__(self) -> int:
         return hash((self.n, self.keys))
-
-    def __repr__(self) -> str:
-        return f"UnitPartition(n={self.n}, units={len(self)})"
 
 
 def unit_key(members: Iterable[str]) -> str:
@@ -422,7 +429,8 @@ def compute_units(h: Hypergraph) -> UnitPartition:
     labels, bounds = list(map(h.labels.__getitem__, members.tolist())), ptr.tolist()
     join = ",".join if all(map(_INT_LABEL.match, h.labels)) else unit_key
     h._units = units = UnitPartition.__new__(UnitPartition)
-    units._set_arrays(h.n, unit_of, ptr, members, tuple(join(labels[a:b]) for a, b in zip(bounds, bounds[1:])))
+    units._set_cells(h.n, members, ptr, unit_of)
+    units.keys = tuple(join(labels[a:b]) for a, b in zip(bounds, bounds[1:]))
     units._stars = (h.labels, h.edge_ids, star_ptr, star_edges)
     return units
 

@@ -116,6 +116,8 @@ from .symmetry import (
     OrbitPartition,
     Permutation,
     Rotation,
+    _cell_symmetrizer,
+    _lift_cells,
     _perm_of,
     compatibility_deviation,
     orbit_quotient,
@@ -232,12 +234,7 @@ def lift_rotation_vector(x, rot: Rotation, omega: RootOfUnity, n_full: int) -> n
 def lift_orbit_vector(y, orbs: OrbitPartition) -> np.ndarray:
     """Lift y on the orbits to the full index set, constant on each orbit.
     A (cells, k) matrix lifts column by column, keeping y's dtype."""
-    y = _float_array(y)
-    if y.ndim not in (1, 2) or y.shape[0] != len(orbs.cells):
-        raise HypersymError(
-            f"vector length {y.shape} does not match {len(orbs.cells)} orbits"
-        )
-    return y[orbs._arrays[3]]
+    return _lift_cells(y, orbs, "orbits")
 
 
 @dataclass(frozen=True)
@@ -506,16 +503,6 @@ def _lift_block(X: np.ndarray, parts: _Parts, orbs: OrbitPartition, n: int) -> n
     return sum(lifts[1:], lifts[0])
 
 
-def _cell_symmetrizer(d: np.ndarray | None, cell_of: np.ndarray, reps: np.ndarray, sizes: np.ndarray) -> np.ndarray | None:
-    """e_c = |c| d(rep c) for every cell c (cell_of[v] the cell of v, reps
-    and sizes per cell) when d is exactly constant on every cell, else None:
-    diag(e) balances the quotient over the cells, and e at its cycles a
-    w-block, for a d that balances the matrix."""
-    if d is None or not np.array_equal(d[reps][cell_of], d):
-        return None
-    return sizes * d[reps]
-
-
 def _finish_stack(stack: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """(values, vectors, block residuals, defective mask) of each matrix of
     a stack (k, b, b) of blocks, from its sorted eigenpairs (_eig_sorted),
@@ -603,8 +590,7 @@ def _decompose(
     B = A if built_from is None else built_from
     tag = tag or {}
     orbs = orbits(perm)
-    members, starts, sizes, cell_index = orbs._arrays
-    e = _cell_symmetrizer(d, cell_index, members[starts], sizes)
+    e = _cell_symmetrizer(d, orbs)
     real = np.isrealobj(A) and np.isrealobj(B)
     characters = _characters(rotation_decomposition(perm))
     # every block that is solved, with its symmetrizer, in block order up to
@@ -618,7 +604,7 @@ def _decompose(
             if not np.isfinite(matrix).all():
                 beyond = f"block {source} has an entry beyond the float range"
                 break
-            cells = cell_index[np.concatenate([rot.u0 for rot, _ in parts])] if parts else slice(None)
+            cells = orbs.cell_of[np.concatenate([rot.u0 for rot, _ in parts])] if parts else slice(None)
             built[i] = source, matrix, None if e is None else e[cells]
     eigen = _solve_blocks(built)
     if beyond is not None:
@@ -690,8 +676,7 @@ def spectral_radius_via_quotient(M, f, tol: float = COMPAT_TOL) -> tuple[float, 
     Q = orbit_quotient(A, orbs, math.inf)  # equitable, as A is compatible
     if not np.isfinite(Q).all():  # eigh would give NaN
         raise HypersymError("block {'kind': 'quotient'} has an entry beyond the float range")
-    members, starts, sizes, cell_index = orbs._arrays
-    e = _cell_symmetrizer(d, cell_index, members[starts], sizes)
+    e = _cell_symmetrizer(d, orbs)
     rho_full = float(np.abs(_eig_sorted(A, d)[0]).max()) if A.size else 0.0
     rho_quot = float(np.abs(_eig_sorted(Q, e)[0]).max()) if Q.size else 0.0
     return rho_full, rho_quot

@@ -11,21 +11,23 @@ length, all with disjoint active domains; the fixed vertices belong to
 none. A rotation of order n carries components U_0, ..., U_{n-1} cycled
 positionally, with U_0 holding one representative per cycle (the smallest
 index, sorted ascending). A Permutation walks its cycles once, into a CSR
-layout that its order, its orbits and its rotation factors read as arrays.
+layout that its order, its orbits and its rotation factors read as arrays;
+the orbits are cells (hypergraph._Cells), as the units are, and one helper
+each gives both their cell sums, lift and quotient symmetrizer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DocumentError, HypersymError, NotAutomorphismError, NotEquitableError
-from .hypergraph import Hypergraph, _map_rows, _row_of, _sort_rows, _split_rows
-from .matrices import _BLOCK, as_array
+from .hypergraph import Hypergraph, _Cells, _map_rows, _row_of, _sort_rows, _split_rows
+from .matrices import _BLOCK, _float_array, as_array
 
 COMPAT_TOL = 1e-9
 EQUITABLE_TOL = 1e-9
@@ -172,86 +174,92 @@ def check_commutation(M, f) -> float:
     return compatibility_deviation(M, f)[0]
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
-    """Orbits of a permutation, cells ascending, ordered by smallest member;
-    _arrays holds their _cell_layout, derived once from cells if not given."""
+class OrbitPartition(_Cells):
+    """Orbits of a permutation as cells (_Cells), each ascending, ordered by
+    smallest member, read off its cycle layout by orbits(f); the cells as
+    tuples are built on first access. OrbitPartition(cells=..., n=...)
+    lays out given cells, checked as _Cells(cells, n) checks them."""
 
-    cells: tuple[tuple[int, ...], ...]
-    cell_index: tuple[int, ...]
-    n: int
-    _arrays: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._arrays is None:
-            object.__setattr__(self, "_arrays", _cell_layout(self.cells))
-
-    def __len__(self) -> int:
-        return len(self.cells)
+    @cached_property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, _split_rows(self.cell_ptr, self.cell_members)))
 
     @classmethod
     def from_permutation(cls, f) -> "OrbitPartition":
         ptr, members = _perm_of(f)._cycles
         members, cell_of = _sort_rows(ptr, members), np.empty_like(members)
         cell_of[members] = _row_of(ptr)
-        arrays = members, ptr[:-1], np.diff(ptr), cell_of
-        return cls(tuple(map(tuple, _split_rows(ptr, members))), tuple(cell_of.tolist()), len(members), arrays)
+        orbs = cls.__new__(cls)
+        orbs._set_cells(len(members), members, ptr, cell_of)
+        return orbs
 
     def label_cells(self, labels: Sequence[str]) -> list[list[str]]:
         return [[labels[v] for v in cell] for cell in self.cells]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OrbitPartition):
+            return NotImplemented
+        return self.n == other.n and self.cells == other.cells
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.cells))
 
 
 def orbits(f) -> OrbitPartition:
     return OrbitPartition.from_permutation(f)
 
 
-def _cell_layout(cells) -> tuple[np.ndarray, ...]:
-    """The indices in cell order, the offset at which each cell starts, each
-    cell's size and the cell of each index (when the cells cover 0..n-1)."""
-    sizes = np.fromiter((len(cell) for cell in cells), dtype=np.intp, count=len(cells))
-    order = np.fromiter((v for cell in cells for v in cell), dtype=np.intp, count=int(sizes.sum()))
-    starts = np.zeros(len(cells), dtype=np.intp)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    return order, starts, sizes, np.repeat(np.arange(len(cells)), sizes)[np.argsort(order, kind="stable")]
+def _cell_sums(A: np.ndarray, cells: _Cells) -> np.ndarray:
+    """R[u, j] = sum of A[u, w] over w in cell j, in one pass over the columns in cell order."""
+    return np.add.reduceat(A[:, cells.cell_members], cells.cell_ptr[:-1], axis=1)
 
 
-def _cell_sums(A: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """R[u, j] = sum of A[u, w] over w in cell j, in one grouped pass over
-    the columns in cell order (a _cell_layout with no empty cell)."""
-    return np.add.reduceat(A[:, order], starts, axis=1)
+def _lift_cells(y, cells: _Cells, name: str) -> np.ndarray:
+    """Extend y on the cells (their name in the error) to the indices,
+    constant on each cell; a (cells, k) matrix column by column."""
+    y = _float_array(y)
+    if y.ndim not in (1, 2) or y.shape[0] != len(cells):
+        raise HypersymError(f"vector length {y.shape} does not match {len(cells)} {name}")
+    return y[cells.cell_of]
+
+
+def _cell_symmetrizer(d: np.ndarray | None, cells: _Cells) -> np.ndarray | None:
+    """e_c = |c| d(rep c) for every cell c when d is exactly constant on
+    every cell, else None: diag(e) balances the quotient over the cells, and
+    e at its cycles a w-block, for a d that balances the matrix."""
+    if d is None or not np.array_equal(d[cells.reps][cells.cell_of], d):
+        return None
+    return cells.sizes * d[cells.reps]
 
 
 def _equitable(A: np.ndarray, partition, tol: float):
     """The quotient at the cell representatives (first members) and the
     equitable witness (None when equitable), from one set of cell sums, for
-    an OrbitPartition (its arrays) or a caller's plain list of cells."""
-    order, starts, sizes, cell_of = (
-        partition._arrays if isinstance(partition, OrbitPartition) else _cell_layout(list(map(tuple, partition)))
-    )
-    if len(order) != A.shape[0] or not np.array_equal(np.sort(order), np.arange(A.shape[0])):
+    a partition's cells (_Cells) or a caller's plain list of cells."""
+    cells = partition if isinstance(partition, _Cells) else _Cells(partition, A.shape[0])
+    if cells.n != A.shape[0]:
         raise HypersymError("partition does not cover the index set exactly once")
-    if not sizes.all():
-        raise HypersymError("partition has an empty cell")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf beyond the float range, NaN where infs meet
-        R = _cell_sums(A, order, starts)
-    if tol == math.inf:  # only a NaN sum fails: no sums are compared
-        nan = np.isnan(R)
-        if not nan.any():
-            return R[order[starts]], None
-        D = np.where(nan, np.nan, 0.0)
-    else:
-        D = np.abs(R - R[order[starts][cell_of]])
+    order, starts, reps = cells.cell_members, cells.cell_ptr[:-1], cells.reps
+    # inf beyond the float range and NaN where infs meet, in sums and deviations
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = _cell_sums(A, cells)
+        if tol == math.inf:  # only a NaN sum fails: no sums are compared
+            nan = np.isnan(R)
+            if not nan.any():
+                return R[reps], None
+            D = np.where(nan, np.nan, 0.0)
+        else:
+            D = np.abs(R - R[reps[cells.cell_of]])
     # worst[i, j]: largest deviation, over the rows of cell i, of the sum into
     # cell j from that of the cell's first member
     worst = np.maximum.reduceat(D[order], starts, axis=0)
     bad = np.flatnonzero(~(worst <= tol))  # NaN never passes
-    witness = None
-    if bad.size:
-        i, j = divmod(int(bad[0]), len(starts))  # first offending pair, row-major
-        cell = order[starts[i] : starts[i] + sizes[i]].tolist()
-        k = int(np.argmax(D[cell, j]))
-        witness = (i, cell[0], cell[k], j, complex(R[cell[0], j]), complex(R[cell[k], j]))
-    return R[order[starts]], witness
+    if not bad.size:
+        return R[reps], None
+    i, j = divmod(int(bad[0]), len(cells))  # first offending pair, row-major
+    cell = order[cells.cell_ptr[i] : cells.cell_ptr[i + 1]].tolist()
+    k = int(np.argmax(D[cell, j]))
+    return R[reps], (i, cell[0], cell[k], j, complex(R[cell[0], j]), complex(R[cell[k], j]))
 
 
 def equitable_witness(M, partition, tol: float = EQUITABLE_TOL):

@@ -25,8 +25,8 @@ pointer and members), with no Python loop over units or vertex pairs:
   vertices by one take-subtract-abs pass each, a block of rows at a time,
   with the entries within units zeroed by index. The first failing unit
   and condition get their message from _unit_violation;
-- the unit quotient: the representative rows summed over the members in
-  unit order;
+- the unit quotient and its blow-up, by the orbits' cell sums over the
+  representative rows and gather by unit (symmetry._cell_sums, _lift_cells);
 - the unit eigenpairs: every unit's d - r, its chi_v - chi_v0 columns and
   their residuals in one pass. The per-unit LiftedBlock and RotationBlock
   records are slices of those arrays;
@@ -34,7 +34,7 @@ pointer and members), with no Python loop over units or vertex pairs:
 
 The decomposition reads the one decision of realness and balance made per
 matrix in matrices.prepared; N's symmetrizer |W| d(rep W) comes from the
-orbits' rule (spectral._cell_symmetrizer) applied to the units. The cost is
+orbits' rule (symmetry._cell_symmetrizer) applied to the units. The cost is
 O(n^2) for the checks, O(n) per unit eigenpair, and the block
 decomposition of the q x q quotient N over the q units.
 """
@@ -54,12 +54,11 @@ from .errors import (
 )
 from .hypergraph import Hypergraph, UnitPartition, _cover_arrays, _map_rows, _ptr, _row_of, compute_units
 from .jsonutil import describe_value
-from .matrices import _BLOCK, _float_array, as_array, prepared
+from .matrices import _BLOCK, as_array, prepared
 from .spectral import (
     LiftedBlock,
     RotationBlock,
     SpectralDecomposition,
-    _cell_symmetrizer,
     _decompose,
     residual_norms,
 )
@@ -68,6 +67,8 @@ from .symmetry import (
     Automorphism,
     Permutation,
     _cell_sums,
+    _cell_symmetrizer,
+    _lift_cells,
 )
 
 MERGE_TOL = 1e-9
@@ -279,16 +280,13 @@ def unit_quotient(M, units: UnitPartition, tol: float = COMPAT_TOL) -> np.ndarra
     Diagonal entries come out as d + (|W| - 1) r. M must be unit-compatible
     (checked)."""
     profile = profile_unit_compatibility(M, units, tol)
-    return _cell_sums(profile.rows, units.unit_members, units.unit_ptr[:-1])
+    return _cell_sums(profile.rows, units)
 
 
 def blow_up(y, units: UnitPartition) -> np.ndarray:
     """Extend a vector on units to the vertices, constant on each unit.
     A (units, k) matrix extends column by column, keeping y's dtype."""
-    y = _float_array(y)
-    if y.ndim not in (1, 2) or y.shape[0] != len(units):
-        raise HypersymError(f"vector length {y.shape} does not match {len(units)} units")
-    return y[units.unit_of]
+    return _lift_cells(y, units, "units")
 
 
 @dataclass(frozen=True)
@@ -433,7 +431,7 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
         )
 
     pairs = _unit_lifts(A, units)
-    e = _cell_symmetrizer(d, units.unit_of, units.reps, units.sizes)
+    e = _cell_symmetrizer(d, units)
     # N was checked against the unit map above
     core = _decompose(A, ua.perm, e, built_from=N, lift=lambda Y: blow_up(Y, units), tag={"level": "units"})
     return SpectralDecomposition(

@@ -298,7 +298,7 @@ def _spread_weights(rng, h, group_of, edge_map):
     one draw in (0.5, 2) per orbit of edge_map."""
     dv = 10.0 ** rng.uniform(0, 6, size=max(group_of) + 1)
     ids = list(edge_map)
-    orbit = orbits(Permutation(tuple(ids.index(edge_map[e]) for e in ids))).cell_index
+    orbit = orbits(Permutation(tuple(ids.index(edge_map[e]) for e in ids))).cell_of
     de = rng.uniform(0.5, 2.0, size=max(orbit, default=0) + 1)
     return WeightFunctions(
         delta_V={lab: float(dv[g]) for lab, g in zip(h.labels, group_of)},
@@ -315,7 +315,7 @@ def _vertex_case(rng, kind, lengths, fixed):
         return _matrix(rng, p, kind), p, decompose_automorphism, rows_of
     h = invariant_hypergraph(rng, p, seed_edges=3, include_full_edge=kind == "transition")
     aut = validate_automorphism(h, p)
-    weights = _spread_weights(rng, h, orbits(p).cell_index, aut.edge_map) if kind in WEIGHTED_KINDS else None
+    weights = _spread_weights(rng, h, orbits(p).cell_of, aut.edge_map) if kind in WEIGHTED_KINDS else None
     return build_matrix(h, kind, weights=weights), aut, decompose_automorphism, rows_of
 
 
@@ -345,7 +345,7 @@ def _unit_case(rng, kind, lengths, fixed):
         H = _matrix(rng, ua.perm, kind)
         M = H[np.ix_(units.unit_of, units.unit_of)]
     else:
-        group_of = [orbits(ua.perm).cell_index[u] for u in units.unit_of]
+        group_of = [orbits(ua.perm).cell_of[u] for u in units.unit_of]
         weights = _spread_weights(rng, h, group_of, ua.edge_map) if kind in WEIGHTED_KINDS else None
         M = build_matrix(h, kind, weights=weights)
     return M, ua, decompose_unit_automorphism, rows_of
@@ -475,9 +475,8 @@ def test_partner_lifts_are_bitwise_what_solving_them_gives(lengths, fixed, how):
     assert partners
     for i, parts, partner in partners:
         w_parts = characters[partner][1]
-        cell_of = np.array(orbs.cell_index)
-        e = spectral._cell_symmetrizer(d, cell_of, [c[0] for c in orbs.cells], np.array([len(c) for c in orbs.cells]))
-        e = None if e is None else e[cell_of[np.concatenate([rot.u0 for rot, _ in w_parts])]]
+        e = spectral._cell_symmetrizer(d, orbs)
+        e = None if e is None else e[orbs.cell_of[np.concatenate([rot.u0 for rot, _ in w_parts])]]
         vals, vecs = spectral._eig_sorted(spectral._block_matrix(A, w_parts, orbs), e)
         vals, vecs = vals.conj(), spectral._phase_convention(vecs).conj()
         order = np.lexsort((vals.imag, vals.real))

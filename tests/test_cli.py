@@ -16,6 +16,7 @@ import pytest
 import hypersym
 from hypersym import Hypergraph, oracle, spectral, symmetry
 from hypersym.cli import main
+from hypersym.hypergraph import _Cells
 
 from conftest import (
     MIXED_LABELS_DOC,
@@ -533,15 +534,16 @@ def test_unit_checks_at_the_top_of_the_float_range_print_no_warning(capsys, writ
 )
 def test_one_operation_walks_the_cycles_once(capsys, write_doc, command, route):
     # validation takes the order from the permutation's cycle layout, and the
-    # decomposition's orbits and rotation factors read the same layout
+    # decomposition's orbits and rotation factors read the same layout: no
+    # cells are laid out from Python tuples or split into them
     doc, table, kind = route
     argv = [command, write_doc("h.json", doc), write_doc("s.json", table), "--kind", kind]
     with patch.object(symmetry, "_walk_cycles", wraps=symmetry._walk_cycles) as walk, patch.object(
-        symmetry, "_cell_layout", wraps=symmetry._cell_layout
-    ) as layout:
+        _Cells, "__init__", autospec=True, side_effect=_Cells.__init__
+    ) as layout, patch.object(symmetry, "_split_rows", wraps=symmetry._split_rows) as split:
         code, out, _ = run(capsys, argv)
     assert code == 0 and json.loads(out)["verification"]["verdict"] == "pass"
-    assert walk.call_count == 1 and layout.call_count == 0
+    assert walk.call_count == 1 and layout.call_count == 0 and split.call_count == 0
 
 
 def test_one_unit_operation_computes_the_units_once(capsys, write_doc, unit_map_path):

@@ -1,5 +1,7 @@
 """Automorphism validation, compatibility, orbits, quotients, rotations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hypersym import (
     HypersymError,
     NotAutomorphismError,
     NotEquitableError,
+    OrbitPartition,
     Permutation,
     as_rotation,
     build_matrix,
@@ -128,6 +131,45 @@ def test_partition_must_cover_indices(rot10):
     A = build_matrix(rot10, "adjacency_r")
     with pytest.raises(HypersymError, match="cover the index set"):
         equitable_witness(A, [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ([(0, 1)], "partition does not cover the index set exactly once"),
+        ([(0, 1), (1,)], "partition does not cover the index set exactly once"),
+        ([(0, 1), (-1,)], "partition does not cover the index set exactly once"),
+        ([(0, 1, 2), ()], "partition has an empty cell"),
+    ],
+    ids=["missing", "overlapping", "outside", "empty"],
+)
+def test_partition_is_refused_when_built(cells, message):
+    # cells that are not a partition of 0..2 are refused when the partition
+    # is built, so no lift or sync log reads past them; the quotient
+    # functions refuse them as a plain list with the same message
+    with pytest.raises(HypersymError, match=f"^{message}$"):
+        OrbitPartition(cells=cells, n=3)
+    for refuse in (equitable_witness, orbit_quotient):
+        with pytest.raises(HypersymError, match=f"^{message}$"):
+            refuse(np.ones((3, 3)), cells)
+
+
+def test_overflowing_cell_sums_are_compared_quietly():
+    # sums that overflow to inf deviate by inf - inf = NaN, which fails
+    # under a finite tolerance, with no numpy warning; the refusal names
+    # the first offending pair as before (here two sums that differ by
+    # rounding near the top of the float range)
+    p = Permutation((1, 2, 3, 0, 5, 4))
+    A = np.abs(compatible_matrix(np.random.default_rng(1), p).real) * 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotEquitableError) as refused:
+            orbit_quotient(A, orbits(p))
+        assert equitable_witness(np.full((2, 2), 1e308), [(0, 1)]) == (0, 0, 0, 0, complex("inf"), complex("inf"))
+    assert str(refused.value) == (
+        "partition is not equitable: rows 0 and 1 of cell 0 sum to (1.5028269269238105e+308+0j) "
+        "and (1.5028269269238109e+308+0j) over cell 0"
+    )
 
 
 def test_rotation_decomposition_rot10(rot10_aut):
