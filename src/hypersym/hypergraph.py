@@ -29,6 +29,7 @@ their cells as tuples and the Unit objects are built on first access.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -72,12 +73,18 @@ class _Cells:
     """A partition of 0..n-1 as read-only intp CSR arrays: cell i's members
     are cell_members[cell_ptr[i]:cell_ptr[i + 1]], cell_of maps each index
     to its cell. _Cells(cells, n) refuses given cells unless they partition
-    0..n-1; cells read off cycles or stars do, and are set by _set_cells."""
+    0..n-1 and name every index as an integer; cells read off cycles or
+    stars do, and are set by _set_cells."""
 
     def __init__(self, cells: Iterable[Iterable[int]], n: int):
         cells = list(map(tuple, cells))
         sizes = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-        members = np.fromiter((v for cell in cells for v in cell), dtype=np.intp, count=int(sizes.sum()))
+        flat = [v for cell in cells for v in cell]
+        try:  # an int or a numpy integer, not a float that would be truncated
+            members = np.fromiter(map(operator.index, flat), dtype=np.intp, count=len(flat))
+        except TypeError:
+            bad = next(v for v in flat if not isinstance(v, (int, np.integer)))
+            raise HypersymError(f"partition entry {bad!r} is not an integer index") from None
         ptr, cell_of = _ptr(sizes), np.full(n, -1, dtype=np.intp)
         inside = (members >= 0) & (members < n)
         cell_of[members[inside]] = _row_of(ptr)[inside]
@@ -360,14 +367,21 @@ class UnitPartition(_Cells):
     unit's key. The Unit objects of `units` are built on first access.
 
     UnitPartition(units=..., unit_of=..., n=...) builds the arrays from
-    given Unit objects; two partitions are equal when their orders, unit_of
-    and Unit objects are.
+    given Unit objects, checked as _Cells(cells, n) checks them, and refuses
+    a unit_of that does not name each vertex's unit; two partitions are
+    equal when their orders, unit_of and Unit objects are.
     """
 
     def __init__(self, units: Iterable[Unit], unit_of: Iterable[int], n: int):
         units = tuple(units)
-        members = np.array([i for u in units for i in u.member_indices], dtype=np.intp)
-        self._set_cells(n, members, _ptr([u.size for u in units]), np.array(unit_of, dtype=np.intp))
+        super().__init__((u.member_indices for u in units), n)
+        given = list(unit_of)
+        if len(given) != n:
+            raise HypersymError(f"unit_of names {len(given)} vertices, expected {n}")
+        wrong = np.flatnonzero(np.asarray(given) != self.unit_of)
+        if wrong.size:
+            v = int(wrong[0])
+            raise HypersymError(f"unit_of gives vertex {v} unit {given[v]!r}, but it is a member of unit {self.unit_of[v]}")
         self.keys: tuple[str, ...] = tuple(u.key for u in units)
         self.units = units
 

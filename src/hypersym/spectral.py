@@ -59,8 +59,8 @@ residual is still taken against B and the lifted one against M, so the
 Hermitian form never vouches for itself. For a real matrix the
 conj(w)-block is neither built nor solved: it takes the w-block's
 eigenpairs, block residuals and lifted residuals conjugated and sorted
-again, so each conjugate pair costs one build, one solve and one product
-with M.
+again, so each conjugate pair costs one build, one solve and one lifted
+product.
 
 Block eigenvectors follow zgeev's own convention: unit 2-norm, with the
 first entry of largest re^2 + im^2 real and positive. Entries within a few
@@ -86,17 +86,30 @@ as one stack (k, b, b), one eigensolver call each, and the phase
 convention and the block residuals take each stack at once too, bit for
 bit what each block alone gives (_finish_stack). A rotation of order l
 gives up to l blocks of one order, so the fixed cost per call is paid once
-per stack, not once per block. Checking the lifted eigenpairs takes one
-matrix product A V per block (n^2 b_i multiply-adds, in BLAS-3), again one
-per conjugate pair for a real A, in real arithmetic (_product, shared with
-the oracle). f's cycles are walked once, and the orbits and rotation
-factors read that layout as arrays, each rotation's components as one
-index array; each root of unity computes its exact powers once, which its
-rotation columns sum in order and its lift multiplies at once and writes
-with one scatter. Everything else (the compatibility check, which also
-makes the quotient equitable, the balance check, the cell sums, the other
-blocks, the lifts) is vectorised O(n^2) numpy work, with no Python loop
-over cell pairs or eigenpairs.
+per stack, not once per block. Checking the lifted eigenpairs multiplies no
+n x n matrix on the vertex route: A lift(X) = A_w X for the columns
+
+    A_w[:, c] = sum_i w^i A[:, f^i(rep c)],
+
+which _CycleLayout sums once per call, gathering each rotation factor's
+columns a block of rows at a time and summing them by GEMM against the
+exact powers of the roots its solved blocks use (real for a real A). That
+is one pass over A and at most n^2 l multiply-adds for a factor of order l,
+and the sums take as much memory as A; each block's product then
+costs n b_i^2 instead of n^2 b_i, one per conjugate pair for a real A, and
+the residual is still taken against A. The unit route keeps one product of
+M with each block's blown-up vectors (_product, shared with the oracle): on
+a units-verify positive (n = 240, 120 units, three such products) they
+take 0.39 ms, where summing M's columns over the units alone takes 0.28 ms
+before any product with the sums (best of 5, one BLAS thread, a 2-vCPU
+Xeon). f's cycles are walked once, and the orbits and rotation factors read
+that layout as arrays, each rotation's components as one index array; each
+root of unity computes its exact powers once, which its rotation columns
+sum in order, its lift multiplies at once and writes with one scatter, and
+the cycle layout sums against. Everything else (the compatibility check,
+which also makes the quotient equitable, the balance check, the cell sums,
+the other blocks, the lifts) is vectorised O(n^2) numpy work, with no
+Python loop over cell pairs or eigenpairs.
 """
 
 from __future__ import annotations
@@ -110,7 +123,7 @@ import numpy as np
 
 from .errors import HypersymError, IncompatibleMatrixError
 from .jsonutil import _ENTRIES, _HOLE, _Rows, complex_pair
-from .matrices import _float_array, as_array, prepared
+from .matrices import _BLOCK, _float_array, as_array, prepared
 from .symmetry import (
     COMPAT_TOL,
     OrbitPartition,
@@ -503,6 +516,81 @@ def _lift_block(X: np.ndarray, parts: _Parts, orbs: OrbitPartition, n: int) -> n
     return sum(lifts[1:], lifts[0])
 
 
+class _CycleLayout:
+    """A's columns summed along the cycles of each rotation factor against
+    the powers of the roots its blocks use,
+
+        A_w[:, c] = sum_i w^i A[:, f^i(rep c)],
+
+    so that A lift(X) = sum over the block's parts of A_w X_part: n b^2 work
+    per block where the product with the lift is n^2 b. Each factor's
+    columns are gathered along its cycles, (rows, cycles, l), a block of
+    rows at a time so that the gather stays small next to A, and each block
+    of rows is summed by one GEMM against the cached exact powers of its
+    roots among roots, and of w = 1 for the quotient; for a real A that GEMM
+    is real, against [Re | Im] of the powers, a root +-1 giving one float64
+    slice and any other root its real and imaginary slices. Every row of A
+    is summed, so the product is A lift(X) whether or not A is compatible."""
+
+    def __init__(self, A: np.ndarray, orbs: OrbitPartition, factors: tuple[Rotation, ...], roots: _Parts):
+        real = np.isrealobj(A)
+        # per factor: the powers of each root of it in roots by k, w = 1 first
+        wanted = {id(rot): (rot, {0: (1.0,) * rot.order_n}) for rot in factors}
+        for rot, w in roots:
+            wanted[id(rot)][1].setdefault(w.k, w._powers)
+        # the slices by (factor, k), each (1 or 2, n, cycles), and the
+        # quotient's terms: each factor's w = 1 slice and A's columns at the
+        # fixed points, with the cells they sum into
+        self.slices: dict[tuple[int, int], np.ndarray] = {}
+        self.quotient: list[tuple[np.ndarray, np.ndarray]] = []
+        n = A.shape[0]
+        rows = max(1, _BLOCK // n)
+        for key, (rot, ws) in wanted.items():
+            weights, spans = [], []
+            for k, powers in ws.items():
+                powers = np.array(powers)
+                pair = real and np.iscomplexobj(powers)
+                spans.append((k, len(weights), 1 + pair))
+                weights += [powers.real, powers.imag] if pair else [powers]
+            W, idx = np.array(weights), rot._index.T
+            T = np.empty((len(W), n, rot.n_cycles), dtype=np.result_type(W, A))
+            for r in range(0, n, rows):
+                G = A[r : r + rows].take(idx, axis=1).reshape(-1, rot.order_n)
+                np.matmul(W, G.T, out=T[:, r : r + rows].reshape(len(W), -1))
+            self.slices.update(((key, k), T[start : start + count]) for k, start, count in spans)
+            self.quotient.append((T[:1], orbs.cell_of[rot._index[0]]))
+        if sum(rot.order_n * rot.n_cycles for rot in factors) < n or not factors:
+            fixed = orbs.reps[orbs.sizes == 1]
+            self.quotient.append((A.take(fixed, axis=1)[None], orbs.cell_of[fixed]))
+
+    def product(self, parts: _Parts, X: np.ndarray) -> np.ndarray:
+        """A lift(X) for the columns X of the block over parts (_lift_block),
+        or of the orbit quotient without parts, each term against the rows
+        of X of its cycles or cells."""
+        if parts:
+            bounds = np.cumsum([0] + [rot.n_cycles for rot, _ in parts]).tolist()
+            terms = [(self.slices[id(rot), w.k], X[a:b]) for (rot, w), a, b in zip(parts, bounds, bounds[1:])]
+        else:
+            terms = [(S, X[cells]) for S, cells in self.quotient]
+        products = [_slice_product(S, Xr) for S, Xr in terms]
+        return sum(products[1:], products[0])
+
+
+def _slice_product(S: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """S X for a slice S of _CycleLayout: S[0] X for one slice, and
+    S[0] X + i S[1] X for the real and imaginary slices of a complex one,
+    summed in place as re - im' and im + re'."""
+    m, n, cycles = S.shape
+    U = _product(S.reshape(m * n, cycles), X).reshape(m, n, -1)
+    if m == 2:
+        if np.isrealobj(U):
+            return U[0] + 1j * U[1]
+        re, im = U.view(np.float64)[..., 0::2], U.view(np.float64)[..., 1::2]
+        re[0] -= im[1]
+        im[0] += re[1]
+    return U[0]
+
+
 def _finish_stack(stack: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """(values, vectors, block residuals, defective mask) of each matrix of
     a stack (k, b, b) of blocks, from its sorted eigenpairs (_eig_sorted),
@@ -579,20 +667,26 @@ def _decompose(
     Every block is built before any is solved, and the blocks of one order,
     dtype and symmetrizer are solved as one stack (_solve_blocks).
 
+    On the vertex route (lift None) the lifted residuals' products come
+    from A's cycle layout (_CycleLayout), built once the blocks are solved;
+    on the unit route each is the product of A with the lifted vectors.
+
     For a real A and built_from the conj(w)-block is neither built nor
     solved, and its lifts are not multiplied by A: its eigenpairs, block
     residuals and lifted residuals are the w-block's, conjugated and sorted
-    again, bit for bit what computing them gives, since real GEMM and
-    complex multiplication commute with conjugation. Only its lift, O(n) per
-    pair, is made again, as conjugating the w-block's would flip the sign of
-    some zero parts.
+    again, bit for bit what computing them gives (from the conj(w) slices of
+    the cycle layout, which are the w slices with the imaginary one
+    negated), since real GEMM and complex multiplication commute with
+    conjugation. Only its lift, O(n) per pair, is made again, as
+    conjugating the w-block's would flip the sign of some zero parts.
     """
     B = A if built_from is None else built_from
     tag = tag or {}
     orbs = orbits(perm)
     e = _cell_symmetrizer(d, orbs)
     real = np.isrealobj(A) and np.isrealobj(B)
-    characters = _characters(rotation_decomposition(perm))
+    factors = rotation_decomposition(perm)
+    characters = _characters(factors)
     # every block that is solved, with its symmetrizer, in block order up to
     # the first with an entry beyond the float range (eig would refuse it,
     # eigh give NaN), whose refusal waits for those before it to be solved
@@ -609,6 +703,7 @@ def _decompose(
     eigen = _solve_blocks(built)
     if beyond is not None:
         raise HypersymError(beyond)
+    layout = None if lift is not None else _CycleLayout(A, orbs, factors, [part for i in eigen for part in characters[i][1]])
     # per block: values, vectors, block residuals, defective mask and lifted
     # residuals
     solved: list[tuple[np.ndarray, ...]] = []
@@ -626,11 +721,13 @@ def _decompose(
         else:
             vals, vecs, block_res, defective = eigen[i]
             lifted_res = None
-        full = _lift_block(vecs[:, ~defective], parts, orbs, B.shape[0])
+        X = vecs[:, ~defective]
+        full = _lift_block(X, parts, orbs, B.shape[0])
         if lift is not None:
             full = lift(full)
         if lifted_res is None:
-            lifted_res = residual_norms(_product(A, full), full, vals[~defective])
+            AV = _product(A, full) if layout is None else layout.product(parts, X)
+            lifted_res = residual_norms(AV, full, vals[~defective])
         solved.append((vals, vecs, block_res, defective, lifted_res))
         blocks.append(RotationBlock(source={**source, **tag}, order=len(vals), eigenvalues=vals.astype(np.complex128)))
         skipped += [

@@ -11,7 +11,11 @@ library to give the same witnesses, messages, quotients, matchings and
 synchronization verdicts, and the same bytes for the unit pairs (one pass
 over the unit arrays in the library, one unit at a time here) and for the
 rotation columns and lifts (one gather and one scatter in the library, one
-per component here). cycles, orbits and rotation_decomposition walk a
+per component here). lifted_product multiplies the whole matrix by a
+block's lifted vectors, where the library sums the matrix's columns along
+each factor's cycles once per call and multiplies the block vectors by
+those sums; test_loop_equivalence.py requires the two within 1e-12 *
+max(1, ||A||_inf), compatible or not. cycles, orbits and rotation_decomposition walk a
 permutation's cycles on every call and write the orbits and rotation
 factors cycle by cycle and vertex by vertex, where the library walks them
 once and reads both off that one layout; test_loop_equivalence.py requires
@@ -259,6 +263,20 @@ def lift_rotation_vector(x, rot, omega, n_full):
     for i, comp in enumerate(rot.components):
         full[list(comp)] = omega.pow(i) * x
     return full
+
+
+def lifted_product(A, X, parts, orbs):
+    """A @ lift(X), the product a lifted residual took before the cycle
+    layout: the block vectors in the columns of X lifted factor by factor
+    (constant on the orbits for the quotient, which has no parts), then
+    multiplied by the whole of A."""
+    if parts:
+        rows = np.split(X, np.cumsum([rot.n_cycles for rot, _ in parts])[:-1])
+        lifts = [lift_rotation_vector(Xr, rot, w, A.shape[0]) for Xr, (rot, w) in zip(rows, parts)]
+        full = sum(lifts[1:], lifts[0])
+    else:
+        full = X[orbs.cell_of]
+    return product(A, full)
 
 
 def residual_norms(AV, V, values):

@@ -19,6 +19,10 @@ from hypersym.cli import main
 from hypersym.hypergraph import _Cells
 
 from conftest import (
+    LONG74_DOC,
+    LONG74_MAP,
+    MIXED13_DOC,
+    MIXED13_MAP,
     MIXED_LABELS_DOC,
     ROT10_ADJACENCY_R,
     ROT10_DOC,
@@ -544,6 +548,32 @@ def test_one_operation_walks_the_cycles_once(capsys, write_doc, command, route):
         code, out, _ = run(capsys, argv)
     assert code == 0 and json.loads(out)["verification"]["verdict"] == "pass"
     assert walk.call_count == 1 and layout.call_count == 0 and split.call_count == 0
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+@pytest.mark.parametrize(
+    "route",
+    [
+        (ROT10_DOC, {"map": ROT10_MAP}, "adjacency_r", False),
+        (MIXED13_DOC, {"map": MIXED13_MAP}, "transition", False),
+        (LONG74_DOC, {"map": LONG74_MAP}, "laplacian_r", False),
+        (UNITS18_DOC, {"unit_map": UNITS18_UNIT_MAP}, "unit_normalized", True),
+    ],
+    ids=["rot10", "mixed13", "long74", "units18"],
+)
+def test_only_the_unit_route_multiplies_the_whole_matrix(capsys, write_doc, command, route):
+    # on the vertex route every lifted residual's product comes from the
+    # cycle layout, so the decomposition multiplies no n x n matrix; the
+    # unit route still multiplies M by its blown-up vectors (the oracle's
+    # own product is not counted)
+    doc, table, kind, unit_route = route
+    n = len(doc["vertices"])
+    argv = [command, write_doc("h.json", doc), write_doc("s.json", table), "--kind", kind]
+    with patch.object(spectral, "_product", wraps=spectral._product) as product:
+        code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["verification"]["verdict"] == "pass"
+    whole = [call for call in product.call_args_list if call.args[0].shape == (n, n)]
+    assert product.call_count > 0 and bool(whole) == unit_route
 
 
 def test_one_unit_operation_computes_the_units_once(capsys, write_doc, unit_map_path):

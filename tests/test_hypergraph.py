@@ -6,6 +6,7 @@ import pytest
 from hypersym import (
     DocumentError,
     Hypergraph,
+    HypersymError,
     UnitPartition,
     canonical_json,
     compute_units,
@@ -133,7 +134,10 @@ def test_partition_built_from_units_equals_the_computed_one(units18, rot10):
     for name in ("unit_of", "unit_ptr", "unit_members"):
         assert np.array_equal(getattr(built, name), getattr(units, name))
     assert built != compute_units(rot10)
-    assert built != UnitPartition(units=units.units, unit_of=(0,) * units.n, n=units.n)
+    with pytest.raises(HypersymError, match=r"^unit_of gives vertex 2 unit 0, but it is a member of unit 1$"):
+        UnitPartition(units=units.units, unit_of=(0,) * units.n, n=units.n)
+    with pytest.raises(HypersymError, match=f"^unit_of names {units.n - 1} vertices, expected {units.n}$"):
+        UnitPartition(units=units.units, unit_of=tuple(units.unit_of.tolist())[:-1], n=units.n)
 
 
 def test_edge_covers_are_exact(units18):

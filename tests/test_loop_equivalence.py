@@ -313,6 +313,92 @@ def test_rotation_gather_and_lift_match_loops(lengths, fixed, matrix, columns, c
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def _lifted_cases(rng, p, matrix, compatible, scale):
+    """(A, factors, characters, layout): a matrix on p's index set, real or
+    complex, p-compatible or not, scaled; p's rotation factors and block
+    characters; and A's cycle layout for the roots of every block."""
+    if compatible:
+        A = compatible_matrix(rng, p)
+        A = A.real.copy() if matrix == "real" else A
+    else:
+        A = rng.normal(size=(p.n, p.n)) + (1j * rng.normal(size=(p.n, p.n)) if matrix == "complex" else 0)
+    A = A * scale
+    factors = rotation_decomposition(p)
+    characters = spectral._characters(factors)
+    layout = spectral._CycleLayout(A, orbits(p), factors, [part for _, parts, _ in characters for part in parts])
+    return A, factors, characters, layout
+
+
+def _block_order(parts, orbs):
+    return sum(rot.n_cycles for rot, _ in parts) if parts else len(orbs)
+
+
+@given(
+    st.sampled_from([(12,), (2, 4, 4), (3, 6), (4, 6)]),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from(["real", "complex"]),
+    st.booleans(),
+    st.sampled_from([1.0, 1e-3, 1e6]),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+    seeds,
+)
+@settings(max_examples=200, deadline=None)
+def test_layout_products_match_the_product_with_the_lift(lengths, fixed, matrix, compatible, scale, k, complex_x, seed):
+    """A lift(X) from the cycle layout is the product of the whole matrix
+    with the lifted vectors, within 1e-12 * max(1, ||A||_inf), in the same
+    dtype, for every block, the conj(w) blocks and the quotient among them:
+    non-coprime and mixed cycle types, fixed points, real and complex
+    matrices and vectors, and matrices the permutation is not compatible
+    with, which the layout does not assume."""
+    rng = np.random.default_rng(seed)
+    p = permutation_with_type(rng, sum(lengths) + fixed, lengths)
+    A, _, characters, layout = _lifted_cases(rng, p, matrix, compatible, scale)
+    orbs = orbits(p)
+    bound = 1e-12 * max(1.0, float(np.abs(A).sum(axis=1).max()))
+    for _, parts, _ in characters:
+        X = rng.normal(size=(_block_order(parts, orbs), k))
+        if complex_x:
+            X = X + 1j * rng.normal(size=X.shape)
+        got, want = layout.product(parts, X), ref.lifted_product(A, X, parts, orbs)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.abs(got - want).max() <= bound
+
+
+@pytest.mark.parametrize("lengths", [(12,), (2, 4, 4), (3, 6), (4, 6)], ids=str)
+@pytest.mark.parametrize("fixed", [0, 2])
+@pytest.mark.parametrize("matrix", ["real", "complex"])
+def test_a_perturbed_entry_shows_in_the_layout_residuals(lengths, fixed, matrix):
+    """Negative control: one entry (u, v) of a compatible matrix changed
+    after it was decomposed. Against the changed matrix, the layout's
+    lifted residuals exceed LIFT_RESIDUAL_TOL * scale on every block whose
+    lifted vectors reach v (the quotient, and the blocks holding v's
+    factor) and stay within it on the others, as the product with the
+    lift gives them."""
+    rng = np.random.default_rng(sum(lengths) + fixed)
+    p = permutation_with_type(rng, sum(lengths) + fixed, lengths)
+    A, factors, characters, _ = _lifted_cases(rng, p, matrix, True, 1.0)
+    dec = spectral.decompose_automorphism(A, p)
+    assert not dec.skipped
+    orbs = orbits(p)
+    for touched in [*factors, *([None] if fixed else [])]:
+        v = int(touched.u0[-1]) if touched is not None else int(orbs.reps[orbs.sizes == 1][0])
+        B = A.copy()
+        B[(v + 1) % p.n, v] += 1.0
+        B_layout = spectral._CycleLayout(B, orbs, factors, [part for _, parts, _ in characters for part in parts])
+        tol = spectral.LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(B).sum(axis=1).max()))
+        for (_, parts, _), lift in zip(characters, dec.lifts):
+            rows = np.concatenate([rot._index[0] for rot, _ in parts]) if parts else orbs.reps
+            X = lift.vectors[rows]
+            res = spectral.residual_norms(B_layout.product(parts, X), lift.vectors, lift.values)
+            want = spectral.residual_norms(ref.lifted_product(B, X, parts, orbs), lift.vectors, lift.values)
+            assert np.allclose(res, want, rtol=0, atol=1e-12)
+            if not parts or any(rot is touched for rot, _ in parts):
+                assert res.max() > tol
+            else:
+                assert res.max() <= tol
+
+
 @st.composite
 def block_stacks(draw):
     """(blocks, e): 1-6 blocks of one order b (1-12), as _decompose stacks

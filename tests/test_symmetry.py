@@ -140,8 +140,11 @@ def test_partition_must_cover_indices(rot10):
         ([(0, 1), (1,)], "partition does not cover the index set exactly once"),
         ([(0, 1), (-1,)], "partition does not cover the index set exactly once"),
         ([(0, 1, 2), ()], "partition has an empty cell"),
+        ([(0.9, 1), (2,)], r"partition entry 0\.9 is not an integer index"),
+        ([(0.5, 1), (2,)], r"partition entry 0\.5 is not an integer index"),
+        ([(0, 1), ("2",)], "partition entry '2' is not an integer index"),
     ],
-    ids=["missing", "overlapping", "outside", "empty"],
+    ids=["missing", "overlapping", "outside", "empty", "float", "half", "string"],
 )
 def test_partition_is_refused_when_built(cells, message):
     # cells that are not a partition of 0..2 are refused when the partition
@@ -152,6 +155,14 @@ def test_partition_is_refused_when_built(cells, message):
     for refuse in (equitable_witness, orbit_quotient):
         with pytest.raises(HypersymError, match=f"^{message}$"):
             refuse(np.ones((3, 3)), cells)
+
+
+def test_numpy_integer_cells_are_read_as_indices():
+    # a float used to be truncated to another index; a numpy integer is
+    # an index like an int
+    orbs = OrbitPartition(cells=[(np.int64(0), 1), (np.intp(2),)], n=3)
+    assert orbs.cells == ((0, 1), (2,))
+    assert equitable_witness(np.ones((3, 3)), [(np.int32(0), 1), (2,)]) is None
 
 
 def test_overflowing_cell_sums_are_compared_quietly():
