@@ -15,10 +15,10 @@ per component here). lifted_product multiplies the whole matrix by a
 block's lifted vectors, where the library sums the matrix's columns along
 each factor's cycles once per call and multiplies the block vectors by
 those sums; test_loop_equivalence.py requires the two within 1e-12 *
-max(1, ||A||_inf), compatible or not. cycles, orbits and rotation_decomposition walk a
-permutation's cycles on every call and write the orbits and rotation
-factors cycle by cycle and vertex by vertex, where the library walks them
-once and reads both off that one layout; test_loop_equivalence.py requires
+max(1, ||A||_inf), compatible or not. cycles, orbits and
+rotation_decomposition walk a permutation's cycles on every call and write
+the orbits and rotation factors cycle by cycle and vertex by vertex, where
+the library walks them once and reads both off that one layout; test_loop_equivalence.py requires
 the same cycles, order, cells, cell indices and factors. block_eigenpairs
 solves one block at a time, as the library did before it solved the blocks
 of one order, dtype and symmetrizer as one stack; test_loop_equivalence.py
