@@ -91,13 +91,14 @@ n x n matrix on the vertex route: A lift(X) = A_w X for the columns
 
     A_w[:, c] = sum_i w^i A[:, f^i(rep c)],
 
-which _CycleLayout sums once per call, gathering each rotation factor's
+which _lifted_products sums once per call, gathering each rotation factor's
 columns a block of rows at a time and summing them by GEMM against the
 exact powers of the roots its solved blocks use (real for a real A). That
-is one pass over A and at most n^2 l multiply-adds for a factor of order l,
-and the sums take as much memory as A; each block's product then
-costs n b_i^2 instead of n^2 b_i, one per conjugate pair for a real A, and
-the residual is still taken against A. The unit route keeps one product of
+is one pass over A and at most n^2 l multiply-adds for a factor of order l;
+each block's product then costs n b_i^2 instead of n^2 b_i, one per
+conjugate pair for a real A. The sums take as much memory as A, so every
+product is made as soon as the blocks are solved and the sums are dropped
+before the lifts. The residual is still taken against A. The unit route keeps one product of
 M with each block's blown-up vectors (_product, shared with the oracle): on
 a units-verify positive (n = 240, 120 units, three such products) they
 take 0.39 ms, where summing M's columns over the units alone takes 0.28 ms
@@ -106,7 +107,7 @@ Xeon). f's cycles are walked once, and the orbits and rotation factors read
 that layout as arrays, each rotation's components as one index array; each
 root of unity computes its exact powers once, which its rotation columns
 sum in order, its lift multiplies at once and writes with one scatter, and
-the cycle layout sums against. Everything else (the compatibility check,
+the lifted products sum against. Everything else (the compatibility check,
 which also makes the quotient equitable, the balance check, the cell sums,
 the other blocks, the lifts) is vectorised O(n^2) numpy work, with no
 Python loop over cell pairs or eigenpairs.
@@ -516,68 +517,72 @@ def _lift_block(X: np.ndarray, parts: _Parts, orbs: OrbitPartition, n: int) -> n
     return sum(lifts[1:], lifts[0])
 
 
-class _CycleLayout:
-    """A's columns summed along the cycles of each rotation factor against
-    the powers of the roots its blocks use,
+def _lifted_products(
+    A: np.ndarray, orbs: OrbitPartition, factors: tuple[Rotation, ...], blocks: dict[int, tuple[_Parts, np.ndarray]]
+) -> dict[int, np.ndarray]:
+    """A lift(X) for each block (parts, X) of A's orbits and rotation
+    factors, X the block vectors as columns (_lift_block; the orbit quotient
+    has no parts), from A's columns summed along each factor's cycles
+    against the powers of the roots the blocks use,
 
         A_w[:, c] = sum_i w^i A[:, f^i(rep c)],
 
     so that A lift(X) = sum over the block's parts of A_w X_part: n b^2 work
-    per block where the product with the lift is n^2 b. Each factor's
-    columns are gathered along its cycles, (rows, cycles, l), a block of
-    rows at a time so that the gather stays small next to A, and each block
-    of rows is summed by one GEMM against the cached exact powers of its
-    roots among roots, and of w = 1 for the quotient; for a real A that GEMM
-    is real, against [Re | Im] of the powers, a root +-1 giving one float64
-    slice and any other root its real and imaginary slices. Every row of A
-    is summed, so the product is A lift(X) whether or not A is compatible."""
-
-    def __init__(self, A: np.ndarray, orbs: OrbitPartition, factors: tuple[Rotation, ...], roots: _Parts):
-        real = np.isrealobj(A)
-        # per factor: the powers of each root of it in roots by k, w = 1 first
-        wanted = {id(rot): (rot, {0: (1.0,) * rot.order_n}) for rot in factors}
-        for rot, w in roots:
+    per block where the product with the lift is n^2 b. The quotient's
+    product is each factor's w = 1 slice and A's columns at the fixed
+    points, each against the rows of X of its cells. Each factor's columns
+    are gathered along its cycles, (rows, cycles, l), a block of rows at a
+    time so that the gather stays small next to A, and each block of rows
+    is summed by one GEMM against the cached exact powers of its roots, and
+    of w = 1; for a real A that GEMM is real, against [Re | Im] of the
+    powers, a root +-1 giving one float64 slice and any other root its real
+    and imaginary slices. Every row of A is summed, so the product is
+    A lift(X) whether or not A is compatible. The slices, as much memory as
+    A, are dropped when the products are made."""
+    n, real = A.shape[0], np.isrealobj(A)
+    # per factor: the powers of each root of it that a block uses, by k,
+    # w = 1 first
+    wanted = {id(rot): (rot, {0: (1.0,) * rot.order_n}) for rot in factors}
+    for parts, _ in blocks.values():
+        for rot, w in parts:
             wanted[id(rot)][1].setdefault(w.k, w._powers)
-        # the slices by (factor, k), each (1 or 2, n, cycles), and the
-        # quotient's terms: each factor's w = 1 slice and A's columns at the
-        # fixed points, with the cells they sum into
-        self.slices: dict[tuple[int, int], np.ndarray] = {}
-        self.quotient: list[tuple[np.ndarray, np.ndarray]] = []
-        n = A.shape[0]
-        rows = max(1, _BLOCK // n)
-        for key, (rot, ws) in wanted.items():
-            weights, spans = [], []
-            for k, powers in ws.items():
-                powers = np.array(powers)
-                pair = real and np.iscomplexobj(powers)
-                spans.append((k, len(weights), 1 + pair))
-                weights += [powers.real, powers.imag] if pair else [powers]
-            W, idx = np.array(weights), rot._index.T
-            T = np.empty((len(W), n, rot.n_cycles), dtype=np.result_type(W, A))
-            for r in range(0, n, rows):
-                G = A[r : r + rows].take(idx, axis=1).reshape(-1, rot.order_n)
-                np.matmul(W, G.T, out=T[:, r : r + rows].reshape(len(W), -1))
-            self.slices.update(((key, k), T[start : start + count]) for k, start, count in spans)
-            self.quotient.append((T[:1], orbs.cell_of[rot._index[0]]))
-        if sum(rot.order_n * rot.n_cycles for rot in factors) < n or not factors:
-            fixed = orbs.reps[orbs.sizes == 1]
-            self.quotient.append((A.take(fixed, axis=1)[None], orbs.cell_of[fixed]))
-
-    def product(self, parts: _Parts, X: np.ndarray) -> np.ndarray:
-        """A lift(X) for the columns X of the block over parts (_lift_block),
-        or of the orbit quotient without parts, each term against the rows
-        of X of its cycles or cells."""
+    # the slices by (factor, k), each (1 or 2, n, cycles), and the
+    # quotient's terms: each factor's w = 1 slice and A's columns at the
+    # fixed points, with the cells they sum into
+    slices: dict[tuple[int, int], np.ndarray] = {}
+    quotient: list[tuple[np.ndarray, np.ndarray]] = []
+    rows = max(1, _BLOCK // n)
+    for key, (rot, ws) in wanted.items():
+        weights, spans = [], []
+        for k, powers in ws.items():
+            powers = np.array(powers)
+            pair = real and np.iscomplexobj(powers)
+            spans.append((k, len(weights), 1 + pair))
+            weights += [powers.real, powers.imag] if pair else [powers]
+        W, idx = np.array(weights), rot._index.T
+        T = np.empty((len(W), n, rot.n_cycles), dtype=np.result_type(W, A))
+        for r in range(0, n, rows):
+            G = A[r : r + rows].take(idx, axis=1).reshape(-1, rot.order_n)
+            np.matmul(W, G.T, out=T[:, r : r + rows].reshape(len(W), -1))
+        slices.update(((key, k), T[start : start + count]) for k, start, count in spans)
+        quotient.append((T[:1], orbs.cell_of[rot._index[0]]))
+    if sum(rot.order_n * rot.n_cycles for rot in factors) < n or not factors:
+        fixed = orbs.reps[orbs.sizes == 1]
+        quotient.append((A.take(fixed, axis=1)[None], orbs.cell_of[fixed]))
+    products = {}
+    for i, (parts, X) in blocks.items():
         if parts:
             bounds = np.cumsum([0] + [rot.n_cycles for rot, _ in parts]).tolist()
-            terms = [(self.slices[id(rot), w.k], X[a:b]) for (rot, w), a, b in zip(parts, bounds, bounds[1:])]
+            terms = [(slices[id(rot), w.k], X[a:b]) for (rot, w), a, b in zip(parts, bounds, bounds[1:])]
         else:
-            terms = [(S, X[cells]) for S, cells in self.quotient]
-        products = [_slice_product(S, Xr) for S, Xr in terms]
-        return sum(products[1:], products[0])
+            terms = [(S, X[cells]) for S, cells in quotient]
+        AV = [_slice_product(S, Xr) for S, Xr in terms]
+        products[i] = sum(AV[1:], AV[0])
+    return products
 
 
 def _slice_product(S: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """S X for a slice S of _CycleLayout: S[0] X for one slice, and
+    """S X for a slice S of _lifted_products: S[0] X for one slice, and
     S[0] X + i S[1] X for the real and imaginary slices of a complex one,
     summed in place as re - im' and im + re'."""
     m, n, cycles = S.shape
@@ -668,14 +673,15 @@ def _decompose(
     dtype and symmetrizer are solved as one stack (_solve_blocks).
 
     On the vertex route (lift None) the lifted residuals' products come
-    from A's cycle layout (_CycleLayout), built once the blocks are solved;
-    on the unit route each is the product of A with the lifted vectors.
+    from A's columns summed along the cycles (_lifted_products), all made
+    once the blocks are solved, before any lift; on the unit route each is
+    the product of A with the lifted vectors.
 
     For a real A and built_from the conj(w)-block is neither built nor
     solved, and its lifts are not multiplied by A: its eigenpairs, block
     residuals and lifted residuals are the w-block's, conjugated and sorted
     again, bit for bit what computing them gives (from the conj(w) slices of
-    the cycle layout, which are the w slices with the imaginary one
+    _lifted_products, which are the w slices with the imaginary one
     negated), since real GEMM and complex multiplication commute with
     conjugation. Only its lift, O(n) per pair, is made again, as
     conjugating the w-block's would flip the sign of some zero parts.
@@ -703,7 +709,9 @@ def _decompose(
     eigen = _solve_blocks(built)
     if beyond is not None:
         raise HypersymError(beyond)
-    layout = None if lift is not None else _CycleLayout(A, orbs, factors, [part for i in eigen for part in characters[i][1]])
+    products = {} if lift is not None else _lifted_products(
+        A, orbs, factors, {i: (characters[i][1], vecs[:, ~defective]) for i, (_, vecs, _, defective) in eigen.items()}
+    )
     # per block: values, vectors, block residuals, defective mask and lifted
     # residuals
     solved: list[tuple[np.ndarray, ...]] = []
@@ -721,12 +729,11 @@ def _decompose(
         else:
             vals, vecs, block_res, defective = eigen[i]
             lifted_res = None
-        X = vecs[:, ~defective]
-        full = _lift_block(X, parts, orbs, B.shape[0])
+        full = _lift_block(vecs[:, ~defective], parts, orbs, B.shape[0])
         if lift is not None:
             full = lift(full)
         if lifted_res is None:
-            AV = _product(A, full) if layout is None else layout.product(parts, X)
+            AV = products.pop(i) if lift is None else _product(A, full)
             lifted_res = residual_norms(AV, full, vals[~defective])
         solved.append((vals, vecs, block_res, defective, lifted_res))
         blocks.append(RotationBlock(source={**source, **tag}, order=len(vals), eigenvalues=vals.astype(np.complex128)))

@@ -464,8 +464,8 @@ def test_a_non_finite_matrix_fails_the_balance_check_without_a_warning():
 def test_partner_lifts_are_bitwise_what_solving_them_gives(lengths, fixed, how):
     # the conj(w)-block, built and given the w-block's conjugated and
     # re-sorted eigenpairs, lifts to the same bytes as the reused record,
-    # and its residuals against the conj(w) slices of A's cycle layout are
-    # the reused ones
+    # and its residuals against the conj(w) slices of A's columns summed
+    # along the cycles are the reused ones
     rng = np.random.default_rng(sum(lengths) + fixed)
     p = permutation_with_type(rng, sum(lengths) + fixed, lengths)
     A = _matrix(rng, p, how)
@@ -476,7 +476,6 @@ def test_partner_lifts_are_bitwise_what_solving_them_gives(lengths, fixed, how):
     characters = spectral._characters(factors)
     partners = [(i, parts, partner) for i, (_, parts, partner) in enumerate(characters) if partner is not None]
     assert partners
-    layout = spectral._CycleLayout(A, orbs, factors, [part for _, parts, _ in characters for part in parts])
     for i, parts, partner in partners:
         w_parts = characters[partner][1]
         e = spectral._cell_symmetrizer(d, orbs)
@@ -489,7 +488,8 @@ def test_partner_lifts_are_bitwise_what_solving_them_gives(lengths, fixed, how):
         block_res = spectral.residual_norms(spectral._product(matrix, vecs), vecs, vals)
         assert np.all(block_res <= spectral.LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(matrix).max())))
         full = spectral._lift_block(vecs, parts, orbs, p.n)
-        res = spectral.residual_norms(layout.product(parts, vecs), full, vals)
+        AV = spectral._lifted_products(A, orbs, factors, {i: (parts, vecs)})[i]
+        res = spectral.residual_norms(AV, full, vals)
         lift = dec.lifts[i]
         assert lift.values.dtype == vals.dtype and lift.values.tobytes() == vals.tobytes()
         assert lift.vectors.dtype == full.dtype and lift.vectors.tobytes() == full.tobytes()

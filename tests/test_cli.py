@@ -562,10 +562,10 @@ def test_one_operation_walks_the_cycles_once(capsys, write_doc, command, route):
     ids=["rot10", "mixed13", "long74", "units18"],
 )
 def test_only_the_unit_route_multiplies_the_whole_matrix(capsys, write_doc, command, route):
-    # on the vertex route every lifted residual's product comes from the
-    # cycle layout, so the decomposition multiplies no n x n matrix; the
-    # unit route still multiplies M by its blown-up vectors (the oracle's
-    # own product is not counted)
+    # on the vertex route every lifted residual's product comes from A's
+    # columns summed along the cycles, so the decomposition multiplies no
+    # n x n matrix; the unit route still multiplies M by its blown-up
+    # vectors (the oracle's own product is not counted)
     doc, table, kind, unit_route = route
     n = len(doc["vertices"])
     argv = [command, write_doc("h.json", doc), write_doc("s.json", table), "--kind", kind]

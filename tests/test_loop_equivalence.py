@@ -314,9 +314,9 @@ def test_rotation_gather_and_lift_match_loops(lengths, fixed, matrix, columns, c
 
 
 def _lifted_cases(rng, p, matrix, compatible, scale):
-    """(A, factors, characters, layout): a matrix on p's index set, real or
+    """(A, factors, characters): a matrix on p's index set, real or
     complex, p-compatible or not, scaled; p's rotation factors and block
-    characters; and A's cycle layout for the roots of every block."""
+    characters."""
     if compatible:
         A = compatible_matrix(rng, p)
         A = A.real.copy() if matrix == "real" else A
@@ -324,9 +324,7 @@ def _lifted_cases(rng, p, matrix, compatible, scale):
         A = rng.normal(size=(p.n, p.n)) + (1j * rng.normal(size=(p.n, p.n)) if matrix == "complex" else 0)
     A = A * scale
     factors = rotation_decomposition(p)
-    characters = spectral._characters(factors)
-    layout = spectral._CycleLayout(A, orbits(p), factors, [part for _, parts, _ in characters for part in parts])
-    return A, factors, characters, layout
+    return A, factors, spectral._characters(factors)
 
 
 def _block_order(parts, orbs):
@@ -353,14 +351,15 @@ def test_layout_products_match_the_product_with_the_lift(lengths, fixed, matrix,
     with, which the layout does not assume."""
     rng = np.random.default_rng(seed)
     p = permutation_with_type(rng, sum(lengths) + fixed, lengths)
-    A, _, characters, layout = _lifted_cases(rng, p, matrix, compatible, scale)
+    A, factors, characters = _lifted_cases(rng, p, matrix, compatible, scale)
     orbs = orbits(p)
     bound = 1e-12 * max(1.0, float(np.abs(A).sum(axis=1).max()))
-    for _, parts, _ in characters:
+    blocks = {}
+    for i, (_, parts, _) in enumerate(characters):
         X = rng.normal(size=(_block_order(parts, orbs), k))
-        if complex_x:
-            X = X + 1j * rng.normal(size=X.shape)
-        got, want = layout.product(parts, X), ref.lifted_product(A, X, parts, orbs)
+        blocks[i] = parts, X + 1j * rng.normal(size=X.shape) if complex_x else X
+    for i, got in spectral._lifted_products(A, orbs, factors, blocks).items():
+        want = ref.lifted_product(A, blocks[i][1], blocks[i][0], orbs)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.abs(got - want).max() <= bound
 
@@ -377,7 +376,7 @@ def test_a_perturbed_entry_shows_in_the_layout_residuals(lengths, fixed, matrix)
     lift gives them."""
     rng = np.random.default_rng(sum(lengths) + fixed)
     p = permutation_with_type(rng, sum(lengths) + fixed, lengths)
-    A, factors, characters, _ = _lifted_cases(rng, p, matrix, True, 1.0)
+    A, factors, characters = _lifted_cases(rng, p, matrix, True, 1.0)
     dec = spectral.decompose_automorphism(A, p)
     assert not dec.skipped
     orbs = orbits(p)
@@ -385,12 +384,17 @@ def test_a_perturbed_entry_shows_in_the_layout_residuals(lengths, fixed, matrix)
         v = int(touched.u0[-1]) if touched is not None else int(orbs.reps[orbs.sizes == 1][0])
         B = A.copy()
         B[(v + 1) % p.n, v] += 1.0
-        B_layout = spectral._CycleLayout(B, orbs, factors, [part for _, parts, _ in characters for part in parts])
         tol = spectral.LIFT_RESIDUAL_TOL * max(1.0, float(np.abs(B).sum(axis=1).max()))
-        for (_, parts, _), lift in zip(characters, dec.lifts):
-            rows = np.concatenate([rot._index[0] for rot, _ in parts]) if parts else orbs.reps
-            X = lift.vectors[rows]
-            res = spectral.residual_norms(B_layout.product(parts, X), lift.vectors, lift.values)
+        # each block's vectors, read back off its lift at the cycle
+        # representatives (every orbit's first member for the quotient)
+        blocks = {
+            i: (parts, lift.vectors[np.concatenate([rot._index[0] for rot, _ in parts]) if parts else orbs.reps])
+            for i, ((_, parts, _), lift) in enumerate(zip(characters, dec.lifts))
+        }
+        products = spectral._lifted_products(B, orbs, factors, blocks)
+        for i, ((_, parts, _), lift) in enumerate(zip(characters, dec.lifts)):
+            X = blocks[i][1]
+            res = spectral.residual_norms(products[i], lift.vectors, lift.values)
             want = spectral.residual_norms(ref.lifted_product(B, X, parts, orbs), lift.vectors, lift.values)
             assert np.allclose(res, want, rtol=0, atol=1e-12)
             if not parts or any(rot is touched for rot, _ in parts):
