@@ -168,6 +168,12 @@ _BALANCE_TOL = 4 * np.finfo(np.float64).eps
 _BLOCK = 1 << 13
 
 
+def _block_rows(n: int) -> int:
+    """Rows of n entries in one row block of _BLOCK entries: at least one,
+    and one for n = 0, where there is no row to take."""
+    return max(1, _BLOCK // max(n, 1))
+
+
 def _balance(A: np.ndarray, d: np.ndarray | None) -> np.ndarray | None:
     """A positive d with diag(d) A Hermitian, which puts A (and every block
     of it) on the eigh route, or None for the general route:
@@ -185,7 +191,7 @@ def _balance(A: np.ndarray, d: np.ndarray | None) -> np.ndarray | None:
         return np.ones(n)
     if d is None or not np.isrealobj(A):
         return None
-    rows = max(1, _BLOCK // n)
+    rows = _block_rows(n)
     buf = np.empty((3, min(rows, n), n))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite W fails the check
         for r in range(0, n, rows):

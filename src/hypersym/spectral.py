@@ -86,31 +86,34 @@ as one stack (k, b, b), one eigensolver call each, and the phase
 convention and the block residuals take each stack at once too, bit for
 bit what each block alone gives (_finish_stack). A rotation of order l
 gives up to l blocks of one order, so the fixed cost per call is paid once
-per stack, not once per block. Checking the lifted eigenpairs multiplies no
-n x n matrix on the vertex route: A lift(X) = A_w X for the columns
+per stack, not once per block. One kernel (_cycle_sums) sums A's columns
+along a rotation factor's cycles for the blocks and the lifted residuals
+alike,
 
     A_w[:, c] = sum_i w^i A[:, f^i(rep c)],
 
-which _lifted_products sums once per call, gathering each rotation factor's
-columns a block of rows at a time and summing them by GEMM against the
-exact powers of the roots its solved blocks use (real for a real A). That
-is one pass over A and at most n^2 l multiply-adds for a factor of order l;
-each block's product then costs n b_i^2 instead of n^2 b_i, one per
-conjugate pair for a real A. The sums take as much memory as A, so every
-product is made as soon as the blocks are solved and the sums are dropped
-before the lifts. The residual is still taken against A. The unit route keeps one product of
-M with each block's blown-up vectors (_product, shared with the oracle): on
-a units-verify positive (n = 240, 120 units, three such products) they
-take 0.39 ms, where summing M's columns over the units alone takes 0.28 ms
-before any product with the sums (best of 5, one BLAS thread, a 2-vCPU
-Xeon). f's cycles are walked once, and the orbits and rotation factors read
-that layout as arrays, each rotation's components as one index array; each
-root of unity computes its exact powers once, which its rotation columns
-sum in order, its lift multiplies at once and writes with one scatter, and
-the lifted products sum against. Everything else (the compatibility check,
-which also makes the quotient equitable, the balance check, the cell sums,
-the other blocks, the lifts) is vectorised O(n^2) numpy work, with no
-Python loop over cell pairs or eigenpairs.
+a block of rows at a time, by one GEMM against the exact powers of the
+roots (real for a real A); a block's entries are these sums at the
+representatives' rows. Checking the lifted eigenpairs multiplies no n x n
+matrix on the vertex route: A lift(X) = A_w X, with every row of A summed
+once per call for the roots the solved blocks use (at most n^2 l
+multiply-adds for a factor of order l), so each block's product costs
+n b_i^2 instead of n^2 b_i, one per conjugate pair for a real A. The sums
+take as much memory as A, so every product is made as soon as the blocks
+are solved and the sums are dropped before the lifts. The residual is still
+taken against A. The unit route keeps one product of M with each block's
+blown-up vectors (_product, shared with the oracle): on a units-verify
+positive (n = 240, 120 units, three such products) they take 0.39 ms, where
+summing M's columns over the units alone takes 0.28 ms before any product
+with the sums (best of 5, one BLAS thread, a 2-vCPU Xeon). f's cycles are
+walked once, and the orbits and rotation factors read that layout as
+arrays, each rotation's components as one index array; each root of unity
+computes its exact powers once, for the cycle sums and for its lift, which
+multiplies them at once and writes with one scatter. Everything else (the
+compatibility check, which also makes the quotient equitable, the balance
+check, the quotient's cell sums at the representatives' rows, the lifts) is
+vectorised O(n^2) numpy work, with no Python loop over cell pairs or
+eigenpairs.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ import numpy as np
 
 from .errors import HypersymError, IncompatibleMatrixError
 from .jsonutil import _ENTRIES, _HOLE, _Rows, complex_pair
-from .matrices import _BLOCK, _float_array, as_array, prepared
+from .matrices import _block_rows, _float_array, as_array, prepared
 from .symmetry import (
     COMPAT_TOL,
     OrbitPartition,
@@ -186,14 +189,38 @@ def roots_of_unity(n: int) -> tuple[RootOfUnity, ...]:
     return tuple(RootOfUnity(n=n, k=k, value=_root_value(n, k)) for k in range(n))
 
 
+def _cycle_sums(A: np.ndarray, rot: Rotation, powers_by_k: dict[int, tuple]) -> dict[int, np.ndarray]:
+    """A_w[:, c] = sum_i w^i A[:, f^i(rep c)] over rot's cycles c, for each
+    root w of rot's order given by its exact powers (RootOfUnity._powers),
+    by k. A's columns are gathered along the cycles, (rows, cycles, l), a
+    block of rows at a time, and each block is summed by one GEMM against
+    all the powers. For a real A that GEMM is real, against [Re | Im] of
+    the powers: a root +-1 gives a float64 A_w, and any other root's two
+    real slices are written as the real and imaginary parts of its complex
+    A_w. Every row of A is summed, so no compatibility is assumed."""
+    real, (m, cycles) = np.isrealobj(A), (len(A), rot.n_cycles)
+    powers = {k: np.array(w) for k, w in powers_by_k.items()}
+    pairs = [k for k, w in powers.items() if real and np.iscomplexobj(w)]
+    ones = [k for k in powers if k not in pairs]
+    # the GEMM's rows: Re and Im of each complex root of a real A, then the
+    # other roots
+    W = np.array([part for k in pairs for part in (powers[k].real, powers[k].imag)] + [powers[k] for k in ones])
+    dtype = np.result_type(W, A)
+    both, one = np.empty((len(pairs), m * cycles, 2), dtype), np.empty((len(ones), m * cycles), dtype)
+    rows, half = _block_rows(A.shape[1]), 2 * len(pairs)
+    for r in range(0, m, rows):
+        P = W @ A[r : r + rows].take(rot._index.T, axis=1).reshape(-1, rot.order_n).T
+        block = slice(r * cycles, (r + rows) * cycles)
+        both[:, block, 0], both[:, block, 1], one[:, block] = P[:half:2], P[1:half:2], P[half:]
+    sums = [*both.view(np.complex128).reshape(len(pairs), m, cycles), *one.reshape(len(ones), m, cycles)]
+    return dict(zip(pairs + ones, sums))
+
+
 def _rotation_columns(A: np.ndarray, rows: Rotation, cols: Rotation, omega: RootOfUnity) -> np.ndarray:
     """r[u, v] = sum_{i < cols.order_n} omega^i A[u, f^i(v)] for u in rows.u0
-    and v in cols.u0; omega must be a root of cols' order. The columns of
-    all of cols' components are gathered at once, and the slices weighted
-    by omega's cached powers summed in order i = 0, 1, ..."""
-    w = omega._powers
-    G = A[np.ix_(rows.u0, cols._index.ravel())].reshape(len(rows.u0), cols.order_n, -1)
-    return sum((w[i] * G[:, i] for i in range(1, cols.order_n)), w[0] * G[:, 0])
+    and v in cols.u0; omega must be a root of cols' order. The cycle sums
+    (_cycle_sums) of the rows at rows.u0."""
+    return _cycle_sums(A[rows._index[0]], cols, {omega.k: omega._powers})[omega.k]
 
 
 def rotation_matrix(M, rot: Rotation, omega: RootOfUnity, tol: float | None = COMPAT_TOL) -> np.ndarray:
@@ -522,78 +549,34 @@ def _lifted_products(
 ) -> dict[int, np.ndarray]:
     """A lift(X) for each block (parts, X) of A's orbits and rotation
     factors, X the block vectors as columns (_lift_block; the orbit quotient
-    has no parts), from A's columns summed along each factor's cycles
-    against the powers of the roots the blocks use,
-
-        A_w[:, c] = sum_i w^i A[:, f^i(rep c)],
-
-    so that A lift(X) = sum over the block's parts of A_w X_part: n b^2 work
-    per block where the product with the lift is n^2 b. The quotient's
-    product is each factor's w = 1 slice and A's columns at the fixed
-    points, each against the rows of X of its cells. Each factor's columns
-    are gathered along its cycles, (rows, cycles, l), a block of rows at a
-    time so that the gather stays small next to A, and each block of rows
-    is summed by one GEMM against the cached exact powers of its roots, and
-    of w = 1; for a real A that GEMM is real, against [Re | Im] of the
-    powers, a root +-1 giving one float64 slice and any other root its real
-    and imaginary slices. Every row of A is summed, so the product is
-    A lift(X) whether or not A is compatible. The slices, as much memory as
-    A, are dropped when the products are made."""
-    n, real = A.shape[0], np.isrealobj(A)
+    has no parts): the sum over the block's parts of A_w X_part, from the
+    cycle sums A_w (_cycle_sums) of every row of A for the roots the blocks
+    use, and w = 1; n b^2 work per block where the product with the lift is
+    n^2 b. The quotient's product is each factor's w = 1 sums and A's
+    columns at the fixed points, each against the rows of X of its cells.
+    The sums, as much memory as A, are dropped when the products are made."""
     # per factor: the powers of each root of it that a block uses, by k,
     # w = 1 first
     wanted = {id(rot): (rot, {0: (1.0,) * rot.order_n}) for rot in factors}
     for parts, _ in blocks.values():
         for rot, w in parts:
             wanted[id(rot)][1].setdefault(w.k, w._powers)
-    # the slices by (factor, k), each (1 or 2, n, cycles), and the
-    # quotient's terms: each factor's w = 1 slice and A's columns at the
-    # fixed points, with the cells they sum into
-    slices: dict[tuple[int, int], np.ndarray] = {}
-    quotient: list[tuple[np.ndarray, np.ndarray]] = []
-    rows = max(1, _BLOCK // n)
-    for key, (rot, ws) in wanted.items():
-        weights, spans = [], []
-        for k, powers in ws.items():
-            powers = np.array(powers)
-            pair = real and np.iscomplexobj(powers)
-            spans.append((k, len(weights), 1 + pair))
-            weights += [powers.real, powers.imag] if pair else [powers]
-        W, idx = np.array(weights), rot._index.T
-        T = np.empty((len(W), n, rot.n_cycles), dtype=np.result_type(W, A))
-        for r in range(0, n, rows):
-            G = A[r : r + rows].take(idx, axis=1).reshape(-1, rot.order_n)
-            np.matmul(W, G.T, out=T[:, r : r + rows].reshape(len(W), -1))
-        slices.update(((key, k), T[start : start + count]) for k, start, count in spans)
-        quotient.append((T[:1], orbs.cell_of[rot._index[0]]))
-    if sum(rot.order_n * rot.n_cycles for rot in factors) < n or not factors:
+    sums = {(key, k): S for key, (rot, ws) in wanted.items() for k, S in _cycle_sums(A, rot, ws).items()}
+    # the quotient's terms, with the cells they sum into
+    quotient = [(sums[id(rot), 0], orbs.cell_of[rot._index[0]]) for rot in factors]
+    if sum(rot.order_n * rot.n_cycles for rot in factors) < A.shape[0] or not factors:
         fixed = orbs.reps[orbs.sizes == 1]
-        quotient.append((A.take(fixed, axis=1)[None], orbs.cell_of[fixed]))
+        quotient.append((A.take(fixed, axis=1), orbs.cell_of[fixed]))
     products = {}
     for i, (parts, X) in blocks.items():
         if parts:
             bounds = np.cumsum([0] + [rot.n_cycles for rot, _ in parts]).tolist()
-            terms = [(slices[id(rot), w.k], X[a:b]) for (rot, w), a, b in zip(parts, bounds, bounds[1:])]
+            terms = [(sums[id(rot), w.k], X[a:b]) for (rot, w), a, b in zip(parts, bounds, bounds[1:])]
         else:
             terms = [(S, X[cells]) for S, cells in quotient]
-        AV = [_slice_product(S, Xr) for S, Xr in terms]
+        AV = [_product(S, Xr) for S, Xr in terms]
         products[i] = sum(AV[1:], AV[0])
     return products
-
-
-def _slice_product(S: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """S X for a slice S of _lifted_products: S[0] X for one slice, and
-    S[0] X + i S[1] X for the real and imaginary slices of a complex one,
-    summed in place as re - im' and im + re'."""
-    m, n, cycles = S.shape
-    U = _product(S.reshape(m * n, cycles), X).reshape(m, n, -1)
-    if m == 2:
-        if np.isrealobj(U):
-            return U[0] + 1j * U[1]
-        re, im = U.view(np.float64)[..., 0::2], U.view(np.float64)[..., 1::2]
-        re[0] -= im[1]
-        im[0] += re[1]
-    return U[0]
 
 
 def _finish_stack(stack: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> list[tuple[np.ndarray, ...]]:
@@ -687,6 +670,8 @@ def _decompose(
     conjugating the w-block's would flip the sign of some zero parts.
     """
     B = A if built_from is None else built_from
+    if not B.size:  # no index, no block
+        return SpectralDecomposition(n=A.shape[0], blocks=(), lifts=(), skipped=())
     tag = tag or {}
     orbs = orbits(perm)
     e = _cell_symmetrizer(d, orbs)

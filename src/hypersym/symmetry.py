@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DocumentError, HypersymError, NotAutomorphismError, NotEquitableError
 from .hypergraph import Hypergraph, _Cells, _map_rows, _row_of, _sort_rows, _split_rows
-from .matrices import _BLOCK, _float_array, as_array
+from .matrices import _block_rows, _float_array, as_array
 
 COMPAT_TOL = 1e-9
 EQUITABLE_TOL = 1e-9
@@ -145,16 +145,16 @@ def validate_automorphism(h: Hypergraph, f: Permutation | dict[str, str]) -> Aut
 def compatibility_deviation(M, f) -> tuple[float, tuple[int, int]]:
     """Max |m[u,v] - m[f(u),f(v)]| and the entry attaining it: the first in
     row-major order, or the first NaN, as np.argmax of the whole deviation
-    would pick. Taken a block of rows at a time, so no n x n temporary is
-    made."""
+    would pick; (0.0, (0, 0)) for the empty matrix. Taken a block of rows at
+    a time, so no n x n temporary is made."""
     A = as_array(M)
     perm = _perm_of(f)
     n = A.shape[0]
     if n != perm.n:
         raise HypersymError(f"matrix order {n} does not match permutation size {perm.n}")
-    idx = np.array(perm.mapping)
-    rows = max(1, _BLOCK // n)
-    best, at = -1.0, 0
+    idx = np.array(perm.mapping, dtype=np.intp)
+    rows = _block_rows(n)
+    best, at = 0.0, 0
     for r in range(0, n, rows):
         G = A[idx[r : r + rows]].take(idx, axis=1)  # rows r.. of A[f(u), f(v)]
         D = np.abs(np.subtract(A[r : r + rows], G, out=G))
@@ -163,7 +163,7 @@ def compatibility_deviation(M, f) -> tuple[float, tuple[int, int]]:
             best, at = float(D.flat[k]), r * n + k
             if best != best:
                 break
-    return best, divmod(at, n)
+    return best, divmod(at, max(n, 1))
 
 
 def check_commutation(M, f) -> float:
@@ -235,21 +235,25 @@ def _cell_symmetrizer(d: np.ndarray | None, cells: _Cells) -> np.ndarray | None:
 def _equitable(A: np.ndarray, partition, tol: float):
     """The quotient at the cell representatives (first members) and the
     equitable witness (None when equitable), from one set of cell sums, for
-    a partition's cells (_Cells) or a caller's plain list of cells."""
+    a partition's cells (_Cells) or a caller's plain list of cells. An
+    infinite tol compares no sums and sums only the representatives' rows:
+    only a NaN among them fails, named as the representative against
+    itself."""
     cells = partition if isinstance(partition, _Cells) else _Cells(partition, A.shape[0])
     if cells.n != A.shape[0]:
         raise HypersymError("partition does not cover the index set exactly once")
     order, starts, reps = cells.cell_members, cells.cell_ptr[:-1], cells.reps
     # inf beyond the float range and NaN where infs meet, in sums and deviations
     with np.errstate(over="ignore", invalid="ignore"):
+        if tol == math.inf:
+            Q = _cell_sums(A[reps], cells)
+            nan = np.flatnonzero(np.isnan(Q))
+            if not nan.size:
+                return Q, None
+            i, j = divmod(int(nan[0]), len(cells))
+            return Q, (i, int(reps[i]), int(reps[i]), j, complex(Q[i, j]), complex(Q[i, j]))
         R = _cell_sums(A, cells)
-        if tol == math.inf:  # only a NaN sum fails: no sums are compared
-            nan = np.isnan(R)
-            if not nan.any():
-                return R[reps], None
-            D = np.where(nan, np.nan, 0.0)
-        else:
-            D = np.abs(R - R[reps[cells.cell_of]])
+        D = np.abs(R - R[reps[cells.cell_of]])
     # worst[i, j]: largest deviation, over the rows of cell i, of the sum into
     # cell j from that of the cell's first member
     worst = np.maximum.reduceat(D[order], starts, axis=0)
@@ -276,9 +280,9 @@ def is_equitable(M, partition, tol: float = EQUITABLE_TOL) -> bool:
 def orbit_quotient(M, orbs, tol: float = EQUITABLE_TOL) -> np.ndarray:
     """Quotient matrix b[i,j] = sum over cell j of m[u,w], u representing
     cell i. The partition must be equitable for M (checked). An infinite
-    tol, for a caller that knows it equitable, checks only that no cell sum
-    is NaN, without comparing the sums: an infinite sum is the caller's to
-    refuse."""
+    tol, for a caller that knows it equitable, sums only the
+    representatives' rows and checks only that none of those sums is NaN,
+    without comparing them: an infinite sum is the caller's to refuse."""
     Q, witness = _equitable(as_array(M), orbs, tol)
     if witness is not None:
         i, u, u2, j, s1, s2 = witness

@@ -54,7 +54,7 @@ from .errors import (
 )
 from .hypergraph import Hypergraph, UnitPartition, _cover_arrays, _map_rows, _ptr, _row_of, compute_units
 from .jsonutil import describe_value
-from .matrices import _BLOCK, as_array, prepared
+from .matrices import _block_rows, as_array, prepared
 from .spectral import (
     LiftedBlock,
     RotationBlock,
@@ -131,7 +131,7 @@ def profile_unit_compatibility(M, units: UnitPartition, tol: float = COMPAT_TOL)
     off = np.abs(A[u, v] - A[reps, seconds][units.unit_of[u]])
     off[u == v] = 0.0
     dev[1] = np.maximum.reduceat(off, ptr[:-1])
-    rows = max(1, _BLOCK // n)
+    rows = _block_rows(n)
     for r in range(0, n, rows):
         end = min(r + rows, n)
         block = A[r:end]
@@ -260,7 +260,7 @@ def _unit_lifts(A: np.ndarray, units: UnitPartition) -> list[tuple[int, LiftedBl
     # A (chi_v - chi_v0) = A[:, v] - A[:, v0]: each residual is O(n), taken
     # a block of columns at a time, each column's the same as in one pass
     residuals = np.empty(len(v))
-    cols = max(1, _BLOCK // units.n)
+    cols = _block_rows(units.n)
     for a in range(0, len(v), cols):
         b = a + cols
         residuals[a:b] = residual_norms(A[:, v[a:b]] - A[:, v0[a:b]], vectors[a:b].T, values[a:b])

@@ -32,9 +32,11 @@ count.
 largest float move outside the lifted vectors, divided by max(1, ||M||_inf)
 of the case's matrix, and, where lifted vectors differ, the largest
 principal angle between the old and new vectors of one eigenvalue cluster
-(tests/golden.py's measure). It exits 1 on any difference in an exit code,
-stderr, key, string, integer or verdict, or in the set of reports. Not a
-test module: pytest does not collect it.
+(tests/golden.py's measure), then a summary line with the count of
+byte-identical reports. It exits 1 on any difference in an exit code,
+stderr, key, string, integer or verdict, or in the set of reports, on a
+scaled float move above FLOAT_TOL and on an angle above ANGLE_TOL: the
+parity rule. Not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ from hypersym.matrices import MATRIX_KINDS, WEIGHTED_KINDS, WeightFunctions  # n
 from workloads import WORKLOADS, generate  # noqa: E402
 
 SEEDS = (11, 12)
+FLOAT_TOL = 1e-12  # largest float move, divided by max(1, ||M||_inf)
+ANGLE_TOL = 1e-10  # largest principal angle of a cluster's lifted vectors, in rad
 COMMANDS = ("decompose", "verify")
 FIXTURES = (
     ("rot10", ROT10_DOC, "rot10_map", {"map": ROT10_MAP}),
@@ -170,11 +174,12 @@ def compare(a: Path, b: Path) -> int:
             weights = WeightFunctions.parse(wpath.read_text()) if wpath else None
             M = build_matrix(parse_hypergraph(hpath.read_text()), kind, weights=weights).entries
             scales[name] = max(1.0, float(np.abs(M).sum(axis=1).max()))
-    worst = 0.0
+    worst, worst_angle, identical = 0.0, 0.0, 0
     for name in sorted(names_a & names_b):
         old, new = ((d / "reports" / name).read_bytes() for d in (a, b))
         if old == new:
             print(f"{name}: byte-identical")
+            identical += 1
             continue
         scale = scales[name.rsplit("-", 1)[0]]
         old, new = json.loads(old), json.loads(new)
@@ -188,10 +193,18 @@ def compare(a: Path, b: Path) -> int:
         worst = max(worst, move / scale)
         line = f"{name}: largest float move {move / scale:.3e} (scaled) at {path}"
         if [p["vector"] for p in old.get("lifted", [])] != [p["vector"] for p in new.get("lifted", [])]:
-            line += f"; largest angle {largest_angle(old, new, MATCH_TOL * scale):.3e} rad"
+            angle = largest_angle(old, new, MATCH_TOL * scale)
+            worst_angle = max(worst_angle, angle)
+            line += f"; largest angle {angle:.3e} rad"
         print(line)
-    print(f"largest scaled float move {worst:.3e}; " + ("structural differences" if status else "no structural difference"))
-    return status
+    beyond = not (worst <= FLOAT_TOL and worst_angle <= ANGLE_TOL)  # NaN is beyond
+    print(
+        f"{identical} of {len(names_a & names_b)} reports byte-identical; largest scaled float move "
+        f"{worst:.3e}, largest angle {worst_angle:.3e} rad; "
+        + ("structural differences" if status else "no structural difference")
+        + (f"; beyond the parity rule ({FLOAT_TOL:g} scaled, {ANGLE_TOL:g} rad)" if beyond else "")
+    )
+    return 1 if beyond else status
 
 
 if __name__ == "__main__":

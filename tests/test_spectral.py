@@ -15,7 +15,10 @@ from hypersym import (
     Permutation,
     as_rotation,
     blow_up,
+    UnitPartition,
     build_matrix,
+    check_commutation,
+    compatibility_deviation,
     compatible_matrix,
     compute_units,
     decompose_automorphism,
@@ -32,10 +35,12 @@ from hypersym import (
     roots_of_unity,
     rotation_matrix,
     spectral_radius_via_quotient,
+    unit_eigenvalues,
+    unit_quotient,
     verify_decomposition,
 )
 
-from hypersym import spectral
+from hypersym import matrices, spectral, unit_symmetry
 from hypersym.spectral import residual_norms
 
 from conftest import SQRT105
@@ -328,17 +333,48 @@ def test_a_cell_sum_beyond_the_float_range_is_refused():
 
 def test_an_infinite_tolerance_refuses_only_a_nan_sum():
     # cells {0, 1} and {2}: row 1 sums to inf over cell 1, which the
-    # infinite tolerance lets through; a NaN sum is refused, naming the
-    # first row whose sum is NaN
+    # infinite tolerance lets through; it sums only the representatives'
+    # rows 0 and 2, so a NaN sum is refused only in one of them, named as
+    # the representative against itself
     orbs = orbits(Permutation((1, 0, 2)))
     A = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, np.inf], [1.0, 1.0, 0.0]])
     assert orbit_quotient(A, orbs, np.inf)[0, 1] == 1.0
     with pytest.raises(NotEquitableError):
         orbit_quotient(A, orbs)
     A[1, :2] = [np.inf, -np.inf]
-    with warnings.catch_warnings(), pytest.raises(NotEquitableError, match=r"rows 0 and 1 of cell 0 sum to \(1\+0j\) and \(nan\+0j\) over cell 0"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert orbit_quotient(A, orbs, np.inf).tolist() == [[1.0, 1.0], [2.0, 0.0]]
+    A[0, :2] = [np.inf, -np.inf]
+    with warnings.catch_warnings(), pytest.raises(NotEquitableError, match=r"rows 0 and 0 of cell 0 sum to \(nan\+0j\) and \(nan\+0j\) over cell 0"):
         warnings.simplefilter("error")
         orbit_quotient(A, orbs, np.inf)
+
+
+@pytest.mark.parametrize(
+    "entry, expected",
+    [
+        (lambda A, p, units: compatibility_deviation(A, p), (0.0, (0, 0))),
+        (lambda A, p, units: check_commutation(A, p), 0.0),
+        (lambda A, p, units: matrices._balance(A, np.ones(0)).shape, (0,)),
+        (lambda A, p, units: decompose_automorphism(A, p).eigenvalues().shape, (0,)),
+        (lambda A, p, units: verify_decomposition(A, decompose_automorphism(A, p)).verdict, True),
+        (lambda A, p, units: spectral_radius_via_quotient(A, p), (0.0, 0.0)),
+        (lambda A, p, units: orbit_quotient(A, orbits(p), np.inf).shape, (0, 0)),
+        (lambda A, p, units: unit_symmetry.profile_unit_compatibility(A, units).rows.shape, (0, 0)),
+        (lambda A, p, units: unit_quotient(A, units).shape, (0, 0)),
+        (lambda A, p, units: unit_eigenvalues(A, units).structures, ()),
+        (lambda A, p, units: unit_symmetry._unit_lifts(A, units), []),
+    ],
+    ids=["deviation", "commutation", "balance", "decompose", "verify", "radii", "quotient",
+         "unit profile", "unit quotient", "unit eigenvalues", "unit lifts"],
+)
+def test_the_empty_matrix_gives_empty_results(entry, expected):
+    # as dense_spectrum gives its empty report: no row-blocked pass divides
+    # by the order
+    A = np.zeros((0, 0))
+    assert dense_spectrum(A).eigenvalues.shape == (0,)
+    assert entry(A, Permutation(()), UnitPartition(units=(), unit_of=(), n=0)) == expected
 
 
 def test_mixed_coprime_orders_decompose():
