@@ -663,10 +663,9 @@ def _decompose(
     For a real A and built_from the conj(w)-block is neither built nor
     solved, and its lifts are not multiplied by A: its eigenpairs, block
     residuals and lifted residuals are the w-block's, conjugated and sorted
-    again, bit for bit what computing them gives (from the conj(w) slices of
-    _lifted_products, which are the w slices with the imaginary one
-    negated), since real GEMM and complex multiplication commute with
-    conjugation. Only its lift, O(n) per pair, is made again, as
+    again, bit for bit what computing them gives (from the conj(w) cycle
+    sums, which are the w sums with the imaginary part negated), since real
+    GEMM and complex multiplication commute with conjugation. Only its lift, O(n) per pair, is made again, as
     conjugating the w-block's would flip the sign of some zero parts.
     """
     B = A if built_from is None else built_from
