@@ -208,9 +208,10 @@ def _dense_beside(M):
     """Start dense_spectrum(M) on a thread of its own and return the function
     that joins it. That function gives the report, or None when the solve
     raised or met a floating-point event numpy's settings here would report;
-    the caller's verify_decomposition then solves again itself. M's realness
-    and balance decision is taken first, in the calling thread, so that the
-    two threads never both make it."""
+    the caller's verify_decomposition then solves again itself. M's balance
+    decision is taken first, in the calling thread, so that the two threads
+    never both make it; both then solve the one read-only array M holds
+    (matrices.prepared), which neither copies or writes."""
     M._decision  # a cached_property: read here, it is cached before the thread starts
     modes = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
     done: list[SpectrumReport] = []

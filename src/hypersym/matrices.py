@@ -1,9 +1,10 @@
 """Builders for the ten hypergraph matrix kinds, plus row-sum checking.
 
-All kinds are indexed by the hypergraph's canonical vertex order and stored
-complex, even though every kind here has a real definition; as_array keeps
-any other real input real (float64). Off-diagonal entries are sums over
-the common star E_u ∩ E_v:
+All kinds are indexed by the hypergraph's canonical vertex order and held
+as the float64 array they are built in (every kind here has a real
+definition); HypergraphMatrix.entries reads that array as complex128, and
+as_array keeps any other real input real (float64). Off-diagonal entries
+are sums over the common star E_u ∩ E_v:
 
     adjacency_r        |E_u ∩ E_v|,                       diagonal 0
     adjacency_b        sum 1/(|e|-1),                     diagonal 0
@@ -41,9 +42,11 @@ D^{1/2} M D^{-1/2}, and the routes solve that form with eigh:
     unit_normalized    d = 1/n_u         (diag(1/n_u) M = C / (n_u n_v) off the diagonal)
 
 The symmetric kinds carry None. Every route and the oracle solve
-prepared(M): realness (a matrix with no nonzero imaginary entry is taken as
-its real part) and balance (_balance) are decided once per matrix, kept by a
-HypergraphMatrix (not the real array) from its first use.
+prepared(M). A HypergraphMatrix decides realness once, when it is made: it
+holds one read-only array, float64 when no entry has a nonzero imaginary
+part, and prepared hands that array out itself, never a copy, with the
+balance (_balance) decided on it at its first use and kept. A raw array is
+decided again on each call.
 """
 
 from __future__ import annotations
@@ -78,29 +81,29 @@ ROW_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HypergraphMatrix:
-    """A square complex matrix tied to a vertex labelling.
+    """A square matrix tied to a vertex labelling.
 
-    entries is a read-only complex128 view (a caller's own array keeps its
-    flags). symmetrizer, when given, is a positive vector d of the matrix
+    It holds one read-only array, copied once from the entries it is made
+    with, so that a later write to the caller's array reaches no route:
+    float64 when no entry has a nonzero imaginary part, else complex128.
+    entries reads it as a read-only complex128 copy, made on each read and
+    not kept. symmetrizer, when given, is a positive vector d of the matrix
     order with diag(d) entries symmetric in exact arithmetic (module
     docstring); prepared checks it to rounding before any route uses it."""
 
     kind: str
     labels: tuple[str, ...]
-    entries: np.ndarray
+    entries: np.ndarray  # read and set through the property below the class
     symmetrizer: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.complex128)
+        arr = self._array
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise HypersymError(f"matrix must be square, got shape {arr.shape}")
         if arr.shape[0] != len(self.labels):
             raise HypersymError(
                 f"matrix order {arr.shape[0]} does not match {len(self.labels)} labels"
             )
-        arr = arr.view()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
         if self.symmetrizer is not None:
             d = np.asarray(self.symmetrizer, dtype=np.float64)
             if d.shape != (arr.shape[0],):
@@ -109,20 +112,64 @@ class HypergraphMatrix:
                 raise HypersymError("symmetrizer entries must be finite and positive")
             object.__setattr__(self, "symmetrizer", d)
 
+    def __eq__(self, other):
+        # field by field as the generated == was, but on the held array:
+        # entries is a new array on each read
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.labels, self._array, self.symmetrizer) == (
+            other.kind, other.labels, other._array, other.symmetrizer
+        )
+
     @property
     def order(self) -> int:
         return len(self.labels)
 
     @cached_property
     def _decision(self) -> tuple[bool, np.ndarray | None]:
-        return _decide(self.entries, self.symmetrizer)
+        return _decide(self._array, self.symmetrizer)
 
     def to_document(self) -> dict:
         return {
             "order": self.order,
             "index": list(self.labels),
-            "entries": complex_pair(self.entries.reshape(-1)),
+            "entries": complex_pair(self._array.reshape(-1)),
         }
+
+
+class _Fresh:
+    """An array made for one HypergraphMatrix and held by nothing else, which
+    the matrix takes as it is (build_matrix): no copy is needed to keep it
+    from its maker's writes."""
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _hold(M: HypergraphMatrix, given) -> None:
+    """Set the one array M holds from the entries given to its constructor,
+    which calls this setter once (M is frozen from then on)."""
+    if isinstance(given, _Fresh):
+        A = given.array
+    else:
+        A = _float_array(given)
+        if np.iscomplexobj(A) and not A.imag.any():
+            A = A.real
+        A = np.array(A, order="C")  # the one copy of the caller's entries
+    A.flags.writeable = False
+    object.__setattr__(M, "_array", A)
+
+
+def _complex_entries(M: HypergraphMatrix) -> np.ndarray:
+    entries = M._array.astype(np.complex128)
+    entries.flags.writeable = False
+    return entries
+
+
+# entries stays a dataclass field, so the constructor, dataclasses.replace
+# and repr take and give it as before, but it is set and read through this
+# property: M holds its one array, and no complex128 copy of it stays beside
+HypergraphMatrix.entries = property(_complex_entries, _hold)
 
 
 def _float_array(x) -> np.ndarray:
@@ -133,8 +180,8 @@ def _float_array(x) -> np.ndarray:
 
 
 def as_array(M) -> np.ndarray:
-    """The entries of a HypergraphMatrix (complex128) or of any square
-    array-like, through _float_array, C-contiguous."""
+    """The entries of a HypergraphMatrix (complex128, as M.entries gives
+    them) or of any square array-like, through _float_array, C-contiguous."""
     if isinstance(M, HypergraphMatrix):
         return M.entries
     arr = np.ascontiguousarray(_float_array(M))
@@ -144,10 +191,14 @@ def as_array(M) -> np.ndarray:
 
 
 def prepared(M) -> tuple[np.ndarray, np.ndarray | None]:
-    """(A, d): the C-contiguous array every route solves, M's float64 real
-    part if exactly real (a copy, made per call), and the _balance result."""
+    """(A, d): the C-contiguous array every route solves and the _balance
+    result. For a HypergraphMatrix, A is the read-only array it holds, the
+    same object on every call and in every thread; for a raw array, its
+    float64 real part if exactly real (a copy, made per call)."""
+    if isinstance(M, HypergraphMatrix):
+        return M._array, M._decision[1]
     A = as_array(M)
-    real, d = M._decision if isinstance(M, HypergraphMatrix) else _decide(A, None)
+    real, d = _decide(A, None)
     return np.ascontiguousarray(A.real if real else A), d
 
 
@@ -346,7 +397,7 @@ def build_matrix(
         np.fill_diagonal(M, star_sizes / nsize)
         d = 1.0 / nsize
 
-    return HypergraphMatrix(kind=kind, labels=h.labels, entries=M.astype(np.complex128), symmetrizer=d)
+    return HypergraphMatrix(kind=kind, labels=h.labels, entries=_Fresh(M), symmetrizer=d)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,15 @@
 The oracle route ignores all symmetry structure: it hands the full matrix
 to a dense solver, sorts the eigenvalues, and reports per-pair residuals.
 dense_spectrum reads the realness and balance matrices.prepared decides
-once per matrix, as the decomposition routes do: a matrix with no nonzero
-imaginary entry is solved as the float64 matrix it is; a real matrix equal
-to its transpose goes to eigh (LAPACK dsyevd), a complex one equal to its
-conjugate transpose to complex eigh (zheevd); a HypergraphMatrix whose
-symmetrizer d balances it (the transition, general_* and unit_normalized
-kinds: diag(d) A symmetric, d checked to rounding first) goes to eigh of
-its symmetric form D^{1/2} A D^{-1/2}, its vectors mapped back to A's. Any
-other real matrix goes to real eig (dgeev), its real vectors staying real,
+once per matrix, and the array it hands out (a HypergraphMatrix's own,
+read-only, shared with the decomposition), as the decomposition routes do:
+a matrix with no nonzero imaginary entry is solved as the float64 matrix it
+is; a real matrix equal to its transpose goes to eigh (LAPACK dsyevd), a
+complex one equal to its conjugate transpose to complex eigh (zheevd); a
+HypergraphMatrix whose symmetrizer d balances it (the transition, general_*
+and unit_normalized kinds: diag(d) A symmetric, d checked to rounding
+first) goes to eigh of its symmetric form D^{1/2} A D^{-1/2}, its vectors
+mapped back to A's. Any other real matrix goes to real eig (dgeev), its real vectors staying real,
 and any other complex one to complex eig (zgeev). A raw array, or a matrix
 whose symmetrizer fails the check, takes the route it would without one.
 The residuals are one n^3 product of A itself with the eigenvectors, in
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import HypersymError
 from .jsonutil import complex_pair
-from .matrices import prepared
+from .matrices import _block_rows, prepared
 from .spectral import SpectralDecomposition, _eig_sorted, _product, residual_norms
 
 MATCH_TOL = 1e-8
@@ -64,16 +65,27 @@ class SpectrumReport:
 
 
 def _scale(A: np.ndarray) -> float:
-    """max(1, ||A||_inf), the scale of every oracle threshold."""
-    return max(1.0, float(np.abs(A).sum(axis=1).max())) if A.size else 1.0
+    """max(1, ||A||_inf), the scale of every oracle threshold, after one
+    pass over |A| a block of rows at a time (matrices._block_rows), the
+    row sums bitwise those of the whole; HypersymError for a non-finite
+    entry, looked for only when a row sum is not finite."""
+    n = A.shape[0]
+    if not A.size:
+        return 1.0
+    rows = _block_rows(n)
+    buf, sums = np.empty((min(rows, n), n)), np.empty(n)
+    for r in range(0, n, rows):
+        k = min(rows, n - r)
+        np.abs(A[r : r + k], out=buf[:k]).sum(axis=1, out=sums[r : r + k])
+    if not np.isfinite(sums).all() and not np.isfinite(A).all():
+        raise HypersymError("matrix has non-finite entries")
+    return max(1.0, float(sums.max()))
 
 
 def dense_spectrum(M) -> SpectrumReport:
     """Full spectrum by direct dense eigensolve, sorted by (real, imag); a
     HypergraphMatrix's symmetrizer picks the balanced route."""
     A, d = prepared(M)
-    if not np.all(np.isfinite(A)):
-        raise HypersymError("matrix has non-finite entries")
     scale = _scale(A)
     vals, vecs = _eig_sorted(A, d)  # real values for a real A: real residuals
     if not np.all(np.isfinite(vals)):

@@ -34,11 +34,13 @@ A unit-automorphism uses the same blocks, built from the unit quotient N
 along the unit permutation; their eigenvectors blow up to the vertices, and
 their residuals are taken against M itself.
 
-Realness is decided once per matrix, in matrices.prepared, which every
-route entry calls: a matrix with no nonzero imaginary entry is taken as its
-float64 real part. From there the dtype carries it. The roots 1, i, -1 and
--i are exact, +-1 as floats, and the root for n - k is the exact conjugate
-of the root for k. So for a real matrix the w = +-1 blocks (the quotient
+Realness is decided once per matrix: a matrix with no nonzero imaginary
+entry is taken as its float64 real part. A HypergraphMatrix holds that
+float64 array (decided when it is made), and matrices.prepared, which every
+route entry calls, hands it out itself; a raw array is decided on each
+call. From there the dtype carries it. The roots 1, i, -1 and -i are
+exact, +-1 as floats, and the root for n - k is the exact conjugate of the
+root for k. So for a real matrix the w = +-1 blocks (the quotient
 among them), their eigenvectors and their lifts are float64, and the
 conj(w)-block is conj of the w-block entry for entry: complex arithmetic
 starts only where an entry or a root is genuinely complex.

@@ -181,12 +181,14 @@ def _spy_dense_solves(monkeypatch, overflow=False, delay=0.0):
 
 
 def _poison_oracle(monkeypatch):
-    """Give the dense oracle a NaN in its copy of every matrix, so that its
-    own finiteness check refuses what the decomposition accepts."""
+    """Give the dense oracle a copy of every matrix with a NaN in it (the
+    array prepared gives is read-only and shared with the decomposition), so
+    that its own finiteness check refuses what the decomposition accepts."""
     prepared = oracle.prepared
 
     def poisoned(M):
         A, d = prepared(M)
+        A = A.copy()
         A[0, 0] = np.nan
         return A, d
 

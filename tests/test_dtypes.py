@@ -1,16 +1,20 @@
 """The dtype contract: a real input stays real, and complex arithmetic starts
 only where an entry or a root of unity is genuinely complex.
 
-Realness and balance are decided once per matrix, in matrices.prepared,
-which every route entry calls: a HypergraphMatrix keeps the decision (its
-entries read-only), a raw array is decided again on each call. From there
-the dtype of every block, block vector and lift carries the decision, and
-picks each block's LAPACK driver. Negative controls: one entry with a
-nonzero imaginary part sends every block to complex eig, and a raw array
-changed between two calls is decided again.
+Realness and balance are decided once per matrix: a HypergraphMatrix holds
+one read-only array, float64 unless an entry has a nonzero imaginary part,
+which matrices.prepared (every route entry calls it) hands out itself; a raw
+array is decided again on each call. From there the dtype of every block,
+block vector and lift carries the decision, and picks each block's LAPACK
+driver. Negative controls: one entry with a nonzero imaginary part sends
+every block to complex eig, and a raw array changed between two calls is
+decided again.
 """
 
 import json
+import sys
+import threading
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -30,6 +34,7 @@ from hypersym import (
     decompose_automorphism,
     decompose_unit_automorphism,
     dense_spectrum,
+    invariant_hypergraph,
     iterate,
     lift_orbit_vector,
     lift_rotation_vector,
@@ -98,7 +103,13 @@ def test_as_array_returns_a_float64_input_itself():
 def test_hypergraph_matrices_stay_complex():
     h = Hypergraph.from_dict(UNITS18_DOC)
     M = build_matrix(h, "adjacency_r")
-    assert M.entries.dtype == np.complex128 and as_array(M) is M.entries
+    # entries and as_array give a read-only complex128 copy, made on each
+    # read; the routes solve the float64 array the matrix holds
+    assert M.entries.dtype == np.complex128 and not M.entries.flags.writeable
+    assert M.entries is not M.entries and np.array_equal(as_array(M), M.entries)
+    assert as_array(M).dtype == np.complex128
+    A = matrices.prepared(M)[0]
+    assert A.dtype == np.float64 and np.array_equal(A, M.entries.real)
 
 
 @pytest.mark.parametrize("lengths", [(2, 2, 2, 2), (4, 4), (2, 4, 4), (3, 6), (12,)], ids=str)
@@ -207,12 +218,108 @@ def test_hypergraph_matrix_entries_are_read_only():
     M = build_matrix(Hypergraph.from_dict(UNITS18_DOC), "adjacency_r")
     with pytest.raises(ValueError, match="read-only"):
         M.entries[0, 0] = 1.0
-    # a caller's own complex128 array is viewed, not frozen
+    # a caller's own array is copied once, when the matrix is made: a later
+    # write to it reaches neither the entries nor the decision
     own = M.entries.copy()
     held = HypergraphMatrix(kind=M.kind, labels=M.labels, entries=own)
-    assert np.shares_memory(held.entries, own) and not held.entries.flags.writeable
+    A, d = matrices.prepared(held)
+    assert not np.shares_memory(A, own) and not A.flags.writeable and own.flags.writeable
     own[0, 0] = 1.0
-    assert own.flags.writeable
+    own[0, 1] = 1j
+    assert held.entries[0, 0] == 0.0 and held.entries.imag.max() == 0.0
+    assert held == held and M == M
+    assert matrices.prepared(held)[0] is A and A.dtype == np.float64 and d is not None
+
+
+@pytest.fixture(scope="module")
+def rot12_312(tmp_path_factory):
+    """A transition matrix of order 312 under a rotation of 26 12-cycles
+    (the shape of the rot12-verify benchmark workload): the verify argv,
+    the hypergraph and the permutation."""
+    rng = np.random.default_rng(0)
+    while True:  # the transition kind needs every vertex in an edge
+        perm = permutation_with_type(rng, 312, (12,) * 26)
+        h = invariant_hypergraph(rng, perm, seed_edges=78)
+        if all(h.stars):
+            break
+    root = tmp_path_factory.mktemp("rot12_312")
+    doc, table, out = root / "h.json", root / "map.json", root / "report.json"
+    doc.write_text(json.dumps(h.to_dict()))
+    table.write_text(json.dumps({"map": {h.labels[i]: h.labels[perm(i)] for i in range(h.n)}}))
+    argv = ["verify", str(doc), str(table), "--kind", "transition", "--out", str(out)]
+    assert main(argv) == 0  # the first operation imports and caches what it uses
+    return argv, h, perm
+
+
+def test_prepared_hands_out_the_array_a_matrix_holds(rot12_312):
+    _, h, perm = rot12_312
+    M = build_matrix(h, "transition")
+    A, d = matrices.prepared(M)
+    assert matrices.prepared(M)[0] is A and A.dtype == np.float64 and A.flags.c_contiguous
+    assert not A.flags.writeable and d is M.symmetrizer
+    with pytest.raises(ValueError, match="read-only"):
+        A[0, 0] = 0.0
+    assert decompose_automorphism(M, perm).eigenvalues().size == h.n
+    assert matrices.prepared(M)[0] is A
+
+
+def _largest_numpy_block_at_stage_returns(run, n: int) -> int:
+    """The largest numpy data block live at any return from a function of
+    matrices, oracle or cli, in any thread, while run() runs (one snapshot
+    per return once n x n complex128 bytes are traced at all)."""
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    stages = {"hypersym.matrices", "hypersym.oracle", "hypersym.cli"}
+    largest = 0
+
+    def hook(frame, event, arg):
+        nonlocal largest
+        if (
+            event == "return"
+            and frame.f_globals.get("__name__") in stages
+            and not frame.f_code.co_name.startswith("<")
+            and tracemalloc.get_traced_memory()[0] >= 16 * n * n
+        ):
+            traces = tracemalloc.take_snapshot().filter_traces(numpy_only).traces
+            largest = max([largest, *(t.size for t in traces)])
+
+    tracemalloc.start()
+    threading.setprofile(hook)
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+        tracemalloc.stop()
+    return largest
+
+
+def test_one_verify_allocates_no_complex_square_array(rot12_312):
+    # the matrix is built, decided and solved in float64 in both threads:
+    # no numpy block as large as a complex128 n x n array is ever live at a
+    # stage boundary (the complex entries of a real matrix would be, all
+    # through the operation)
+    argv, h, _ = rot12_312
+    largest = _largest_numpy_block_at_stage_returns(lambda: main(argv), h.n)
+    assert 0 < largest < 16 * h.n * h.n
+
+
+def test_one_verify_peak_is_pinned(rot12_312):
+    # traced peak of one verify operation, both threads, in real n x n
+    # arrays: 7.2 with one float64 array per matrix shared by both threads
+    # (up to 7.9 when the two threads' allocations overlap most), 9.2-10.9
+    # when a real matrix was held complex and copied per call; the least of
+    # three operations, as the overlap depends on the threads' timing
+    argv, h, _ = rot12_312
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert min(peaks) <= 8 * (8 * h.n * h.n)
 
 
 def test_a_raw_array_changed_between_calls_is_decided_again():
