@@ -34,7 +34,7 @@ from .errors import DocumentError, HypersymError, NotUnitAutomorphismError
 from .generators import compatible_matrix, invariant_weights, random_instance
 from .hypergraph import Hypergraph, parse_hypergraph, unit_contraction
 from .jsonutil import canonical_json, complex_pair, parse_json, require_key, require_object
-from .matrices import MATRIX_KINDS, WeightFunctions, build_matrix, row_sum_check
+from .matrices import MATRIX_KINDS, WeightFunctions, build_matrix, prepared, row_sum_check
 from .oracle import MATCH_TOL, SpectrumReport, dense_spectrum, verify_decomposition
 from .spectral import (
     COMPAT_TOL,
@@ -212,7 +212,7 @@ def _dense_beside(M):
     decision is taken first, in the calling thread, so that the two threads
     never both make it; both then solve the one read-only array M holds
     (matrices.prepared), which neither copies or writes."""
-    M._decision  # a cached_property: read here, it is cached before the thread starts
+    prepared(M)  # decides the balance here, kept by M before the thread starts
     modes = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
     done: list[SpectrumReport] = []
 
@@ -284,7 +284,7 @@ def cmd_dynamics(args) -> int:
     aut = validate_automorphism(h, table)
     x0 = _load_state(args.x0, h)
     orbs = orbits(aut)
-    traj = iterate(M.entries, x0, steps=args.steps, orbs=orbs, normalize=args.normalize)
+    traj = iterate(M, x0, steps=args.steps, orbs=orbs, normalize=args.normalize)
     report = check_orbit_synchronization(traj, tol=args.tol)
     doc = {
         "kind": args.kind,

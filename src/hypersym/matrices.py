@@ -2,9 +2,7 @@
 
 All kinds are indexed by the hypergraph's canonical vertex order and held
 as the float64 array they are built in (every kind here has a real
-definition); HypergraphMatrix.entries reads that array as complex128, and
-as_array keeps any other real input real (float64). Off-diagonal entries
-are sums over the common star E_u ∩ E_v:
+definition). Off-diagonal entries are sums over the common star E_u ∩ E_v:
 
     adjacency_r        |E_u ∩ E_v|,                       diagonal 0
     adjacency_b        sum 1/(|e|-1),                     diagonal 0
@@ -41,12 +39,12 @@ D^{1/2} M D^{-1/2}, and the routes solve that form with eigh:
     general_*          d = dV(u)         (M = D^-1 C, diagonal included)
     unit_normalized    d = 1/n_u         (diag(1/n_u) M = C / (n_u n_v) off the diagonal)
 
-The symmetric kinds carry None. Every route and the oracle solve
-prepared(M). A HypergraphMatrix decides realness once, when it is made: it
-holds one read-only array, float64 when no entry has a nonzero imaginary
-part, and prepared hands that array out itself, never a copy, with the
-balance (_balance) decided on it at its first use and kept. A raw array is
-decided again on each call.
+The symmetric kinds carry None. as_array is the one reader of a matrix,
+and the one place realness is decided (float64 unless an entry has a
+nonzero imaginary part); a HypergraphMatrix is read once, when it is made,
+and as_array hands out the read-only array it holds. Every view and check
+computes on as_array(M), and every route and the oracle solve prepared(M):
+as_array(M) and its balance (_balance), which a HypergraphMatrix keeps.
 """
 
 from __future__ import annotations
@@ -83,13 +81,12 @@ ROW_SUM_TOL = 1e-12
 class HypergraphMatrix:
     """A square matrix tied to a vertex labelling.
 
-    It holds one read-only array, copied once from the entries it is made
-    with, so that a later write to the caller's array reaches no route:
-    float64 when no entry has a nonzero imaginary part, else complex128.
-    entries reads it as a read-only complex128 copy, made on each read and
-    not kept. symmetrizer, when given, is a positive vector d of the matrix
-    order with diag(d) entries symmetric in exact arithmetic (module
-    docstring); prepared checks it to rounding before any route uses it."""
+    It holds one read-only array, as_array of the entries it is made with,
+    copied once so that a later write to the caller's array reaches no
+    route. entries reads it as a read-only complex128 copy, made on each
+    read, for callers outside the package. symmetrizer, when given, is a
+    positive vector d of the matrix order with diag(d) entries symmetric in
+    exact arithmetic (module docstring); prepared checks it to rounding."""
 
     kind: str
     labels: tuple[str, ...]
@@ -97,37 +94,37 @@ class HypergraphMatrix:
     symmetrizer: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = self._array
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise HypersymError(f"matrix must be square, got shape {arr.shape}")
-        if arr.shape[0] != len(self.labels):
-            raise HypersymError(
-                f"matrix order {arr.shape[0]} does not match {len(self.labels)} labels"
-            )
+        n = self._array.shape[0]  # square: as_array checked it, or build_matrix built it
+        if n != len(self.labels):
+            raise HypersymError(f"matrix order {n} does not match {len(self.labels)} labels")
         if self.symmetrizer is not None:
             d = np.asarray(self.symmetrizer, dtype=np.float64)
-            if d.shape != (arr.shape[0],):
-                raise HypersymError(f"symmetrizer must have shape ({arr.shape[0]},), got {d.shape}")
+            if d.shape != (n,):
+                raise HypersymError(f"symmetrizer must have shape ({n},), got {d.shape}")
             if not (np.isfinite(d) & (d > 0)).all():
                 raise HypersymError("symmetrizer entries must be finite and positive")
             object.__setattr__(self, "symmetrizer", d)
 
     def __eq__(self, other):
-        # field by field as the generated == was, but on the held array:
-        # entries is a new array on each read
+        # field by field, on the held array (entries is a new array on each
+        # read); a NaN entry equals a NaN, so that M == M
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.kind, self.labels, self._array, self.symmetrizer) == (
-            other.kind, other.labels, other._array, other.symmetrizer
+        d, e = self.symmetrizer, other.symmetrizer
+        return (
+            self.kind == other.kind
+            and self.labels == other.labels
+            and np.array_equal(self._array, other._array, equal_nan=True)
+            and (d is None) == (e is None)
+            and (d is None or np.array_equal(d, e))
         )
 
     @property
     def order(self) -> int:
         return len(self.labels)
 
-    @cached_property
-    def _decision(self) -> tuple[bool, np.ndarray | None]:
-        return _decide(self._array, self.symmetrizer)
+    # the balance (_balance) of the held array, decided at its first use and kept
+    _balanced = cached_property(lambda self: _balance(self._array, self.symmetrizer))
 
     def to_document(self) -> dict:
         return {
@@ -149,13 +146,7 @@ class _Fresh:
 def _hold(M: HypergraphMatrix, given) -> None:
     """Set the one array M holds from the entries given to its constructor,
     which calls this setter once (M is frozen from then on)."""
-    if isinstance(given, _Fresh):
-        A = given.array
-    else:
-        A = _float_array(given)
-        if np.iscomplexobj(A) and not A.imag.any():
-            A = A.real
-        A = np.array(A, order="C")  # the one copy of the caller's entries
+    A = given.array if isinstance(given, _Fresh) else as_array(given).copy()  # not the caller's
     A.flags.writeable = False
     object.__setattr__(M, "_array", A)
 
@@ -180,33 +171,28 @@ def _float_array(x) -> np.ndarray:
 
 
 def as_array(M) -> np.ndarray:
-    """The entries of a HypergraphMatrix (complex128, as M.entries gives
-    them) or of any square array-like, through _float_array, C-contiguous."""
+    """The one reader of a matrix: a HypergraphMatrix's own read-only array,
+    or any other square array-like as a C-contiguous array (a float64 one
+    itself), float64 when no entry has a nonzero imaginary part, else
+    complex128. The imaginary parts are scanned a block of rows at a time,
+    up to the first block that holds a nonzero one."""
     if isinstance(M, HypergraphMatrix):
-        return M.entries
-    arr = np.ascontiguousarray(_float_array(M))
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise HypersymError(f"matrix must be square, got shape {arr.shape}")
-    return arr
+        return M._array
+    A = _float_array(M)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise HypersymError(f"matrix must be square, got shape {A.shape}")
+    rows = _block_rows(A.shape[0])
+    if np.iscomplexobj(A) and not any(A[r : r + rows].imag.any() for r in range(0, len(A), rows)):
+        A = A.real
+    return np.ascontiguousarray(A)
 
 
 def prepared(M) -> tuple[np.ndarray, np.ndarray | None]:
-    """(A, d): the C-contiguous array every route solves and the _balance
-    result. For a HypergraphMatrix, A is the read-only array it holds, the
-    same object on every call and in every thread; for a raw array, its
-    float64 real part if exactly real (a copy, made per call)."""
-    if isinstance(M, HypergraphMatrix):
-        return M._array, M._decision[1]
+    """(as_array(M), d), d the _balance of that array: a HypergraphMatrix's
+    is decided with its symmetrizer at the first call and kept, any other
+    input's is decided on each call."""
     A = as_array(M)
-    real, d = _decide(A, None)
-    return np.ascontiguousarray(A.real if real else A), d
-
-
-def _decide(A: np.ndarray, symmetrizer: np.ndarray | None) -> tuple[bool, np.ndarray | None]:
-    """(real, d): whether no entry of A has a nonzero imaginary part (the
-    one scan of them), and _balance of A, its real part when real."""
-    real = np.isrealobj(A) or not A.imag.any()
-    return real, _balance(A.real if real else A, symmetrizer)
+    return A, M._balanced if isinstance(M, HypergraphMatrix) else _balance(A, None)
 
 
 # |W_ij - W_ji| within this many ulps of |W_ij + W_ji| (twice the larger
@@ -417,7 +403,7 @@ def row_sum_check(M: HypergraphMatrix, tol: float = ROW_SUM_TOL) -> RowSumReport
     Violations are reported, never raised; kinds without a row-sum identity
     get expected=None and an empty violation list.
     """
-    sums = tuple(complex(z) for z in M.entries.sum(axis=1))
+    sums = tuple(complex(z) for z in as_array(M).sum(axis=1))
     if M.kind in ("laplacian_r", "laplacian_b", "general_laplacian"):
         expected = 0.0
     elif M.kind == "transition":
@@ -427,7 +413,7 @@ def row_sum_check(M: HypergraphMatrix, tol: float = ROW_SUM_TOL) -> RowSumReport
     violations: list[tuple[int, complex]] = []
     if expected is not None:
         for i, s in enumerate(sums):
-            if abs(s - expected) > tol:
+            if not abs(s - expected) <= tol:  # a NaN or inf sum fails
                 violations.append((i, s))
     return RowSumReport(
         kind=M.kind, expected=expected, sums=sums, violations=tuple(violations), tol=tol

@@ -2,10 +2,10 @@
 
 The oracle route ignores all symmetry structure: it hands the full matrix
 to a dense solver, sorts the eigenvalues, and reports per-pair residuals.
-dense_spectrum reads the realness and balance matrices.prepared decides
-once per matrix, and the array it hands out (a HypergraphMatrix's own,
-read-only, shared with the decomposition), as the decomposition routes do:
-a matrix with no nonzero imaginary entry is solved as the float64 matrix it
+dense_spectrum solves the array matrices.prepared hands out (as_array's:
+a HypergraphMatrix's own, read-only, shared with the decomposition) with
+the balance it decides once per matrix, as the decomposition routes do: a
+matrix with no nonzero imaginary entry is solved as the float64 matrix it
 is; a real matrix equal to its transpose goes to eigh (LAPACK dsyevd), a
 complex one equal to its conjugate transpose to complex eigh (zheevd); a
 HypergraphMatrix whose symmetrizer d balances it (the transition, general_*

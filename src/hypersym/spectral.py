@@ -34,11 +34,11 @@ A unit-automorphism uses the same blocks, built from the unit quotient N
 along the unit permutation; their eigenvectors blow up to the vertices, and
 their residuals are taken against M itself.
 
-Realness is decided once per matrix: a matrix with no nonzero imaginary
-entry is taken as its float64 real part. A HypergraphMatrix holds that
-float64 array (decided when it is made), and matrices.prepared, which every
-route entry calls, hands it out itself; a raw array is decided on each
-call. From there the dtype carries it. The roots 1, i, -1 and -i are
+Realness is decided once per matrix, by matrices.as_array: a matrix with
+no nonzero imaginary entry is read as float64, a HypergraphMatrix when it
+is made. The routes (through matrices.prepared) and the public views read
+that one array, so each view is bitwise the block the decomposition
+builds, and the dtype carries the decision. The roots 1, i, -1 and -i are
 exact, +-1 as floats, and the root for n - k is the exact conjugate of the
 root for k. So for a real matrix the w = +-1 blocks (the quotient
 among them), their eigenvectors and their lifts are float64, and the
@@ -485,8 +485,9 @@ def residual_norms(AV: np.ndarray, V: np.ndarray, values: np.ndarray) -> np.ndar
     the residual of each eigenpair given the product AV. A finite column
     whose sum of squares overflows is taken again scaled down by an exact
     power of two, so only a norm beyond the largest float reads inf. A
-    stack of k matrices (k, n, b) with values (k, b) gives (k, b)."""
-    R = V * values[..., None, :]
+    stack of k matrices (k, n, b) with values (k, b) gives (k, b), in AV's
+    dtype when V is real and AV complex (a complex M's real unit quotient)."""
+    R = np.multiply(V, values[..., None, :], dtype=np.result_type(AV, V, values))
     np.subtract(AV, R, out=R)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(R, axis=-2)

@@ -32,9 +32,11 @@ pointer and members), with no Python loop over units or vertex pairs:
   records are slices of those arrays;
 - the unit-map lookup, the cardinality check and the positional lift.
 
-The decomposition reads the one decision of realness and balance made per
-matrix in matrices.prepared; N's symmetrizer |W| d(rep W) comes from the
-orbits' rule (symmetry._cell_symmetrizer) applied to the units. The cost is
+Every function here reads matrices.as_array(M), so unit_quotient is bitwise
+the N the decomposition solves; the decomposition reads the balance
+matrices.prepared decides once per matrix. N's symmetrizer |W| d(rep W)
+comes from the orbits' rule (symmetry._cell_symmetrizer) applied to the
+units. The cost is
 O(n^2) for the checks, O(n) per unit eigenpair, and the block
 decomposition of the q x q quotient N over the q units.
 """
@@ -419,7 +421,8 @@ def decompose_unit_automorphism(M, ua: UnitAutomorphism, tol: float = COMPAT_TOL
     units = ua.units
     if A.shape[0] != units.n:
         raise HypersymError(f"matrix order {A.shape[0]} does not match {units.n} vertices")
-    N = unit_quotient(A, units, tol)  # the one unit-compatibility check
+    # the one unit-compatibility check; N read as its blocks' views read it
+    N = as_array(unit_quotient(A, units, tol))
     witness = _quotient_witness(N, ua, tol)
     if witness is not None:
         raise IncompatibleMatrixError(

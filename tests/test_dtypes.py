@@ -1,16 +1,19 @@
 """The dtype contract: a real input stays real, and complex arithmetic starts
 only where an entry or a root of unity is genuinely complex.
 
-Realness and balance are decided once per matrix: a HypergraphMatrix holds
-one read-only array, float64 unless an entry has a nonzero imaginary part,
-which matrices.prepared (every route entry calls it) hands out itself; a raw
-array is decided again on each call. From there the dtype of every block,
-block vector and lift carries the decision, and picks each block's LAPACK
-driver. Negative controls: one entry with a nonzero imaginary part sends
-every block to complex eig, and a raw array changed between two calls is
-decided again.
+Realness is decided by as_array, the one reader of a matrix, and balance by
+matrices.prepared, once per matrix: a HypergraphMatrix holds one read-only
+array, float64 unless an entry has a nonzero imaginary part, which as_array
+and prepared (every route entry calls it) hand out themselves; a raw array
+is read again on each call. Every public view computes on that array, so
+its result is bitwise the block the decomposition builds. From there the
+dtype of every block, block vector and lift carries the decision, and picks
+each block's LAPACK driver. Negative controls: one entry with a nonzero
+imaginary part sends every block to complex eig and every view to complex
+arithmetic, and a raw array changed between two calls is decided again.
 """
 
+import contextlib
 import json
 import sys
 import threading
@@ -28,6 +31,7 @@ from hypersym import (
     blow_up,
     build_matrix,
     canonical_json,
+    compatibility_deviation,
     compatible_matrix,
     complex_pair,
     compute_units,
@@ -41,15 +45,20 @@ from hypersym import (
     orbit_quotient,
     orbits,
     permutation_with_type,
+    profile_unit_compatibility,
     roots_of_unity,
+    rotation_decomposition,
     rotation_matrix,
+    row_sum_check,
     spectral_radius_via_quotient,
+    unit_eigenvalues,
+    unit_quotient,
     validate_unit_automorphism,
 )
-from hypersym import matrices
+from hypersym import matrices, spectral, unit_symmetry
 from hypersym.cli import main
 
-from conftest import ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_SWAP_MAP
+from conftest import ROT10_DOC, ROT10_MAP, UNITS18_DOC, UNITS18_SWAP_MAP, UNITS18_UNIT_MAP
 
 
 def _solved(decompose, *args):
@@ -84,7 +93,7 @@ def _real_symmetric(rng, perm):
         (np.eye(3, dtype=int), np.float64),
         (np.eye(3, dtype=bool), np.float64),
         ([[1, 2], [3, 4]], np.float64),
-        (np.eye(3) + 0j, np.complex128),
+        (np.eye(3) + 0j, np.float64),
         ([[1, 2j], [3, 4]], np.complex128),
     ],
     ids=["float64", "float32", "int", "bool", "int list", "complex", "complex list"],
@@ -103,13 +112,14 @@ def test_as_array_returns_a_float64_input_itself():
 def test_hypergraph_matrices_stay_complex():
     h = Hypergraph.from_dict(UNITS18_DOC)
     M = build_matrix(h, "adjacency_r")
-    # entries and as_array give a read-only complex128 copy, made on each
-    # read; the routes solve the float64 array the matrix holds
+    # as_array hands out the float64 array the matrix holds, the one the
+    # routes solve; entries stays a read-only complex128 copy, made on each
+    # read, for callers outside the package
+    A = as_array(M)
+    assert A is matrices.prepared(M)[0] and A is as_array(M)
+    assert A.dtype == np.float64 and not A.flags.writeable
     assert M.entries.dtype == np.complex128 and not M.entries.flags.writeable
-    assert M.entries is not M.entries and np.array_equal(as_array(M), M.entries)
-    assert as_array(M).dtype == np.complex128
-    A = matrices.prepared(M)[0]
-    assert A.dtype == np.float64 and np.array_equal(A, M.entries.real)
+    assert M.entries is not M.entries and np.array_equal(A, M.entries)
 
 
 @pytest.mark.parametrize("lengths", [(2, 2, 2, 2), (4, 4), (2, 4, 4), (3, 6), (12,)], ids=str)
@@ -202,16 +212,29 @@ def test_one_imaginary_entry_sends_every_block_to_complex_eig(lengths):
 
 @pytest.mark.parametrize("command", ["decompose", "verify"])
 def test_one_verify_decides_realness_and_balance_once(command, write_doc, capsys):
-    # the decompose route and the dense oracle, on a thread of its own, read
-    # one decision: one imaginary-part scan (matrices._decide) and one
-    # balance check, taken before the oracle's thread starts
+    # realness was decided when the matrix was made: no array that as_array
+    # reads in the operation is complex, so its imaginary parts are never
+    # scanned; the decompose route and the dense oracle, on a thread of its
+    # own, read one balance check, taken before the oracle's thread starts
     doc, table = write_doc("rot10.json", ROT10_DOC), write_doc("map.json", {"map": ROT10_MAP})
-    with patch.object(matrices, "_decide", wraps=matrices._decide) as decide, patch.object(
-        matrices, "_balance", wraps=matrices._balance
-    ) as balance:
+    reader, read = matrices.as_array, []
+
+    def spy(M):
+        read.append(M)
+        return reader(M)
+
+    # every module's binding of the one reader
+    modules = [m for name, m in sys.modules.items() if name.startswith("hypersym.") and getattr(m, "as_array", None) is reader]
+    with contextlib.ExitStack() as stack:
+        for module in modules:
+            stack.enter_context(patch.object(module, "as_array", spy))
+        balance = stack.enter_context(patch.object(matrices, "_balance", wraps=matrices._balance))
         assert main([command, doc, table, "--kind", "transition"]) == 0
     assert json.loads(capsys.readouterr().out)["verification"]["verdict"] == "pass"
-    assert decide.call_count == 1 and balance.call_count == 1
+    assert {"hypersym.matrices", "hypersym.symmetry", "hypersym.spectral"} <= {m.__name__ for m in modules}
+    assert any(isinstance(M, HypergraphMatrix) for M in read)
+    assert all(M.dtype == np.float64 for M in read if not isinstance(M, HypergraphMatrix))
+    assert balance.call_count == 1
 
 
 def test_hypergraph_matrix_entries_are_read_only():
@@ -261,6 +284,111 @@ def test_prepared_hands_out_the_array_a_matrix_holds(rot12_312):
         A[0, 0] = 0.0
     assert decompose_automorphism(M, perm).eigenvalues().size == h.n
     assert matrices.prepared(M)[0] is A
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _imaginary_entry(M: HypergraphMatrix, at: tuple[int, int]) -> HypergraphMatrix:
+    """M with one entry given an imaginary part within every symmetry
+    tolerance: a complex matrix."""
+    entries = M.entries.copy()
+    entries[at] += 1e-13j
+    return HypergraphMatrix(kind=M.kind, labels=M.labels, entries=entries)
+
+
+def _assert_views_are_the_blocks(M, perm, dtype):
+    """The orbit quotient and every rotation matrix of M are bitwise the
+    blocks the decomposition builds from prepared(M), read as dtype."""
+    A = matrices.prepared(M)[0]
+    assert as_array(M) is A and A.dtype == dtype
+    orbs = orbits(perm)
+    Q = orbit_quotient(M, orbs)
+    assert _same_bits(Q, spectral._block_matrix(A, [], orbs)) and Q.dtype == dtype
+    for rot in rotation_decomposition(perm):
+        for w in roots_of_unity(rot.order_n):
+            R = rotation_matrix(M, rot, w)
+            assert _same_bits(R, spectral._block_matrix(A, [(rot, w)], orbs)), (rot.order_n, w.k)
+            assert R.dtype == (dtype if w.value in (1.0, -1.0) else np.complex128)
+
+
+def _assert_unit_views_are_the_route_quotient(M, ua, dtype):
+    """unit_quotient(M) is bitwise the quotient the unit route decomposes,
+    and the unit profile reads M in dtype."""
+    with patch.object(unit_symmetry, "_decompose", wraps=unit_symmetry._decompose) as core:
+        decompose_unit_automorphism(M, ua)
+    N = unit_quotient(M, ua.units)
+    assert _same_bits(N, core.call_args.kwargs["built_from"]) and N.dtype == dtype
+    assert profile_unit_compatibility(M, ua.units).rows.dtype == dtype
+    assert unit_eigenvalues(M, ua.units).structures
+
+
+def test_views_are_bitwise_the_blocks_the_decomposition_builds(rot12_312):
+    _, h, perm = rot12_312
+    M = build_matrix(h, "transition")
+    _assert_views_are_the_blocks(M, perm, np.float64)
+    # negative control: one nonzero imaginary entry reads complex everywhere
+    _assert_views_are_the_blocks(_imaginary_entry(M, (0, 1)), perm, np.complex128)
+
+
+@pytest.mark.parametrize(
+    "kind, unit_map", [("adjacency_r", UNITS18_SWAP_MAP), ("unit_normalized", UNITS18_UNIT_MAP)], ids=["swap", "unit"]
+)
+def test_unit_quotient_is_bitwise_the_one_the_route_decomposes(kind, unit_map):
+    h = Hypergraph.from_dict(UNITS18_DOC)
+    ua = validate_unit_automorphism(h, unit_map)
+    M = build_matrix(h, kind)
+    _assert_unit_views_are_the_route_quotient(M, ua, np.float64)
+    _assert_unit_views_are_the_route_quotient(_imaginary_entry(M, (2, 2)), ua, np.complex128)
+
+
+def _doubled(h: Hypergraph, perm):
+    """h with every vertex v copied to v.0 and v.1 in the edges v is in, so
+    that the copies share a star and form units, and the unit automorphism
+    perm induces."""
+    doubled = Hypergraph([f"{v}.{c}" for v in h.labels for c in (0, 1)],
+                         [(e.id, [f"{v}.{c}" for v in e.members for c in (0, 1)]) for e in h.edges])
+    units = compute_units(doubled)
+    image = {v: h.labels[perm(i)] for i, v in enumerate(h.labels)}
+    unit_map = {units.keys[units.unit_of[doubled.index[f"{v}.0"]]]: units.keys[units.unit_of[doubled.index[f"{w}.0"]]]
+                for v, w in image.items()}
+    return doubled, validate_unit_automorphism(doubled, unit_map)
+
+
+def _traced_peak(call) -> int:
+    call()  # caches what the call builds on first use
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_views_make_no_complex_copy_of_a_real_matrix(rot12_312):
+    # a complex128 n x n array is 16 n^2 bytes; each view and check of a
+    # built matrix peaks below that, where a complex copy of its entries
+    # alone would reach it
+    _, h, perm = rot12_312
+    M, orbs, rot = build_matrix(h, "transition"), orbits(perm), as_rotation(perm)
+    calls = {
+        "orbit_quotient": lambda: orbit_quotient(M, orbs),
+        "rotation_matrix": lambda: [rotation_matrix(M, rot, w) for w in roots_of_unity(rot.order_n)],
+        "compatibility_deviation": lambda: compatibility_deviation(M, perm),
+        "row_sum_check": lambda: row_sum_check(M),
+    }
+    doubled, ua = _doubled(h, perm)
+    D = build_matrix(doubled, "transition")
+    assert len(ua.units) == h.n and ua.perm.order == 12
+    units_calls = {
+        "unit_quotient": lambda: unit_quotient(D, ua.units),
+        "profile_unit_compatibility": lambda: profile_unit_compatibility(D, ua.units),
+        "unit_eigenvalues": lambda: unit_eigenvalues(D, ua.units),
+    }
+    peaks = {name: _traced_peak(call) / (16 * h.n**2) for name, call in calls.items()}
+    peaks.update({name: _traced_peak(call) / (16 * doubled.n**2) for name, call in units_calls.items()})
+    assert all(peak < 1 for peak in peaks.values()), peaks
 
 
 def _largest_numpy_block_at_stage_returns(run, n: int) -> int:

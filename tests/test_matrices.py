@@ -6,6 +6,7 @@ import pytest
 from hypersym import (
     MATRIX_KINDS,
     Hypergraph,
+    HypergraphMatrix,
     HypersymError,
     WeightFunctions,
     build_matrix,
@@ -124,6 +125,36 @@ def test_row_sum_check_silent_for_adjacency(rot10):
     report = row_sum_check(build_matrix(rot10, "adjacency_r"))
     assert report.expected is None
     assert not report.violations
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_row_sum_check_reports_a_non_finite_row_sum(rot10, bad):
+    M = build_matrix(rot10, "laplacian_r")
+    entries = M.entries.copy()
+    entries[3, 5] = bad
+    report = row_sum_check(HypergraphMatrix(kind=M.kind, labels=M.labels, entries=entries))
+    assert [i for i, _ in report.violations] == [3]
+    assert not np.isfinite(report.violations[0][1])
+
+
+def test_matrices_made_apart_compare_by_value(rot10):
+    # equal builds compare equal; a different kind, entry or symmetrizer
+    # compares unequal, and no comparison raises
+    M, T = build_matrix(rot10, "adjacency_r"), build_matrix(rot10, "transition")
+    assert M == build_matrix(rot10, "adjacency_r") and not M != build_matrix(rot10, "adjacency_r")
+    assert T == build_matrix(rot10, "transition")
+    changed = M.entries.copy()
+    changed[0, 1] += 1.0
+    assert M != HypergraphMatrix(kind="laplacian_r", labels=M.labels, entries=M.entries)
+    assert M != HypergraphMatrix(kind=M.kind, labels=M.labels, entries=changed)
+    assert M != HypergraphMatrix(kind=M.kind, labels=M.labels, entries=M.entries, symmetrizer=np.ones(M.order))
+    assert T != HypergraphMatrix(kind=T.kind, labels=T.labels, entries=T.entries)  # None equals only None
+    assert T != HypergraphMatrix(kind=T.kind, labels=T.labels, entries=T.entries, symmetrizer=2 * T.symmetrizer)
+    assert M != "adjacency_r"
+    # a NaN entry equals a NaN, so a matrix still equals itself
+    changed[0, 1] = np.nan
+    N = HypergraphMatrix(kind=M.kind, labels=M.labels, entries=changed)
+    assert N == N and N == HypergraphMatrix(kind=M.kind, labels=M.labels, entries=changed) and N != M
 
 
 def test_weighted_kinds_require_weights():

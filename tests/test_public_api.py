@@ -1,9 +1,14 @@
-"""Every name the package exports has a use.
+"""Every name the package exports has a use, and every matrix has one reader.
 
 A name re-exported by hypersym/__init__.py must be called in the package
 outside __init__, appear in README.md, or be one of the paper's views and
 the builders of their arguments. A name with none of these is dead API: it
 is deleted, not kept for its tests.
+
+matrices.as_array is the one reader of a matrix: no module of the package
+reads HypergraphMatrix.entries (a complex128 copy, for outside callers), and
+realness (whether an array's imaginary parts are all zero) is decided in
+as_array alone.
 """
 
 import ast
@@ -93,3 +98,44 @@ def test_readme_library_examples_run(tmp_path, monkeypatch):
     assert [(key, complex(value), int(count)) for key, value, count in units] == [
         ("2,3", -3.0, 1), ("5,6", -3.0, 1), ("8,9", -3.0, 1),
     ]
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _is_realness_scan(node: ast.AST) -> bool:
+    """A call x.imag.any() with no arguments: whether any entry of x has a
+    nonzero imaginary part."""
+    return (
+        isinstance(node, ast.Call)
+        and not node.args
+        and not node.keywords
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "any"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "imag"
+    )
+
+
+def test_no_module_reads_the_complex_entries():
+    reads = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "entries" and isinstance(node.ctx, ast.Load)
+    ]
+    assert not reads, f"read .entries, not as_array(M): {reads}"
+
+
+def test_realness_is_decided_in_as_array_alone():
+    scans, inside = [], set()
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if name == "matrices.py" and isinstance(node, ast.FunctionDef) and node.name == "as_array":
+                inside.update(id(n) for n in ast.walk(node) if _is_realness_scan(n))
+            if _is_realness_scan(node):
+                scans.append((name, node))
+    assert len(inside) == 1, "as_array decides realness with one .imag.any()"
+    outside = [f"{name}:{node.lineno}" for name, node in scans if id(node) not in inside]
+    assert not outside, f"realness decided outside as_array: {outside}"

@@ -340,6 +340,19 @@ def test_unit_route_agrees_with_vertex_route(rot10, rot10_aut, rot10_ua):
     assert np.allclose(a, b, atol=1e-8)
 
 
+def test_a_complex_matrix_with_a_real_unit_quotient_decomposes():
+    # the unit quotient of a complex Laplacian of one unit is 0: it reads
+    # as float64, as its blocks' views read it, and its lifted residuals
+    # are taken against the complex matrix
+    h = Hypergraph(["a", "b"], [("e", ["a", "b"])])
+    units = compute_units(h)
+    ua = validate_unit_automorphism(h, {u.key: u.key for u in units.units})
+    A = (1.5 + 2j) * build_matrix(h, "laplacian_r").entries
+    dec = decompose_unit_automorphism(A, ua)
+    assert sorted(dec.eigenvalues().tolist(), key=abs) == [0, 2 * (1.5 + 2j)]
+    assert verify_decomposition(A, dec).verdict
+
+
 def _assert_unit_records_match(A, ua):
     """unit_eigenvalues and the "kind": "unit" records of a unit-route
     decomposition name the same units, values, multiplicities and vectors,
