@@ -62,12 +62,19 @@ def _read(path: str) -> str:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = canonical_json(doc) + "\n"
+    """Write doc's text and a newline to out, or to stdout when out is None;
+    the text is written as it is, not copied to append the newline."""
+    text = canonical_json(doc)
     if out is None:
         sys.stdout.write(text)
-    else:
+        sys.stdout.write("\n")
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.write("\n")
+    except OSError as exc:
+        raise DocumentError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _load_hypergraph(path: str) -> Hypergraph:

@@ -4,6 +4,10 @@ Floats are printed with "%.17g", 17 significant digits, so every float
 round-trips exactly (-0.0 prints as 0); keys are sorted and separators
 fixed, making output byte-identical for identical inputs. Arrays are turned
 into lists in one call each (complex_pair, ndarray.tolist) before encoding.
+The recursion appends the pieces of the text to one list, which
+canonical_json joins once: no bracket, key or separator copies the text of
+what it encloses, so a report-sized string is built once, not once per
+level of nesting.
 
 Rows of floats take a bulk path: a list whose items are all exact floats,
 or a list of equal-length lists whose items are all exact floats, is
@@ -19,7 +23,7 @@ A _Rows node prints many documents of one shape, such as a block's lifted
 eigenpairs: its row is one such document with _HOLE at each float, and its
 values a 2-d float array with one line per document and one column per
 hole, in document order (keys sorted). The row is printed once through the
-recursion into a template with a "%s" hole at each float, after which one
+recursion and split at its floats into segments, after which one
 finiteness pass checks the array. A float that is always zero, such as the
 imaginary part of a real vector, is a literal 0.0 in the row and prints as
 0. A list of one entry repeated, such as a vector's [re, im] slots, is
@@ -31,10 +35,14 @@ values.
 
 A lifted vector repeats its block vector up to a sign or a root of unity,
 so the nodes of a report hold far fewer distinct magnitudes than floats. A
-list holding nodes is therefore printed by one "%" operation on one
-template, filled from one np.unique pass over the |x| of all its nodes:
-each distinct magnitude is printed once with "%.17g", and a negative value
-takes that text behind a "-", which is what "%.17g" prints for it.
+list holding nodes therefore takes the texts of its floats from one
+np.unique pass over the |x| of all its nodes: each distinct magnitude is
+printed once with "%.17g", by one "%" operation, and a negative value
+takes that text behind a "-", which is what "%.17g" prints for it; the "-"
+ends the row segment before it, so no signed copy of a text is made. A
+node's documents are then appended to the list of pieces as its segments
+and texts interleaved, through one object array of references, and no
+text of the node is built apart from the final join.
 """
 
 from __future__ import annotations
@@ -63,32 +71,58 @@ class _Rows:
 
 
 # a float slot and a repeated list of a _Rows row; they print as a NUL and
-# a SOH, which json.dumps never leaves in a string or key, so the template
-# can find them
+# a SOH, which json.dumps never leaves in a string or key, so a row's text
+# can be split at them
 _HOLE = object()
 _ENTRIES = object()
 
 
 def canonical_json(obj: Any) -> str:
     """Serialize obj to a canonical JSON string (no trailing newline)."""
-    return _encode(obj)
+    return _text(obj)
 
 
-def _encode(obj: Any) -> str:
+def _text(obj: Any) -> str:
+    """obj's text, from the pieces _encode appends."""
+    out: list[str] = []
+    _encode(obj, out)
+    return "".join(out)
+
+
+def _encode(obj: Any, out: list[str]) -> None:
+    """Append the pieces of obj's text to out."""
     # no container is also a scalar, so only bool before int needs an order
     if type(obj) is float:
-        return _float(obj)
-    if isinstance(obj, (list, tuple)):
-        if type(obj) is list and obj:  # most lists of a report are rows of floats
-            text = _float_rows(obj)
-            if text is not None:
-                return text
-        nodes = [item for item in obj if type(item) is _Rows]
-        if nodes:
-            return _spliced(obj, nodes)
-        return "[" + ", ".join([_encode(item) for item in obj]) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join([_member(key, obj[key]) for key in sorted(obj)]) + "}"
+        out.append(_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        # most lists of a report are rows of floats
+        text = _float_rows(obj) if type(obj) is list and obj else None
+        if text is not None:
+            out.append(text)
+        elif any(type(item) is _Rows for item in obj):
+            out.append("[")
+            _spliced(obj, out)
+            out.append("]")
+        else:
+            out.append("[")
+            for i, item in enumerate(obj):
+                if i:
+                    out.append(", ")
+                _encode(item, out)
+            out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise DocumentError(f"object key {key!r} is not a string")
+            out.append((", " if i else "") + json.dumps(key) + ": ")
+            _encode(obj[key], out)
+        out.append("}")
+    else:
+        out.append(_scalar(obj))
+
+
+def _scalar(obj: Any) -> str:
     if obj is None:
         return "null"
     if obj is True:
@@ -135,41 +169,65 @@ def _float_rows(items: list) -> str | None:
     return template % tuple([x + 0.0 for x in values])  # + 0.0 turns -0.0 into 0.0
 
 
-def _spliced(items: list | tuple, nodes: list[_Rows]) -> str:
-    """items, among them the row nodes nodes, with each node's documents in
-    its place: one template with a %s hole per float of the nodes, filled by
-    one % operation with the text of each distinct magnitude, printed once."""
-    template = ", ".join(filter(None, [  # only a node with no lines prints ""
-        _template(item) if type(item) is _Rows else _encode(item).replace("%", "%%") for item in items
-    ]))
-    flat = np.concatenate([node.values.ravel() for node in nodes])
-    magnitudes, index = np.unique(np.abs(flat), return_inverse=True)
-    # one % operation for all magnitudes; no "%.17g" text holds a space
-    texts = (" ".join(["%.17g"] * len(magnitudes)) % tuple(magnitudes.tolist())).split(" ")
-    # "%.17g" % -x is "-" + "%.17g" % x for x > 0, and -0.0, not < 0, prints as 0
-    texts = np.array(texts + ["-" + text for text in texts], dtype=object)
-    return "[" + template % tuple(texts[index + len(magnitudes) * (flat < 0)].tolist()) + "]"
+def _spliced(items: list | tuple, out: list[str]) -> None:
+    """Append the pieces of items, among them row nodes, to out, without the
+    brackets: each node's documents in its place (a node with no lines adds
+    nothing), each float the text of its magnitude behind the row's text
+    before it, which takes a "-" for a negative value."""
+    items = [item for item in items if type(item) is not _Rows or len(item.values)]
+    # the rows' segments and the other items' texts first, so that what
+    # cannot be printed is refused in document order
+    parts = [_segments(item) if type(item) is _Rows else _text(item) for item in items]
+    texts = iter(_texts([item.values for item in items if type(item) is _Rows]))
+    for i, (item, part) in enumerate(zip(items, parts)):
+        if i:
+            out.append(", ")
+        if type(item) is _Rows:
+            out += _filled(part, item.values < 0, next(texts))
+        else:
+            out.append(part)
 
 
-def _template(node: _Rows) -> str:
-    """The documents of a node, joined by ", " without brackets, with a %s
-    hole at each float; "" for a node with no lines. Refuses the row, then
+def _segments(node: _Rows) -> list[str]:
+    """The text of a node's row split at its floats; refuses the row, then
     the first non-finite value in document order."""
-    values = node.values
-    if not len(values):
-        return ""
-    entries = "[" + ", ".join([_encode(node.entry)] * node.count) + "]"
-    template = _encode(node.row).replace("\1", entries).replace("%", "%%").replace("\0", "%s")
-    finite = np.isfinite(values)
+    entries = "[" + ", ".join([_text(node.entry)] * node.count) + "]"
+    segments = _text(node.row).replace("\1", entries).split("\0")
+    finite = np.isfinite(node.values)
     if not finite.all():
-        _float(float(values[~finite][0]))  # the first in document order: raises
-    return ", ".join([template] * len(values))
+        _float(float(node.values[~finite][0]))  # the first in document order: raises
+    return segments
 
 
-def _member(key: Any, value: Any) -> str:
-    if not isinstance(key, str):
-        raise DocumentError(f"object key {key!r} is not a string")
-    return json.dumps(key) + ": " + _encode(value)
+def _texts(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """The text of every |x| of each array, as an object array of its shape,
+    from one np.unique pass over them all: each distinct magnitude printed
+    once with "%.17g", by one % operation."""
+    if not arrays:
+        return []
+    flat = np.concatenate([values.ravel() for values in arrays])
+    magnitudes, codes = np.unique(np.abs(flat), return_inverse=True)
+    del flat
+    # no "%.17g" text holds a space
+    texts = (" ".join(["%.17g"] * len(magnitudes)) % tuple(magnitudes.tolist())).split(" ")
+    texts = np.array(texts, dtype=object)[codes]
+    ends = np.cumsum([values.size for values in arrays])
+    return [part.reshape(values.shape) for part, values in zip(np.split(texts, ends[:-1]), arrays)]
+
+
+def _filled(segments: list[str], negative: np.ndarray, texts: np.ndarray) -> list[str]:
+    """The pieces of a node's documents, ", " between them: the row's
+    segments with the texts of one line of magnitudes between them. A
+    negative value's segment before it ends in "-", as "%.17g" % -x is "-"
+    + "%.17g" % x for x > 0 (-0.0, not < 0, prints as 0)."""
+    lines, holes = texts.shape
+    signed = np.array([segments[:-1], [segment + "-" for segment in segments[:-1]]], dtype=object)
+    pieces = np.empty((lines, 2 * holes + 1), dtype=object)
+    pieces[:, 0:-1:2] = signed[negative.view(np.int8), np.arange(holes)]  # 0/1 rows, not a mask
+    pieces[:, 1::2] = texts
+    pieces[:, -1] = segments[-1] + ", "
+    pieces[-1, -1] = segments[-1]
+    return pieces.ravel().tolist()
 
 
 def complex_pair(z) -> list:

@@ -77,7 +77,7 @@ WEIGHTED_KINDS = frozenset({"general_adjacency", "general_laplacian", "general_s
 ROW_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # __eq__ below; eq=False keeps it unhashable
 class HypergraphMatrix:
     """A square matrix tied to a vertex labelling.
 
@@ -86,7 +86,10 @@ class HypergraphMatrix:
     route. entries reads it as a read-only complex128 copy, made on each
     read, for callers outside the package. symmetrizer, when given, is a
     positive vector d of the matrix order with diag(d) entries symmetric in
-    exact arithmetic (module docstring); prepared checks it to rounding."""
+    exact arithmetic (module docstring); prepared checks it to rounding.
+
+    It is unhashable: __eq__ takes 0.0 == -0.0 and NaN == NaN, which no
+    hash of the array's bytes would follow."""
 
     kind: str
     labels: tuple[str, ...]

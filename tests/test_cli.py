@@ -1,11 +1,13 @@
 """Command line behaviour: documents in, canonical JSON out, exit codes."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest.mock import patch
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import hypersym
-from hypersym import Hypergraph, oracle, spectral, symmetry
+from hypersym import Hypergraph, cli, jsonutil, oracle, spectral, symmetry
 from hypersym.cli import main
 from hypersym.hypergraph import _Cells
 
@@ -31,6 +33,8 @@ from conftest import (
     UNITS18_SWAP_MAP,
     UNITS18_UNIT_MAP,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -108,6 +112,83 @@ def test_output_is_byte_identical(capsys, rot10_path, rot10_map_path):
     _, second, _ = run(capsys, argv)
     assert first == second
     assert first.endswith("\n")
+
+
+@pytest.fixture
+def report_argvs(write_doc, rot10_path, rot10_map_path):
+    """argv, without --out, of a decompose, a verify and a refusal report."""
+    bad = dict(ROT10_MAP)
+    bad["1"], bad["4"] = "7", "1"  # still a bijection, no longer edge-preserving
+    bad_path = write_doc("bad_map.json", {"map": bad})
+    return {
+        "decompose": ["decompose", rot10_path, rot10_map_path, "--kind", "adjacency_r"],
+        "verify": ["verify", rot10_path, rot10_map_path, "--kind", "transition"],
+        "refusal": ["verify", rot10_path, bad_path, "--kind", "adjacency_r"],
+    }
+
+
+@pytest.mark.parametrize("report", ["decompose", "verify", "refusal"])
+def test_emit_writes_the_canonical_text_and_a_newline(capsys, monkeypatch, tmp_path, report_argvs, report):
+    # byte for byte, to stdout and to a file: the text is written as the
+    # encoder returns it, then the newline
+    docs = []
+    encode = cli.canonical_json
+    monkeypatch.setattr(cli, "canonical_json", lambda doc: docs.append(doc) or encode(doc))
+    argv = report_argvs[report]
+    code, out, err = run(capsys, argv)
+    target = tmp_path / "report.json"
+    assert main(argv + ["--out", str(target)]) == code == (1 if report == "refusal" else 0)
+    assert len(docs) == 2 and err == ""
+    want = [(jsonutil.canonical_json(doc) + "\n").encode() for doc in docs]
+    assert out.encode() == want[0] and target.read_bytes() == want[1] == want[0]
+    assert ("error" in json.loads(out)) == (report == "refusal")
+
+
+@pytest.mark.parametrize("command", ["matrix", "validate-symmetry", "decompose", "verify", "refusal"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_an_unwritable_out_path_is_a_usage_error(capsys, tmp_path, report_argvs, rot10_path, rot10_map_path, command, where):
+    # an error line and exit 2, as for an unreadable input, not a traceback
+    # and not the exit code of a failed check; nothing is created
+    argv = {
+        "matrix": ["matrix", rot10_path, "--kind", "adjacency_r"],
+        "validate-symmetry": ["validate-symmetry", rot10_path, rot10_map_path],
+        **report_argvs,
+    }[command]
+    target, reason = {
+        "missing directory": (tmp_path / "missing" / "report.json", "No such file or directory"),
+        "directory": (tmp_path, "Is a directory"),
+    }[where]
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, argv + ["--out", str(target)])
+    assert (code, out, err) == (2, "", f"error: cannot write {target}: {reason}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def _rot2_decompose_document(monkeypatch, tmp_path):
+    """The document of the decompose report on the seed-11 p0 positive of
+    the rot2-decompose benchmark workload (n = 160)."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    w = importlib.import_module("workloads").WORKLOADS["rot2-decompose"]
+    inst = importlib.import_module("workloads").generate(w, 11, tmp_path)[0][0]
+    docs = []
+    monkeypatch.setattr(cli, "canonical_json", lambda doc: docs.append(doc) or jsonutil.canonical_json(doc))
+    assert main([w.command, str(inst.hypergraph), str(inst.symmetry), "--kind", w.kind, "--out", str(tmp_path / "r.json")]) == 0
+    return docs[0]
+
+
+def test_the_encoder_peak_stays_below_five_report_lengths(monkeypatch, tmp_path):
+    # 727 kB of text, most of it the lifted vectors' spliced floats: the
+    # traced peak of canonical_json was 5.5 times the text while each
+    # bracket, key and member made a copy of it; 2.8 times with one join
+    doc = _rot2_decompose_document(monkeypatch, tmp_path)
+    text = jsonutil.canonical_json(doc)
+    tracemalloc.start()
+    try:
+        assert jsonutil.canonical_json(doc) == text
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 700_000 and peak < 5 * len(text)
 
 
 def test_validate_symmetry_automorphism(capsys, rot10_path, rot10_map_path):

@@ -780,12 +780,16 @@ def test_every_command_document_encodes_as_the_reference(monkeypatch, write_doc)
 
 
 def test_encoder_recursion_stays_private(monkeypatch):
-    # a tracer that wraps the public name must see one call per document
+    # a tracer that wraps the public name must see one call per document,
+    # also when a list splices row nodes among items printed apart
     calls = []
     encode = jsonutil.canonical_json
     monkeypatch.setattr(jsonutil, "canonical_json", lambda obj: calls.append(obj) or encode(obj))
-    jsonutil.canonical_json({"a": [[1.0, -0.0], (2, None)], "b": {"c": "d"}})
-    assert len(calls) == 1
+    node = _edge_lift(False, False).document_rows()
+    docs = [{"a": [[1.0, -0.0], (2, None)], "b": {"c": "d"}}, [{"a": [node, {"b": [node, 1.5]}]}, node]]
+    for doc in docs:
+        jsonutil.canonical_json(doc)
+    assert calls == docs
 
 
 def _bits(value):
@@ -911,6 +915,43 @@ def test_lifted_rows_print_as_the_per_pair_documents(lifts, partner):
     else:
         assert jsonutil.canonical_json(doc) == want
         assert ref.canonical_json(doc) == want  # the expansion the other reference tests use
+
+
+# what a list may hold beside row nodes: strings with "%", a float row and a
+# tuple; and values the encoder refuses, which must be refused in document
+# order among the nodes' non-finite floats
+_BESIDE_NODES = ["%s%%", -0.0, 7, None, [0.5, -0.0], (1.0, "x")]
+_REFUSED = [float("nan"), 1j, {1: 2}]
+
+
+@st.composite
+def nested_node_documents(draw):
+    """A list of dicts whose values are lists of row nodes among other
+    items, at times with a node in the outer list too, so that a spliced
+    list's items hold spliced lists of their own, and at times with one
+    refused value in one of the lists."""
+    items = st.one_of(lifted_blocks().map(LiftedBlock.document_rows), st.sampled_from(_BESIDE_NODES))
+    keys = draw(st.lists(st.sampled_from(["a", "b%", "c"]), min_size=1, max_size=3, unique=True))
+    doc = [{key: draw(st.lists(items, max_size=4)) for key in keys} for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        doc.insert(draw(st.integers(0, len(doc))), draw(lifted_blocks()).document_rows())
+    if draw(st.booleans()):
+        values = draw(st.sampled_from([values for member in doc if type(member) is dict for values in member.values()]))
+        values.insert(draw(st.integers(0, len(values))), draw(st.sampled_from(_REFUSED)))
+    return doc
+
+
+@given(nested_node_documents())
+@settings(max_examples=300, deadline=None)
+def test_nested_row_nodes_print_as_the_reference(doc):
+    try:
+        want = ref.canonical_json(doc)
+    except DocumentError as exc:
+        with pytest.raises(DocumentError) as got:
+            jsonutil.canonical_json(doc)
+        assert str(got.value) == str(exc)
+    else:
+        assert jsonutil.canonical_json(doc) == want
 
 
 def test_a_row_node_outside_a_list_is_refused():

@@ -1,5 +1,7 @@
 """Matrix builders against a brute-force star-based oracle and frozen values."""
 
+from collections.abc import Hashable
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,22 @@ def test_matrices_made_apart_compare_by_value(rot10):
     changed[0, 1] = np.nan
     N = HypergraphMatrix(kind=M.kind, labels=M.labels, entries=changed)
     assert N == N and N == HypergraphMatrix(kind=M.kind, labels=M.labels, entries=changed) and N != M
+
+
+def test_matrices_are_unhashable(rot10):
+    # == takes 0.0 == -0.0, so matrices that differ only in the sign of a
+    # zero are equal, and no hash of the entries' bytes could follow it
+    M = build_matrix(rot10, "adjacency_r")
+    signed = -M.entries
+    signed[M.entries != 0] *= -1  # every zero now -0.0, every other entry as it was
+    N = HypergraphMatrix(kind=M.kind, labels=M.labels, entries=signed)
+    assert M == N and M.entries.tobytes() != N.entries.tobytes()
+    assert not isinstance(M, Hashable) and HypergraphMatrix.__hash__ is None
+    for matrix in (M, N):
+        with pytest.raises(TypeError, match="unhashable type: 'HypergraphMatrix'"):
+            hash(matrix)
+    with pytest.raises(TypeError, match="unhashable"):
+        {M}
 
 
 def test_weighted_kinds_require_weights():
