@@ -37,9 +37,14 @@ A lifted vector repeats its block vector up to a sign or a root of unity,
 so the nodes of a report hold far fewer distinct magnitudes than floats. A
 list holding nodes therefore takes the texts of its floats from one
 np.unique pass over the |x| of all its nodes: each distinct magnitude is
-printed once with "%.17g", by one "%" operation, and a negative value
-takes that text behind a "-", which is what "%.17g" prints for it; the "-"
-ends the row segment before it, so no signed copy of a text is made. A
+printed once, by one vectorised kernel (_g17) that gives exactly the texts
+of "%.17g". It decides the 17 digits of most magnitudes in long double
+arithmetic, writes all the texts into one byte array, one slice per layout
+class, and splits its decoded text once; a magnitude it cannot decide
+exactly (zero, a subnormal, a near-tie) is printed by "%.17g" itself. A
+negative value takes its magnitude's text behind a "-", which is what
+"%.17g" prints for it; the "-" ends the row segment before it, so no
+signed copy of a text is made. A
 node's documents are then appended to the list of pieces as its segments
 and texts interleaved, through one object array of references, and no
 text of the node is built apart from the final join.
@@ -202,17 +207,174 @@ def _segments(node: _Rows) -> list[str]:
 def _texts(arrays: list[np.ndarray]) -> list[np.ndarray]:
     """The text of every |x| of each array, as an object array of its shape,
     from one np.unique pass over them all: each distinct magnitude printed
-    once with "%.17g", by one % operation."""
+    once, by _g17."""
     if not arrays:
         return []
     flat = np.concatenate([values.ravel() for values in arrays])
     magnitudes, codes = np.unique(np.abs(flat), return_inverse=True)
     del flat
-    # no "%.17g" text holds a space
-    texts = (" ".join(["%.17g"] * len(magnitudes)) % tuple(magnitudes.tolist())).split(" ")
-    texts = np.array(texts, dtype=object)[codes]
+    texts = _g17(magnitudes)[codes]
     ends = np.cumsum([values.size for values in arrays])
     return [part.reshape(values.shape) for part, values in zip(np.split(texts, ends[:-1]), arrays)]
+
+
+# -- "%.17g" of many magnitudes at once ---------------------------------------
+#
+# A positive normal double x has a decimal exponent e = floor(log10 x) in
+# [_E_MIN, _E_MAX]. Its "%.17g" text shows N, x * 10^(16 - e) rounded half to
+# even to an integer of 17 digits: positional for -4 <= e < 17, and as
+# d.ddde-XX or d.ddde+XX otherwise (two exponent digits at least), with
+# trailing zeros and a bare "." dropped.
+
+_E_MIN, _E_MAX = -308, 308
+_WIDTH = 24  # bytes per text: the longest, "1.2345678901234567e-308", has 23
+
+
+def _powers_of_ten(dtype) -> tuple[np.ndarray, float]:
+    """10^(16 - e) in dtype for e from _E_MAX down to _E_MIN (0 where dtype
+    overflows), and the margin by which x * 10^(16 - e) computed in dtype
+    must miss a tie for its rounding to be that of the exact product.
+
+    The computed y is off the exact product by at most y * 1.5 eps: eps for
+    the table entry (np.power's error, checked by the tests) and eps / 2 for
+    the rounding of the product; y - trunc(y) is then exact, and rounding it
+    to float64 moves it by less than 1e-16. So while y < 10^17 the error is
+    below 1.5e17 * eps, and the margin is twice that: 0.033 for an 80-bit
+    long double. Where long double is float64 the margin exceeds 1/2, and no
+    value is decided."""
+    with np.errstate(over="ignore"):
+        table = np.power(dtype(10), np.arange(16 - _E_MAX, 17 - _E_MIN).astype(dtype))
+    table[np.isinf(table)] = 0  # x * 0 is not of 17 digits: undecided
+    return table, 3e17 * float(np.finfo(dtype).eps)
+
+
+def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The texts of the 4-digit chunks c as uint32s, "%04d" % c at c and the
+    same with its trailing zeros as spaces at 10000 + c; and how many digits
+    each keeps, 4 and 4 less the trailing zeros (0 for "0000")."""
+    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits = np.empty((10, 10, 10, 10, 4), np.uint8)  # at the four digits of c
+    for place in range(4):
+        digits[..., place] = d.reshape((10,) + (1,) * (3 - place))
+    digits = digits.reshape(10000, 4)
+    kept = np.full(10000, 4, np.uint8)
+    trailing = np.ones(10000, bool)
+    for place in (3, 2, 1, 0):
+        trailing &= digits[:, place] == ord("0")
+        kept -= trailing
+    stripped = np.where(np.arange(4) < kept[:, None], digits, np.uint8(ord(" ")))
+    return np.concatenate([digits, stripped]).view(np.uint32).ravel(), np.concatenate([np.full(10000, 4, np.uint8), kept])
+
+
+def _exponent_table() -> np.ndarray:
+    """The exponent of a scientific text for each e from _E_MIN, with at least
+    two digits, as 5 bytes padded with a space: "e-308", "e-05 ", "e+17 "."""
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    digits = _CHUNKS[np.abs(e)].view(np.uint8).reshape(-1, 4)
+    table = np.full((e.size, 5), ord(" "), np.uint8)
+    table[:, 0] = ord("e")
+    table[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    wide = np.abs(e) >= 100
+    table[wide, 2:] = digits[wide, 1:]
+    table[~wide, 2:4] = digits[~wide, 2:]
+    return table
+
+
+_POW10, _MARGIN = _powers_of_ten(np.longdouble)
+_CHUNKS, _CHUNK_DIGITS = _chunk_tables()
+_EXPONENTS = _exponent_table()
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, e, decided) for a 1-d float64 array of finite x >= 0: N the 17
+    digits and e the exponent of each "%.17g" text, decided where x is
+    normal, x * 10^(16 - e) in long double misses a tie by more than
+    _MARGIN and its rounding N has 17 digits (so a wrong estimate of e is
+    undecided); elsewhere N = 10^16 and e = 0."""
+    normal = x >= np.finfo(np.float64).smallest_normal
+    e = np.floor(np.log10(x, out=np.zeros(x.size), where=normal)).astype(np.intp)
+    y = x.astype(_POW10.dtype)
+    y *= _POW10[_E_MAX - e]
+    whole = y.astype(np.int64)  # trunc; 0 <= y < 10^18 for any estimate of e
+    y -= whole
+    frac = y.astype(np.float64)
+    del y
+    digits = whole + (frac > 0.5)
+    decided = normal & (np.abs(frac - 0.5) > _MARGIN) & (whole >= 10**16) & (digits < 10**17)
+    digits[~decided] = 10**16
+    e[~decided] = 0
+    return digits, e, decided
+
+
+def _g17(magnitudes: np.ndarray) -> np.ndarray:
+    """["%.17g" % x for x in magnitudes] as an object array, for a 1-d float64
+    array of finite x >= 0. The digits come from _decimal. The rows of
+    _rows are taken in order of the texts' layout class, a positional
+    exponent -4..16 or scientific, so that each class is one slice; they are
+    decoded at once and split at their spaces. Each value _decimal leaves
+    undecided (zero, a subnormal, a near-tie, an exponent estimate off by
+    one) is printed by "%.17g" itself."""
+    digits, exponents, decided = _decimal(magnitudes)
+    classes = exponents + 4
+    classes[(classes < 0) | (classes > 20)] = 21
+    classes = classes.astype(np.uint8)
+    order = np.argsort(classes, kind="stable")
+    ends = np.cumsum(np.bincount(classes, minlength=22)).tolist()
+    digits, exponents = digits[order], exponents[order]
+    text = str(_rows(digits, exponents, ends), "ascii")
+    del digits, exponents  # so that the split, which makes every text, is the peak
+    texts = np.empty(magnitudes.size, dtype=object)
+    texts[order] = text.split()
+    del text
+    undecided = np.flatnonzero(~decided)
+    if undecided.size:
+        # no "%.17g" text holds a space
+        texts[undecided] = (" ".join(["%.17g"] * undecided.size) % tuple(magnitudes[undecided].tolist())).split(" ")
+    return texts
+
+
+def _rows(digits: np.ndarray, exponents: np.ndarray, ends: list[int]) -> np.ndarray:
+    """The texts of digits (17-digit integers) at exponents, each left-aligned
+    in a row of _WIDTH bytes padded with spaces; ends[k] is the end of the
+    rows of class k: k - 4 the positional exponent for k < 21, scientific
+    for k = 21."""
+    n = digits.size
+    # the leading digit and four chunks of four; from the last nonzero chunk
+    # on, a chunk's text has its trailing zeros as spaces
+    chunks = np.empty((n, 5), np.uint16)
+    length = np.ones(n, np.uint8)  # of the digits before the trailing zeros
+    after = np.ones(n, bool)  # no nonzero chunk comes after this one
+    rest = digits
+    for j in (4, 3, 2, 1):
+        quotient = rest // 10000
+        chunk = rest - quotient * 10000
+        chunk += 10000 * after
+        chunks[:, j] = chunk
+        length += _CHUNK_DIGITS[chunk]
+        after &= chunk == 10000
+        rest = quotient
+    chunks[:, 0] = rest
+    text = _CHUNKS[chunks].view(np.uint8)[:, 3:]
+    rows = np.full((n, _WIDTH), ord(" "), np.uint8)
+    for k, (start, end) in enumerate(zip([0, *ends], ends)):
+        if start == end:
+            continue
+        r = slice(start, end)
+        if k == 21:  # d.ddd, then the exponent
+            rows[r, 0] = text[r, 0]
+            rows[r, 1] = np.where(length[r] > 1, ord("."), ord(" "))
+            rows[r, 2:18] = text[r, 1:]
+            at = np.where(length[r] > 1, length[r] + 1, 1) + np.arange(start * _WIDTH, end * _WIDTH, _WIDTH)
+            rows.ravel()[at[:, None] + np.arange(5)] = _EXPONENTS[exponents[r] - _E_MIN]
+        elif k >= 4:  # e + 1 digits, trailing zeros kept, then "." and the rest
+            e = k - 4
+            rows[r, : e + 1] = _CHUNKS[chunks[r] % 10000].view(np.uint8)[:, 3 : e + 4]
+            rows[r, e + 1] = np.where(length[r] > e + 1, ord("."), ord(" "))
+            rows[r, e + 2 : 18] = text[r, e + 1 :]
+        else:  # "0.", 4 - k zeros, the digits
+            rows[r, : 5 - k] = np.frombuffer(b"0.000", np.uint8)[: 5 - k]
+            rows[r, 5 - k : 22 - k] = text[r]
+    return rows
 
 
 def _filled(segments: list[str], negative: np.ndarray, texts: np.ndarray) -> list[str]:

@@ -28,6 +28,7 @@ within that tolerance, found by one searchsorted over the sorted real parts.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,18 +69,21 @@ def _scale(A: np.ndarray) -> float:
     """max(1, ||A||_inf), the scale of every oracle threshold, after one
     pass over |A| a block of rows at a time (matrices._block_rows), the
     row sums bitwise those of the whole; HypersymError for a non-finite
-    entry, looked for only when a row sum is not finite."""
+    entry, looked for only when a row sum is not finite. A finite matrix
+    whose row sums overflow has the largest float as its scale, so that
+    its thresholds stay finite."""
     n = A.shape[0]
     if not A.size:
         return 1.0
     rows = _block_rows(n)
     buf, sums = np.empty((min(rows, n), n)), np.empty(n)
-    for r in range(0, n, rows):
-        k = min(rows, n - r)
-        np.abs(A[r : r + k], out=buf[:k]).sum(axis=1, out=sums[r : r + k])
+    with np.errstate(over="ignore"):
+        for r in range(0, n, rows):
+            k = min(rows, n - r)
+            np.abs(A[r : r + k], out=buf[:k]).sum(axis=1, out=sums[r : r + k])
     if not np.isfinite(sums).all() and not np.isfinite(A).all():
         raise HypersymError("matrix has non-finite entries")
-    return max(1.0, float(sums.max()))
+    return max(1.0, min(float(sums.max()), sys.float_info.max))
 
 
 def dense_spectrum(M) -> SpectrumReport:

@@ -9,13 +9,16 @@ the synchronization log, whose cell means are summed in another order, within
 unit-compatible matrices, synchronized starts) and negative controls
 (perturbed matrices, desynchronized starts). The encoder must give the
 reference's bytes on every document and its error text on every value it
-refuses. The hypergraph built from CSR arrays must expose the reference's
-attributes and refuse every malformed document with its text; its matrices
-must be bitwise equal for the unweighted kinds and within 1e-12 * max(1,
-||M||_inf) for the others, its units, covers and edge maps equal, and its
-symmetry refusals word for word the reference's."""
+refuses, and its "%.17g" kernel the per-float "%.17g" texts, in long double
+and with the tables of a platform without it (a kernel with no near-tie
+margin is the negative control). The hypergraph built from CSR arrays must
+expose the reference's attributes and refuse every malformed document with
+its text; its matrices must be bitwise equal for the unweighted kinds and
+within 1e-12 * max(1, ||M||_inf) for the others, its units, covers and edge
+maps equal, and its symmetry refusals word for word the reference's."""
 
 import sys
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -638,6 +641,18 @@ doubles = st.one_of(
     st.integers(-(2**60), 2**60).map(float),
 )
 strings = st.one_of(st.text(), st.text(alphabet=st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600')))
+# magnitudes at the edges of "%.17g": zero, the smallest subnormal and
+# normal, the largest double; the double nearest 10^k and both its
+# neighbours for every k, which hold the positional/scientific edges at
+# 1e-5/1e-4 and 1e16/1e17 and every three-digit exponent; integers around
+# 10^16 and 10^17; and 2^-25 and 3 * 2^-25, whose 18th digit is an exact 5,
+# a tie that "%.17g" rounds half to even, down and up
+_POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-307, 309)])
+BOUNDARY_MAGNITUDES = [
+    0.0, 5e-324, 2.2250738585072014e-308, sys.float_info.max, 2.0**-25, 3 * 2.0**-25,
+    *_POWERS_OF_TEN.tolist(), *np.nextafter(_POWERS_OF_TEN, 0).tolist(), *np.nextafter(_POWERS_OF_TEN, np.inf).tolist(),
+    *(1e16 + np.arange(-9, 10)).tolist(), *(1e17 + 16 * np.arange(-9, 10)).tolist(),
+]
 leaves = st.one_of(
     doubles, doubles.map(np.float64), st.integers(), st.integers(-5, 5), st.booleans(), st.none(), strings
 )
@@ -836,8 +851,13 @@ def _array(draw, shape, complex_, elements=doubles):
     return z
 
 
-# entries of a block vector: signed zeros and subnormals, often
-block_entries = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320]), doubles)
+# entries of a block vector: signed zeros and subnormals, often, and the
+# boundary magnitudes in both signs
+block_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320]),
+    doubles,
+    st.sampled_from(BOUNDARY_MAGNITUDES).flatmap(lambda x: st.sampled_from([x, -x])),
+)
 
 
 @st.composite
@@ -893,9 +913,23 @@ def _edge_lift(complex_values, complex_vectors, k=2):
     return LiftedBlock({"kind": "unit", "unit": "%"}, values, vectors, np.abs(edges[1:k + 1]))
 
 
+def _boundary_lift(complex_vectors):
+    """A record whose floats are every boundary magnitude in both signs, and
+    -0.0, n = 8, as a real or complex block's lifted pairs."""
+    edges = np.array(BOUNDARY_MAGNITUDES)
+    floats = np.concatenate([edges, -edges, [-0.0]])
+    floats = np.resize(floats, 8 * (-(-floats.size // 8)))
+    vectors = floats.reshape(8, -1)
+    k = vectors.shape[1]
+    if complex_vectors:
+        vectors = vectors + 1j * vectors[::-1]
+    return LiftedBlock({"kind": "quotient"}, floats[:k] - 1j * floats[-k:], vectors, np.abs(floats[::-1][:k]))
+
+
 @given(st.lists(lifted_blocks(), max_size=3), st.booleans())
 @example([_edge_lift(False, False), _edge_lift(True, True), _edge_lift(True, False, k=1), _edge_lift(False, False, k=0)], False)
 @example([_edge_lift(False, False, k=4), _edge_lift(True, True, k=4)], True)
+@example([_boundary_lift(False), _boundary_lift(True)], True)
 @settings(max_examples=500, deadline=None)
 def test_lifted_rows_print_as_the_per_pair_documents(lifts, partner):
     # one node per record, spliced among other items of the lifted list;
@@ -942,6 +976,7 @@ def nested_node_documents(draw):
 
 
 @given(nested_node_documents())
+@example([{"a": [_boundary_lift(True).document_rows(), -0.0, [1e-5, -1e16]]}, _boundary_lift(False).document_rows()])
 @settings(max_examples=300, deadline=None)
 def test_nested_row_nodes_print_as_the_reference(doc):
     try:
@@ -963,6 +998,71 @@ def test_a_row_node_outside_a_list_is_refused():
     empty = _edge_lift(False, False, k=0).document_rows()
     for doc in ([node, node], [empty, empty], [empty, node, node, empty]):
         assert jsonutil.canonical_json(doc) == ref.canonical_json(doc)
+
+
+# -- "%.17g" of many magnitudes: jsonutil._g17 against the per-float "%" ---
+#
+# Each test runs in long double, the kernel's own precision, and once more
+# as on a platform without extended precision: the tables and margin built
+# for float64, whose margin exceeds 1/2, so that every value falls back.
+PRECISIONS = pytest.mark.parametrize("precision", [np.longdouble, np.float64], ids=["longdouble", "float64"])
+
+
+def _check_g17(values, precision, margin=None):
+    """_g17 with the tables of precision (and its margin, unless one is
+    given) gives the per-float "%.17g" texts; a margin over 1/2 decides no
+    value."""
+    x = np.array(values, dtype=np.float64)
+    table, own = jsonutil._powers_of_ten(precision)
+    margin = own if margin is None else margin
+    with patch.multiple(jsonutil, _POW10=table, _MARGIN=margin):
+        texts = jsonutil._g17(x)
+        decided = jsonutil._decimal(x)[2]
+    assert texts.tolist() == ["%.17g" % v for v in x.tolist()]
+    if margin > 0.5:
+        assert not decided.any()
+
+
+@PRECISIONS
+@given(values=st.lists(st.floats(min_value=0.0, allow_infinity=False), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_g17_prints_floats_as_percent(values, precision):
+    _check_g17(values, precision)
+
+
+@PRECISIONS
+@given(patterns=st.lists(st.integers(0, 2**64 - 1), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_g17_prints_raw_bit_patterns_as_percent(patterns, precision):
+    x = np.abs(np.array(patterns, dtype=np.uint64).view(np.float64))
+    _check_g17(x[np.isfinite(x)], precision)
+
+
+@PRECISIONS
+def test_g17_prints_boundary_magnitudes_as_percent(precision):
+    rng = np.random.default_rng(29)
+    x = np.abs(rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64))
+    _check_g17([*BOUNDARY_MAGNITUDES, *x[np.isfinite(x)].tolist()], precision)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps, reason="long double is float64 here")
+def test_g17_decides_most_values_in_long_double():
+    # the table entries are within eps of 10^k, as the margin assumes
+    eps = Fraction(float(np.finfo(jsonutil._POW10.dtype).eps))
+    for k, p in zip(range(16 - jsonutil._E_MAX, 17 - jsonutil._E_MIN), jsonutil._POW10):
+        assert abs(Fraction(*p.as_integer_ratio()) / Fraction(10) ** k - 1) <= eps
+    x = np.random.default_rng(29).random(10000)
+    assert jsonutil._decimal(x)[2].mean() > 0.9
+
+
+def test_g17_without_its_near_tie_fallback_is_caught():
+    # negative control: 3 * 2^-25 is 8.94069671630859375e-08 exactly, and
+    # with no margin its tie rounds down, where "%.17g" rounds half to even
+    with patch.object(jsonutil, "_MARGIN", -np.inf):
+        assert jsonutil._g17(np.array([3 * 2.0**-25])).tolist() == ["8.9406967163085937e-08"]
+    assert "%.17g" % (3 * 2.0**-25) == "8.9406967163085938e-08"
+    with pytest.raises(AssertionError):
+        _check_g17(BOUNDARY_MAGNITUDES, np.longdouble, margin=-np.inf)
 
 
 # -- hypergraphs: the CSR arrays against the member-by-member loops ---------

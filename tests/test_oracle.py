@@ -11,6 +11,8 @@ verdicts and failure texts, with eigenvalues within 1e-12 * max(1,
 
 import dataclasses
 import re
+import sys
+import warnings
 from collections import Counter
 from unittest.mock import patch
 
@@ -165,6 +167,29 @@ def test_unmatched_value_names_its_own_block():
     unmatched = [f for f in report.failures if f.startswith("decomposition value")]
     assert len(unmatched) == 2
     assert all(f.endswith("(block {'kind': 'quotient'})") for f in unmatched)
+
+
+def test_thresholds_stay_finite_when_the_row_sums_overflow():
+    # finite entries and a spectrum of +-1.41e308, but ||A||_inf = 2e308
+    # overflows: the scale is capped at the largest float, so the honest
+    # decomposition passes without a warning and one block shifted by
+    # 1e306 is refused, where an infinite scale matched anything
+    a = 1e308
+    A = np.array([[a, a, 0, 0], [a, -a, 0, 0], [0, 0, a, a], [0, 0, a, -a]])
+    p = Permutation((2, 3, 0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = decompose_automorphism(A, p)
+        report = verify_decomposition(A, dec)
+        assert report.verdict and not report.failures
+        assert report.scale == sys.float_info.max
+        first, *rest = dec.blocks
+        shifted = dataclasses.replace(first, eigenvalues=first.eigenvalues + 1e306)
+        report = verify_decomposition(A, dataclasses.replace(dec, blocks=(shifted, *rest)))
+    assert not report.verdict
+    unmatched = "unmatched (block {'kind': 'rotation', 'factor': 0, 'omega_k': 1, 'order_n': 2})"
+    assert sum(f.startswith("decomposition value") and f.endswith(unmatched) for f in report.failures) == 2
+    assert sum(f.endswith("missing from the decomposition") for f in report.failures) == 2
 
 
 PARITY_RTOL = 1e-12
