@@ -44,14 +44,15 @@ class, and splits its decoded text once; a magnitude it cannot decide
 exactly (zero, a subnormal, a near-tie) is printed by "%.17g" itself. A
 negative value takes its magnitude's text behind a "-", which is what
 "%.17g" prints for it; the "-" ends the row segment before it, so no
-signed copy of a text is made. A
-node's documents are then appended to the list of pieces as its segments
-and texts interleaved, through one object array of references, and no
-text of the node is built apart from the final join.
+signed copy of a text is made. A node's documents are then appended to
+the list of pieces as its segments and texts interleaved, through one
+object array of references, and no text of the node is built apart from
+the final join.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -224,12 +225,14 @@ def _texts(arrays: list[np.ndarray]) -> list[np.ndarray]:
 # [_E_MIN, _E_MAX]. Its "%.17g" text shows N, x * 10^(16 - e) rounded half to
 # even to an integer of 17 digits: positional for -4 <= e < 17, and as
 # d.ddde-XX or d.ddde+XX otherwise (two exponent digits at least), with
-# trailing zeros and a bare "." dropped.
+# trailing zeros and a bare "." dropped. The tables below are built on first
+# use, so that a process that prints no row node does not hold them.
 
 _E_MIN, _E_MAX = -308, 308
 _WIDTH = 24  # bytes per text: the longest, "1.2345678901234567e-308", has 23
 
 
+@functools.cache
 def _powers_of_ten(dtype) -> tuple[np.ndarray, float]:
     """10^(16 - e) in dtype for e from _E_MAX down to _E_MIN (0 where dtype
     overflows), and the margin by which x * 10^(16 - e) computed in dtype
@@ -245,13 +248,16 @@ def _powers_of_ten(dtype) -> tuple[np.ndarray, float]:
     with np.errstate(over="ignore"):
         table = np.power(dtype(10), np.arange(16 - _E_MAX, 17 - _E_MIN).astype(dtype))
     table[np.isinf(table)] = 0  # x * 0 is not of 17 digits: undecided
+    table.flags.writeable = False
     return table, 3e17 * float(np.finfo(dtype).eps)
 
 
-def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The texts of the 4-digit chunks c as uint32s, "%04d" % c at c and the
-    same with its trailing zeros as spaces at 10000 + c; and how many digits
-    each keeps, 4 and 4 less the trailing zeros (0 for "0000")."""
+    same with its trailing zeros as spaces at 10000 + c; how many digits
+    each keeps, 4 and 4 less the trailing zeros (0 for "0000"); and the
+    exponent texts of _exponent_table."""
     d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     digits = np.empty((10, 10, 10, 10, 4), np.uint8)  # at the four digits of c
     for place in range(4):
@@ -263,14 +269,18 @@ def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
         trailing &= digits[:, place] == ord("0")
         kept -= trailing
     stripped = np.where(np.arange(4) < kept[:, None], digits, np.uint8(ord(" ")))
-    return np.concatenate([digits, stripped]).view(np.uint32).ravel(), np.concatenate([np.full(10000, 4, np.uint8), kept])
+    chunks = np.concatenate([digits, stripped]).view(np.uint32).ravel()
+    tables = chunks, np.concatenate([np.full(10000, 4, np.uint8), kept]), _exponent_table(chunks)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def _exponent_table() -> np.ndarray:
+def _exponent_table(chunks: np.ndarray) -> np.ndarray:
     """The exponent of a scientific text for each e from _E_MIN, with at least
     two digits, as 5 bytes padded with a space: "e-308", "e-05 ", "e+17 "."""
     e = np.arange(_E_MIN, _E_MAX + 1)
-    digits = _CHUNKS[np.abs(e)].view(np.uint8).reshape(-1, 4)
+    digits = chunks[np.abs(e)].view(np.uint8).reshape(-1, 4)
     table = np.full((e.size, 5), ord(" "), np.uint8)
     table[:, 0] = ord("e")
     table[:, 1] = np.where(e < 0, ord("-"), ord("+"))
@@ -280,27 +290,23 @@ def _exponent_table() -> np.ndarray:
     return table
 
 
-_POW10, _MARGIN = _powers_of_ten(np.longdouble)
-_CHUNKS, _CHUNK_DIGITS = _chunk_tables()
-_EXPONENTS = _exponent_table()
-
-
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(N, e, decided) for a 1-d float64 array of finite x >= 0: N the 17
     digits and e the exponent of each "%.17g" text, decided where x is
-    normal, x * 10^(16 - e) in long double misses a tie by more than
-    _MARGIN and its rounding N has 17 digits (so a wrong estimate of e is
-    undecided); elsewhere N = 10^16 and e = 0."""
+    normal, x * 10^(16 - e) in long double misses a tie by more than the
+    margin of _powers_of_ten and its rounding N has 17 digits (so a wrong
+    estimate of e is undecided); elsewhere N = 10^16 and e = 0."""
+    pow10, margin = _powers_of_ten(np.longdouble)
     normal = x >= np.finfo(np.float64).smallest_normal
     e = np.floor(np.log10(x, out=np.zeros(x.size), where=normal)).astype(np.intp)
-    y = x.astype(_POW10.dtype)
-    y *= _POW10[_E_MAX - e]
+    y = x.astype(pow10.dtype)
+    y *= pow10[_E_MAX - e]
     whole = y.astype(np.int64)  # trunc; 0 <= y < 10^18 for any estimate of e
     y -= whole
     frac = y.astype(np.float64)
     del y
     digits = whole + (frac > 0.5)
-    decided = normal & (np.abs(frac - 0.5) > _MARGIN) & (whole >= 10**16) & (digits < 10**17)
+    decided = normal & (np.abs(frac - 0.5) > margin) & (whole >= 10**16) & (digits < 10**17)
     digits[~decided] = 10**16
     e[~decided] = 0
     return digits, e, decided
@@ -338,6 +344,7 @@ def _rows(digits: np.ndarray, exponents: np.ndarray, ends: list[int]) -> np.ndar
     in a row of _WIDTH bytes padded with spaces; ends[k] is the end of the
     rows of class k: k - 4 the positional exponent for k < 21, scientific
     for k = 21."""
+    chunk_texts, chunk_digits, exponent_texts = _text_tables()
     n = digits.size
     # the leading digit and four chunks of four; from the last nonzero chunk
     # on, a chunk's text has its trailing zeros as spaces
@@ -350,11 +357,11 @@ def _rows(digits: np.ndarray, exponents: np.ndarray, ends: list[int]) -> np.ndar
         chunk = rest - quotient * 10000
         chunk += 10000 * after
         chunks[:, j] = chunk
-        length += _CHUNK_DIGITS[chunk]
+        length += chunk_digits[chunk]
         after &= chunk == 10000
         rest = quotient
     chunks[:, 0] = rest
-    text = _CHUNKS[chunks].view(np.uint8)[:, 3:]
+    text = chunk_texts[chunks].view(np.uint8)[:, 3:]
     rows = np.full((n, _WIDTH), ord(" "), np.uint8)
     for k, (start, end) in enumerate(zip([0, *ends], ends)):
         if start == end:
@@ -365,13 +372,13 @@ def _rows(digits: np.ndarray, exponents: np.ndarray, ends: list[int]) -> np.ndar
             rows[r, 1] = np.where(length[r] > 1, ord("."), ord(" "))
             rows[r, 2:18] = text[r, 1:]
             at = np.where(length[r] > 1, length[r] + 1, 1) + np.arange(start * _WIDTH, end * _WIDTH, _WIDTH)
-            rows.ravel()[at[:, None] + np.arange(5)] = _EXPONENTS[exponents[r] - _E_MIN]
+            rows.ravel()[at[:, None] + np.arange(5)] = exponent_texts[exponents[r] - _E_MIN]
         elif k >= 4:  # e + 1 digits, trailing zeros kept, then "." and the rest
             e = k - 4
-            rows[r, : e + 1] = _CHUNKS[chunks[r] % 10000].view(np.uint8)[:, 3 : e + 4]
+            rows[r, : e + 1] = chunk_texts[chunks[r] % 10000].view(np.uint8)[:, 3 : e + 4]
             rows[r, e + 1] = np.where(length[r] > e + 1, ord("."), ord(" "))
             rows[r, e + 2 : 18] = text[r, e + 1 :]
-        else:  # "0.", 4 - k zeros, the digits
+        else:  # "0.", 3 - k zeros, the digits
             rows[r, : 5 - k] = np.frombuffer(b"0.000", np.uint8)[: 5 - k]
             rows[r, 5 - k : 22 - k] = text[r]
     return rows

@@ -494,6 +494,20 @@ def test_importing_the_cli_loads_no_executor_or_logging():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_the_float_kernel_tables_are_built_on_first_use():
+    # building them takes some 0.7 MB of peak RSS, which a process that
+    # prints no row node (verify, matrix, ...) should not pay
+    src = str(Path(hypersym.__file__).resolve().parents[1])
+    code = (
+        "import numpy as np, hypersym.cli; from hypersym import jsonutil as j\n"
+        "built = lambda: [f.cache_info().currsize for f in (j._powers_of_ten, j._text_tables)]\n"
+        "print(built(), j._g17(np.array([0.5])).tolist(), built())"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0] ['0.5'] [1, 1]\n", "")
+
+
 @pytest.mark.parametrize("command", ["decompose", "verify"])
 def test_the_dense_oracle_solves_beside_the_decomposition(capsys, monkeypatch, command, rot10_path, rot10_map_path):
     solves = _spy_dense_solves(monkeypatch)

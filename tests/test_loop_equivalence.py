@@ -1008,14 +1008,19 @@ def test_a_row_node_outside_a_list_is_refused():
 PRECISIONS = pytest.mark.parametrize("precision", [np.longdouble, np.float64], ids=["longdouble", "float64"])
 
 
+def _tables_of(precision, margin):
+    """The kernel's powers of ten taken in precision, with margin."""
+    table = jsonutil._powers_of_ten(precision)[0]
+    return patch.object(jsonutil, "_powers_of_ten", lambda dtype: (table, margin))
+
+
 def _check_g17(values, precision, margin=None):
     """_g17 with the tables of precision (and its margin, unless one is
     given) gives the per-float "%.17g" texts; a margin over 1/2 decides no
     value."""
     x = np.array(values, dtype=np.float64)
-    table, own = jsonutil._powers_of_ten(precision)
-    margin = own if margin is None else margin
-    with patch.multiple(jsonutil, _POW10=table, _MARGIN=margin):
+    margin = jsonutil._powers_of_ten(precision)[1] if margin is None else margin
+    with _tables_of(precision, margin):
         texts = jsonutil._g17(x)
         decided = jsonutil._decimal(x)[2]
     assert texts.tolist() == ["%.17g" % v for v in x.tolist()]
@@ -1048,8 +1053,9 @@ def test_g17_prints_boundary_magnitudes_as_percent(precision):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps, reason="long double is float64 here")
 def test_g17_decides_most_values_in_long_double():
     # the table entries are within eps of 10^k, as the margin assumes
-    eps = Fraction(float(np.finfo(jsonutil._POW10.dtype).eps))
-    for k, p in zip(range(16 - jsonutil._E_MAX, 17 - jsonutil._E_MIN), jsonutil._POW10):
+    table = jsonutil._powers_of_ten(np.longdouble)[0]
+    eps = Fraction(float(np.finfo(table.dtype).eps))
+    for k, p in zip(range(16 - jsonutil._E_MAX, 17 - jsonutil._E_MIN), table):
         assert abs(Fraction(*p.as_integer_ratio()) / Fraction(10) ** k - 1) <= eps
     x = np.random.default_rng(29).random(10000)
     assert jsonutil._decimal(x)[2].mean() > 0.9
@@ -1058,7 +1064,7 @@ def test_g17_decides_most_values_in_long_double():
 def test_g17_without_its_near_tie_fallback_is_caught():
     # negative control: 3 * 2^-25 is 8.94069671630859375e-08 exactly, and
     # with no margin its tie rounds down, where "%.17g" rounds half to even
-    with patch.object(jsonutil, "_MARGIN", -np.inf):
+    with _tables_of(np.longdouble, -np.inf):
         assert jsonutil._g17(np.array([3 * 2.0**-25])).tolist() == ["8.9406967163085937e-08"]
     assert "%.17g" % (3 * 2.0**-25) == "8.9406967163085938e-08"
     with pytest.raises(AssertionError):
